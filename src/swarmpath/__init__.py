@@ -26,11 +26,9 @@ from .world import (
 )
 from .apf import (
     LeaderState,
-    Path,
     SingularityError,
     attraction_force,
     leader_step,
-    plan_leader_path,
     repulsion_force,
     total_force,
 )
@@ -51,7 +49,7 @@ from .topology import (
     swarm_step,
     update_link_mode,
 )
-from .baseline import BaselineDroneState, BaselineState, baseline_step
+from .baseline import BaselineState, baseline_step
 from .simulator import (
     COMPLETED,
     CONVENTIONAL_APF,
@@ -81,13 +79,13 @@ __all__ = [
     "ScenarioParseError", "ScenarioSpec", "ScenarioValidationError",
     "TopologyParams", "Vec2", "effective_obstacles", "load_scenario",
     "read_scenario", "serialize_scenario", "validate_spec",
-    "LeaderState", "Path", "SingularityError", "attraction_force",
-    "leader_step", "plan_leader_path", "repulsion_force", "total_force",
+    "LeaderState", "SingularityError", "attraction_force",
+    "leader_step", "repulsion_force", "total_force",
     "LinkDynamicState", "analytic_response", "critical_damping",
     "link_energy", "link_step",
     "DroneState", "LinkMode", "SwarmState", "deflection_offset",
     "desired_position", "nearest_obstacle", "swarm_step", "update_link_mode",
-    "BaselineDroneState", "BaselineState", "baseline_step",
+    "BaselineState", "baseline_step",
     "COMPLETED", "CONVENTIONAL_APF", "MAX_STEPS", "STALLED", "SWARMPATH",
     "SimulationTrace", "run",
     "ComparisonReport", "ape", "compare", "completion_time",

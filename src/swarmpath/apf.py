@@ -1,8 +1,10 @@
-"""Artificial potential field planner for the virtual leader.
+"""Artificial potential field and the one constant-speed descent step.
 
 Attraction pulls straight at the goal, repulsion pushes radially off every
-obstacle whose surface is closer than its r_apf.  The leader descends the
-combined field at constant speed, so the field only sets the direction.
+obstacle whose surface is closer than its r_apf.  leader_step descends the
+combined field at constant speed, so the field only sets the direction.  The
+virtual leader runs it toward the scenario goal and every baseline drone runs
+it toward its own goal slot.
 """
 
 from __future__ import annotations
@@ -21,22 +23,13 @@ class SingularityError(ValueError):
 
 @dataclass(frozen=True)
 class LeaderState:
-    """Virtual leader pose; reached_goal latches once set."""
+    """Pose of a descending agent (the virtual leader or a baseline drone).
+
+    reached_goal latches once set.
+    """
 
     position: Vec2
     reached_goal: bool = False
-
-
-@dataclass(frozen=True)
-class Path:
-    """Planned leader trajectory sampled at dt."""
-
-    points: tuple[Vec2, ...]
-    dt: float
-    outcome: str  # "completed" | "max_steps" | "stalled"
-
-    def length(self) -> float:
-        return sum(b.dist(a) for a, b in zip(self.points, self.points[1:]))
 
 
 def attraction_force(p: Vec2, goal: Vec2, k_att: float) -> Vec2:
@@ -74,54 +67,23 @@ def total_force(p: Vec2, goal: Vec2, obstacles: tuple[Obstacle, ...],
     return force
 
 
-def leader_step(state: LeaderState, spec: ScenarioSpec) -> tuple[LeaderState, bool]:
-    """One constant-speed descent step; returns (new state, stalled flag).
+def leader_step(state: LeaderState, goal: Vec2,
+                spec: ScenarioSpec) -> tuple[LeaderState, bool]:
+    """One constant-speed descent step toward goal; returns (new state, stalled flag).
 
-    The goal check runs before moving, so a leader already within
+    The goal check runs before moving, so a state already within
     goal_threshold latches reached_goal and stays put.  A vanishing field
     (norm < STALL_EPS) is reported as a stall, also without moving.
     """
     if state.reached_goal:
         return state, False
     p = state.position
-    if p.dist(spec.goal) <= spec.apf.goal_threshold:
+    if p.dist(goal) <= spec.apf.goal_threshold:
         return LeaderState(p, reached_goal=True), False
-    force = total_force(p, spec.goal, effective_obstacles(spec), spec.apf)
+    force = total_force(p, goal, effective_obstacles(spec), spec.apf)
     norm = force.norm()
     if norm < STALL_EPS:
         return state, True
     new_p = p + force * (spec.dt * spec.apf.leader_speed / norm)
-    reached = new_p.dist(spec.goal) <= spec.apf.goal_threshold
+    reached = new_p.dist(goal) <= spec.apf.goal_threshold
     return LeaderState(new_p, reached_goal=reached), False
-
-
-STALL_PATIENCE = 100  # consecutive stalled steps before giving up
-
-
-def plan_leader_path(spec: ScenarioSpec) -> Path:
-    """Iterate leader_step from the scenario start until done.
-
-    The point sequence contains the start and every position actually moved
-    to; stalled steps add no points.  Outcome is "completed", "max_steps", or
-    "stalled" after STALL_PATIENCE consecutive stalled steps (a local minimum
-    of the field).
-    """
-    state = LeaderState(spec.start)
-    points = [state.position]
-    stall_run = 0
-    outcome = "max_steps"
-    for _ in range(spec.max_steps):
-        state, stalled = leader_step(state, spec)
-        if stalled:
-            stall_run += 1
-            if stall_run >= STALL_PATIENCE:
-                outcome = "stalled"
-                break
-            continue
-        stall_run = 0
-        if points[-1] != state.position:
-            points.append(state.position)
-        if state.reached_goal:
-            outcome = "completed"
-            break
-    return Path(points=tuple(points), dt=spec.dt, outcome=outcome)

@@ -1,56 +1,32 @@
 """Conventional potential-field swarm: every drone descends the field on its own.
 
-Each drone runs the same constant-speed descent as the virtual leader, toward
-its own goal slot goal + formation_offset, with no links and no coordination.
-This is the comparison controller for the adaptive-link swarm.
+Each drone runs apf.leader_step, the virtual leader's own constant-speed
+descent, toward its own goal slot goal + formation_offset, with no links and
+no coordination.  This is the comparison controller for the adaptive-link
+swarm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .world import ScenarioSpec, Vec2, effective_obstacles
-from .apf import STALL_EPS, total_force
-
-
-@dataclass(frozen=True)
-class BaselineDroneState:
-    """Independent drone: id indexes formation_offsets, reached_goal latches."""
-
-    id: int
-    position: Vec2
-    reached_goal: bool = False
+from .world import ScenarioSpec
+from .apf import LeaderState, leader_step
+# Unused here, but bench/bench.py's traced mode rebinds these module names.
+from .world import effective_obstacles  # noqa: F401
+from .apf import total_force  # noqa: F401
 
 
 @dataclass(frozen=True)
 class BaselineState:
-    """All independent drones at one instant; t == step * dt."""
+    """All independent drones at one instant; drone i flies to goal + formation_offsets[i].
 
-    drones: tuple[BaselineDroneState, ...]
+    t == step * dt.
+    """
+
+    drones: tuple[LeaderState, ...]
     t: float
     step: int
-
-
-def baseline_drone_step(drone: BaselineDroneState,
-                        spec: ScenarioSpec) -> tuple[BaselineDroneState, bool]:
-    """One descent step for one drone; returns (new state, stalled flag).
-
-    Same rules as the leader: goal check before moving, constant speed along
-    the normalized field, stall when the field vanishes.
-    """
-    if drone.reached_goal:
-        return drone, False
-    goal = spec.goal + spec.formation_offsets[drone.id]
-    p = drone.position
-    if p.dist(goal) <= spec.apf.goal_threshold:
-        return replace(drone, reached_goal=True), False
-    force = total_force(p, goal, effective_obstacles(spec), spec.apf)
-    norm = force.norm()
-    if norm < STALL_EPS:
-        return drone, True
-    new_p = p + force * (spec.dt * spec.apf.leader_speed / norm)
-    reached = new_p.dist(goal) <= spec.apf.goal_threshold
-    return BaselineDroneState(drone.id, new_p, reached_goal=reached), False
 
 
 def baseline_step(state: BaselineState, spec: ScenarioSpec) -> tuple[BaselineState, bool]:
@@ -58,8 +34,8 @@ def baseline_step(state: BaselineState, spec: ScenarioSpec) -> tuple[BaselineSta
     drones = []
     moved = False
     unfinished = False
-    for drone in state.drones:
-        new_drone, stalled = baseline_drone_step(drone, spec)
+    for drone, offset in zip(state.drones, spec.formation_offsets):
+        new_drone, stalled = leader_step(drone, spec.goal + offset, spec)
         drones.append(new_drone)
         if not new_drone.reached_goal:
             unfinished = True

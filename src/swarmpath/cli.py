@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
 import os
 import sys
 from pathlib import Path
@@ -21,8 +20,6 @@ from pathlib import Path
 from .world import ScenarioError, read_scenario, validate_spec
 from .simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, run
 from . import metrics, plotsvg, selfcheck, sweep, traceio
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -39,6 +36,7 @@ def _output_dir(arg: str | None) -> Path:
 
 def _load_spec(path: str, dt: float | None, max_steps: int | None):
     spec = read_scenario(path)
+    # The overrides bypass the loader's checks, so validate once more.
     if dt is not None:
         spec = dataclasses.replace(spec, dt=dt)
     if max_steps is not None:
@@ -138,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

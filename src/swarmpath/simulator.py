@@ -14,7 +14,7 @@ from .world import ScenarioSpec, Vec2
 from .apf import LeaderState, SingularityError
 from .impedance import LinkDynamicState
 from .topology import DroneState, LinkMode, SwarmState, swarm_step
-from .baseline import BaselineDroneState, BaselineState, baseline_step
+from .baseline import BaselineState, baseline_step
 
 SWARMPATH = "swarmpath"
 CONVENTIONAL_APF = "conventional-apf"
@@ -78,10 +78,7 @@ def initial_swarm_state(spec: ScenarioSpec) -> SwarmState:
 
 
 def initial_baseline_state(spec: ScenarioSpec) -> BaselineState:
-    drones = tuple(
-        BaselineDroneState(id=i, position=spec.start + off)
-        for i, off in enumerate(spec.formation_offsets)
-    )
+    drones = tuple(LeaderState(spec.start + off) for off in spec.formation_offsets)
     return BaselineState(drones=drones, t=0.0, step=0)
 
 
@@ -104,9 +101,9 @@ def run(spec: ScenarioSpec, controller: str = SWARMPATH) -> SimulationTrace:
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}, expected one of {CONTROLLERS}")
     if controller == SWARMPATH:
-        frame = initial_swarm_state(spec)
+        frame, step_fn = initial_swarm_state(spec), swarm_step
     else:
-        frame = initial_baseline_state(spec)
+        frame, step_fn = initial_baseline_state(spec), baseline_step
     frames = [frame]
     outcome = MAX_STEPS
     if swarm_complete(frame, spec):
@@ -114,16 +111,10 @@ def run(spec: ScenarioSpec, controller: str = SWARMPATH) -> SimulationTrace:
     stall_run = 0
     for step in range(spec.max_steps):
         try:
-            if controller == SWARMPATH:
-                new_frame = swarm_step(frame, spec)
-                stalled = (not new_frame.leader.reached_goal
-                           and new_frame.leader.position == frame.leader.position)
-            else:
-                new_frame, stalled = baseline_step(frame, spec)
+            frame, stalled = step_fn(frame, spec)
         except SingularityError as exc:
             raise SingularityError(f"step {step + 1}: {exc}") from None
-        frames.append(new_frame)
-        frame = new_frame
+        frames.append(frame)
         stall_run = stall_run + 1 if stalled else 0
         if swarm_complete(frame, spec):
             outcome = COMPLETED

@@ -45,14 +45,6 @@ class LinkMode:
             return "L"
         return f"O{self.obstacle_index}"
 
-    @classmethod
-    def decode(cls, text: str) -> "LinkMode":
-        if text == "L":
-            return cls.leader()
-        if text.startswith("O") and text[1:].isdigit():
-            return cls.obstacle(int(text[1:]))
-        raise ValueError(f"bad link mode {text!r}")
-
 
 @dataclass(frozen=True)
 class DroneState:
@@ -139,9 +131,10 @@ def desired_position(drone: DroneState, leader: LeaderState,
     return base + deflection_offset(drone, obs, spec.topology)
 
 
-def swarm_step(state: SwarmState, spec: ScenarioSpec) -> SwarmState:
-    """Advance leader and all followers by one dt.
+def swarm_step(state: SwarmState, spec: ScenarioSpec) -> tuple[SwarmState, bool]:
+    """Advance leader and all followers by one dt; returns (new state, stalled flag).
 
+    stalled is the leader's: its field vanished, so it held position.
     Order: the leader moves first (a stalled or finished leader just holds
     position, followers keep settling), then each drone refreshes its link
     mode, integrates its link against the slot it was tracking, and re-anchors
@@ -149,10 +142,7 @@ def swarm_step(state: SwarmState, spec: ScenarioSpec) -> SwarmState:
     Anchoring this way makes pure transport exact: a drone sitting on its slot
     with no deviation translates with the leader instead of lagging it.
     """
-    if state.leader.reached_goal:
-        new_leader = state.leader
-    else:
-        new_leader, _ = leader_step(state.leader, spec)
+    new_leader, stalled = leader_step(state.leader, spec.goal, spec)
     obstacles = effective_obstacles(spec)
     dt = spec.dt
     drones = []
@@ -172,9 +162,10 @@ def swarm_step(state: SwarmState, spec: ScenarioSpec) -> SwarmState:
         drones.append(replace(
             tracked, position=position, link=link, mean_speed=mean_speed))
     step = state.step + 1
-    return SwarmState(
+    new_state = SwarmState(
         leader=new_leader,
         drones=tuple(drones),
         t=step * dt,
         step=step,
     )
+    return new_state, stalled

@@ -1,10 +1,10 @@
-"""Trace and report serialization.
+"""Trace and report writers.
 
 Trace CSV columns: t, leader_x, leader_y, then drone<i>_x, drone<i>_y,
 drone<i>_mode per drone (drones numbered from 1 in files and reports).  Mode
 cells hold L for leader-linked or O<k> with k the obstacle index; baseline
 runs have no leader and no links, those cells stay empty.  Floats are written
-with repr so a parsed file re-renders byte for byte.
+with repr so float(cell) recovers each value exactly.
 
 Report JSON uses fixed key order and rounds to 6 significant digits, which
 keeps report bytes stable across platforms.
@@ -13,10 +13,7 @@ keeps report bytes stable across platforms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .world import Vec2
-from .topology import LinkMode
 from .simulator import SWARMPATH, SimulationTrace
 from . import metrics
 
@@ -30,20 +27,6 @@ def sig6(value: float | None) -> float | None:
     if value is None:
         return None
     return float(f"{value:.6g}")
-
-
-@dataclass(frozen=True)
-class ParsedTrace:
-    """Plain data read back from a trace CSV."""
-
-    times: tuple[float, ...]
-    leader: tuple[Vec2 | None, ...]
-    positions: tuple[tuple[Vec2, ...], ...]        # [drone][frame]
-    modes: tuple[tuple[LinkMode | None, ...], ...]  # [drone][frame]
-
-    @property
-    def n_drones(self) -> int:
-        return len(self.positions)
 
 
 def _header(n_drones: int) -> str:
@@ -68,56 +51,6 @@ def render_trace_csv(trace: SimulationTrace) -> str:
             cells.append(drone.mode.encode() if swarm else "")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def render_parsed_csv(parsed: ParsedTrace) -> str:
-    """Serialize parsed trace data back to CSV text (inverse of parse)."""
-    lines = [_header(parsed.n_drones)]
-    for n, t in enumerate(parsed.times):
-        cells = [_fmt(t)]
-        lead = parsed.leader[n]
-        cells += ["", ""] if lead is None else [_fmt(lead.x), _fmt(lead.y)]
-        for d in range(parsed.n_drones):
-            p = parsed.positions[d][n]
-            cells += [_fmt(p.x), _fmt(p.y)]
-            mode = parsed.modes[d][n]
-            cells.append("" if mode is None else mode.encode())
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def parse_trace_csv(text: str) -> ParsedTrace:
-    """Read a trace CSV back into plain data."""
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines:
-        raise ValueError("empty trace file")
-    header = lines[0].split(",")
-    if header[:3] != ["t", "leader_x", "leader_y"] or (len(header) - 3) % 3 != 0:
-        raise ValueError(f"unexpected trace header {lines[0]!r}")
-    n_drones = (len(header) - 3) // 3
-    times: list[float] = []
-    leader: list[Vec2 | None] = []
-    positions: list[list[Vec2]] = [[] for _ in range(n_drones)]
-    modes: list[list[LinkMode | None]] = [[] for _ in range(n_drones)]
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"row has {len(cells)} cells, expected {len(header)}")
-        times.append(float(cells[0]))
-        if cells[1] == "":
-            leader.append(None)
-        else:
-            leader.append(Vec2(float(cells[1]), float(cells[2])))
-        for d in range(n_drones):
-            x, y, mode = cells[3 + 3 * d: 6 + 3 * d]
-            positions[d].append(Vec2(float(x), float(y)))
-            modes[d].append(None if mode == "" else LinkMode.decode(mode))
-    return ParsedTrace(
-        times=tuple(times),
-        leader=tuple(leader),
-        positions=tuple(tuple(p) for p in positions),
-        modes=tuple(tuple(m) for m in modes),
-    )
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:

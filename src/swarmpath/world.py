@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 
 class ScenarioError(ValueError):
@@ -201,10 +201,7 @@ def _labelled_obstacles(spec: ScenarioSpec):
         yield f"gates[{g}].pole_b", gate.pole_b
 
 
-_TOP_KEYS = {
-    "start", "goal", "obstacles", "gates", "formation_offsets",
-    "impedance", "apf", "topology", "dt", "max_steps",
-}
+_TOP_KEYS = {f.name for f in fields(ScenarioSpec)}
 
 
 def load_scenario(text: str) -> ScenarioSpec:
@@ -265,18 +262,9 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
             for g in spec.gates
         ],
         "formation_offsets": [list(o.as_tuple()) for o in spec.formation_offsets],
-        "impedance": {"m": spec.impedance.m, "d": spec.impedance.d, "k": spec.impedance.k},
-        "apf": {
-            "k_att": spec.apf.k_att,
-            "k_rep": spec.apf.k_rep,
-            "leader_speed": spec.apf.leader_speed,
-            "goal_threshold": spec.apf.goal_threshold,
-        },
-        "topology": {
-            "k_impF": spec.topology.k_impF,
-            "hysteresis": spec.topology.hysteresis,
-            "velocity_gain": spec.topology.velocity_gain,
-        },
+        "impedance": asdict(spec.impedance),
+        "apf": asdict(spec.apf),
+        "topology": asdict(spec.topology),
         "dt": spec.dt,
         "max_steps": spec.max_steps,
     }
@@ -350,13 +338,6 @@ def _offsets(doc: dict) -> tuple[Vec2, ...]:
     return tuple(_vec(v, f"formation_offsets[{i}]") for i, v in enumerate(raw))
 
 
-_BLOCK_FIELDS = {
-    "impedance": ("m", "d", "k"),
-    "apf": ("k_att", "k_rep", "leader_speed", "goal_threshold"),
-    "topology": ("k_impF", "hysteresis", "velocity_gain"),
-}
-
-
 def _block(doc: dict, name: str, cls):
     """Build a parameter block, filling unspecified fields from defaults."""
     if name not in doc:
@@ -364,9 +345,9 @@ def _block(doc: dict, name: str, cls):
     raw = doc[name]
     if not isinstance(raw, dict):
         raise ScenarioParseError(f"{name} must be an object, got {raw!r}")
-    fields = _BLOCK_FIELDS[name]
-    unknown = set(raw) - set(fields)
+    names = [f.name for f in fields(cls)]
+    unknown = set(raw) - set(names)
     if unknown:
         raise ScenarioParseError(f"unknown {name} keys: {sorted(unknown)}")
-    kwargs = {f: _number(raw[f], f"{name}.{f}") for f in fields if f in raw}
+    kwargs = {f: _number(raw[f], f"{name}.{f}") for f in names if f in raw}
     return cls(**kwargs)

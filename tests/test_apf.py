@@ -8,7 +8,6 @@ from swarmpath.apf import (
     SingularityError,
     attraction_force,
     leader_step,
-    plan_leader_path,
     repulsion_force,
     total_force,
 )
@@ -99,7 +98,7 @@ def test_total_force_is_rotation_equivariant(angle):
 
 def test_leader_step_moves_at_constant_speed():
     spec = straight_spec(goal=Vec2(10.0, 0.0))
-    state, stalled = leader_step(LeaderState(spec.start), spec)
+    state, stalled = leader_step(LeaderState(spec.start), spec.goal, spec)
     assert not stalled
     assert state.position.dist(spec.start) == pytest.approx(
         spec.apf.leader_speed * spec.dt, rel=1e-12
@@ -110,11 +109,11 @@ def test_leader_step_moves_at_constant_speed():
 def test_leader_latches_at_goal_before_moving():
     spec = straight_spec(goal=Vec2(1.0, 0.0))
     near = LeaderState(Vec2(0.95, 0.0))
-    state, stalled = leader_step(near, spec)
+    state, stalled = leader_step(near, spec.goal, spec)
     assert state.reached_goal
     assert state.position == near.position
     assert not stalled
-    again, _ = leader_step(state, spec)
+    again, _ = leader_step(state, spec.goal, spec)
     assert again.position == near.position
 
 
@@ -139,37 +138,6 @@ def test_leader_step_reports_stall_at_equilibrium():
             lo = mid
         else:
             hi = mid
-    _, stalled = leader_step(LeaderState(Vec2(lo, 0.0)), trapped)
+    _, stalled = leader_step(LeaderState(Vec2(lo, 0.0)), trapped.goal, trapped)
     assert stalled
 
-
-def test_plan_leader_path_straight_line():
-    spec = straight_spec(goal=Vec2(1.0, 0.0))
-    path = plan_leader_path(spec)
-    assert path.outcome == "completed"
-    assert path.points[0] == spec.start
-    final = path.points[-1]
-    assert final.dist(spec.goal) <= spec.apf.goal_threshold + spec.apf.leader_speed * spec.dt
-    assert path.length() == pytest.approx(0.9, abs=2 * spec.apf.leader_speed * spec.dt)
-
-
-def test_plan_leader_path_max_steps():
-    spec = straight_spec(goal=Vec2(100.0, 0.0), max_steps=10)
-    path = plan_leader_path(spec)
-    assert path.outcome == "max_steps"
-    assert len(path.points) == 11
-
-
-def test_plan_leader_path_detours_around_obstacle():
-    spec = straight_spec(
-        goal=Vec2(4.0, 0.0),
-        obstacles=(Obstacle(Vec2(2.0, 0.05), 0.2, 0.8, 0.4),),
-        max_steps=3000,
-    )
-    path = plan_leader_path(spec)
-    assert path.outcome == "completed"
-    assert path.length() > 3.9
-    clearances = [
-        spec.obstacles[0].surface_distance(p) for p in path.points
-    ]
-    assert min(clearances) > 0.0

@@ -1,6 +1,7 @@
 import pytest
 
-from swarmpath.baseline import BaselineDroneState, baseline_drone_step, baseline_step
+from swarmpath.apf import LeaderState, leader_step
+from swarmpath.baseline import baseline_step
 from swarmpath.simulator import initial_baseline_state
 from swarmpath.world import Obstacle, Vec2
 from conftest import straight_spec
@@ -11,15 +12,16 @@ def test_initial_state_puts_drones_on_slots():
     state = initial_baseline_state(spec)
     assert state.t == 0.0
     assert state.step == 0
-    for drone in state.drones:
-        assert drone.position == spec.start + spec.formation_offsets[drone.id]
+    for drone, offset in zip(state.drones, spec.formation_offsets, strict=True):
+        assert drone.position == spec.start + offset
         assert not drone.reached_goal
 
 
 def test_drone_step_descends_toward_own_slot():
     spec = straight_spec(goal=Vec2(2.0, 0.0))
-    drone = BaselineDroneState(id=1, position=Vec2(0.4, -0.4))
-    out, stalled = baseline_drone_step(drone, spec)
+    slot_goal = spec.goal + spec.formation_offsets[1]
+    drone = LeaderState(Vec2(0.4, -0.4))
+    out, stalled = leader_step(drone, slot_goal, spec)
     assert not stalled
     # Slot goal is goal + offset[1] = (2.4, -0.4): straight +x from here.
     assert out.position.y == drone.position.y
@@ -28,12 +30,13 @@ def test_drone_step_descends_toward_own_slot():
 
 def test_drone_latches_within_threshold():
     spec = straight_spec(goal=Vec2(2.0, 0.0))
-    drone = BaselineDroneState(id=0, position=Vec2(2.35, 0.4))
-    out, stalled = baseline_drone_step(drone, spec)
+    slot_goal = spec.goal + spec.formation_offsets[0]
+    drone = LeaderState(Vec2(2.35, 0.4))
+    out, stalled = leader_step(drone, slot_goal, spec)
     assert out.reached_goal
     assert out.position == drone.position
     assert not stalled
-    again, _ = baseline_drone_step(out, spec)
+    again, _ = leader_step(out, slot_goal, spec)
     assert again.position == drone.position
 
 

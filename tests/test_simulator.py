@@ -11,6 +11,7 @@ from swarmpath.simulator import (
     SWARMPATH,
     run,
 )
+from swarmpath.metrics import leader_path_length
 from swarmpath.world import Obstacle, Vec2
 from conftest import one_pole_spec, straight_spec
 
@@ -74,6 +75,41 @@ def test_stalled_outcome_at_field_equilibrium():
     trace = run(spec, SWARMPATH)
     assert trace.outcome == STALLED
     assert trace.n_frames < spec.max_steps + 1
+
+
+def test_leader_track_straight_line():
+    spec = straight_spec(goal=Vec2(1.0, 0.0))
+    trace = run(spec, SWARMPATH)
+    assert trace.outcome == COMPLETED
+    track = trace.leader_positions()
+    assert tuple(track[0]) == spec.start.as_tuple()
+    final = Vec2(*track[-1])
+    assert final.dist(spec.goal) <= spec.apf.goal_threshold + spec.apf.leader_speed * spec.dt
+    assert leader_path_length(trace) == pytest.approx(
+        0.9, abs=2 * spec.apf.leader_speed * spec.dt)
+
+
+def test_leader_track_moves_every_step_until_max_steps():
+    spec = straight_spec(goal=Vec2(100.0, 0.0), max_steps=10)
+    trace = run(spec, SWARMPATH)
+    assert trace.outcome == MAX_STEPS
+    track = trace.leader_positions()
+    assert len(track) == 11
+    assert np.all(np.diff(track[:, 0]) > 0.0)
+
+
+def test_leader_track_detours_around_obstacle():
+    spec = straight_spec(
+        goal=Vec2(4.0, 0.0),
+        obstacles=(Obstacle(Vec2(2.0, 0.05), 0.2, 0.8, 0.4),),
+        max_steps=3000,
+    )
+    trace = run(spec, SWARMPATH)
+    assert trace.outcome == COMPLETED
+    assert leader_path_length(trace) > 3.9
+    clearances = [spec.obstacles[0].surface_distance(Vec2(*p))
+                  for p in trace.leader_positions()]
+    assert min(clearances) > 0.0
 
 
 def test_completion_counts_frame_zero():

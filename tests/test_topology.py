@@ -27,10 +27,12 @@ TOPO = TopologyParams(k_impF=0.5, hysteresis=0.1, velocity_gain=0.0)
 def test_link_mode_encoding_round_trip():
     assert LinkMode.leader().encode() == "L"
     assert LinkMode.obstacle(3).encode() == "O3"
-    assert LinkMode.decode("L") == LinkMode.leader()
-    assert LinkMode.decode("O12") == LinkMode.obstacle(12)
+    # A trace reader recovers the obstacle index from the cell text.
+    for index in (0, 7, 12):
+        cell = LinkMode.obstacle(index).encode()
+        assert cell[0] == "O" and int(cell[1:]) == index
     with pytest.raises(ValueError):
-        LinkMode.decode("X2")
+        LinkMode.obstacle(-1)
 
 
 def test_nearest_obstacle_picks_closest_surface():
@@ -109,7 +111,7 @@ def test_pure_transport_keeps_deviations_exactly_zero():
     spec = straight_spec(goal=Vec2(2.0, 0.0), max_steps=500)
     state = initial_swarm_state(spec)
     for _ in range(300):
-        state = swarm_step(state, spec)
+        state, _ = swarm_step(state, spec)
     for drone in state.drones:
         assert drone.link.delta_x == Vec2(0.0, 0.0)
         assert drone.link.delta_v == Vec2(0.0, 0.0)
@@ -119,7 +121,8 @@ def test_pure_transport_keeps_deviations_exactly_zero():
 def test_swarm_step_advances_clock():
     spec = straight_spec()
     state = initial_swarm_state(spec)
-    nxt = swarm_step(state, spec)
+    nxt, stalled = swarm_step(state, spec)
+    assert not stalled
     assert nxt.step == 1
     assert nxt.t == pytest.approx(spec.dt)
 
@@ -138,7 +141,7 @@ def test_formation_recovery_decays_monotonically():
     state = dataclasses.replace(state, drones=tuple(kicked))
     dev = state.drones[0].link.delta_x.norm()
     for _ in range(1500):
-        state = swarm_step(state, spec)
+        state, _ = swarm_step(state, spec)
         new_dev = state.drones[0].link.delta_x.norm()
         assert new_dev <= dev + 1e-12
         dev = new_dev

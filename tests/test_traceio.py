@@ -3,20 +3,37 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from swarmpath.apf import LeaderState
 from swarmpath.metrics import compare
-from swarmpath.simulator import CONVENTIONAL_APF, SWARMPATH, run
+from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, SimulationTrace, run
+from swarmpath.topology import DroneState, SwarmState
 from swarmpath.traceio import (
-    ParsedTrace,
-    parse_trace_csv,
     render_comparison_json,
     render_metrics_json,
-    render_parsed_csv,
     render_trace_csv,
     sig6,
     write_trace_csv,
 )
 from swarmpath.world import Vec2
 from conftest import one_pole_spec, straight_spec
+
+
+def data_rows(text: str) -> list[list[str]]:
+    """Cells of every data row of a trace CSV."""
+    return [line.split(",") for line in text.rstrip("\n").split("\n")[1:]]
+
+
+def assert_row_is_frame(cells: list[str], frame, swarm: bool) -> None:
+    """Every cell of one CSV row reads back as the frame's exact state."""
+    assert float(cells[0]) == frame.t
+    if swarm:
+        assert (float(cells[1]), float(cells[2])) == frame.leader.position.as_tuple()
+    else:
+        assert cells[1:3] == ["", ""]
+    for d, drone in enumerate(frame.drones):
+        x, y, mode = cells[3 + 3 * d: 6 + 3 * d]
+        assert (float(x), float(y)) == drone.position.as_tuple()
+        assert mode == (drone.mode.encode() if swarm else "")
 
 
 def test_csv_header_and_shape():
@@ -31,30 +48,27 @@ def test_csv_header_and_shape():
 
 def test_csv_round_trip_swarmpath():
     trace = run(one_pole_spec(), SWARMPATH)
-    text = render_trace_csv(trace)
-    parsed = parse_trace_csv(text)
-    assert render_parsed_csv(parsed) == text
-    assert parsed.n_drones == trace.n_drones
-    assert parsed.times[0] == 0.0
-    assert all(v is not None for v in parsed.leader)
-    assert all(m is not None for row in parsed.modes for m in row)
+    rows = data_rows(render_trace_csv(trace))
+    assert len(rows) == trace.n_frames
+    assert rows[0][0] == "0.0"
+    for cells, frame in zip(rows, trace.frames, strict=True):
+        assert_row_is_frame(cells, frame, swarm=True)
+    assert any(mode.startswith("O") for cells in rows for mode in cells[5::3])
 
 
 def test_csv_round_trip_baseline_leaves_leader_empty():
     trace = run(straight_spec(goal=Vec2(1.0, 0.0)), CONVENTIONAL_APF)
     text = render_trace_csv(trace)
     assert ",,," in text.split("\n")[1]  # empty leader cells in data rows
-    parsed = parse_trace_csv(text)
-    assert all(v is None for v in parsed.leader)
-    assert all(m is None for row in parsed.modes for m in row)
-    assert render_parsed_csv(parsed) == text
+    for cells, frame in zip(data_rows(text), trace.frames, strict=True):
+        assert_row_is_frame(cells, frame, swarm=False)
 
 
 def test_csv_floats_survive_exactly():
     trace = run(one_pole_spec(), SWARMPATH)
-    parsed = parse_trace_csv(render_trace_csv(trace))
+    last = data_rows(render_trace_csv(trace))[-1]
     final = trace.final_frame()
-    assert parsed.positions[0][-1] == final.drones[0].position
+    assert Vec2(float(last[3]), float(last[4])) == final.drones[0].position
 
 
 def test_write_trace_csv_uses_unix_newlines(tmp_path):
@@ -68,17 +82,16 @@ def test_write_trace_csv_uses_unix_newlines(tmp_path):
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_repr_floats_round_trip(value):
-    from swarmpath.topology import LinkMode
-
-    parsed = ParsedTrace(
-        times=(0.0,),
-        leader=(Vec2(value, -value),),
-        positions=((Vec2(value, 0.0),),),
-        modes=((LinkMode.leader(),),),
+    spec = straight_spec(formation_offsets=(Vec2(0.0, 0.0),))
+    frame = SwarmState(
+        leader=LeaderState(Vec2(value, -value)),
+        drones=(DroneState(id=0, position=Vec2(value, 0.0)),),
+        t=0.0,
+        step=0,
     )
-    again = parse_trace_csv(render_parsed_csv(parsed))
-    assert again.leader[0] == Vec2(value, -value)
-    assert again.positions[0][0].x == value
+    trace = SimulationTrace(spec, SWARMPATH, (frame,), COMPLETED)
+    (cells,) = data_rows(render_trace_csv(trace))
+    assert_row_is_frame(cells, frame, swarm=True)
 
 
 def test_sig6():

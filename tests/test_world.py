@@ -101,6 +101,8 @@ def test_validate_rejects_coincident_gate_poles():
 def test_load_rejects_unknown_keys():
     with pytest.raises(ScenarioParseError, match="unknown"):
         load_scenario('{"start": [0, 0], "goal": [1, 0], "warp_drive": true}')
+    with pytest.raises(ScenarioParseError, match="unknown apf keys"):
+        load_scenario('{"start": [0, 0], "goal": [1, 0], "apf": {"k_rep": 1, "warp": 2}}')
 
 
 def test_load_rejects_bool_as_number():
@@ -134,19 +136,27 @@ def test_serialize_round_trip_bespoke_scenario():
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 positive = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
+non_negative = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
 
 
 @given(
     sx=finite, sy=finite, gx=finite, gy=finite,
-    m=positive, d=positive, k=positive,
+    impedance=st.builds(ImpedanceParams, m=positive, d=positive, k=positive),
+    apf=st.builds(ApfParams, k_att=positive, k_rep=positive,
+                  leader_speed=positive, goal_threshold=positive),
+    topology=st.builds(TopologyParams, k_impF=non_negative, hysteresis=non_negative,
+                       velocity_gain=non_negative),
     dt=st.floats(min_value=1e-4, max_value=0.5),
     max_steps=st.integers(min_value=1, max_value=10_000),
 )
-def test_serialize_round_trip_property(sx, sy, gx, gy, m, d, k, dt, max_steps):
+def test_serialize_round_trip_property(sx, sy, gx, gy, impedance, apf, topology,
+                                       dt, max_steps):
     spec = ScenarioSpec(
         start=Vec2(sx, sy),
         goal=Vec2(gx, gy),
-        impedance=ImpedanceParams(m=m, d=d, k=k),
+        impedance=impedance,
+        apf=apf,
+        topology=topology,
         dt=dt,
         max_steps=max_steps,
     )
