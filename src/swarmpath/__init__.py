@@ -12,6 +12,7 @@ from .world import (
     Gate,
     ImpedanceParams,
     Obstacle,
+    ObstacleIndex,
     ScenarioError,
     ScenarioParseError,
     ScenarioSpec,
@@ -75,7 +76,7 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApfParams", "Gate", "ImpedanceParams", "Obstacle", "ScenarioError",
+    "ApfParams", "Gate", "ImpedanceParams", "Obstacle", "ObstacleIndex", "ScenarioError",
     "ScenarioParseError", "ScenarioSpec", "ScenarioValidationError",
     "TopologyParams", "Vec2", "effective_obstacles", "load_scenario",
     "read_scenario", "serialize_scenario", "validate_spec",

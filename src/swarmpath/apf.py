@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .world import Vec2, ZERO, Obstacle, ApfParams, ScenarioSpec, effective_obstacles
+from .world import SURFACE_EPS, Vec2, ZERO, Obstacle, ApfParams, ScenarioSpec
+# Unused here, but bench/bench.py's traced mode rebinds this module name.
+from .world import effective_obstacles  # noqa: F401
 
-SURFACE_EPS = 1e-6   # clamp for the surface distance, m
 STALL_EPS = 1e-9     # below this force norm the field has no direction, N
 
 
@@ -80,7 +81,10 @@ def leader_step(state: LeaderState, goal: Vec2,
     p = state.position
     if p.dist(goal) <= spec.apf.goal_threshold:
         return LeaderState(p, reached_goal=True), False
-    force = total_force(p, goal, effective_obstacles(spec), spec.apf)
+    # Only the obstacles that act: the others would add +0.0 to each component,
+    # which changes nothing (goal - p is +0.0 where equal, so short of an
+    # underflow no attraction component is -0.0).
+    force = total_force(p, goal, spec.obstacle_index.acting(p), spec.apf)
     norm = force.norm()
     if norm < STALL_EPS:
         return state, True

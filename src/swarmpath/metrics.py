@@ -36,8 +36,8 @@ def leader_path_length(trace: SimulationTrace) -> float | None:
 
 
 def _stacked_positions(trace: SimulationTrace) -> np.ndarray:
-    """(n_drones, n_frames, 2) array of all drone tracks."""
-    return np.stack([trace.drone_positions(i) for i in range(trace.n_drones)])
+    """(n_drones, n_frames, 2) view of all drone tracks."""
+    return trace.positions.transpose(1, 0, 2)
 
 
 def pair_max_distance(trace: SimulationTrace, drone_a: int, drone_b: int) -> float:
@@ -208,11 +208,24 @@ def min_obstacle_clearance(trace: SimulationTrace) -> float:
     has no obstacles.
     """
     obstacles = effective_obstacles(trace.spec)
-    if not obstacles:
-        return math.inf
     tracks = _stacked_positions(trace)  # (D, F, 2)
-    best = math.inf
+    lo = tracks.min(axis=(0, 1))
+    hi = tracks.max(axis=(0, 1))
+    # Lower bound per obstacle: distance from its center to the bounding box
+    # of all tracks, minus its radius, less a relative slack far above the
+    # rounding error of either side.  Obstacles are visited by ascending bound
+    # and skipped once the bound reaches the running minimum, which a minimum
+    # of floats makes exact.
+    bounds = []
     for obs in obstacles:
+        cx, cy = obs.center.x, obs.center.y
+        gap = math.hypot(max(lo[0] - cx, 0.0, cx - hi[0]), max(lo[1] - cy, 0.0, cy - hi[1]))
+        bounds.append((gap - obs.radius - 1e-12 * (gap + obs.radius), obs))
+    bounds.sort(key=lambda pair: pair[0])
+    best = math.inf
+    for bound, obs in bounds:
+        if bound >= best:
+            break
         center = np.array(obs.center.as_tuple())
         dist = np.linalg.norm(tracks - center, axis=2) - obs.radius
         best = min(best, float(np.min(dist)))

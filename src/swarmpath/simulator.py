@@ -7,6 +7,7 @@ never re-integrate anything: replaying the same spec gives identical frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,9 +54,18 @@ class SimulationTrace:
             return None
         return np.array([f.leader.position.as_tuple() for f in self.frames])
 
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(n_frames, n_drones, 2) read-only array of every drone position."""
+        coords = (c for f in self.frames for d in f.drones for c in d.position.as_tuple())
+        out = np.fromiter(coords, float, count=self.n_frames * self.n_drones * 2)
+        out = out.reshape(self.n_frames, self.n_drones, 2)
+        out.flags.writeable = False
+        return out
+
     def drone_positions(self, drone: int) -> np.ndarray:
-        """(n_frames, 2) track of one drone."""
-        return np.array([f.drones[drone].position.as_tuple() for f in self.frames])
+        """(n_frames, 2) read-only track of one drone, a view of positions."""
+        return self.positions[:, drone]
 
     def drone_modes(self, drone: int) -> tuple[LinkMode, ...] | None:
         """Per-frame link modes, None for the baseline controller."""

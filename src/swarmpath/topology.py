@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .world import Vec2, ZERO, Obstacle, TopologyParams, ScenarioSpec, effective_obstacles
+from .world import (Vec2, ZERO, Obstacle, ObstacleIndex, TopologyParams, ScenarioSpec,
+                    effective_obstacles)
 from .apf import LeaderState, SingularityError, leader_step
 from .impedance import LinkDynamicState, link_step
 
@@ -80,7 +81,7 @@ def nearest_obstacle(p: Vec2, obstacles: tuple[Obstacle, ...]) -> tuple[int, flo
     return best
 
 
-def update_link_mode(drone: DroneState, obstacles: tuple[Obstacle, ...],
+def update_link_mode(drone: DroneState, index: ObstacleIndex,
                      params: TopologyParams) -> LinkMode:
     """Apply the acquire/release rules to one drone for this step.
 
@@ -90,16 +91,22 @@ def update_link_mode(drone: DroneState, obstacles: tuple[Obstacle, ...],
     obstacle can only be acquired on a later step.
     """
     if drone.mode.leader_linked:
-        near = nearest_obstacle(drone.position, obstacles)
+        # The cell lists every obstacle whose surface is within R = max r_imp
+        # of the drone.  If any obstacle can be acquired, its surface is within
+        # its r_imp <= R, so it is listed and is the global nearest.  Otherwise
+        # the nearest listed one is the global nearest or at least R away,
+        # which is >= its own r_imp, so nothing is acquired either way.  The
+        # list is in index order, so ties still go to the lowest index.
+        ids, candidates = index.candidates(drone.position)
+        near = nearest_obstacle(drone.position, candidates)
         if near is None:
             return drone.mode
-        index, dist = near
-        if dist < obstacles[index].r_imp:
-            return LinkMode.obstacle(index)
+        k, dist = near
+        if dist < candidates[k].r_imp:
+            return LinkMode.obstacle(ids[k])
         return drone.mode
-    index = drone.mode.obstacle_index
-    dist = obstacles[index].surface_distance(drone.position)
-    if dist > obstacles[index].r_imp * (1.0 + params.hysteresis):
+    obs = index.obstacles[drone.mode.obstacle_index]
+    if obs.surface_distance(drone.position) > obs.r_imp * (1.0 + params.hysteresis):
         return LinkMode.leader()
     return drone.mode
 
@@ -143,11 +150,10 @@ def swarm_step(state: SwarmState, spec: ScenarioSpec) -> tuple[SwarmState, bool]
     with no deviation translates with the leader instead of lagging it.
     """
     new_leader, stalled = leader_step(state.leader, spec.goal, spec)
-    obstacles = effective_obstacles(spec)
     dt = spec.dt
     drones = []
     for drone in state.drones:
-        mode = update_link_mode(drone, obstacles, spec.topology)
+        mode = update_link_mode(drone, spec.obstacle_index, spec.topology)
         tracked = replace(drone, mode=mode)
         slot_old = desired_position(tracked, state.leader, spec)
         deviation = LinkDynamicState(

@@ -1,4 +1,5 @@
-"""Scenario model: geometry, parameter blocks, and the validated JSON loader.
+"""Scenario model: geometry, parameter blocks, the validated JSON loader, and
+the per-spec obstacle grid index.
 
 A scenario is a flat JSON document.  Everything downstream (planner,
 controllers, simulator) consumes the frozen ScenarioSpec built here, so all
@@ -11,6 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
+
+SURFACE_EPS = 1e-6   # repulsion clamps the surface distance at this, m
 
 
 class ScenarioError(ValueError):
@@ -83,6 +87,56 @@ class Obstacle:
         return p.dist(self.center) - self.radius
 
 
+class ObstacleIndex:
+    """Uniform grid over an obstacle tuple, for exact culling of per-step scans.
+
+    With R the largest r_imp, obstacle i reaches radius_i + max(r_apf_i, R)
+    from its center: beyond its r_apf its repulsion is exactly zero, and
+    beyond R it can be neither acquired by a link nor beat an obstacle that
+    can.  The cell size is the largest reach, and each obstacle is listed, in
+    index order, in every cell its reach box touches, padded by one cell so
+    float rounding in the cell arithmetic can never drop it.  A query is one
+    dict lookup.
+    """
+
+    def __init__(self, obstacles: tuple[Obstacle, ...]):
+        self.obstacles = obstacles
+        r_imp_max = max((o.r_imp for o in obstacles), default=0.0)
+        reach = [o.radius + max(o.r_apf, r_imp_max) for o in obstacles]
+        self.cell = max(reach, default=1.0)
+        members: dict[tuple[int, int], list[int]] = {}
+        for i, (obs, r) in enumerate(zip(obstacles, reach)):
+            cx, cy = obs.center.x, obs.center.y
+            for kx in range(int((cx - r) // self.cell) - 1, int((cx + r) // self.cell) + 2):
+                for ky in range(int((cy - r) // self.cell) - 1, int((cy + r) // self.cell) + 2):
+                    members.setdefault((kx, ky), []).append(i)
+        self._cells = {key: (tuple(ids), tuple(obstacles[i] for i in ids))
+                       for key, ids in members.items()}
+
+    def candidates(self, p: Vec2) -> tuple[tuple[int, ...], tuple[Obstacle, ...]]:
+        """(indices, obstacles) listed in p's cell, ascending by index.
+
+        They include every obstacle whose repulsion at p is not zero and every
+        obstacle whose surface is closer to p than the largest r_imp.
+        """
+        return self._cells.get((p.x // self.cell, p.y // self.cell), ((), ()))
+
+    def acting(self, p: Vec2) -> tuple[Obstacle, ...]:
+        """The obstacles whose repulsion at p is not zero, in index order.
+
+        The test is apf.repulsion_force's own cutoff on plain floats.  A point
+        on a center is kept, so evaluating its force still raises
+        SingularityError.
+        """
+        x, y = p.x, p.y
+        out = []
+        for obs in self.candidates(p)[1]:
+            dist = math.hypot(x - obs.center.x, y - obs.center.y)
+            if dist == 0.0 or max(dist - obs.radius, SURFACE_EPS) <= obs.r_apf:
+                out.append(obs)
+        return tuple(out)
+
+
 @dataclass(frozen=True)
 class Gate:
     """Narrow passage bounded by two pole obstacles."""
@@ -136,19 +190,25 @@ class ScenarioSpec:
     dt: float = 0.01      # s
     max_steps: int = 5000
 
+    @cached_property
+    def obstacle_index(self) -> ObstacleIndex:
+        """Grid index over effective_obstacles(self), built on first use.
+
+        Cached in the instance dict; equality, hash and repr see only the
+        dataclass fields.
+        """
+        poles = tuple(pole for gate in self.gates for pole in (gate.pole_a, gate.pole_b))
+        return ObstacleIndex(self.obstacles + poles)
+
 
 def effective_obstacles(spec: ScenarioSpec) -> tuple[Obstacle, ...]:
     """All obstacles the controllers see: plain ones first, then gate poles.
 
     Gate poles are ordinary obstacles to the dynamics; the gate grouping only
     matters for traversal metrics.  The order here defines the obstacle index
-    used by link modes and trace files.
+    used by link modes and trace files.  The tuple is built once per spec.
     """
-    poles: list[Obstacle] = []
-    for gate in spec.gates:
-        poles.append(gate.pole_a)
-        poles.append(gate.pole_b)
-    return spec.obstacles + tuple(poles)
+    return spec.obstacle_index.obstacles
 
 
 def validate_spec(spec: ScenarioSpec) -> None:

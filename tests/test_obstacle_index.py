@@ -1,0 +1,160 @@
+"""The per-spec obstacle grid: its cull must be exact.
+
+ObstacleIndex lets the leader's force sum and the link acquisition visit only
+the obstacles listed in one grid cell.  These tests pin that the cull drops
+nothing that acts: the acting set equals the brute-force one, acquisition
+decisions equal the scan over every obstacle, far decoys change no output
+byte and no force evaluation, and a point on a center still raises.
+"""
+
+import dataclasses
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from swarmpath import apf
+from swarmpath.apf import LeaderState, SingularityError, leader_step, repulsion_force
+from swarmpath.simulator import SWARMPATH, run
+from swarmpath.topology import DroneState, LinkMode, nearest_obstacle, update_link_mode
+from swarmpath.traceio import render_trace_csv
+from swarmpath.world import (
+    ZERO,
+    Gate,
+    Obstacle,
+    ScenarioSpec,
+    TopologyParams,
+    Vec2,
+    effective_obstacles,
+    read_scenario,
+)
+from conftest import SCENARIO_DIR
+
+coord = st.one_of(
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.integers(min_value=-10, max_value=10).map(lambda k: k * 0.5),
+)
+
+
+@st.composite
+def obstacles(draw):
+    radius = draw(st.floats(min_value=0.01, max_value=0.6))
+    r_imp = radius + draw(st.floats(min_value=0.01, max_value=1.5))
+    r_apf = r_imp + draw(st.sampled_from([0.0, 0.25, draw(st.floats(0.0, 2.0))]))
+    return Obstacle(Vec2(draw(coord), draw(coord)), radius, r_apf, r_imp)
+
+
+@st.composite
+def specs(draw):
+    gates = tuple(Gate(a, b) for a, b in draw(st.lists(st.tuples(obstacles(), obstacles()),
+                                                        max_size=2)))
+    return ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
+                        obstacles=tuple(draw(st.lists(obstacles(), max_size=8))),
+                        gates=gates)
+
+
+def query_point(data, spec):
+    """A free point, a point on cell edges, an obstacle center, a point on a
+    reach, or one between two centers."""
+    all_obs = effective_obstacles(spec)
+    cell = spec.obstacle_index.cell
+    kinds = ["free", "edge"] + (["center", "reach", "between"] if all_obs else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "free":
+        return Vec2(data.draw(coord), data.draw(coord))
+    if kind == "edge":
+        kx, ky = data.draw(st.integers(-8, 8)), data.draw(st.integers(-8, 8))
+        return Vec2(kx * cell, ky * cell + data.draw(st.sampled_from([0.0, 0.5 * cell])))
+    obs = data.draw(st.sampled_from(all_obs))
+    if kind == "between":
+        other = data.draw(st.sampled_from(all_obs))
+        t = data.draw(st.floats(0.0, 1.0))
+        return Vec2(obs.center.x + t * (other.center.x - obs.center.x),
+                    obs.center.y + t * (other.center.y - obs.center.y))
+    if kind == "center":
+        return obs.center
+    r_imp_max = max(o.r_imp for o in all_obs)
+    reach = obs.radius + data.draw(st.sampled_from([obs.r_apf, obs.r_imp, r_imp_max]))
+    sign = data.draw(st.sampled_from([-1.0, 1.0]))
+    return Vec2(obs.center.x + sign * reach, obs.center.y)
+
+
+def brute_force_acting(p, all_obs):
+    acting = []
+    for obs in all_obs:
+        try:
+            if repulsion_force(p, obs, 1.0) is not ZERO:
+                acting.append(obs)
+        except SingularityError:
+            acting.append(obs)
+    return acting
+
+
+def brute_force_mode(p, all_obs):
+    near = nearest_obstacle(p, all_obs)
+    if near is not None and near[1] < all_obs[near[0]].r_imp:
+        return LinkMode.obstacle(near[0])
+    return LinkMode.leader()
+
+
+@settings(max_examples=500)
+@given(spec=specs(), data=st.data())
+def test_cull_matches_brute_force(spec, data):
+    p = query_point(data, spec)
+    all_obs = effective_obstacles(spec)
+    index = spec.obstacle_index
+    assert list(index.acting(p)) == brute_force_acting(p, all_obs)
+    drone = DroneState(id=0, position=p)
+    assert update_link_mode(drone, index, TopologyParams()) == brute_force_mode(p, all_obs)
+
+
+def with_far_decoys(spec, n, seed):
+    """spec plus n posts at 5.5 <= |y| <= 8 m, out of every drone's reach."""
+    rng = random.Random(seed)
+    post = spec.obstacles[0]
+    decoys = tuple(
+        Obstacle(Vec2(rng.uniform(-1.0, 14.0), rng.uniform(5.5, 8.0) * rng.choice((-1, 1))),
+                 post.radius, post.r_apf, post.r_imp)
+        for _ in range(n))
+    return dataclasses.replace(spec, obstacles=spec.obstacles + decoys)
+
+
+def counted_run(spec, monkeypatch):
+    calls = [0]
+    original = apf.repulsion_force
+
+    def counted(p, obs, k_rep):
+        calls[0] += 1
+        return original(p, obs, k_rep)
+
+    with monkeypatch.context() as m:
+        m.setattr(apf, "repulsion_force", counted)
+        trace = run(spec, SWARMPATH)
+    return trace, calls[0]
+
+
+def test_far_decoys_change_no_byte_and_no_force_evaluation(monkeypatch):
+    spec = read_scenario(SCENARIO_DIR / "case2_forest.json")
+    dense = with_far_decoys(spec, 1000, seed=7)
+    assert len(effective_obstacles(dense)) == len(effective_obstacles(spec)) + 1000
+    trace, calls = counted_run(spec, monkeypatch)
+    dense_trace, dense_calls = counted_run(dense, monkeypatch)
+    # The decoys really are out of range of every drone and the leader.
+    points = np.concatenate([dense_trace.positions.reshape(-1, 2),
+                             dense_trace.leader_positions()])
+    for obs in dense.obstacles[len(spec.obstacles):]:
+        gap = np.min(np.linalg.norm(points - obs.center.as_tuple(), axis=1)) - obs.radius
+        assert gap > obs.r_apf
+    assert trace.outcome == "completed"
+    assert render_trace_csv(dense_trace) == render_trace_csv(trace)
+    assert calls > 0
+    assert dense_calls == calls
+
+
+def test_singularity_still_raised_at_obstacle_center():
+    obs = Obstacle(Vec2(2.0, 0.0), 0.1, 0.6, 0.3)
+    spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(4.0, 0.0), obstacles=(obs,))
+    assert spec.obstacle_index.acting(obs.center) == (obs,)
+    with pytest.raises(SingularityError):
+        leader_step(LeaderState(obs.center), spec.goal, spec)

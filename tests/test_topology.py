@@ -14,13 +14,14 @@ from swarmpath.topology import (
     swarm_step,
     update_link_mode,
 )
-from swarmpath.world import Obstacle, TopologyParams, Vec2
+from swarmpath.world import Obstacle, ObstacleIndex, TopologyParams, Vec2
 from conftest import one_pole_spec, straight_spec
 
 OB = (
     Obstacle(Vec2(0.0, 0.0), 0.1, 0.6, 0.3),
     Obstacle(Vec2(5.0, 0.0), 0.1, 0.6, 0.3),
 )
+OB_INDEX = ObstacleIndex(OB)
 TOPO = TopologyParams(k_impF=0.5, hysteresis=0.1, velocity_gain=0.0)
 
 
@@ -55,23 +56,23 @@ def at(p: Vec2, mode: LinkMode = LinkMode.leader()) -> DroneState:
 
 def test_mode_acquire_release_hysteresis():
     # Surface distance 0.9: far outside r_imp, stays leader-linked.
-    assert update_link_mode(at(Vec2(1.0, 0.0)), OB, TOPO) == LinkMode.leader()
+    assert update_link_mode(at(Vec2(1.0, 0.0)), OB_INDEX, TOPO) == LinkMode.leader()
     # Inside r_imp of obstacle 0: acquires it.
-    mode = update_link_mode(at(Vec2(0.35, 0.0)), OB, TOPO)
+    mode = update_link_mode(at(Vec2(0.35, 0.0)), OB_INDEX, TOPO)
     assert mode == LinkMode.obstacle(0)
     # In the hysteresis band (r_imp .. r_imp*1.1]: holds the link.
-    assert update_link_mode(at(Vec2(0.42, 0.0), mode), OB, TOPO) == LinkMode.obstacle(0)
+    assert update_link_mode(at(Vec2(0.42, 0.0), mode), OB_INDEX, TOPO) == LinkMode.obstacle(0)
     # Beyond the release radius: back to the leader.
-    assert update_link_mode(at(Vec2(0.44, 0.0), mode), OB, TOPO) == LinkMode.leader()
+    assert update_link_mode(at(Vec2(0.44, 0.0), mode), OB_INDEX, TOPO) == LinkMode.leader()
 
 
 def test_mode_no_direct_handoff_between_obstacles():
     # Linked to obstacle 0 but now nearest to obstacle 1: the release goes
     # to LeaderLinked first; the nearer obstacle is acquired a step later.
     p = Vec2(4.7, 0.0)  # surface distances: 4.6 to ob 0, 0.2 to ob 1
-    released = update_link_mode(at(p, LinkMode.obstacle(0)), OB, TOPO)
+    released = update_link_mode(at(p, LinkMode.obstacle(0)), OB_INDEX, TOPO)
     assert released == LinkMode.leader()
-    reacquired = update_link_mode(at(p, released), OB, TOPO)
+    reacquired = update_link_mode(at(p, released), OB_INDEX, TOPO)
     assert reacquired == LinkMode.obstacle(1)
 
 
