@@ -38,8 +38,9 @@ def main() -> None:
         print(f"drone {i + 1}: path {length:.3f} m, "
               f"max gap to independent planner {gap:.2e} m")
 
-    deviations = [d.link.delta_x.norm() for d in sp.final_frame().drones]
-    print(f"final link deviations: {deviations}")
+    offsets = np.array([o.as_tuple() for o in spec.formation_offsets])
+    errors = np.linalg.norm(sp.positions[-1] - sp.leader[-1] - offsets, axis=1)
+    print("final formation errors: " + ", ".join(f"{e:.1e} m" for e in errors))
 
     args.out.mkdir(parents=True, exist_ok=True)
     svg = args.out / "formation_transport.svg"

@@ -10,6 +10,8 @@ the far side.  The trace CSV mode column records every switch.
 import argparse
 import pathlib
 
+import numpy as np
+
 from swarmpath import (
     CONVENTIONAL_APF,
     SWARMPATH,
@@ -46,12 +48,8 @@ def main() -> None:
         fractions = ", ".join(f"{f:.3f}" for f in gate_crossings(sp, i, gate))
         print(f"  drone {i + 1}: {fractions}")
 
-    switches = []
-    for i in range(sp.n_drones):
-        modes = sp.drone_modes(i)
-        n = sum(1 for a, b in zip(modes, modes[1:]) if a != b)
-        switches.append(n)
-    print(f"link switches per drone: {switches}")
+    switches = np.count_nonzero(sp.modes[1:] != sp.modes[:-1], axis=0)
+    print(f"link switches per drone: {switches.tolist()}")
 
     args.out.mkdir(parents=True, exist_ok=True)
     svg = args.out / "gate_passage.svg"

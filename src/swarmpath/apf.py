@@ -9,6 +9,7 @@ it toward its own goal slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .world import SURFACE_EPS, Vec2, ZERO, Obstacle, ApfParams, ScenarioSpec
@@ -19,7 +20,7 @@ STALL_EPS = 1e-9     # below this force norm the field has no direction, N
 
 
 class SingularityError(ValueError):
-    """A position coincides with an obstacle center, direction undefined."""
+    """A position on (or too close to) an obstacle center, direction undefined."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,8 @@ def repulsion_force(p: Vec2, obs: Obstacle, k_rep: float) -> Vec2:
     Magnitude k_rep * (1/d_o - 1/d_safe) grows without bound toward the
     surface; d_o is the surface distance clamped at SURFACE_EPS so positions
     on or inside the body yield a huge finite push instead of dividing by
-    zero.
+    zero.  SingularityError on the center itself, or so near it that the
+    radial scale overflows.
     """
     offset = p - obs.center
     dist = offset.norm()
@@ -56,7 +58,12 @@ def repulsion_force(p: Vec2, obs: Obstacle, k_rep: float) -> Vec2:
     if d_o > d_safe:
         return ZERO
     magnitude = k_rep * (1.0 / d_o - 1.0 / d_safe)
-    return offset * (magnitude / dist)
+    scale = magnitude / dist
+    if not math.isfinite(scale):
+        raise SingularityError(
+            f"position {dist:g} m from obstacle center ({obs.center.x}, {obs.center.y}), "
+            "direction undefined")
+    return offset * scale
 
 
 def total_force(p: Vec2, goal: Vec2, obstacles: tuple[Obstacle, ...],

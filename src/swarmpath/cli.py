@@ -5,8 +5,9 @@
     swarmpath-sim sweep <sweep.json> [-o DIR]
     swarmpath-sim validate
 
-Exit codes: 0 success, 1 bad input or failed validation, 2 the simulation ran
-but did not complete (stall or step limit).
+Exit codes: 0 success, 1 bad input, failed validation or a drone or the
+leader on an obstacle center, 2 the simulation ran but did not complete
+(stall or step limit).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .world import ScenarioError, read_scenario, validate_spec
+from .apf import SingularityError
 from .simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, run
 from . import metrics, plotsvg, selfcheck, sweep, traceio
 
@@ -54,7 +56,7 @@ def cmd_run(args) -> int:
     (out / "metrics.json").write_text(traceio.render_metrics_json(trace), encoding="utf-8")
     (out / "trace.svg").write_text(plotsvg.render_trace_svg(trace), encoding="utf-8")
     print(f"{controller}: {trace.outcome} after {trace.n_frames - 1} steps "
-          f"(t={trace.frames[-1].t:.6g} s)")
+          f"(t={trace.t[-1]:.6g} s)")
     print(f"wrote {out / 'trace.csv'}, {out / 'metrics.json'}, {out / 'trace.svg'}")
     return EXIT_OK if trace.outcome == COMPLETED else EXIT_INCOMPLETE
 
@@ -140,10 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ScenarioError, SingularityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

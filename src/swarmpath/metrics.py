@@ -1,6 +1,6 @@
 """Trajectory metrics and the controller comparison report.
 
-Everything here works on recorded SimulationTrace frames; nothing
+Everything here reads the recorded SimulationTrace columns; nothing
 re-integrates dynamics.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .world import Gate, effective_obstacles
-from .simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, SimulationTrace, swarm_complete
+from .simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, SimulationTrace
 
 
 def path_length(points: np.ndarray) -> float:
@@ -31,13 +31,7 @@ def drone_path_length(trace: SimulationTrace, drone: int) -> float:
 
 
 def leader_path_length(trace: SimulationTrace) -> float | None:
-    track = trace.leader_positions()
-    return None if track is None else path_length(track)
-
-
-def _stacked_positions(trace: SimulationTrace) -> np.ndarray:
-    """(n_drones, n_frames, 2) view of all drone tracks."""
-    return trace.positions.transpose(1, 0, 2)
+    return None if trace.leader is None else path_length(trace.leader)
 
 
 def pair_max_distance(trace: SimulationTrace, drone_a: int, drone_b: int) -> float:
@@ -52,26 +46,17 @@ def max_pairwise_distance(trace: SimulationTrace) -> float:
 
     Zero for a single-drone swarm.
     """
-    if trace.n_drones < 2:
-        return 0.0
-    tracks = _stacked_positions(trace)
-    best = 0.0
-    for a, b in itertools.combinations(range(trace.n_drones), 2):
-        best = max(best, float(np.max(np.linalg.norm(tracks[a] - tracks[b], axis=1))))
-    return best
+    pairs = itertools.combinations(range(trace.n_drones), 2)
+    return max((pair_max_distance(trace, a, b) for a, b in pairs), default=0.0)
 
 
 def completion_time(trace: SimulationTrace) -> float | None:
     """t of the first frame where the swarm satisfies the completion predicate.
 
-    None unless the run's outcome is completed.
+    None unless the run's outcome is completed; a completed run stops on that
+    frame, so it is the last one.
     """
-    if trace.outcome != COMPLETED:
-        return None
-    for frame in trace.frames:
-        if swarm_complete(frame, trace.spec):
-            return frame.t
-    return None
+    return float(trace.t[-1]) if trace.outcome == COMPLETED else None
 
 
 def _aligned(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +193,7 @@ def min_obstacle_clearance(trace: SimulationTrace) -> float:
     has no obstacles.
     """
     obstacles = effective_obstacles(trace.spec)
-    tracks = _stacked_positions(trace)  # (D, F, 2)
+    tracks = trace.positions  # (F, D, 2)
     lo = tracks.min(axis=(0, 1))
     hi = tracks.max(axis=(0, 1))
     # Lower bound per obstacle: distance from its center to the bounding box

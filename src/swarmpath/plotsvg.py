@@ -36,10 +36,8 @@ class _Frame:
             xs += [obs.center.x - obs.r_apf, obs.center.x + obs.r_apf]
             ys += [obs.center.y - obs.r_apf, obs.center.y + obs.r_apf]
         for trace in traces:
-            for i in range(trace.n_drones):
-                pts = trace.drone_positions(i)
-                xs += [float(pts[:, 0].min()), float(pts[:, 0].max())]
-                ys += [float(pts[:, 1].min()), float(pts[:, 1].max())]
+            xs += [float(trace.positions[..., 0].min()), float(trace.positions[..., 0].max())]
+            ys += [float(trace.positions[..., 1].min()), float(trace.positions[..., 1].max())]
         x0, x1 = min(xs) - WORLD_PAD, max(xs) + WORLD_PAD
         y0, y1 = min(ys) - WORLD_PAD, max(ys) + WORLD_PAD
         self.scale = (WIDTH - 2 * MARGIN) / (x1 - x0)
@@ -89,9 +87,8 @@ def _panel(frame: _Frame, spec: ScenarioSpec, trace: SimulationTrace, title: str
         parts.append(f'<line x1="{frame.px(a.x, a.y)[0]:.2f}" y1="{frame.px(a.x, a.y)[1]:.2f}" '
                      f'x2="{frame.px(b.x, b.y)[0]:.2f}" y2="{frame.px(b.x, b.y)[1]:.2f}" '
                      f'stroke="#bbbbbb" stroke-dasharray="2 4"/>')
-    leader = trace.leader_positions()
-    if leader is not None:
-        parts.append(_polyline(frame, leader,
+    if trace.leader is not None:
+        parts.append(_polyline(frame, trace.leader,
                                f'stroke="{LEADER_COLOR}" stroke-dasharray="7 4"'))
     for i in range(trace.n_drones):
         color = DRONE_COLORS[i % len(DRONE_COLORS)]
@@ -118,21 +115,17 @@ def _panel(frame: _Frame, spec: ScenarioSpec, trace: SimulationTrace, title: str
 
 
 def _linked_spans(trace: SimulationTrace, drone: int) -> list[tuple[int, int]]:
-    """Frame index ranges where the drone is obstacle-linked."""
-    modes = trace.drone_modes(drone)
-    if modes is None:
+    """Frame index ranges where the drone is obstacle-linked.
+
+    Each span runs from the frame before the link attaches to the first frame
+    after it releases, clipped to the trace.
+    """
+    if trace.modes is None:
         return []
-    spans = []
-    start = None
-    for n, mode in enumerate(modes):
-        if not mode.leader_linked and start is None:
-            start = n
-        elif mode.leader_linked and start is not None:
-            spans.append((max(start - 1, 0), n))
-            start = None
-    if start is not None:
-        spans.append((max(start - 1, 0), len(modes) - 1))
-    return spans
+    edges = np.diff(np.concatenate(([0], trace.modes[:, drone] >= 0, [0])).astype(int))
+    starts, ends = np.flatnonzero(edges > 0), np.flatnonzero(edges < 0)
+    last = trace.n_frames - 1
+    return [(max(int(s) - 1, 0), min(int(e), last)) for s, e in zip(starts, ends)]
 
 
 def render_trace_svg(trace: SimulationTrace, title: str | None = None) -> str:

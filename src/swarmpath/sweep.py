@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .world import ScenarioParseError, ScenarioSpec, load_scenario
+from .world import ScenarioParseError, ScenarioSpec, _number, load_scenario, validate_spec
 from .impedance import critical_damping
 from .simulator import SWARMPATH, run
 from .metrics import drone_path_length
@@ -73,11 +73,7 @@ def load_sweep(text: str, base_dir: Path | None = None) -> SweepSpec:
     raw_values = doc.get("values")
     if not isinstance(raw_values, list) or not raw_values:
         raise ScenarioParseError("values must be a non-empty array of numbers")
-    values = []
-    for v in raw_values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioParseError(f"values must be numbers, got {v!r}")
-        values.append(float(v))
+    values = tuple(_number(v, f"values[{i}]") for i, v in enumerate(raw_values))
     raw_scenario = doc.get("scenario")
     if isinstance(raw_scenario, str):
         path = Path(raw_scenario)
@@ -92,7 +88,10 @@ def load_sweep(text: str, base_dir: Path | None = None) -> SweepSpec:
         scenario = load_scenario(json.dumps(raw_scenario))
     else:
         raise ScenarioParseError("scenario must be a path string or an inline object")
-    return SweepSpec(parameter=parameter, values=tuple(values), scenario=scenario)
+    # Every point is checked before any run, so a bad value fails the whole sweep.
+    for value in values:
+        validate_spec(sweep_point(scenario, parameter, value))
+    return SweepSpec(parameter=parameter, values=values, scenario=scenario)
 
 
 def read_sweep(path) -> SweepSpec:

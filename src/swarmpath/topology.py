@@ -10,7 +10,8 @@ over directly from one obstacle to another, it must release first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from .world import (Vec2, ZERO, Obstacle, ObstacleIndex, TopologyParams, ScenarioSpec,
                     effective_obstacles)
@@ -40,11 +41,10 @@ class LinkMode:
     def leader_linked(self) -> bool:
         return self.obstacle_index is None
 
-    def encode(self) -> str:
-        """Trace encoding: 'L' or 'O<index>'."""
-        if self.obstacle_index is None:
-            return "L"
-        return f"O{self.obstacle_index}"
+    @property
+    def code(self) -> int:
+        """The trace's mode code: -1 for the leader, else the obstacle index."""
+        return -1 if self.obstacle_index is None else self.obstacle_index
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,13 @@ def deflection_offset(drone: DroneState, obs: Obstacle,
     """
     offset = drone.position - obs.center
     dist = offset.norm()
-    if dist == 0.0:
-        raise SingularityError(
-            f"drone {drone.id} coincides with obstacle center "
-            f"({obs.center.x}, {obs.center.y})")
     magnitude = params.k_impF * (1.0 + params.velocity_gain * drone.mean_speed) * obs.r_imp
-    return offset * (magnitude / dist)
+    scale = magnitude / dist if dist else math.inf
+    if not math.isfinite(scale):
+        raise SingularityError(
+            f"drone {drone.id} is {dist:g} m from obstacle center "
+            f"({obs.center.x}, {obs.center.y}), direction undefined")
+    return offset * scale
 
 
 def desired_position(drone: DroneState, leader: LeaderState,
@@ -154,24 +155,15 @@ def swarm_step(state: SwarmState, spec: ScenarioSpec) -> tuple[SwarmState, bool]
     drones = []
     for drone in state.drones:
         mode = update_link_mode(drone, spec.obstacle_index, spec.topology)
-        tracked = replace(drone, mode=mode)
+        tracked = drone if mode is drone.mode else DroneState(
+            drone.id, drone.position, drone.link, mode, drone.mean_speed)
         slot_old = desired_position(tracked, state.leader, spec)
-        deviation = LinkDynamicState(
-            delta_x=drone.position - slot_old,
-            delta_v=drone.link.delta_v,
-        )
+        deviation = LinkDynamicState(drone.position - slot_old, drone.link.delta_v)
         link = link_step(deviation, ZERO, spec.impedance, dt)
         slot_new = desired_position(tracked, new_leader, spec)
         position = slot_new + link.delta_x
         speed = position.dist(drone.position) / dt
         mean_speed = (1.0 - MEAN_SPEED_ALPHA) * drone.mean_speed + MEAN_SPEED_ALPHA * speed
-        drones.append(replace(
-            tracked, position=position, link=link, mean_speed=mean_speed))
+        drones.append(DroneState(drone.id, position, link, mode, mean_speed))
     step = state.step + 1
-    new_state = SwarmState(
-        leader=new_leader,
-        drones=tuple(drones),
-        t=step * dt,
-        step=step,
-    )
-    return new_state, stalled
+    return SwarmState(new_leader, tuple(drones), t=step * dt, step=step), stalled

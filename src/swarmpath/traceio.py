@@ -1,10 +1,11 @@
 """Trace and report writers.
 
-Trace CSV columns: t, leader_x, leader_y, then drone<i>_x, drone<i>_y,
-drone<i>_mode per drone (drones numbered from 1 in files and reports).  Mode
-cells hold L for leader-linked or O<k> with k the obstacle index; baseline
-runs have no leader and no links, those cells stay empty.  Floats are written
-with repr so float(cell) recovers each value exactly.
+The trace CSV is the SimulationTrace columns side by side, one row per frame:
+t, leader_x, leader_y, then drone<i>_x, drone<i>_y, drone<i>_mode per drone
+(drones numbered from 1 in files and reports).  Mode cells hold L for
+leader-linked or O<k> with k the obstacle index; baseline runs have no leader
+and no links, those cells stay empty.  Floats are written with repr so
+float(cell) recovers each value exactly.
 
 Report JSON uses fixed key order and rounds to 6 significant digits, which
 keeps report bytes stable across platforms.
@@ -14,12 +15,13 @@ from __future__ import annotations
 
 import json
 
-from .simulator import SWARMPATH, SimulationTrace
+from .simulator import SimulationTrace
 from . import metrics
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def mode_cell(code: int) -> str:
+    """Cell text of a modes-column code: L for the leader (-1), else O<code>."""
+    return "L" if code < 0 else f"O{code}"
 
 
 def sig6(value: float | None) -> float | None:
@@ -38,18 +40,19 @@ def _header(n_drones: int) -> str:
 
 def render_trace_csv(trace: SimulationTrace) -> str:
     """Serialize a recorded run to CSV text."""
-    swarm = trace.controller == SWARMPATH
+    if trace.leader is None:
+        leader = [("", "")] * trace.n_frames
+        modes = [[""] * trace.n_drones] * trace.n_frames
+    else:
+        leader = [(repr(x), repr(y)) for x, y in trace.leader.tolist()]
+        modes = [[mode_cell(c) for c in row] for row in trace.modes.tolist()]
     lines = [_header(trace.n_drones)]
-    for frame in trace.frames:
-        cells = [_fmt(frame.t)]
-        if swarm:
-            cells += [_fmt(frame.leader.position.x), _fmt(frame.leader.position.y)]
-        else:
-            cells += ["", ""]
-        for drone in frame.drones:
-            cells += [_fmt(drone.position.x), _fmt(drone.position.y)]
-            cells.append(drone.mode.encode() if swarm else "")
-        lines.append(",".join(cells))
+    for t, (lx, ly), row, cells in zip(trace.t.tolist(), leader,
+                                       trace.positions.tolist(), modes):
+        parts = [repr(t), lx, ly]
+        for (x, y), mode in zip(row, cells):
+            parts += [repr(x), repr(y), mode]
+        lines.append(",".join(parts))
     return "\n".join(lines) + "\n"
 
 
@@ -64,7 +67,7 @@ def render_metrics_json(trace: SimulationTrace) -> str:
         "controller": trace.controller,
         "outcome": trace.outcome,
         "frames": trace.n_frames,
-        "duration_s": sig6(trace.frames[-1].t),
+        "duration_s": sig6(float(trace.t[-1])),
         "completion_time_s": sig6(metrics.completion_time(trace)),
         "leader_path_length_m": sig6(metrics.leader_path_length(trace)),
         "drone_path_lengths_m": {

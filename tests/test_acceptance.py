@@ -9,6 +9,7 @@ direction, and byte-stable outputs.
 import filecmp
 import math
 
+import numpy as np
 import pytest
 
 from swarmpath.apf import repulsion_force
@@ -24,6 +25,7 @@ from swarmpath.metrics import (
 from swarmpath.selfcheck import check_integrator, check_no_overshoot
 from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, run
 from swarmpath.sweep import read_sweep, run_sweep
+from swarmpath.traceio import mode_cell
 from swarmpath.world import Obstacle, ScenarioSpec, Vec2, read_scenario
 from conftest import SCENARIO_DIR
 
@@ -129,9 +131,9 @@ def test_c06_every_drone_threads_the_gate(gate_spec, gate_sp):
 def _open_episodes(trace) -> list[str]:
     bad = []
     for i in range(trace.n_drones):
-        modes = trace.drone_modes(i)
-        if any(not m.leader_linked for m in modes) and not modes[-1].leader_linked:
-            bad.append(f"drone {i + 1} ends {modes[-1].encode()}")
+        modes = trace.modes[:, i]
+        if np.any(modes >= 0) and modes[-1] >= 0:
+            bad.append(f"drone {i + 1} ends {mode_cell(modes[-1])}")
     return bad
 
 
@@ -162,8 +164,8 @@ def test_c09_free_space_matches_baseline():
     worst_gap = 0.0
     worst_len = 0.0
     for i in range(sp.n_drones):
-        p_sp = sp.final_frame().drones[i].position
-        p_base = base.final_frame().drones[i].position
+        p_sp = Vec2(*sp.positions[-1, i])
+        p_base = Vec2(*base.positions[-1, i])
         worst_gap = max(worst_gap, p_sp.dist(p_base))
         straight = spec.start.dist(spec.goal)
         for trace in (sp, base):

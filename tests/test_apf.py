@@ -64,6 +64,14 @@ def test_repulsion_at_center_raises():
         repulsion_force(Vec2(0.0, 0.0), ob, 1.0)
 
 
+@pytest.mark.parametrize("gap", [1e-310, 2.225073858507203e-309])
+def test_repulsion_overflowing_near_center_raises(gap):
+    # magnitude / dist overflows: the direction is as undefined as on the center.
+    ob = Obstacle(Vec2(0.0, gap), 0.5, 1.5, 1.5)
+    with pytest.raises(SingularityError):
+        repulsion_force(Vec2(0.0, 0.0), ob, 0.3)
+
+
 def test_repulsion_inside_body_is_clamped_finite():
     ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8)
     f = repulsion_force(Vec2(0.25, 0.0), ob, 1.0)

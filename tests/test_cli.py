@@ -3,7 +3,7 @@ import json
 import pytest
 
 from swarmpath.cli import main
-from swarmpath.world import Vec2, serialize_scenario
+from swarmpath.world import Obstacle, Vec2, serialize_scenario
 from conftest import SCENARIO_DIR, straight_spec
 
 
@@ -94,6 +94,20 @@ def test_non_finite_dt_override_exits_1(short_scenario, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gap", [0.0, 1e-310])
+def test_run_singular_start_exits_1(gap, tmp_path, capsys):
+    # The leader starts on an obstacle center, or so near it that the radial
+    # scale of the repulsion overflows: one error line, no traceback.
+    post = Obstacle(Vec2(0.0, gap), 0.1, 0.5, 0.3)
+    path = tmp_path / "singular.json"
+    path.write_text(serialize_scenario(straight_spec(obstacles=(post,))))
+    code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1: ") and err.count("\n") == 1
+    assert "obstacle center" in err
+
+
 def test_compare_writes_reports(short_scenario, tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", str(short_scenario), "--output-dir", str(out)])
@@ -126,6 +140,22 @@ def test_sweep_writes_tables(tmp_path):
     assert (out / "sweep.csv").is_file()
     doc = json.loads((out / "sweep.json").read_text())
     assert [r["value"] for r in doc["runs"]] == [12.0, 12.6]
+
+
+@pytest.mark.parametrize("value, message", [("-1.0", "d=-1.0"),
+                                            ("1e400", "values[1] must be finite")])
+def test_sweep_bad_value_exits_1_before_any_run(value, message, tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(serialize_scenario(straight_spec(goal=Vec2(1.0, 0.0))))
+    sweep = tmp_path / "sw.json"
+    sweep.write_text('{"parameter": "d", "values": [12.6, %s], "scenario": "s.json"}' % value)
+    out = tmp_path / "out"
+    code = main(["sweep", str(sweep), "--output-dir", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_validate_reports_each_check(capsys):

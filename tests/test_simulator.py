@@ -28,19 +28,19 @@ def test_completed_run_basic_shape():
     assert trace.controller == SWARMPATH
     assert trace.n_drones == len(spec.formation_offsets)
     assert trace.n_frames <= spec.max_steps + 1
-    times = trace.times()
-    assert times[0] == 0.0
-    assert np.all(np.diff(times) > 0.0)
-    leader = trace.leader_positions()
-    assert leader is not None
-    assert leader.shape == (trace.n_frames, 2)
+    assert trace.t[0] == 0.0
+    assert np.all(np.diff(trace.t) > 0.0)
+    assert trace.positions.shape == (trace.n_frames, trace.n_drones, 2)
+    assert trace.leader is not None
+    assert trace.leader.shape == (trace.n_frames, 2)
+    assert trace.modes.shape == (trace.n_frames, trace.n_drones)
 
 
 def test_baseline_trace_has_no_leader_or_modes():
     trace = run(straight_spec(goal=Vec2(1.0, 0.0)), CONVENTIONAL_APF)
     assert trace.outcome == COMPLETED
-    assert trace.leader_positions() is None
-    assert trace.drone_modes(0) is None
+    assert trace.leader is None
+    assert trace.modes is None
 
 
 def test_max_steps_outcome():
@@ -81,7 +81,7 @@ def test_leader_track_straight_line():
     spec = straight_spec(goal=Vec2(1.0, 0.0))
     trace = run(spec, SWARMPATH)
     assert trace.outcome == COMPLETED
-    track = trace.leader_positions()
+    track = trace.leader
     assert tuple(track[0]) == spec.start.as_tuple()
     final = Vec2(*track[-1])
     assert final.dist(spec.goal) <= spec.apf.goal_threshold + spec.apf.leader_speed * spec.dt
@@ -93,7 +93,7 @@ def test_leader_track_moves_every_step_until_max_steps():
     spec = straight_spec(goal=Vec2(100.0, 0.0), max_steps=10)
     trace = run(spec, SWARMPATH)
     assert trace.outcome == MAX_STEPS
-    track = trace.leader_positions()
+    track = trace.leader
     assert len(track) == 11
     assert np.all(np.diff(track[:, 0]) > 0.0)
 
@@ -108,7 +108,7 @@ def test_leader_track_detours_around_obstacle():
     assert trace.outcome == COMPLETED
     assert leader_path_length(trace) > 3.9
     clearances = [spec.obstacles[0].surface_distance(Vec2(*p))
-                  for p in trace.leader_positions()]
+                  for p in trace.leader]
     assert min(clearances) > 0.0
 
 
@@ -123,7 +123,8 @@ def test_same_spec_runs_are_identical():
     spec = one_pole_spec()
     a = run(spec, SWARMPATH)
     b = run(spec, SWARMPATH)
-    assert a.frames == b.frames
+    for column in ("t", "positions", "leader", "modes"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
     assert a.outcome == b.outcome
 
 

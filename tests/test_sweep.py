@@ -10,7 +10,7 @@ from swarmpath.sweep import (
     run_sweep,
     sweep_point,
 )
-from swarmpath.world import ScenarioParseError, Vec2, serialize_scenario
+from swarmpath.world import ScenarioParseError, ScenarioValidationError, Vec2, serialize_scenario
 from conftest import SCENARIO_DIR, straight_spec
 
 
@@ -45,6 +45,17 @@ def test_load_sweep_scenario_path_is_relative_to_sweep_file():
     sweep = read_sweep(SCENARIO_DIR / "sweep_d.json")
     assert sweep.parameter == "d"
     assert sweep.scenario.goal == Vec2(7.0, 0.0)
+
+
+def test_load_sweep_rejects_non_finite_value():
+    text = inline_sweep(values=(20.88, 29.0)).replace("29.0", "1e400")
+    with pytest.raises(ScenarioParseError, match="finite"):
+        load_sweep(text)
+
+
+def test_load_sweep_validates_every_point_before_running():
+    with pytest.raises(ScenarioValidationError, match="d=-1.0"):
+        load_sweep(inline_sweep(parameter="d", values=(12.6, -1.0)))
 
 
 def test_sweep_point_replaces_one_impedance_field():

@@ -14,6 +14,7 @@ from swarmpath.topology import (
     swarm_step,
     update_link_mode,
 )
+from swarmpath.traceio import mode_cell
 from swarmpath.world import Obstacle, ObstacleIndex, TopologyParams, Vec2
 from conftest import one_pole_spec, straight_spec
 
@@ -26,11 +27,13 @@ TOPO = TopologyParams(k_impF=0.5, hysteresis=0.1, velocity_gain=0.0)
 
 
 def test_link_mode_encoding_round_trip():
-    assert LinkMode.leader().encode() == "L"
-    assert LinkMode.obstacle(3).encode() == "O3"
+    # The trace's modes column holds the code; mode_cell writes its CSV cell.
+    assert mode_cell(LinkMode.leader().code) == "L"
+    assert mode_cell(LinkMode.obstacle(3).code) == "O3"
     # A trace reader recovers the obstacle index from the cell text.
     for index in (0, 7, 12):
-        cell = LinkMode.obstacle(index).encode()
+        assert LinkMode.obstacle(index).code == index
+        cell = mode_cell(LinkMode.obstacle(index).code)
         assert cell[0] == "O" and int(cell[1:]) == index
     with pytest.raises(ValueError):
         LinkMode.obstacle(-1)
@@ -97,6 +100,13 @@ def test_deflection_offset_at_center_raises():
         deflection_offset(drone, OB[0], TOPO)
 
 
+def test_deflection_offset_overflowing_near_center_raises():
+    # 1e-310 m off the center the radial scale magnitude / dist overflows.
+    drone = at(Vec2(0.0, 1e-310), LinkMode.obstacle(0))
+    with pytest.raises(SingularityError):
+        deflection_offset(drone, OB[0], TOPO)
+
+
 def test_desired_position_leader_linked_is_formation_slot():
     spec = straight_spec()
     state = initial_swarm_state(spec)
@@ -154,7 +164,7 @@ def test_obstacle_episode_acquires_and_releases():
     trace = run(spec, SWARMPATH)
     assert trace.outcome == "completed"
     modes = {
-        i: [m.encode() for m in trace.drone_modes(i)] for i in range(trace.n_drones)
+        i: [mode_cell(c) for c in trace.modes[:, i]] for i in range(trace.n_drones)
     }
     linked = {i for i, seq in modes.items() if any(m != "L" for m in seq)}
     assert linked, "expected at least one follower to link to the pole"

@@ -1,13 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmpath.apf import LeaderState
 from swarmpath.metrics import compare
 from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, SimulationTrace, run
-from swarmpath.topology import DroneState, SwarmState
 from swarmpath.traceio import (
+    mode_cell,
     render_comparison_json,
     render_metrics_json,
     render_trace_csv,
@@ -23,17 +23,17 @@ def data_rows(text: str) -> list[list[str]]:
     return [line.split(",") for line in text.rstrip("\n").split("\n")[1:]]
 
 
-def assert_row_is_frame(cells: list[str], frame, swarm: bool) -> None:
-    """Every cell of one CSV row reads back as the frame's exact state."""
-    assert float(cells[0]) == frame.t
-    if swarm:
-        assert (float(cells[1]), float(cells[2])) == frame.leader.position.as_tuple()
+def assert_row_is_frame(cells: list[str], trace: SimulationTrace, n: int) -> None:
+    """Every cell of one CSV row reads back as frame n's exact columns."""
+    assert float(cells[0]) == trace.t[n]
+    if trace.leader is not None:
+        assert (float(cells[1]), float(cells[2])) == tuple(trace.leader[n])
     else:
         assert cells[1:3] == ["", ""]
-    for d, drone in enumerate(frame.drones):
+    for d in range(trace.n_drones):
         x, y, mode = cells[3 + 3 * d: 6 + 3 * d]
-        assert (float(x), float(y)) == drone.position.as_tuple()
-        assert mode == (drone.mode.encode() if swarm else "")
+        assert (float(x), float(y)) == tuple(trace.positions[n, d])
+        assert mode == (mode_cell(trace.modes[n, d]) if trace.modes is not None else "")
 
 
 def test_csv_header_and_shape():
@@ -51,8 +51,8 @@ def test_csv_round_trip_swarmpath():
     rows = data_rows(render_trace_csv(trace))
     assert len(rows) == trace.n_frames
     assert rows[0][0] == "0.0"
-    for cells, frame in zip(rows, trace.frames, strict=True):
-        assert_row_is_frame(cells, frame, swarm=True)
+    for n, cells in enumerate(rows):
+        assert_row_is_frame(cells, trace, n)
     assert any(mode.startswith("O") for cells in rows for mode in cells[5::3])
 
 
@@ -60,15 +60,16 @@ def test_csv_round_trip_baseline_leaves_leader_empty():
     trace = run(straight_spec(goal=Vec2(1.0, 0.0)), CONVENTIONAL_APF)
     text = render_trace_csv(trace)
     assert ",,," in text.split("\n")[1]  # empty leader cells in data rows
-    for cells, frame in zip(data_rows(text), trace.frames, strict=True):
-        assert_row_is_frame(cells, frame, swarm=False)
+    rows = data_rows(text)
+    assert len(rows) == trace.n_frames
+    for n, cells in enumerate(rows):
+        assert_row_is_frame(cells, trace, n)
 
 
 def test_csv_floats_survive_exactly():
     trace = run(one_pole_spec(), SWARMPATH)
     last = data_rows(render_trace_csv(trace))[-1]
-    final = trace.final_frame()
-    assert Vec2(float(last[3]), float(last[4])) == final.drones[0].position
+    assert Vec2(float(last[3]), float(last[4])) == Vec2(*trace.positions[-1, 0])
 
 
 def test_write_trace_csv_uses_unix_newlines(tmp_path):
@@ -83,15 +84,13 @@ def test_write_trace_csv_uses_unix_newlines(tmp_path):
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_repr_floats_round_trip(value):
     spec = straight_spec(formation_offsets=(Vec2(0.0, 0.0),))
-    frame = SwarmState(
-        leader=LeaderState(Vec2(value, -value)),
-        drones=(DroneState(id=0, position=Vec2(value, 0.0)),),
-        t=0.0,
-        step=0,
-    )
-    trace = SimulationTrace(spec, SWARMPATH, (frame,), COMPLETED)
+    trace = SimulationTrace(spec, SWARMPATH, t=np.zeros(1),
+                            positions=np.array([[[value, 0.0]]]),
+                            leader=np.array([[value, -value]]),
+                            modes=np.array([[-1]]), outcome=COMPLETED)
     (cells,) = data_rows(render_trace_csv(trace))
-    assert_row_is_frame(cells, frame, swarm=True)
+    assert_row_is_frame(cells, trace, 0)
+    assert (float(cells[3]), float(cells[1]), float(cells[2])) == (value, value, -value)
 
 
 def test_sig6():
