@@ -11,20 +11,20 @@ import argparse
 
 from swarmpath import (
     ImpedanceParams,
-    LinkDynamicState,
-    Vec2,
     analytic_response,
     critical_damping,
+    link_coefficients,
     link_step,
 )
 
 
 def worst_error(params: ImpedanceParams, dt: float, horizon: float) -> float:
-    state = LinkDynamicState(delta_x=Vec2(1.0, 0.0))
+    coefficients = link_coefficients(params, dt)
+    x, y, vx, vy = 1.0, 0.0, 0.0, 0.0
     worst = 0.0
     for n in range(1, round(horizon / dt) + 1):
-        state = link_step(state, Vec2(0.0, 0.0), params, dt)
-        worst = max(worst, abs(state.delta_x.x - analytic_response(params, 1.0, 0.0, n * dt)))
+        x, y, vx, vy = link_step(x, y, vx, vy, 0.0, 0.0, coefficients)
+        worst = max(worst, abs(x - analytic_response(params, 1.0, 0.0, n * dt)))
     return worst
 
 
@@ -46,11 +46,12 @@ def main() -> None:
     for dt in (0.05, 0.02, 0.01, 0.005, 0.001):
         print(f"  dt={dt:<6} -> {worst_error(params, dt, args.horizon):.2e}")
 
-    state = LinkDynamicState(delta_x=Vec2(1.0, 0.0))
+    coefficients = link_coefficients(params, 0.01)
+    x, y, vx, vy = 1.0, 0.0, 0.0, 0.0
     low = 0.0
     for _ in range(round(args.horizon / 0.01)):
-        state = link_step(state, Vec2(0.0, 0.0), params, 0.01)
-        low = min(low, state.delta_x.x)
+        x, y, vx, vy = link_step(x, y, vx, vy, 0.0, 0.0, coefficients)
+        low = min(low, x)
     print(f"most negative excursion while settling: {low:.2e} (no overshoot)")
 
 

@@ -26,7 +26,6 @@ from .world import (
     validate_spec,
 )
 from .apf import (
-    LeaderState,
     SingularityError,
     attraction_force,
     leader_step,
@@ -34,23 +33,20 @@ from .apf import (
     total_force,
 )
 from .impedance import (
-    LinkDynamicState,
     analytic_response,
     critical_damping,
+    link_coefficients,
     link_energy,
     link_step,
 )
 from .topology import (
-    DroneState,
-    LinkMode,
-    SwarmState,
+    LEADER,
     deflection_offset,
-    desired_position,
     nearest_obstacle,
     swarm_step,
     update_link_mode,
 )
-from .baseline import BaselineState, baseline_step
+from .baseline import baseline_step
 from .simulator import (
     COMPLETED,
     CONVENTIONAL_APF,
@@ -80,13 +76,12 @@ __all__ = [
     "ScenarioParseError", "ScenarioSpec", "ScenarioValidationError",
     "TopologyParams", "Vec2", "effective_obstacles", "load_scenario",
     "read_scenario", "serialize_scenario", "validate_spec",
-    "LeaderState", "SingularityError", "attraction_force",
+    "SingularityError", "attraction_force",
     "leader_step", "repulsion_force", "total_force",
-    "LinkDynamicState", "analytic_response", "critical_damping",
+    "analytic_response", "critical_damping", "link_coefficients",
     "link_energy", "link_step",
-    "DroneState", "LinkMode", "SwarmState", "deflection_offset",
-    "desired_position", "nearest_obstacle", "swarm_step", "update_link_mode",
-    "BaselineState", "baseline_step",
+    "LEADER", "deflection_offset", "nearest_obstacle", "swarm_step", "update_link_mode",
+    "baseline_step",
     "COMPLETED", "CONVENTIONAL_APF", "MAX_STEPS", "STALLED", "SWARMPATH",
     "SimulationTrace", "run",
     "ComparisonReport", "ape", "compare", "completion_time",

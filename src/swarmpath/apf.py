@@ -5,42 +5,39 @@ obstacle whose surface is closer than its r_apf.  leader_step descends the
 combined field at constant speed, so the field only sets the direction.  The
 virtual leader runs it toward the scenario goal and every baseline drone runs
 it toward its own goal slot.
+
+Everything here runs once per step, so it works on plain floats: a point is
+x, y, an obstacle is its Obstacle.as_tuple() row (cx, cy, radius, r_apf,
+r_imp), a force is an (fx, fy) pair, and a descending agent is (x, y,
+reached_goal).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .world import SURFACE_EPS, Vec2, ZERO, Obstacle, ApfParams, ScenarioSpec
+from .world import SURFACE_EPS, ApfParams, ScenarioSpec
 # Unused here, but bench/bench.py's traced mode rebinds this module name.
 from .world import effective_obstacles  # noqa: F401
 
 STALL_EPS = 1e-9     # below this force norm the field has no direction, N
+NO_REPULSION = (0.0, 0.0)  # what repulsion_force returns beyond an obstacle's r_apf
+
+Agent = tuple[float, float, bool]  # x, y, reached_goal
 
 
 class SingularityError(ValueError):
     """A position on (or too close to) an obstacle center, direction undefined."""
 
 
-@dataclass(frozen=True)
-class LeaderState:
-    """Pose of a descending agent (the virtual leader or a baseline drone).
-
-    reached_goal latches once set.
-    """
-
-    position: Vec2
-    reached_goal: bool = False
+def attraction_force(x: float, y: float, gx: float, gy: float,
+                     k_att: float) -> tuple[float, float]:
+    """Linear pull toward the goal (gx, gy), k_att * (goal - p)."""
+    return (gx - x) * k_att, (gy - y) * k_att
 
 
-def attraction_force(p: Vec2, goal: Vec2, k_att: float) -> Vec2:
-    """Linear pull toward the goal, k_att * (goal - p)."""
-    return (goal - p) * k_att
-
-
-def repulsion_force(p: Vec2, obs: Obstacle, k_rep: float) -> Vec2:
-    """Radial push away from one obstacle, zero beyond its r_apf.
+def repulsion_force(x: float, y: float, obs: tuple, k_rep: float) -> tuple[float, float]:
+    """Radial push away from one obstacle row, NO_REPULSION beyond its r_apf.
 
     Magnitude k_rep * (1/d_o - 1/d_safe) grows without bound toward the
     surface; d_o is the surface distance clamped at SURFACE_EPS so positions
@@ -48,53 +45,60 @@ def repulsion_force(p: Vec2, obs: Obstacle, k_rep: float) -> Vec2:
     zero.  SingularityError on the center itself, or so near it that the
     radial scale overflows.
     """
-    offset = p - obs.center
-    dist = offset.norm()
+    cx, cy, radius, d_safe, _ = obs
+    ox, oy = x - cx, y - cy
+    dist = math.hypot(ox, oy)
     if dist == 0.0:
-        raise SingularityError(
-            f"position coincides with obstacle center ({obs.center.x}, {obs.center.y})")
-    d_o = max(dist - obs.radius, SURFACE_EPS)
-    d_safe = obs.r_apf
+        raise SingularityError(f"position coincides with obstacle center ({cx}, {cy})")
+    d_o = max(dist - radius, SURFACE_EPS)
     if d_o > d_safe:
-        return ZERO
+        return NO_REPULSION
     magnitude = k_rep * (1.0 / d_o - 1.0 / d_safe)
     scale = magnitude / dist
     if not math.isfinite(scale):
         raise SingularityError(
-            f"position {dist:g} m from obstacle center ({obs.center.x}, {obs.center.y}), "
-            "direction undefined")
-    return offset * scale
+            f"position {dist:g} m from obstacle center ({cx}, {cy}), direction undefined")
+    return ox * scale, oy * scale
 
 
-def total_force(p: Vec2, goal: Vec2, obstacles: tuple[Obstacle, ...],
-                params: ApfParams) -> Vec2:
-    """Attraction plus the sum of all repulsions at p."""
-    force = attraction_force(p, goal, params.k_att)
+def total_force(x: float, y: float, gx: float, gy: float, obstacles: tuple[tuple, ...],
+                params: ApfParams) -> tuple[float, float]:
+    """Attraction plus the repulsions of obstacle rows at (x, y), summed in order."""
+    fx, fy = attraction_force(x, y, gx, gy, params.k_att)
+    k_rep = params.k_rep
     for obs in obstacles:
-        force = force + repulsion_force(p, obs, params.k_rep)
-    return force
+        rx, ry = _repulsion_force(x, y, obs, k_rep)
+        fx += rx
+        fy += ry
+    return fx, fy
 
 
-def leader_step(state: LeaderState, goal: Vec2,
-                spec: ScenarioSpec) -> tuple[LeaderState, bool]:
-    """One constant-speed descent step toward goal; returns (new state, stalled flag).
+# total_force calls repulsion_force under a private name: bench/bench.py's
+# traced mode rebinds the public name with an observer that reads force.x.
+_repulsion_force = repulsion_force
 
-    The goal check runs before moving, so a state already within
+
+def leader_step(agent: Agent, gx: float, gy: float,
+                spec: ScenarioSpec) -> tuple[Agent, bool]:
+    """One constant-speed descent step toward (gx, gy); returns (new agent, stalled flag).
+
+    The goal check runs before moving, so an agent already within
     goal_threshold latches reached_goal and stays put.  A vanishing field
     (norm < STALL_EPS) is reported as a stall, also without moving.
     """
-    if state.reached_goal:
-        return state, False
-    p = state.position
-    if p.dist(goal) <= spec.apf.goal_threshold:
-        return LeaderState(p, reached_goal=True), False
+    x, y, reached = agent
+    if reached:
+        return agent, False
+    threshold = spec.apf.goal_threshold
+    if math.hypot(x - gx, y - gy) <= threshold:
+        return (x, y, True), False
     # Only the obstacles that act: the others would add +0.0 to each component,
     # which changes nothing (goal - p is +0.0 where equal, so short of an
     # underflow no attraction component is -0.0).
-    force = total_force(p, goal, spec.obstacle_index.acting(p), spec.apf)
-    norm = force.norm()
+    fx, fy = total_force(x, y, gx, gy, spec.obstacle_index.acting(x, y), spec.apf)
+    norm = math.hypot(fx, fy)
     if norm < STALL_EPS:
-        return state, True
-    new_p = p + force * (spec.dt * spec.apf.leader_speed / norm)
-    reached = new_p.dist(goal) <= spec.apf.goal_threshold
-    return LeaderState(new_p, reached_goal=reached), False
+        return agent, True
+    scale = spec.dt * spec.apf.leader_speed / norm
+    x, y = x + fx * scale, y + fy * scale
+    return (x, y, math.hypot(x - gx, y - gy) <= threshold), False

@@ -1,31 +1,25 @@
 """Follower link dynamics: a per-axis mass-spring-damper on the formation error.
 
-The link state is the deviation (delta_x, delta_v) of a drone from its desired
-formation slot.  m * a + d * v + k * x = f is linear and time-invariant, and the
-force is held constant over each step, so the zero-order-hold update
-[x, v] <- Phi(dt) [x, v] + Gamma(dt) f is the exact solution at the step ends,
-not an approximation: the stepped link follows the continuous one for any dt,
-including its dissipation and its no-overshoot release at critical damping.
-Phi and Gamma are evaluated in closed form once per (m, d, k, dt).  The two
-axes are fully independent.
+The link state is the deviation (dx, dy) of a drone from its desired
+formation slot and its rate (vx, vy), as plain floats.  m * a + d * v + k * x
+= f is linear and time-invariant, and the force is held constant over each
+step, so the zero-order-hold update [x, v] <- Phi(dt) [x, v] + Gamma(dt) f is
+the exact solution at the step ends, not an approximation: the stepped link
+follows the continuous one for any dt, including its dissipation and its
+no-overshoot release at critical damping.  Phi and Gamma are evaluated in
+closed form once per (m, d, k, dt) by link_coefficients.  The two axes are
+fully independent.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .world import Vec2, ZERO, ImpedanceParams
+from .world import ImpedanceParams
 
-
-@dataclass(frozen=True)
-class LinkDynamicState:
-    """Deviation from the desired formation slot and its rate."""
-
-    delta_x: Vec2 = ZERO  # m
-    delta_v: Vec2 = ZERO  # m/s
+Coefficients = tuple[float, float, float, float, float, float]
 
 
 def critical_damping(m: float, k: float) -> float:
@@ -36,8 +30,7 @@ def critical_damping(m: float, k: float) -> float:
 
 
 @lru_cache(maxsize=128)
-def _zoh_coefficients(m: float, d: float, k: float, dt: float
-                     ) -> tuple[float, float, float, float, float, float]:
+def link_coefficients(params: ImpedanceParams, dt: float) -> Coefficients:
     """Exact one-step coefficients (phi00, phi01, phi10, phi11, gamma0, gamma1).
 
     With a = d / (2m) and wn^2 = k / m, Phi(t) = exp(-a t) (C I + S (A + a I))
@@ -50,6 +43,7 @@ def _zoh_coefficients(m: float, d: float, k: float, dt: float
     a - w = wn^2 / (a + w), so no exp(-a dt) * cosh(w dt) can become 0 * inf.
     Raises ValueError unless m, d, k and dt are positive and finite.
     """
+    m, d, k = params.m, params.d, params.k
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not (0 < m < math.inf and 0 < d < math.inf and 0 < k < math.inf):
@@ -75,29 +69,24 @@ def _zoh_coefficients(m: float, d: float, k: float, dt: float
     return phi00, phi01, phi10, phi11, (1.0 - phi00) / k, -phi10 / k
 
 
-def link_step(state: LinkDynamicState, f_ext: Vec2,
-              params: ImpedanceParams, dt: float) -> LinkDynamicState:
-    """Advance the link one step of dt under external force f_ext.
+def link_step(dx: float, dy: float, vx: float, vy: float, fx: float, fy: float,
+              coefficients: Coefficients) -> tuple[float, float, float, float]:
+    """Advance the link (dx, dy, vx, vy) one step under external force (fx, fy).
 
-    Exact for f_ext held constant over the step (zero-order hold): the result
-    is the continuous response at t + dt, per axis one 2x2 matrix-vector
-    product with coefficients cached per (m, d, k, dt).  Raises ValueError
-    unless m, d, k and dt are positive and finite.
+    Exact for the force held constant over the step (zero-order hold): the
+    result is the continuous response one step later, per axis one 2x2
+    matrix-vector product with link_coefficients(params, dt).
     """
-    p00, p01, p10, p11, g0, g1 = _zoh_coefficients(params.m, params.d, params.k, dt)
-    x, v = state.delta_x, state.delta_v
-    return LinkDynamicState(
-        delta_x=Vec2(p00 * x.x + p01 * v.x + g0 * f_ext.x,
-                     p00 * x.y + p01 * v.y + g0 * f_ext.y),
-        delta_v=Vec2(p10 * x.x + p11 * v.x + g1 * f_ext.x,
-                     p10 * x.y + p11 * v.y + g1 * f_ext.y),
-    )
+    p00, p01, p10, p11, g0, g1 = coefficients
+    return (p00 * dx + p01 * vx + g0 * fx, p00 * dy + p01 * vy + g0 * fy,
+            p10 * dx + p11 * vx + g1 * fx, p10 * dy + p11 * vy + g1 * fy)
 
 
-def link_energy(state: LinkDynamicState, params: ImpedanceParams) -> float:
+def link_energy(dx: float, dy: float, vx: float, vy: float,
+                params: ImpedanceParams) -> float:
     """Stored energy 0.5*m*|v|^2 + 0.5*k*|x|^2 of the link, J."""
-    v2 = state.delta_v.dot(state.delta_v)
-    x2 = state.delta_x.dot(state.delta_x)
+    v2 = vx * vx + vy * vy
+    x2 = dx * dx + dy * dy
     return 0.5 * params.m * v2 + 0.5 * params.k * x2
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .world import Vec2, ZERO, Obstacle, ApfParams, ImpedanceParams
+from .world import ApfParams, ImpedanceParams
 from .apf import repulsion_force, total_force
-from .impedance import LinkDynamicState, analytic_response, critical_damping, link_step
+from .impedance import analytic_response, critical_damping, link_coefficients, link_step
 
 HORIZON_S = 5.0
 INTEGRATOR_TOL = 1e-3
@@ -33,11 +33,12 @@ class CheckResult:
 
 def _release_trajectory(params: ImpedanceParams, x0: float, dt: float) -> list[float]:
     """x samples of a link released from rest at x0, one per step, t=0 first."""
-    state = LinkDynamicState(delta_x=Vec2(x0, 0.0))
+    coefficients = link_coefficients(params, dt)
+    x, v = x0, 0.0
     xs = [x0]
     for _ in range(int(round(HORIZON_S / dt))):
-        state = link_step(state, ZERO, params, dt)
-        xs.append(state.delta_x.x)
+        x, _, v, _ = link_step(x, 0.0, v, 0.0, 0.0, 0.0, coefficients)
+        xs.append(x)
     return xs
 
 
@@ -69,45 +70,41 @@ def check_repulsion_continuity() -> CheckResult:
     the inside magnitude must shrink toward zero with delta and the outside
     must be exactly zero.
     """
-    k_rep = 0.3
-    obs = Obstacle(center=ZERO, radius=0.2, r_apf=1.0, r_imp=0.5)
-    d_safe = obs.r_apf
+    k_rep, radius, d_safe = 0.3, 0.2, 1.0
+    obs = (0.0, 0.0, radius, d_safe, 0.5)  # (cx, cy, radius, r_apf, r_imp)
     worst = 0.0
     for delta in (1e-3, 1e-6):
-        p = Vec2(obs.radius + d_safe - delta, 0.0)
-        magnitude = repulsion_force(p, obs, k_rep).norm()
+        magnitude = math.hypot(*repulsion_force(radius + d_safe - delta, 0.0, obs, k_rep))
         # magnitude is k_rep * delta / (d_o * d_safe); hold it to the same scale
         worst = max(worst, magnitude * 1e-6 / delta)
-    outside = repulsion_force(Vec2(obs.radius + d_safe + 1e-9, 0.0), obs, k_rep).norm()
+    outside = math.hypot(*repulsion_force(radius + d_safe + 1e-9, 0.0, obs, k_rep))
     worst = max(worst, outside)
     return CheckResult("repulsion_boundary_continuity", worst, CONTINUITY_TOL)
 
 
-def _rotated(v: Vec2, angle: float) -> Vec2:
+def _rotated(x: float, y: float, angle: float) -> tuple[float, float]:
     c, s = math.cos(angle), math.sin(angle)
-    return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
+    return c * x - s * y, s * x + c * y
 
 
 def check_rotational_equivariance() -> CheckResult:
     """Rotating a whole configuration must rotate the total force with it."""
     params = ApfParams(k_att=1.0, k_rep=0.3, leader_speed=0.5, goal_threshold=0.1)
-    p = Vec2(0.7, -0.2)
-    goal = Vec2(4.0, 1.0)
-    obstacles = (
-        Obstacle(center=Vec2(1.4, 0.3), radius=0.2, r_apf=1.2, r_imp=0.6),
-        Obstacle(center=Vec2(0.2, -1.0), radius=0.15, r_apf=1.0, r_imp=0.5),
+    p = (0.7, -0.2)
+    goal = (4.0, 1.0)
+    obstacles = (  # (cx, cy, radius, r_apf, r_imp)
+        (1.4, 0.3, 0.2, 1.2, 0.6),
+        (0.2, -1.0, 0.15, 1.0, 0.5),
     )
-    base = total_force(p, goal, obstacles, params)
+    base = total_force(*p, *goal, obstacles, params)
     worst = 0.0
     for angle in (0.3, 1.1, 2.5, 4.0):
-        rotated_obstacles = tuple(
-            Obstacle(center=_rotated(o.center, angle), radius=o.radius,
-                     r_apf=o.r_apf, r_imp=o.r_imp)
-            for o in obstacles
-        )
-        force = total_force(_rotated(p, angle), _rotated(goal, angle),
-                            rotated_obstacles, params)
-        worst = max(worst, (force - _rotated(base, angle)).norm())
+        rotated_obstacles = tuple((*_rotated(cx, cy, angle), *rest)
+                                  for cx, cy, *rest in obstacles)
+        fx, fy = total_force(*_rotated(*p, angle), *_rotated(*goal, angle),
+                             rotated_obstacles, params)
+        bx, by = _rotated(*base, angle)
+        worst = max(worst, math.hypot(fx - bx, fy - by))
     return CheckResult("rotational_equivariance", worst, SYMMETRY_TOL)
 
 

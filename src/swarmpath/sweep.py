@@ -20,7 +20,8 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .world import ScenarioParseError, ScenarioSpec, _number, load_scenario, validate_spec
+from .world import (ScenarioParseError, ScenarioSpec, ScenarioValidationError, _number,
+                    load_scenario, validate_spec)
 from .impedance import critical_damping
 from .simulator import SWARMPATH, run
 from .metrics import drone_path_length
@@ -32,11 +33,22 @@ CRITICAL_REL_TOL = 0.005  # |d - 2*sqrt(m*k)| within 0.5% of critical counts as 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One parameter, the values to try, and the scenario to rerun."""
+    """One parameter, the values to try, and the scenario to rerun.
+
+    Every point is validated on construction, before any run, so a bad value
+    fails the whole sweep with ScenarioValidationError however it was built.
+    """
 
     parameter: str
     values: tuple[float, ...]
     scenario: ScenarioSpec
+
+    def __post_init__(self):
+        if self.parameter not in SWEEPABLE:
+            raise ScenarioValidationError(
+                f"parameter must be one of {SWEEPABLE}, got {self.parameter!r}")
+        for value in self.values:
+            validate_spec(sweep_point(self.scenario, self.parameter, value))
 
 
 @dataclass(frozen=True)
@@ -88,9 +100,6 @@ def load_sweep(text: str, base_dir: Path | None = None) -> SweepSpec:
         scenario = load_scenario(json.dumps(raw_scenario))
     else:
         raise ScenarioParseError("scenario must be a path string or an inline object")
-    # Every point is checked before any run, so a bad value fails the whole sweep.
-    for value in values:
-        validate_spec(sweep_point(scenario, parameter, value))
     return SweepSpec(parameter=parameter, values=values, scenario=scenario)
 
 

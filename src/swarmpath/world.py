@@ -64,9 +64,6 @@ class Vec2:
         return (self.x, self.y)
 
 
-ZERO = Vec2(0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class Obstacle:
     """Circular obstacle with two influence radii around the physical body.
@@ -86,55 +83,68 @@ class Obstacle:
         """Distance from p to the body surface; negative means inside."""
         return p.dist(self.center) - self.radius
 
+    def as_tuple(self) -> tuple[float, float, float, float, float]:
+        """(cx, cy, radius, r_apf, r_imp), the form the step functions read."""
+        return (self.center.x, self.center.y, self.radius, self.r_apf, self.r_imp)
+
 
 class ObstacleIndex:
-    """Uniform grid over an obstacle tuple, for exact culling of per-step scans.
+    """Uniform grids over an obstacle tuple, for exact culling of per-step scans.
 
-    With R the largest r_imp, obstacle i reaches radius_i + max(r_apf_i, R)
-    from its center: beyond its r_apf its repulsion is exactly zero, and
-    beyond R it can be neither acquired by a link nor beat an obstacle that
-    can.  The cell size is the largest reach, and each obstacle is listed, in
-    index order, in every cell its reach box touches, padded by one cell so
-    float rounding in the cell arithmetic can never drop it.  A query is one
-    dict lookup.
+    Two grids, one per question.  For the force sum obstacle i reaches
+    radius_i + r_apf_i from its center, since beyond its r_apf its repulsion
+    is exactly zero.  For link acquisition every obstacle reaches radius_i + R
+    with R the largest r_imp, since beyond R it can be neither acquired nor
+    beat an obstacle that can.  Each grid's cell size is its largest reach, and
+    each obstacle is listed, in index order, in every cell its reach box
+    touches, padded by one cell so float rounding in the cell arithmetic can
+    never drop it.  A query is one dict lookup.  Rows and cells hold each
+    obstacle as its as_tuple().
     """
 
     def __init__(self, obstacles: tuple[Obstacle, ...]):
         self.obstacles = obstacles
+        self.rows = tuple(obs.as_tuple() for obs in obstacles)
         r_imp_max = max((o.r_imp for o in obstacles), default=0.0)
-        reach = [o.radius + max(o.r_apf, r_imp_max) for o in obstacles]
-        self.cell = max(reach, default=1.0)
-        members: dict[tuple[int, int], list[int]] = {}
-        for i, (obs, r) in enumerate(zip(obstacles, reach)):
-            cx, cy = obs.center.x, obs.center.y
-            for kx in range(int((cx - r) // self.cell) - 1, int((cx + r) // self.cell) + 2):
-                for ky in range(int((cy - r) // self.cell) - 1, int((cy + r) // self.cell) + 2):
-                    members.setdefault((kx, ky), []).append(i)
-        self._cells = {key: (tuple(ids), tuple(obstacles[i] for i in ids))
-                       for key, ids in members.items()}
+        self.cell, self._cells = _grid(self.rows, [o.radius + o.r_apf for o in obstacles])
+        self.link_cell, self._link_cells = _grid(
+            self.rows, [o.radius + r_imp_max for o in obstacles])
 
-    def candidates(self, p: Vec2) -> tuple[tuple[int, ...], tuple[Obstacle, ...]]:
-        """(indices, obstacles) listed in p's cell, ascending by index.
+    def candidates(self, x: float, y: float) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+        """(indices, rows) of the link grid's cell of (x, y), ascending by index.
 
-        They include every obstacle whose repulsion at p is not zero and every
-        obstacle whose surface is closer to p than the largest r_imp.
+        They include every obstacle whose surface is closer than the largest
+        r_imp.
         """
-        return self._cells.get((p.x // self.cell, p.y // self.cell), ((), ()))
+        cell = self.link_cell
+        return self._link_cells.get((x // cell, y // cell), ((), ()))
 
-    def acting(self, p: Vec2) -> tuple[Obstacle, ...]:
-        """The obstacles whose repulsion at p is not zero, in index order.
+    def acting(self, x: float, y: float) -> tuple[tuple, ...]:
+        """Rows of the obstacles whose repulsion at (x, y) is not zero, in index order.
 
-        The test is apf.repulsion_force's own cutoff on plain floats.  A point
-        on a center is kept, so evaluating its force still raises
-        SingularityError.
+        The test is apf.repulsion_force's own cutoff.  A point on a center is
+        kept, so evaluating its force still raises SingularityError.
         """
-        x, y = p.x, p.y
+        cell = self.cell
         out = []
-        for obs in self.candidates(p)[1]:
-            dist = math.hypot(x - obs.center.x, y - obs.center.y)
-            if dist == 0.0 or max(dist - obs.radius, SURFACE_EPS) <= obs.r_apf:
-                out.append(obs)
+        for row in self._cells.get((x // cell, y // cell), ((), ()))[1]:
+            cx, cy, radius, r_apf, _ = row
+            dist = math.hypot(x - cx, y - cy)
+            if dist == 0.0 or max(dist - radius, SURFACE_EPS) <= r_apf:
+                out.append(row)
         return tuple(out)
+
+
+def _grid(rows: tuple[tuple, ...], reach: list[float]) -> tuple[float, dict]:
+    """(cell size, cells) of a grid listing row i in every cell within reach[i]."""
+    cell = max(reach, default=1.0)
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, ((cx, cy, *_), r) in enumerate(zip(rows, reach)):
+        for kx in range(int((cx - r) // cell) - 1, int((cx + r) // cell) + 2):
+            for ky in range(int((cy - r) // cell) - 1, int((cy + r) // cell) + 2):
+                members.setdefault((kx, ky), []).append(i)
+    return cell, {key: (tuple(ids), tuple(rows[i] for i in ids))
+                  for key, ids in members.items()}
 
 
 @dataclass(frozen=True)
@@ -232,8 +242,9 @@ def validate_spec(spec: ScenarioSpec) -> None:
     if len(set(o.as_tuple() for o in spec.formation_offsets)) != len(spec.formation_offsets):
         fail("formation_offsets: offsets must be pairwise distinct")
     imp = spec.impedance
-    if not (imp.m > 0 and imp.d > 0 and imp.k > 0):
-        fail(f"impedance: m, d, k must all be > 0, got m={imp.m} d={imp.d} k={imp.k}")
+    if not (0 < imp.m < math.inf and 0 < imp.d < math.inf and 0 < imp.k < math.inf):
+        fail("impedance: m, d, k must all be > 0 and finite, got "
+             f"m={imp.m} d={imp.d} k={imp.k}")
     apf = spec.apf
     if not (apf.k_att > 0 and apf.k_rep > 0):
         fail(f"apf: k_att and k_rep must be > 0, got k_att={apf.k_att} k_rep={apf.k_rep}")

@@ -145,12 +145,12 @@ def test_c07_every_link_episode_releases(gate_sp, forest_sp):
 
 
 def test_c08_repulsion_cutoff_exact_and_continuous():
-    ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8)  # cutoff at range 1.5
+    ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8).as_tuple()  # cutoff at range 1.5
     exact_zero = all(
-        repulsion_force(Vec2(r, 0.0), ob, 2.0) == Vec2(0.0, 0.0)
+        repulsion_force(r, 0.0, ob, 2.0) == (0.0, 0.0)
         for r in (1.5 + 1e-12, 1.6, 3.0, 100.0)
     )
-    boundary = repulsion_force(Vec2(1.5 - 1e-9, 0.0), ob, 2.0).norm()
+    boundary = math.hypot(*repulsion_force(1.5 - 1e-9, 0.0, ob, 2.0))
     ok = exact_zero and boundary < 1e-6
     report(8, ok,
            f"repulsion outside cutoff exactly zero: {exact_zero}; "

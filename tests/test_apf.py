@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swarmpath.apf import (
-    LeaderState,
     SingularityError,
     attraction_force,
     leader_step,
@@ -21,63 +20,61 @@ def rotate(v: Vec2, angle: float) -> Vec2:
 
 
 def test_attraction_is_linear_in_goal_error():
-    f = attraction_force(Vec2(0.0, 0.0), Vec2(3.0, 4.0), 1.0)
-    assert f == Vec2(3.0, 4.0)
-    assert f.norm() == 5.0
-    assert attraction_force(Vec2(0.0, 0.0), Vec2(3.0, 4.0), 2.0) == Vec2(6.0, 8.0)
+    f = attraction_force(0.0, 0.0, 3.0, 4.0, 1.0)
+    assert f == (3.0, 4.0)
+    assert math.hypot(*f) == 5.0
+    assert attraction_force(0.0, 0.0, 3.0, 4.0, 2.0) == (6.0, 8.0)
 
 
 def test_repulsion_hand_value():
     # Point obstacle: surface distance 2, cutoff 4 -> k_rep*(1/2 - 1/4) outward.
-    ob = Obstacle(Vec2(0.0, 0.0), 0.0, 4.0, 0.5)
-    f = repulsion_force(Vec2(2.0, 0.0), ob, 1.0)
-    assert f == Vec2(0.25, 0.0)
+    ob = Obstacle(Vec2(0.0, 0.0), 0.0, 4.0, 0.5).as_tuple()
+    f = repulsion_force(2.0, 0.0, ob, 1.0)
+    assert f == (0.25, 0.0)
 
 
 def test_repulsion_zero_outside_cutoff():
-    ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8)
+    ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8).as_tuple()
     for r in (1.5 + 1e-9, 2.0, 50.0):
-        assert repulsion_force(Vec2(r, 0.0), ob, 2.0) == Vec2(0.0, 0.0)
+        assert repulsion_force(r, 0.0, ob, 2.0) == (0.0, 0.0)
 
 
 def test_repulsion_vanishes_continuously_at_cutoff():
     # Just inside the cutoff the magnitude is k_rep*(1/(1-delta) - 1) ~ k_rep*delta.
-    ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8)
+    ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8).as_tuple()
     for delta in (1e-3, 1e-6, 1e-9):
-        inside = repulsion_force(Vec2(1.5 - delta, 0.0), ob, 2.0).norm()
+        inside = math.hypot(*repulsion_force(1.5 - delta, 0.0, ob, 2.0))
         assert inside <= 2.0 * delta / (1.0 - delta) * 1.000001
 
 
 def test_repulsion_points_outward_and_grows_toward_surface():
-    ob = Obstacle(Vec2(1.0, 1.0), 0.2, 1.0, 0.5)
-    p_near = Vec2(1.0, 1.25)
-    p_far = Vec2(1.0, 1.9)
-    f_near = repulsion_force(p_near, ob, 0.5)
-    f_far = repulsion_force(p_far, ob, 0.5)
-    assert f_near.x == pytest.approx(0.0, abs=1e-15)
-    assert f_near.y > f_far.y > 0.0
+    ob = Obstacle(Vec2(1.0, 1.0), 0.2, 1.0, 0.5).as_tuple()
+    f_near = repulsion_force(1.0, 1.25, ob, 0.5)
+    f_far = repulsion_force(1.0, 1.9, ob, 0.5)
+    assert f_near[0] == pytest.approx(0.0, abs=1e-15)
+    assert f_near[1] > f_far[1] > 0.0
 
 
 def test_repulsion_at_center_raises():
-    ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8)
+    ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8).as_tuple()
     with pytest.raises(SingularityError):
-        repulsion_force(Vec2(0.0, 0.0), ob, 1.0)
+        repulsion_force(0.0, 0.0, ob, 1.0)
 
 
 @pytest.mark.parametrize("gap", [1e-310, 2.225073858507203e-309])
 def test_repulsion_overflowing_near_center_raises(gap):
     # magnitude / dist overflows: the direction is as undefined as on the center.
-    ob = Obstacle(Vec2(0.0, gap), 0.5, 1.5, 1.5)
+    ob = Obstacle(Vec2(0.0, gap), 0.5, 1.5, 1.5).as_tuple()
     with pytest.raises(SingularityError):
-        repulsion_force(Vec2(0.0, 0.0), ob, 0.3)
+        repulsion_force(0.0, 0.0, ob, 0.3)
 
 
 def test_repulsion_inside_body_is_clamped_finite():
-    ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8)
-    f = repulsion_force(Vec2(0.25, 0.0), ob, 1.0)
-    assert math.isfinite(f.x)
-    assert f.x > 0.0
-    assert f.y == 0.0
+    ob = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.8).as_tuple()
+    fx, fy = repulsion_force(0.25, 0.0, ob, 1.0)
+    assert math.isfinite(fx)
+    assert fx > 0.0
+    assert fy == 0.0
 
 
 @given(angle=st.floats(min_value=0.0, max_value=2.0 * math.pi))
@@ -89,40 +86,41 @@ def test_total_force_is_rotation_equivariant(angle):
         Obstacle(Vec2(1.0, -1.0), 0.3, 2.0, 0.8),
     )
     p = Vec2(0.5, 0.25)
-    f = total_force(p, goal, obstacles, params)
+    f = Vec2(*total_force(p.x, p.y, goal.x, goal.y,
+                          tuple(ob.as_tuple() for ob in obstacles), params))
+    rp, rgoal = rotate(p, angle), rotate(goal, angle)
     f_rot = total_force(
-        rotate(p, angle),
-        rotate(goal, angle),
+        rp.x, rp.y, rgoal.x, rgoal.y,
         tuple(
-            Obstacle(rotate(ob.center, angle), ob.radius, ob.r_apf, ob.r_imp)
+            Obstacle(rotate(ob.center, angle), ob.radius, ob.r_apf, ob.r_imp).as_tuple()
             for ob in obstacles
         ),
         params,
     )
     expected = rotate(f, angle)
-    assert f_rot.x == pytest.approx(expected.x, abs=1e-9)
-    assert f_rot.y == pytest.approx(expected.y, abs=1e-9)
+    assert f_rot[0] == pytest.approx(expected.x, abs=1e-9)
+    assert f_rot[1] == pytest.approx(expected.y, abs=1e-9)
 
 
 def test_leader_step_moves_at_constant_speed():
     spec = straight_spec(goal=Vec2(10.0, 0.0))
-    state, stalled = leader_step(LeaderState(spec.start), spec.goal, spec)
+    (x, y, _), stalled = leader_step((spec.start.x, spec.start.y, False), 10.0, 0.0, spec)
     assert not stalled
-    assert state.position.dist(spec.start) == pytest.approx(
+    assert math.hypot(x - spec.start.x, y - spec.start.y) == pytest.approx(
         spec.apf.leader_speed * spec.dt, rel=1e-12
     )
-    assert state.position.y == 0.0
+    assert y == 0.0
 
 
 def test_leader_latches_at_goal_before_moving():
     spec = straight_spec(goal=Vec2(1.0, 0.0))
-    near = LeaderState(Vec2(0.95, 0.0))
-    state, stalled = leader_step(near, spec.goal, spec)
-    assert state.reached_goal
-    assert state.position == near.position
+    near = (0.95, 0.0, False)
+    state, stalled = leader_step(near, 1.0, 0.0, spec)
+    assert state[2]
+    assert state[:2] == near[:2]
     assert not stalled
-    again, _ = leader_step(state, spec.goal, spec)
-    assert again.position == near.position
+    again, _ = leader_step(state, 1.0, 0.0, spec)
+    assert again[:2] == near[:2]
 
 
 def test_leader_step_reports_stall_at_equilibrium():
@@ -134,9 +132,10 @@ def test_leader_step_reports_stall_at_equilibrium():
     # Approaching the obstacle head-on, attraction (+x) and repulsion (-x)
     # cancel somewhere on the segment; bisect f_x = 0 to land on it exactly.
     params = trapped.apf
+    rows = tuple(ob.as_tuple() for ob in trapped.obstacles)
 
     def fx(x):
-        return total_force(Vec2(x, 0.0), trapped.goal, trapped.obstacles, params).x
+        return total_force(x, 0.0, 2.0, 0.0, rows, params)[0]
 
     lo, hi = -0.2, -0.5
     assert fx(lo) < 0.0 < fx(hi)
@@ -146,6 +145,6 @@ def test_leader_step_reports_stall_at_equilibrium():
             lo = mid
         else:
             hi = mid
-    _, stalled = leader_step(LeaderState(Vec2(lo, 0.0)), trapped.goal, trapped)
+    _, stalled = leader_step((lo, 0.0, False), 2.0, 0.0, trapped)
     assert stalled
 

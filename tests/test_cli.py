@@ -108,6 +108,19 @@ def test_run_singular_start_exits_1(gap, tmp_path, capsys):
     assert "obstacle center" in err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_overflowing_scenario_exits_1(command, tmp_path, capsys):
+    # Start and goal load as finite, but goal - start overflows to inf, so the
+    # first step leaves a non-finite state: one error line, no traceback.
+    path = tmp_path / "overflow.json"
+    path.write_text('{"start": [-1e308, 0], "goal": [1e308, 0]}')
+    code = main([command, str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1: ") and err.count("\n") == 1
+    assert "finite" in err
+
+
 def test_compare_writes_reports(short_scenario, tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", str(short_scenario), "--output-dir", str(out)])

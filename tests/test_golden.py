@@ -5,6 +5,7 @@ re-pins the digests here and says which outputs changed and why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -50,3 +51,26 @@ def test_cli_outputs_match_golden_digests(argv, tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in written}
     assert digests == GOLDEN[argv]
+
+
+# A 16-drone pin: case2_forest with the 4x4 grid formation (offsets -0.6, -0.2,
+# 0.2, 0.6 m on each axis), so per-drone indexing is covered beyond four drones.
+GRID = (-0.6, -0.2, 0.2, 0.6)
+GOLDEN_GRID16 = {
+    "trace.csv": "72c1466c754b57f8c0c90ba6197ea7787fd201c04c6f3aea89f3dff54c7d3eb9",
+    "metrics.json": "37659f6a13d9f02b5ff468ddab6fafdc686292f6679b7df96b13811c143b3355",
+}
+
+
+def test_grid16_forest_run_matches_golden_digests(tmp_path, capsys):
+    doc = json.loads((SCENARIO_DIR / "case2_forest.json").read_text(encoding="utf-8"))
+    doc["formation_offsets"] = [[x, y] for x in GRID for y in GRID]
+    scenario = tmp_path / "grid16_forest.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", str(scenario), "-o", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_GRID16}
+    assert digests == GOLDEN_GRID16

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swarmpath.impedance import (
-    LinkDynamicState,
     analytic_response,
     critical_damping,
+    link_coefficients,
     link_energy,
     link_step,
 )
-from swarmpath.world import ImpedanceParams, Vec2
+from swarmpath.world import ImpedanceParams
 
 PARAMS = ImpedanceParams(m=1.9, d=12.6, k=20.88)
+STEP = link_coefficients(PARAMS, 0.01)
 
 # Hand-evaluated closed form of the default (slightly over-damped) link
 # released from rest at x = (1, 0), the exact values one step must land on:
@@ -39,27 +40,25 @@ def test_critical_damping_requires_positive_args():
 
 
 def test_single_step_matches_hand_lattice():
-    state = LinkDynamicState(delta_x=Vec2(1.0, 0.0))
-    out = link_step(state, Vec2(0.0, 0.0), PARAMS, 0.01)
-    assert out.delta_v.x == pytest.approx(HAND_V1, abs=HAND_TOL)
-    assert out.delta_x.x == pytest.approx(HAND_X1, abs=HAND_TOL)
-    assert out.delta_v.y == 0.0
-    assert out.delta_x.y == 0.0
+    dx, dy, vx, vy = link_step(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, STEP)
+    assert vx == pytest.approx(HAND_V1, abs=HAND_TOL)
+    assert dx == pytest.approx(HAND_X1, abs=HAND_TOL)
+    assert vy == 0.0
+    assert dy == 0.0
 
 
 def test_two_steps_match_hand_lattice():
-    state = LinkDynamicState(delta_x=Vec2(1.0, 0.0))
-    out = link_step(link_step(state, Vec2(0.0, 0.0), PARAMS, 0.01), Vec2(0.0, 0.0), PARAMS, 0.01)
-    assert out.delta_x.x == pytest.approx(HAND_X2, abs=HAND_TOL)
-    assert out.delta_v.x == pytest.approx(HAND_V2, abs=HAND_TOL)
+    dx, dy, vx, vy = link_step(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, STEP)
+    dx, _, vx, _ = link_step(dx, dy, vx, vy, 0.0, 0.0, STEP)
+    assert dx == pytest.approx(HAND_X2, abs=HAND_TOL)
+    assert vx == pytest.approx(HAND_V2, abs=HAND_TOL)
 
 
 def test_axes_do_not_couple():
-    state = LinkDynamicState(delta_x=Vec2(0.3, -0.8), delta_v=Vec2(0.0, 0.2))
-    out = link_step(state, Vec2(1.0, 0.0), PARAMS, 0.01)
-    only_x = link_step(LinkDynamicState(Vec2(0.3, 0.0)), Vec2(1.0, 0.0), PARAMS, 0.01)
-    assert out.delta_x.x == only_x.delta_x.x
-    assert out.delta_v.x == only_x.delta_v.x
+    out = link_step(0.3, -0.8, 0.0, 0.2, 1.0, 0.0, STEP)
+    only_x = link_step(0.3, 0.0, 0.0, 0.0, 1.0, 0.0, STEP)
+    assert out[0] == only_x[0]
+    assert out[2] == only_x[2]
 
 
 def test_analytic_response_value():
@@ -82,11 +81,12 @@ def test_integrator_converges_first_order():
 
     def error_at(dt):
         steps = round(2.0 / dt)
-        state = LinkDynamicState(delta_x=Vec2(1.0, 0.0))
+        coefficients = link_coefficients(crit, dt)
+        x, y, vx, vy = 1.0, 0.0, 0.0, 0.0
         worst = 0.0
         for n in range(1, steps + 1):
-            state = link_step(state, Vec2(0.0, 0.0), crit, dt)
-            worst = max(worst, abs(state.delta_x.x - analytic_response(crit, 1.0, 0.0, n * dt)))
+            x, y, vx, vy = link_step(x, y, vx, vy, 0.0, 0.0, coefficients)
+            worst = max(worst, abs(x - analytic_response(crit, 1.0, 0.0, n * dt)))
         return worst
 
     for dt in (0.01, 0.005, 0.0025):
@@ -95,34 +95,32 @@ def test_integrator_converges_first_order():
 
 def test_critically_damped_release_never_overshoots():
     crit = ImpedanceParams(m=1.9, d=critical_damping(1.9, 20.88), k=20.88)
-    state = LinkDynamicState(delta_x=Vec2(1.0, 0.0))
+    coefficients = link_coefficients(crit, 0.01)
+    state = (1.0, 0.0, 0.0, 0.0)
     for _ in range(2000):
-        state = link_step(state, Vec2(0.0, 0.0), crit, 0.01)
-        assert state.delta_x.x > -1e-6
+        state = link_step(*state, 0.0, 0.0, coefficients)
+        assert state[0] > -1e-6
 
 
 def test_constant_force_settles_at_static_deflection():
-    state = LinkDynamicState()
-    f = Vec2(2.0, -1.0)
+    dx, dy, vx, vy = 0.0, 0.0, 0.0, 0.0
     for _ in range(5000):
-        state = link_step(state, f, PARAMS, 0.01)
-    assert state.delta_x.x == pytest.approx(2.0 / PARAMS.k, abs=1e-9)
-    assert state.delta_x.y == pytest.approx(-1.0 / PARAMS.k, abs=1e-9)
-    assert state.delta_v.norm() < 1e-9
+        dx, dy, vx, vy = link_step(dx, dy, vx, vy, 2.0, -1.0, STEP)
+    assert dx == pytest.approx(2.0 / PARAMS.k, abs=1e-9)
+    assert dy == pytest.approx(-1.0 / PARAMS.k, abs=1e-9)
+    assert math.hypot(vx, vy) < 1e-9
 
 
 def test_link_step_validates_arguments():
-    state = LinkDynamicState()
     with pytest.raises(ValueError):
-        link_step(state, Vec2(0, 0), PARAMS, 0.0)
+        link_coefficients(PARAMS, 0.0)
     with pytest.raises(ValueError):
-        link_step(state, Vec2(0, 0), ImpedanceParams(m=-1.0), 0.01)
+        link_coefficients(ImpedanceParams(m=-1.0), 0.01)
 
 
 def test_link_energy():
-    state = LinkDynamicState(delta_x=Vec2(3.0, 4.0), delta_v=Vec2(1.0, 0.0))
     expected = 0.5 * PARAMS.m * 1.0 + 0.5 * PARAMS.k * 25.0
-    assert link_energy(state, PARAMS) == pytest.approx(expected)
+    assert link_energy(3.0, 4.0, 1.0, 0.0, PARAMS) == pytest.approx(expected)
 
 
 @given(
@@ -136,23 +134,23 @@ def test_unforced_link_dissipates(x0, y0, m, k):
     # exact zero-order-hold solution, so this holds at any dt; dt = 0.01 is
     # the scenarios' step.
     params = ImpedanceParams(m=m, d=critical_damping(m, k), k=k)
-    state = LinkDynamicState(delta_x=Vec2(x0, y0))
-    energy = link_energy(state, params)
+    coefficients = link_coefficients(params, 0.01)
+    state = (x0, y0, 0.0, 0.0)
+    energy = link_energy(*state, params)
     for _ in range(200):
-        state = link_step(state, Vec2(0.0, 0.0), params, 0.01)
-        new_energy = link_energy(state, params)
+        state = link_step(*state, 0.0, 0.0, coefficients)
+        new_energy = link_energy(*state, params)
         assert new_energy <= energy + 1e-12
         energy = new_energy
 
 
 @given(scale=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
 def test_step_is_linear_in_state_and_force(scale):
-    base = LinkDynamicState(delta_x=Vec2(0.4, -0.2), delta_v=Vec2(0.1, 0.3))
-    scaled = LinkDynamicState(delta_x=base.delta_x * scale, delta_v=base.delta_v * scale)
-    out = link_step(base, Vec2(1.0, -2.0), PARAMS, 0.01)
-    out_scaled = link_step(scaled, Vec2(scale * 1.0, scale * -2.0), PARAMS, 0.01)
-    assert out_scaled.delta_x.x == pytest.approx(scale * out.delta_x.x, abs=1e-12)
-    assert out_scaled.delta_v.y == pytest.approx(scale * out.delta_v.y, abs=1e-12)
+    base = (0.4, -0.2, 0.1, 0.3)
+    out = link_step(*base, 1.0, -2.0, STEP)
+    out_scaled = link_step(*(v * scale for v in base), scale * 1.0, scale * -2.0, STEP)
+    assert out_scaled[0] == pytest.approx(scale * out[0], abs=1e-12)
+    assert out_scaled[3] == pytest.approx(scale * out[3], abs=1e-12)
 
 
 def closed_form(params, x0, v0, f, t):
@@ -193,41 +191,40 @@ REGIMES = pytest.mark.parametrize(
 
 
 @REGIMES
-@pytest.mark.parametrize("force", [Vec2(0.0, 0.0), Vec2(2.0, -1.0)], ids=["free", "forced"])
+@pytest.mark.parametrize("force", [(0.0, 0.0), (2.0, -1.0)], ids=["free", "forced"])
 def test_step_matches_closed_form_in_each_damping_regime(d, force):
     params = ImpedanceParams(m=1.9, d=d, k=20.88)
-    x0, v0 = Vec2(0.7, -0.3), Vec2(0.2, 0.5)
-    state = LinkDynamicState(delta_x=x0, delta_v=v0)
+    x0, v0 = (0.7, -0.3), (0.2, 0.5)
     dt = 0.01
+    coefficients = link_coefficients(params, dt)
+    state = (*x0, *v0)
     for n in range(1, 301):
-        state = link_step(state, force, params, dt)
-        for axis in ("x", "y"):
-            x, v = closed_form(params, getattr(x0, axis), getattr(v0, axis),
-                               getattr(force, axis), n * dt)
-            assert abs(getattr(state.delta_x, axis) - x) < 1e-12
-            assert abs(getattr(state.delta_v, axis) - v) < 1e-12
+        state = link_step(*state, *force, coefficients)
+        for axis in (0, 1):
+            x, v = closed_form(params, x0[axis], v0[axis], force[axis], n * dt)
+            assert abs(state[axis] - x) < 1e-12
+            assert abs(state[2 + axis] - v) < 1e-12
 
 
 @REGIMES
 def test_one_long_step_lands_on_closed_form(d):
     # Exactness does not depend on dt: one 3 s step lands on the closed form.
     params = ImpedanceParams(m=1.9, d=d, k=20.88)
-    out = link_step(LinkDynamicState(Vec2(0.7, 0.0), Vec2(0.2, 0.0)), Vec2(2.0, 0.0), params, 3.0)
+    dx, _, vx, _ = link_step(0.7, 0.0, 0.2, 0.0, 2.0, 0.0, link_coefficients(params, 3.0))
     x, v = closed_form(params, 0.7, 0.2, 2.0, 3.0)
-    assert out.delta_x.x == pytest.approx(x, abs=1e-12)
-    assert out.delta_v.x == pytest.approx(v, abs=1e-12)
+    assert dx == pytest.approx(x, abs=1e-12)
+    assert vx == pytest.approx(v, abs=1e-12)
 
 
 def test_heavily_overdamped_large_step_stays_finite():
     # w dt = 2.6e7 here, so exp(-a dt) * cosh(w dt) would read 0 * inf.
     params = ImpedanceParams(m=1.9, d=1e4, k=20.88)
-    state = LinkDynamicState(Vec2(0.7, -0.3), Vec2(0.2, 0.5))
-    out = link_step(state, Vec2(2.0, -1.0), params, 1e4)
-    for value in (*out.delta_x.as_tuple(), *out.delta_v.as_tuple()):
+    out = link_step(0.7, -0.3, 0.2, 0.5, 2.0, -1.0, link_coefficients(params, 1e4))
+    for value in out:
         assert math.isfinite(value)
     x, v = closed_form(params, 0.7, 0.2, 2.0, 1e4)
-    assert out.delta_x.x == pytest.approx(x, rel=1e-12, abs=0.0)
-    assert out.delta_v.x == pytest.approx(v, rel=1e-12, abs=0.0)
+    assert out[0] == pytest.approx(x, rel=1e-12, abs=0.0)
+    assert out[2] == pytest.approx(v, rel=1e-12, abs=0.0)
 
 
 @given(
@@ -237,7 +234,7 @@ def test_heavily_overdamped_large_step_stays_finite():
     dt=st.floats(min_value=1e-6, max_value=1e6),
 )
 def test_step_stays_finite_for_any_positive_parameters(m, d, k, dt):
-    state = LinkDynamicState(Vec2(1.0, -2.0), Vec2(3.0, -4.0))
-    out = link_step(state, Vec2(5.0, -6.0), ImpedanceParams(m=m, d=d, k=k), dt)
-    for value in (*out.delta_x.as_tuple(), *out.delta_v.as_tuple()):
+    out = link_step(1.0, -2.0, 3.0, -4.0, 5.0, -6.0,
+                    link_coefficients(ImpedanceParams(m=m, d=d, k=k), dt))
+    for value in out:
         assert math.isfinite(value)

@@ -15,12 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swarmpath import apf
-from swarmpath.apf import LeaderState, SingularityError, leader_step, repulsion_force
+from swarmpath.apf import NO_REPULSION, SingularityError, leader_step, repulsion_force
 from swarmpath.simulator import SWARMPATH, run
-from swarmpath.topology import DroneState, LinkMode, nearest_obstacle, update_link_mode
+from swarmpath.topology import LEADER, nearest_obstacle, update_link_mode
 from swarmpath.traceio import render_trace_csv
 from swarmpath.world import (
-    ZERO,
     Gate,
     Obstacle,
     ScenarioSpec,
@@ -60,12 +59,13 @@ def scenes(draw):
     obstacle center, a point on a reach, or one between two centers."""
     spec = draw(specs())
     all_obs = effective_obstacles(spec)
-    cell = spec.obstacle_index.cell
+    index = spec.obstacle_index
     kinds = ["free", "edge"] + (["center", "reach", "between"] if all_obs else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "free":
         return spec, Vec2(draw(coord), draw(coord))
     if kind == "edge":
+        cell = draw(st.sampled_from([index.cell, index.link_cell]))
         kx, ky = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
         return spec, Vec2(kx * cell, ky * cell + draw(st.sampled_from([0.0, 0.5 * cell])))
     obs = draw(st.sampled_from(all_obs))
@@ -82,22 +82,22 @@ def scenes(draw):
     return spec, Vec2(obs.center.x + sign * reach, obs.center.y)
 
 
-def brute_force_acting(p, all_obs):
+def brute_force_acting(p, rows):
     acting = []
-    for obs in all_obs:
+    for row in rows:
         try:
-            if repulsion_force(p, obs, 1.0) is not ZERO:
-                acting.append(obs)
+            if repulsion_force(p.x, p.y, row, 1.0) is not NO_REPULSION:
+                acting.append(row)
         except SingularityError:
-            acting.append(obs)
+            acting.append(row)
     return acting
 
 
-def brute_force_mode(p, all_obs):
-    near = nearest_obstacle(p, all_obs)
-    if near is not None and near[1] < all_obs[near[0]].r_imp:
-        return LinkMode.obstacle(near[0])
-    return LinkMode.leader()
+def brute_force_mode(p, rows):
+    near = nearest_obstacle(p.x, p.y, rows)
+    if near is not None and near[1] < rows[near[0]][4]:
+        return near[0]
+    return LEADER
 
 
 # A center 2.2e-309 m from the point: magnitude / dist overflows, which must
@@ -110,11 +110,11 @@ def brute_force_mode(p, all_obs):
 @given(scene=scenes())
 def test_cull_matches_brute_force(scene):
     spec, p = scene
-    all_obs = effective_obstacles(spec)
+    rows = tuple(obs.as_tuple() for obs in effective_obstacles(spec))
     index = spec.obstacle_index
-    assert list(index.acting(p)) == brute_force_acting(p, all_obs)
-    drone = DroneState(id=0, position=p)
-    assert update_link_mode(drone, index, TopologyParams()) == brute_force_mode(p, all_obs)
+    assert list(index.acting(p.x, p.y)) == brute_force_acting(p, rows)
+    mode = update_link_mode(p.x, p.y, LEADER, index, TopologyParams())
+    assert mode == brute_force_mode(p, rows)
 
 
 def with_far_decoys(spec, n, seed):
@@ -132,12 +132,13 @@ def counted_run(spec, monkeypatch):
     calls = [0]
     original = apf.repulsion_force
 
-    def counted(p, obs, k_rep):
+    def counted(x, y, obs, k_rep):
         calls[0] += 1
-        return original(p, obs, k_rep)
+        return original(x, y, obs, k_rep)
 
     with monkeypatch.context() as m:
-        m.setattr(apf, "repulsion_force", counted)
+        # The name total_force calls repulsion_force by.
+        m.setattr(apf, "_repulsion_force", counted)
         trace = run(spec, SWARMPATH)
     return trace, calls[0]
 
@@ -163,6 +164,6 @@ def test_far_decoys_change_no_byte_and_no_force_evaluation(monkeypatch):
 def test_singularity_still_raised_at_obstacle_center():
     obs = Obstacle(Vec2(2.0, 0.0), 0.1, 0.6, 0.3)
     spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(4.0, 0.0), obstacles=(obs,))
-    assert spec.obstacle_index.acting(obs.center) == (obs,)
+    assert spec.obstacle_index.acting(obs.center.x, obs.center.y) == (obs.as_tuple(),)
     with pytest.raises(SingularityError):
-        leader_step(LeaderState(obs.center), spec.goal, spec)
+        leader_step((obs.center.x, obs.center.y, False), spec.goal.x, spec.goal.y, spec)

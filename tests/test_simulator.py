@@ -12,8 +12,8 @@ from swarmpath.simulator import (
     run,
 )
 from swarmpath.metrics import leader_path_length
-from swarmpath.world import Obstacle, Vec2
-from conftest import one_pole_spec, straight_spec
+from swarmpath.world import Obstacle, Vec2, read_scenario
+from conftest import SCENARIO_DIR, one_pole_spec, straight_spec
 
 
 def test_run_rejects_unknown_controller():
@@ -62,7 +62,7 @@ def test_stalled_outcome_at_field_equilibrium():
     params = straight_spec().apf
 
     def fx(x):
-        return total_force(Vec2(x, 0.0), goal, (ob,), params).x
+        return total_force(x, 0.0, goal.x, goal.y, (ob.as_tuple(),), params)[0]
 
     lo, hi = -0.2, -0.5
     for _ in range(200):
@@ -150,3 +150,21 @@ def test_singularity_reports_step_index():
     with pytest.raises(Exception) as err:
         run(spec, SWARMPATH)
     assert "step 1" in str(err.value)
+    assert "drone 1:" in str(err.value)  # numbered from 1, as in trace files
+
+
+@pytest.mark.parametrize("controller", [SWARMPATH, CONVENTIONAL_APF])
+def test_no_vec2_is_built_inside_the_loop(controller, monkeypatch):
+    # The step functions work on plain floats: a whole forest run builds no Vec2.
+    spec = read_scenario(SCENARIO_DIR / "case2_forest.json")
+    built = [0]
+    post_init = Vec2.__post_init__
+
+    def counted(vec):
+        built[0] += 1
+        post_init(vec)
+
+    monkeypatch.setattr(Vec2, "__post_init__", counted)
+    trace = run(spec, controller)
+    assert trace.outcome == COMPLETED
+    assert built[0] == 0

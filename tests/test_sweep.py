@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from swarmpath.sweep import (
+    SweepSpec,
     load_sweep,
     read_sweep,
     render_sweep_csv,
@@ -10,7 +12,13 @@ from swarmpath.sweep import (
     run_sweep,
     sweep_point,
 )
-from swarmpath.world import ScenarioParseError, ScenarioValidationError, Vec2, serialize_scenario
+from swarmpath.world import (
+    ScenarioParseError,
+    ScenarioSpec,
+    ScenarioValidationError,
+    Vec2,
+    serialize_scenario,
+)
 from conftest import SCENARIO_DIR, straight_spec
 
 
@@ -56,6 +64,16 @@ def test_load_sweep_rejects_non_finite_value():
 def test_load_sweep_validates_every_point_before_running():
     with pytest.raises(ScenarioValidationError, match="d=-1.0"):
         load_sweep(inline_sweep(parameter="d", values=(12.6, -1.0)))
+
+
+def test_sweep_spec_built_in_code_is_validated():
+    # Built without load_sweep, a bad point still fails before any run.
+    with pytest.raises(ScenarioValidationError, match="d=-1.0"):
+        run_sweep(SweepSpec("d", (-1.0,), ScenarioSpec(start=Vec2(0, 0), goal=Vec2(1, 0))))
+    with pytest.raises(ScenarioValidationError, match="finite"):
+        SweepSpec("k", (math.inf,), straight_spec())
+    with pytest.raises(ScenarioValidationError, match="parameter"):
+        SweepSpec("mass", (1.0,), straight_spec())
 
 
 def test_sweep_point_replaces_one_impedance_field():
