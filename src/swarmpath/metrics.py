@@ -46,8 +46,14 @@ def max_pairwise_distance(trace: SimulationTrace) -> float:
 
     Zero for a single-drone swarm.
     """
-    pairs = itertools.combinations(range(trace.n_drones), 2)
-    return max((pair_max_distance(trace, a, b) for a, b in pairs), default=0.0)
+    pos = trace.positions
+    best = 0.0
+    for a in range(trace.n_drones - 1):
+        # Drone a against every later drone at once.  sqrt is monotone, so its
+        # value at the largest square equals the largest np.linalg.norm.
+        dx, dy = (pos[:, a + 1:, k] - pos[:, a, None, k] for k in (0, 1))
+        best = max(best, math.sqrt(float(np.max(dx * dx + dy * dy))))
+    return best
 
 
 def completion_time(trace: SimulationTrace) -> float | None:
@@ -59,15 +65,9 @@ def completion_time(trace: SimulationTrace) -> float | None:
     return float(trace.t[-1]) if trace.outcome == COMPLETED else None
 
 
-def _aligned(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extend the shorter track by holding its final position."""
-    if len(pa) == len(pb):
-        return pa, pb
-    if len(pa) < len(pb):
-        pad = np.repeat(pa[-1:], len(pb) - len(pa), axis=0)
-        return np.concatenate([pa, pad]), pb
-    pad = np.repeat(pb[-1:], len(pa) - len(pb), axis=0)
-    return pa, np.concatenate([pb, pad])
+def _held(track: np.ndarray, frames: int) -> np.ndarray:
+    """The track extended to frames rows by holding its final position."""
+    return np.pad(track, ((0, frames - len(track)), (0, 0)), mode="edge")
 
 
 def ape(trace_a: SimulationTrace, trace_b: SimulationTrace, drone: int) -> float:
@@ -80,7 +80,8 @@ def ape(trace_a: SimulationTrace, trace_b: SimulationTrace, drone: int) -> float
     if trace_a.spec.dt != trace_b.spec.dt:
         raise ValueError(
             f"mismatched dt: {trace_a.spec.dt} vs {trace_b.spec.dt}")
-    pa, pb = _aligned(trace_a.drone_positions(drone), trace_b.drone_positions(drone))
+    frames = max(trace_a.n_frames, trace_b.n_frames)
+    pa, pb = (_held(t.drone_positions(drone), frames) for t in (trace_a, trace_b))
     ref_length = path_length(pb)
     if ref_length == 0.0:
         raise ValueError(f"drone {drone}: reference path has zero length")
@@ -140,13 +141,8 @@ def compare(sp: SimulationTrace, base: SimulationTrace) -> ComparisonReport:
 
     t_sp = completion_time(sp)
     t_base = completion_time(base)
-    time_ratio = None
-    if t_sp is not None and t_base is not None and t_base > 0:
-        time_ratio = t_sp / t_base
-
     sp_pairwise = max_pairwise_distance(sp)
     base_pairwise = max_pairwise_distance(base)
-    pairwise_ratio = sp_pairwise / base_pairwise if base_pairwise > 0 else None
 
     drones = []
     for i in range(sp.n_drones):
@@ -155,35 +151,31 @@ def compare(sp: SimulationTrace, base: SimulationTrace) -> ComparisonReport:
         except ValueError:
             err = None
         drones.append(DroneComparison(
-            drone=i,
-            sp_path_length=drone_path_length(sp, i),
-            base_path_length=drone_path_length(base, i),
-            ape_percent=err,
-        ))
+            i, drone_path_length(sp, i), drone_path_length(base, i), err))
 
     pairs = []
     for a, b in itertools.combinations(range(sp.n_drones), 2):
         d_sp = pair_max_distance(sp, a, b)
         d_base = pair_max_distance(base, a, b)
-        pairs.append(PairComparison(
-            drone_a=a, drone_b=b,
-            sp_max_distance=d_sp,
-            base_max_distance=d_base,
-            ratio=d_sp / d_base if d_base > 0 else None,
-        ))
+        pairs.append(PairComparison(a, b, d_sp, d_base, _ratio(d_sp, d_base)))
 
     return ComparisonReport(
         sp_outcome=sp.outcome,
         base_outcome=base.outcome,
         sp_completion_time=t_sp,
         base_completion_time=t_base,
-        time_ratio=time_ratio,
+        time_ratio=_ratio(t_sp, t_base),
         sp_max_pairwise=sp_pairwise,
         base_max_pairwise=base_pairwise,
-        pairwise_ratio=pairwise_ratio,
+        pairwise_ratio=_ratio(sp_pairwise, base_pairwise),
         drones=tuple(drones),
         pairs=tuple(pairs),
     )
+
+
+def _ratio(num: float | None, den: float | None) -> float | None:
+    """num / den, or None when either is missing or den is not positive."""
+    return num / den if num is not None and den is not None and den > 0 else None
 
 
 def min_obstacle_clearance(trace: SimulationTrace) -> float:
@@ -207,13 +199,15 @@ def min_obstacle_clearance(trace: SimulationTrace) -> float:
         gap = math.hypot(max(lo[0] - cx, 0.0, cx - hi[0]), max(lo[1] - cy, 0.0, cy - hi[1]))
         bounds.append((gap - obs.radius - 1e-12 * (gap + obs.radius), obs))
     bounds.sort(key=lambda pair: pair[0])
+    xs, ys = tracks[..., 0], tracks[..., 1]
     best = math.inf
     for bound, obs in bounds:
         if bound >= best:
             break
-        center = np.array(obs.center.as_tuple())
-        dist = np.linalg.norm(tracks - center, axis=2) - obs.radius
-        best = min(best, float(np.min(dist)))
+        # sqrt and the subtraction are monotone: applied to the smallest
+        # square they give the smallest surface distance.
+        dx, dy = xs - obs.center.x, ys - obs.center.y
+        best = min(best, math.sqrt(float(np.min(dx * dx + dy * dy))) - obs.radius)
     return best
 
 

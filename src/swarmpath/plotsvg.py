@@ -44,26 +44,20 @@ class _Frame:
         self.x0, self.y1 = x0, y1
         self.height = (y1 - y0) * self.scale + 2 * MARGIN
 
-    def px(self, x: float, y: float) -> tuple[float, float]:
+    def px(self, x, y):
+        """Pixel coordinates of world x, y: floats or equal-length arrays."""
         # SVG y grows downward
         return (MARGIN + (x - self.x0) * self.scale,
                 MARGIN + (self.y1 - y) * self.scale)
 
-    def fmt(self, x: float, y: float) -> str:
-        px, py = self.px(x, y)
-        return f"{px:.2f},{py:.2f}"
-
-
-def _stride(n: int) -> int:
-    return max(1, n // MAX_POLYLINE)
-
 
 def _polyline(frame: _Frame, points: np.ndarray, style: str) -> str:
-    step = _stride(len(points))
-    idx = list(range(0, len(points), step))
-    if idx[-1] != len(points) - 1:
-        idx.append(len(points) - 1)
-    coords = " ".join(frame.fmt(float(points[i, 0]), float(points[i, 1])) for i in idx)
+    step = max(1, len(points) // MAX_POLYLINE)
+    kept = points[::step]
+    if (len(points) - 1) % step:
+        kept = np.concatenate([kept, points[-1:]])
+    px, py = frame.px(kept[:, 0], kept[:, 1])
+    coords = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
     return f'<polyline points="{coords}" fill="none" {style}/>'
 
 
@@ -83,9 +77,9 @@ def _panel(frame: _Frame, spec: ScenarioSpec, trace: SimulationTrace, title: str
                              f'fill="none" stroke="{IMP_COLOR}" stroke-dasharray="3 3"'))
         parts.append(_circle(frame, c.x, c.y, obs.radius, f'fill="{BODY_COLOR}"'))
     for gate in spec.gates:
-        a, b = gate.pole_a.center, gate.pole_b.center
-        parts.append(f'<line x1="{frame.px(a.x, a.y)[0]:.2f}" y1="{frame.px(a.x, a.y)[1]:.2f}" '
-                     f'x2="{frame.px(b.x, b.y)[0]:.2f}" y2="{frame.px(b.x, b.y)[1]:.2f}" '
+        (x1, y1), (x2, y2) = (frame.px(*pole.center.as_tuple())
+                              for pole in (gate.pole_a, gate.pole_b))
+        parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
                      f'stroke="#bbbbbb" stroke-dasharray="2 4"/>')
     if trace.leader is not None:
         parts.append(_polyline(frame, trace.leader,

@@ -14,6 +14,7 @@ keeps report bytes stable across platforms.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .simulator import SimulationTrace
 from . import metrics
@@ -32,28 +33,25 @@ def sig6(value: float | None) -> float | None:
 
 
 def _header(n_drones: int) -> str:
-    cols = ["t", "leader_x", "leader_y"]
-    for i in range(1, n_drones + 1):
-        cols += [f"drone{i}_x", f"drone{i}_y", f"drone{i}_mode"]
-    return ",".join(cols)
+    drones = (f"drone{i}_{col}" for i in range(1, n_drones + 1) for col in ("x", "y", "mode"))
+    return ",".join(["t", "leader_x", "leader_y", *drones])
 
 
 def render_trace_csv(trace: SimulationTrace) -> str:
-    """Serialize a recorded run to CSV text."""
+    """Serialize a recorded run to CSV text, built column by column."""
+    blank = [""] * trace.n_frames
     if trace.leader is None:
-        leader = [("", "")] * trace.n_frames
-        modes = [[""] * trace.n_drones] * trace.n_frames
+        leader, modes = [blank, blank], [blank] * trace.n_drones
     else:
-        leader = [(repr(x), repr(y)) for x, y in trace.leader.tolist()]
-        modes = [[mode_cell(c) for c in row] for row in trace.modes.tolist()]
-    lines = [_header(trace.n_drones)]
-    for t, (lx, ly), row, cells in zip(trace.t.tolist(), leader,
-                                       trace.positions.tolist(), modes):
-        parts = [repr(t), lx, ly]
-        for (x, y), mode in zip(row, cells):
-            parts += [repr(x), repr(y), mode]
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
+        leader = [map(repr, col) for col in trace.leader.T.tolist()]
+        # A run uses few distinct codes, so each cell text is made once.
+        modes = [map({c: mode_cell(c) for c in set(codes)}.__getitem__, codes)
+                 for codes in trace.modes.T.tolist()]
+    columns = [map(repr, trace.t.tolist()), *leader]
+    for (xs, ys), cells in zip(trace.positions.transpose(1, 2, 0).tolist(), modes):
+        columns += [map(repr, xs), map(repr, ys), cells]
+    rows = map(",".join, zip(*columns))
+    return "\n".join(chain([_header(trace.n_drones)], rows)) + "\n"
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:

@@ -105,10 +105,9 @@ class ObstacleIndex:
     def __init__(self, obstacles: tuple[Obstacle, ...]):
         self.obstacles = obstacles
         self.rows = tuple(obs.as_tuple() for obs in obstacles)
-        r_imp_max = max((o.r_imp for o in obstacles), default=0.0)
-        self.cell, self._cells = _grid(self.rows, [o.radius + o.r_apf for o in obstacles])
-        self.link_cell, self._link_cells = _grid(
-            self.rows, [o.radius + r_imp_max for o in obstacles])
+        (self.cell, force_reach), (self.link_cell, link_reach) = _grid_reaches(obstacles)
+        self._cells = _grid(self.rows, self.cell, force_reach)
+        self._link_cells = _grid(self.rows, self.link_cell, link_reach)
 
     def candidates(self, x: float, y: float) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
         """(indices, rows) of the link grid's cell of (x, y), ascending by index.
@@ -135,16 +134,21 @@ class ObstacleIndex:
         return tuple(out)
 
 
-def _grid(rows: tuple[tuple, ...], reach: list[float]) -> tuple[float, dict]:
-    """(cell size, cells) of a grid listing row i in every cell within reach[i]."""
-    cell = max(reach, default=1.0)
+def _grid_reaches(obstacles) -> list[tuple[float, list[float]]]:
+    """(cell size, per-obstacle reach) of the force grid, then of the link grid."""
+    r_imp_max = max((o.r_imp for o in obstacles), default=0.0)
+    reaches = ([o.radius + o.r_apf for o in obstacles], [o.radius + r_imp_max for o in obstacles])
+    return [(max(reach, default=1.0), reach) for reach in reaches]
+
+
+def _grid(rows: tuple[tuple, ...], cell: float, reach: list[float]) -> dict:
+    """Cells of a grid listing row i in every cell within reach[i]."""
     members: dict[tuple[int, int], list[int]] = {}
     for i, ((cx, cy, *_), r) in enumerate(zip(rows, reach)):
         for kx in range(int((cx - r) // cell) - 1, int((cx + r) // cell) + 2):
             for ky in range(int((cy - r) // cell) - 1, int((cy + r) // cell) + 2):
                 members.setdefault((kx, ky), []).append(i)
-    return cell, {key: (tuple(ids), tuple(rows[i] for i in ids))
-                  for key, ids in members.items()}
+    return {key: (tuple(ids), tuple(rows[i] for i in ids)) for key, ids in members.items()}
 
 
 @dataclass(frozen=True)
@@ -226,13 +230,22 @@ def validate_spec(spec: ScenarioSpec) -> None:
     def fail(msg: str) -> None:
         raise ScenarioValidationError(msg)
 
-    for label, obs in _labelled_obstacles(spec):
+    labelled = list(_labelled_obstacles(spec))
+    for label, obs in labelled:
         if not obs.radius > 0:
             fail(f"{label}: body radius must be > 0, got {obs.radius}")
         if not obs.radius < obs.r_imp:
             fail(f"{label}: requires radius < r_imp, got radius={obs.radius} r_imp={obs.r_imp}")
         if not obs.r_imp <= obs.r_apf:
             fail(f"{label}: requires r_imp <= r_apf, got r_imp={obs.r_imp} r_apf={obs.r_apf}")
+    # ObstacleIndex needs a finite cell number for every reach box edge; the
+    # farthest edge from the origin is max(|cx|, |cy|) + reach.
+    for cell, reach in _grid_reaches([obs for _, obs in labelled]):
+        for (label, obs), r in zip(labelled, reach):
+            c = obs.center
+            if not math.isfinite((max(abs(c.x), abs(c.y)) + r) / cell):
+                fail(f"{label}: center ({c.x}, {c.y}) +/- reach {r} overflows the "
+                     f"obstacle grid (cell {cell})")
     for g, gate in enumerate(spec.gates):
         gap = gate.pole_a.center.dist(gate.pole_b.center) - gate.pole_a.radius - gate.pole_b.radius
         if not gap > 0:

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -12,6 +13,17 @@ from swarmpath.world import (
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+# The 4x4 grid formation (offsets -0.6, -0.2, 0.2, 0.6 m on each axis) covers
+# per-drone indexing beyond the default four drones.
+GRID = (-0.6, -0.2, 0.2, 0.6)
+
+
+def grid16_forest_doc() -> dict:
+    """case2_forest flown by the 16-drone grid formation, as a scenario document."""
+    doc = json.loads((SCENARIO_DIR / "case2_forest.json").read_text(encoding="utf-8"))
+    doc["formation_offsets"] = [[x, y] for x in GRID for y in GRID]
+    return doc
 
 
 @pytest.fixture(scope="session")

@@ -121,6 +121,32 @@ def test_overflowing_scenario_exits_1(command, tmp_path, capsys):
     assert "finite" in err
 
 
+FAR = {"center": [1.7e308, 0], "radius": 0.1, "r_apf": 1e308, "r_imp": 0.3}
+NEAR = {"center": [0, 5], "radius": 0.1, "r_apf": 0.5, "r_imp": 0.3}
+OVERFLOWING_GRIDS = {
+    # The force grid's reach box of a post runs past the largest double.
+    "post": {"obstacles": [FAR]},
+    "gate_pole": {"gates": [{"pole_a": FAR, "pole_b": NEAR}]},
+    # A small r_apf, but the link grid reaches as far as the largest r_imp.
+    "link_reach": {"obstacles": [dict(FAR, r_apf=0.5),
+                                 dict(NEAR, r_apf=1e308, r_imp=1e308)]},
+    # Finite box edges, but their cell numbers overflow a 0.4 m cell.
+    "cell_number": {"obstacles": [dict(FAR, center=[1e308, 0], r_apf=0.3, r_imp=0.2)]},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("case", list(OVERFLOWING_GRIDS))
+def test_obstacle_grid_overflow_exits_1(case, command, tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"start": [0, 0], "goal": [1, 0], **OVERFLOWING_GRIDS[case]}))
+    code = main([command, str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows the obstacle grid" in err
+
+
 def test_compare_writes_reports(short_scenario, tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", str(short_scenario), "--output-dir", str(out)])

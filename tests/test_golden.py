@@ -10,7 +10,7 @@ import json
 import pytest
 
 from swarmpath.cli import main
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, grid16_forest_doc
 
 GOLDEN = {
     ("run", "case1_gate.json", "--controller", "swarmpath"): {
@@ -53,20 +53,17 @@ def test_cli_outputs_match_golden_digests(argv, tmp_path, capsys):
     assert digests == GOLDEN[argv]
 
 
-# A 16-drone pin: case2_forest with the 4x4 grid formation (offsets -0.6, -0.2,
-# 0.2, 0.6 m on each axis), so per-drone indexing is covered beyond four drones.
-GRID = (-0.6, -0.2, 0.2, 0.6)
+# A 16-drone pin: case2_forest with the 4x4 grid formation.
 GOLDEN_GRID16 = {
     "trace.csv": "72c1466c754b57f8c0c90ba6197ea7787fd201c04c6f3aea89f3dff54c7d3eb9",
     "metrics.json": "37659f6a13d9f02b5ff468ddab6fafdc686292f6679b7df96b13811c143b3355",
+    "trace.svg": "218a5a147d4d75e175f5842f37067c1a8064d051dc35cb401dcdd28aa54bd27c",
 }
 
 
 def test_grid16_forest_run_matches_golden_digests(tmp_path, capsys):
-    doc = json.loads((SCENARIO_DIR / "case2_forest.json").read_text(encoding="utf-8"))
-    doc["formation_offsets"] = [[x, y] for x in GRID for y in GRID]
     scenario = tmp_path / "grid16_forest.json"
-    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    scenario.write_text(json.dumps(grid16_forest_doc()), encoding="utf-8")
     out = tmp_path / "out"
     code = main(["run", str(scenario), "-o", str(out)])
     capsys.readouterr()
@@ -74,3 +71,42 @@ def test_grid16_forest_run_matches_golden_digests(tmp_path, capsys):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN_GRID16}
     assert digests == GOLDEN_GRID16
+
+
+# Degenerate edge: one drone on the leader, start == goal, no obstacles.  The
+# run stops on frame 0, so every polyline has a single point, the pairwise
+# spread is over no pairs (0.0) and the clearance is null.
+EDGE_SCENARIO = {"start": [0.5, -0.25], "goal": [0.5, -0.25], "formation_offsets": [[0, 0]]}
+EDGE_SWARMPATH_CSV = "375e68c67a1de6493c831edaf23457c1477b98ed7be459ffd0c73ebb22126d35"
+EDGE_APF_CSV = "616eacdc570322cc32858a717c076557801e0b7a73c3ec27fac9cb0b344f66ba"
+GOLDEN_EDGE = {
+    ("run", "--controller", "swarmpath"): {
+        "trace.csv": EDGE_SWARMPATH_CSV,
+        "metrics.json": "9b9fe09a9cb9256b0b8538dc4e960ab9d655e3c7ef7b61f22bc674f0cf2f6b35",
+        "trace.svg": "d0743bfd50bd5852ccad84ccb5494f550f812bf32bafc1658ef29c814451af6f",
+    },
+    ("run", "--controller", "apf"): {
+        "trace.csv": EDGE_APF_CSV,
+        "metrics.json": "c69393330af4f62307e6a932b46d0f66e33d0f3b6ab11d75221fc66cef047606",
+        "trace.svg": "32213374fa47b0a637a09797650d1c8ea8648a646bf8f27d56c52c637a09cca9",
+    },
+    ("compare",): {
+        "trace_swarmpath.csv": EDGE_SWARMPATH_CSV,
+        "trace_apf.csv": EDGE_APF_CSV,
+        "comparison.json": "2f5043d51eb534bd1f0c93ffbd7f943da11ab72bdc0ad3ba3a45755c6f44aff8",
+        "compare.svg": "bd496bc2db79afef50b707412d40b0860a6adf017389548591a54c421367ec80",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_EDGE), ids="-".join)
+def test_single_frame_edge_matches_golden_digests(argv, tmp_path, capsys):
+    scenario = tmp_path / "edge.json"
+    scenario.write_text(json.dumps(EDGE_SCENARIO), encoding="utf-8")
+    out = tmp_path / "out"
+    command, *flags = argv
+    code = main([command, str(scenario), *flags, "-o", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GOLDEN_EDGE[argv]

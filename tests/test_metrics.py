@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -16,8 +18,8 @@ from swarmpath.metrics import (
     path_length,
 )
 from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, run
-from swarmpath.world import Gate, Obstacle, Vec2
-from conftest import one_pole_spec, straight_spec
+from swarmpath.world import Gate, Obstacle, Vec2, effective_obstacles, load_scenario, read_scenario
+from conftest import SCENARIO_DIR, grid16_forest_doc, one_pole_spec, straight_spec
 
 
 def test_path_length_polyline():
@@ -153,3 +155,55 @@ def test_compare_drops_ratios_for_unfinished_runs():
     report = compare(run(spec, SWARMPATH), run(spec, CONVENTIONAL_APF))
     assert report.sp_completion_time is None
     assert report.time_ratio is None
+
+
+# Reference implementations for the full-precision checks below: one
+# np.linalg.norm per drone pair, every obstacle without culling, and one
+# segment at a time.  Reports round to 6 digits, so only these comparisons
+# see a change in the last bit.
+def reference_pair_max_distance(trace, a, b):
+    return float(np.max(np.linalg.norm(trace.positions[:, a] - trace.positions[:, b], axis=1)))
+
+
+def reference_max_pairwise_distance(trace):
+    pairs = itertools.combinations(range(trace.n_drones), 2)
+    return max((reference_pair_max_distance(trace, a, b) for a, b in pairs), default=0.0)
+
+
+def reference_min_obstacle_clearance(trace):
+    best = math.inf
+    for obs in effective_obstacles(trace.spec):
+        center = np.array(obs.center.as_tuple())
+        dist = np.linalg.norm(trace.positions - center, axis=2) - obs.radius
+        best = min(best, float(np.min(dist)))
+    return best
+
+
+def reference_path_length(track):
+    rows = track.tolist()
+    segments = [math.sqrt((x1 - x0) * (x1 - x0) + (y1 - y0) * (y1 - y0))
+                for (x0, y0), (x1, y1) in zip(rows, rows[1:])]
+    return float(np.sum(segments))
+
+
+@pytest.fixture(scope="module", params=["grid16_forest", "case1_gate-swarmpath",
+                                        "case1_gate-apf", "widest_last_pair"])
+def recorded(request):
+    if request.param == "grid16_forest":
+        return run(load_scenario(json.dumps(grid16_forest_doc())), SWARMPATH)
+    if request.param == "widest_last_pair":
+        # No obstacles, and the last two drones are the farthest apart.
+        offsets = (Vec2(0.1, 0.1), Vec2(0.1, -0.1), Vec2(-0.5, 0.5), Vec2(-0.5, -0.5))
+        return run(straight_spec(formation_offsets=offsets), SWARMPATH)
+    controller = SWARMPATH if request.param.endswith("swarmpath") else CONVENTIONAL_APF
+    return run(read_scenario(SCENARIO_DIR / "case1_gate.json"), controller)
+
+
+def test_metrics_equal_references_to_the_last_bit(recorded):
+    trace = recorded
+    assert max_pairwise_distance(trace) == reference_max_pairwise_distance(trace)
+    for a, b in itertools.combinations(range(trace.n_drones), 2):
+        assert pair_max_distance(trace, a, b) == reference_pair_max_distance(trace, a, b)
+    assert min_obstacle_clearance(trace) == reference_min_obstacle_clearance(trace)
+    for i in range(trace.n_drones):
+        assert drone_path_length(trace, i) == reference_path_length(trace.drone_positions(i))
