@@ -63,13 +63,19 @@ def repulsion_force(x: float, y: float, obs: tuple, k_rep: float) -> tuple[float
 
 def total_force(x: float, y: float, gx: float, gy: float, obstacles: tuple[tuple, ...],
                 params: ApfParams) -> tuple[float, float]:
-    """Attraction plus the repulsions of obstacle rows at (x, y), summed in order."""
+    """Attraction plus the repulsions of obstacle rows at (x, y), summed in order.
+
+    A row beyond its r_apf adds no term, not even +0.0, so listing it changes
+    no bit of the sum (an attraction component that underflowed to -0.0 stays
+    -0.0).
+    """
     fx, fy = attraction_force(x, y, gx, gy, params.k_att)
     k_rep = params.k_rep
     for obs in obstacles:
-        rx, ry = _repulsion_force(x, y, obs, k_rep)
-        fx += rx
-        fy += ry
+        force = _repulsion_force(x, y, obs, k_rep)
+        if force is not NO_REPULSION:
+            fx += force[0]
+            fy += force[1]
     return fx, fy
 
 
@@ -92,10 +98,9 @@ def leader_step(agent: Agent, gx: float, gy: float,
     threshold = spec.apf.goal_threshold
     if math.hypot(x - gx, y - gy) <= threshold:
         return (x, y, True), False
-    # Only the obstacles that act: the others would add +0.0 to each component,
-    # which changes nothing (goal - p is +0.0 where equal, so short of an
-    # underflow no attraction component is -0.0).
-    fx, fy = total_force(x, y, gx, gy, spec.obstacle_index.acting(x, y), spec.apf)
+    # Only the obstacles listed in this point's force cell: every one that acts
+    # is among them, and total_force skips the rest without adding a term.
+    fx, fy = total_force(x, y, gx, gy, spec.obstacle_index.force_rows(x, y), spec.apf)
     norm = math.hypot(fx, fy)
     if norm < STALL_EPS:
         return agent, True

@@ -205,9 +205,14 @@ def min_obstacle_clearance(trace: SimulationTrace) -> float:
         if bound >= best:
             break
         # sqrt and the subtraction are monotone: applied to the smallest
-        # square they give the smallest surface distance.
-        dx, dy = xs - obs.center.x, ys - obs.center.y
-        best = min(best, math.sqrt(float(np.min(dx * dx + dy * dy))) - obs.radius)
+        # square they give the smallest surface distance.  Only a square that
+        # overflows takes the slower hypot, which cannot.
+        with np.errstate(over="ignore"):
+            dx, dy = xs - obs.center.x, ys - obs.center.y
+            dist = math.sqrt(float(np.min(dx * dx + dy * dy)))
+        if not math.isfinite(dist):
+            dist = float(np.min(np.hypot(dx, dy)))
+        best = min(best, dist - obs.radius)
     return best
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
@@ -88,6 +89,10 @@ class Obstacle:
         return (self.center.x, self.center.y, self.radius, self.r_apf, self.r_imp)
 
 
+FORCE_CELL_FRACTION = 0.5  # force grid cell as a fraction of the largest force reach
+GRID_MARGIN = 1e-12        # reach disks are widened by this times their coordinates' magnitude
+
+
 class ObstacleIndex:
     """Uniform grids over an obstacle tuple, for exact culling of per-step scans.
 
@@ -95,19 +100,24 @@ class ObstacleIndex:
     radius_i + r_apf_i from its center, since beyond its r_apf its repulsion
     is exactly zero.  For link acquisition every obstacle reaches radius_i + R
     with R the largest r_imp, since beyond R it can be neither acquired nor
-    beat an obstacle that can.  Each grid's cell size is its largest reach, and
-    each obstacle is listed, in index order, in every cell its reach box
-    touches, padded by one cell so float rounding in the cell arithmetic can
-    never drop it.  A query is one dict lookup.  Rows and cells hold each
-    obstacle as its as_tuple().
+    beat an obstacle that can.  The force grid's cell is FORCE_CELL_FRACTION
+    of its largest reach, the link grid's cell is its largest reach.  Each
+    obstacle is listed, in index order, in every cell whose rectangle its
+    reach disk touches.  The disk is widened by GRID_MARGIN times
+    |cx| + |cy| + reach, far above the rounding of the distance and cell
+    arithmetic on either side, so rounding can never drop an obstacle that
+    acts.  A query is one dict lookup.  Rows and cells hold each obstacle as
+    its as_tuple().
     """
 
     def __init__(self, obstacles: tuple[Obstacle, ...]):
         self.obstacles = obstacles
-        self.rows = tuple(obs.as_tuple() for obs in obstacles)
+        self.rows = rows = tuple(obs.as_tuple() for obs in obstacles)
         (self.cell, force_reach), (self.link_cell, link_reach) = _grid_reaches(obstacles)
-        self._cells = _grid(self.rows, self.cell, force_reach)
-        self._link_cells = _grid(self.rows, self.link_cell, link_reach)
+        self._force_cells = {key: tuple(map(rows.__getitem__, ids))
+                             for key, ids in _grid(rows, self.cell, force_reach).items()}
+        self._link_cells = {key: (tuple(ids), tuple(map(rows.__getitem__, ids)))
+                            for key, ids in _grid(rows, self.link_cell, link_reach).items()}
 
     def candidates(self, x: float, y: float) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
         """(indices, rows) of the link grid's cell of (x, y), ascending by index.
@@ -118,37 +128,60 @@ class ObstacleIndex:
         cell = self.link_cell
         return self._link_cells.get((x // cell, y // cell), ((), ()))
 
-    def acting(self, x: float, y: float) -> tuple[tuple, ...]:
-        """Rows of the obstacles whose repulsion at (x, y) is not zero, in index order.
+    def force_rows(self, x: float, y: float) -> tuple[tuple, ...]:
+        """Rows of the force grid's cell of (x, y), ascending by index.
 
-        The test is apf.repulsion_force's own cutoff.  A point on a center is
-        kept, so evaluating its force still raises SingularityError.
+        They include every obstacle whose repulsion at (x, y) is not zero, and
+        every obstacle whose center is (x, y).
         """
         cell = self.cell
-        out = []
-        for row in self._cells.get((x // cell, y // cell), ((), ()))[1]:
-            cx, cy, radius, r_apf, _ = row
-            dist = math.hypot(x - cx, y - cy)
-            if dist == 0.0 or max(dist - radius, SURFACE_EPS) <= r_apf:
-                out.append(row)
-        return tuple(out)
+        return self._force_cells.get((x // cell, y // cell), ())
 
 
 def _grid_reaches(obstacles) -> list[tuple[float, list[float]]]:
     """(cell size, per-obstacle reach) of the force grid, then of the link grid."""
     r_imp_max = max((o.r_imp for o in obstacles), default=0.0)
-    reaches = ([o.radius + o.r_apf for o in obstacles], [o.radius + r_imp_max for o in obstacles])
-    return [(max(reach, default=1.0), reach) for reach in reaches]
+    force = [o.radius + o.r_apf for o in obstacles]
+    link = [o.radius + r_imp_max for o in obstacles]
+    return [(FORCE_CELL_FRACTION * max(force, default=1.0), force),
+            (max(link, default=1.0), link)]
 
 
 def _grid(rows: tuple[tuple, ...], cell: float, reach: list[float]) -> dict:
-    """Cells of a grid listing row i in every cell within reach[i]."""
-    members: dict[tuple[int, int], list[int]] = {}
-    for i, ((cx, cy, *_), r) in enumerate(zip(rows, reach)):
-        for kx in range(int((cx - r) // cell) - 1, int((cx + r) // cell) + 2):
-            for ky in range(int((cy - r) // cell) - 1, int((cy + r) // cell) + 2):
-                members.setdefault((kx, ky), []).append(i)
-    return {key: (tuple(ids), tuple(rows[i] for i in ids)) for key, ids in members.items()}
+    """Indices listed per cell: i, ascending, in every cell its widened reach[i] disk touches.
+
+    Each column's cells span the disk's half-chord over that column.  Cell
+    numbers stay inside the reach box padded by one cell, which also bounds
+    the loops where a huge magnitude makes the margin or the chord overflow.
+    """
+    members: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i, ((cx, cy, _, _, _), r) in enumerate(zip(rows, reach)):
+        disk = r + GRID_MARGIN * (abs(cx) + abs(cy) + r)
+        box_lo, box_hi = int((cx - r) // cell) - 1, int((cx + r) // cell) + 1
+        ky_lo, ky_hi = int((cy - r) // cell) - 1, int((cy + r) // cell) + 1
+        # Each "if not" also takes the box bound where a disk bound is nan.
+        kx_lo, kx_hi = (cx - disk) // cell, (cx + disk) // cell
+        if not kx_lo >= box_lo:
+            kx_lo = box_lo
+        if not kx_hi <= box_hi:
+            kx_hi = box_hi
+        for kx in range(int(kx_lo), int(kx_hi) + 1):
+            left = kx * cell
+            gap = left - cx if left > cx else cx - (left + cell)
+            if gap > 0.0:
+                if not gap <= disk:
+                    continue
+                chord = math.sqrt((disk - gap) * (disk + gap))
+            else:
+                chord = disk
+            lo, hi = (cy - chord) // cell, (cy + chord) // cell
+            if not lo >= ky_lo:
+                lo = ky_lo
+            if not hi <= ky_hi:
+                hi = ky_hi
+            for ky in range(int(lo), int(hi) + 1):
+                members[kx, ky].append(i)
+    return members
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -148,3 +149,14 @@ def test_leader_step_reports_stall_at_equilibrium():
     _, stalled = leader_step((lo, 0.0, False), 2.0, 0.0, trapped)
     assert stalled
 
+
+
+def test_total_force_adds_nothing_for_a_row_that_does_not_act():
+    # (gx - x) * k_att = -1e-300 * 1e-30 underflows to -0.0; adding the +0.0 of
+    # a row beyond its r_apf would turn it into +0.0.
+    params = ApfParams(k_att=1e-30)
+    far = Obstacle(Vec2(5.0, 5.0), 0.1, 0.5, 0.3).as_tuple()
+    fx, fy = total_force(1e-300, 0.0, 0.0, 0.0, (far,), params)
+    assert struct.pack("<dd", fx, fy) == struct.pack("<dd", -0.0, 0.0)
+    assert struct.pack("<dd", *total_force(1e-300, 0.0, 0.0, 0.0, (), params)) == \
+        struct.pack("<dd", fx, fy)

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 
@@ -145,6 +147,22 @@ def test_obstacle_grid_overflow_exits_1(case, command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "overflows the obstacle grid" in err
+
+
+def test_far_obstacle_clearance_is_finite(tmp_path):
+    # Squaring the 1e300 m offset overflows; the clearance must not read as
+    # "no obstacles" (null) nor warn.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"start": [0, 0], "goal": [1, 0], "obstacles": [
+        {"center": [1e300, 0], "radius": 0.1, "r_apf": 0.5, "r_imp": 0.3}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert caught == []
+    clearance = json.loads((tmp_path / "out" / "metrics.json").read_text())[
+        "min_obstacle_clearance_m"]
+    assert math.isfinite(clearance) and clearance == pytest.approx(1e300, rel=1e-5)
 
 
 def test_compare_writes_reports(short_scenario, tmp_path):

@@ -2,29 +2,45 @@
 
 ObstacleIndex lets the leader's force sum and the link acquisition visit only
 the obstacles listed in one grid cell.  These tests pin that the cull drops
-nothing that acts: the acting set equals the brute-force one, acquisition
-decisions equal the scan over every obstacle, far decoys change no output
-byte and no force evaluation, and a point on a center still raises.
+nothing that acts: the force cell lists every acting obstacle in index order
+and sums to the same bits as every obstacle, acquisition decisions equal the
+scan over every obstacle, far decoys change no output byte and no force
+evaluation, and a point on a center still raises.  They also pin that the
+cull is tight: each obstacle is listed only where its reach disk touches, so
+a force query on the forest lists few rows.
 """
 
 import dataclasses
+import math
 import random
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swarmpath import apf
-from swarmpath.apf import NO_REPULSION, SingularityError, leader_step, repulsion_force
-from swarmpath.simulator import SWARMPATH, run
+from swarmpath.apf import (
+    NO_REPULSION,
+    SingularityError,
+    leader_step,
+    repulsion_force,
+    total_force,
+)
+from swarmpath.simulator import CONVENTIONAL_APF, SWARMPATH, run
 from swarmpath.topology import LEADER, nearest_obstacle, update_link_mode
 from swarmpath.traceio import render_trace_csv
 from swarmpath.world import (
+    GRID_MARGIN,
+    ApfParams,
     Gate,
     Obstacle,
+    ObstacleIndex,
     ScenarioSpec,
     TopologyParams,
     Vec2,
+    _grid,
+    _grid_reaches,
     effective_obstacles,
     read_scenario,
 )
@@ -93,11 +109,38 @@ def brute_force_acting(p, rows):
     return acting
 
 
+def force_bits(p, gx, gy, rows):
+    """total_force's exact bits (signs of zero included), or its error message."""
+    try:
+        return struct.pack("<dd", *total_force(p.x, p.y, gx, gy, rows, ApfParams()))
+    except SingularityError as exc:
+        return str(exc)
+
+
 def brute_force_mode(p, rows):
     near = nearest_obstacle(p.x, p.y, rows)
     if near is not None and near[1] < rows[near[0]][4]:
         return near[0]
     return LEADER
+
+
+# One post whose force reach (0.6 m) is two force cells (0.3 m) and whose link
+# reach (0.4 m) is one link cell: points on those cell edges, on the reach.
+EDGE_SPEC = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
+                         obstacles=(Obstacle(Vec2(0.0, 0.0), 0.1, 0.5, 0.3),))
+EDGE_POINTS = [
+    point
+    for edge in (2 * EDGE_SPEC.obstacle_index.cell, -2 * EDGE_SPEC.obstacle_index.cell,
+                 EDGE_SPEC.obstacle_index.link_cell)
+    for v in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf))
+    for point in (Vec2(v, 0.0), Vec2(0.0, v))
+]
+
+
+def on_cell_edges(test):
+    for point in EDGE_POINTS:
+        test = example(scene=(EDGE_SPEC, point))(test)
+    return test
 
 
 # A center 2.2e-309 m from the point: magnitude / dist overflows, which must
@@ -106,13 +149,30 @@ def brute_force_mode(p, rows):
                              obstacles=(Obstacle(Vec2(0.0, 2.225073858507203e-309),
                                                  0.5, 1.5, 1.5),)),
                 Vec2(0.0, 0.0)))
+# Points where the post acts only by rounding (the exact distance is past its
+# reach), in cells its unwidened reach disk would not list.
+@example(scene=(ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
+                             obstacles=(Obstacle(Vec2(0.1, 0.0), 0.2, 0.5, 0.3),)),
+                Vec2(0.1, -0.7000000000000001)))
+@example(scene=(ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
+                             obstacles=(Obstacle(Vec2(-0.7, 0.0), 0.2, 0.5, 0.3),)),
+                Vec2(5e-324, -5e-324)))
+@on_cell_edges
 @settings(max_examples=500)
 @given(scene=scenes())
 def test_cull_matches_brute_force(scene):
     spec, p = scene
-    rows = tuple(obs.as_tuple() for obs in effective_obstacles(spec))
     index = spec.obstacle_index
-    assert list(index.acting(p.x, p.y)) == brute_force_acting(p, rows)
+    rows = index.rows
+    assert rows == tuple(obs.as_tuple() for obs in effective_obstacles(spec))
+    # Cells hold the index's own row objects, so identity gives each one's index.
+    position = {id(row): i for i, row in enumerate(rows)}
+    listed = index.force_rows(p.x, p.y)
+    ids = [position[id(row)] for row in listed]
+    assert ids == sorted(set(ids))
+    assert {id(row) for row in brute_force_acting(p, rows)} <= {id(row) for row in listed}
+    for gx, gy in ((spec.goal.x, spec.goal.y), (p.x, p.y)):
+        assert force_bits(p, gx, gy, listed) == force_bits(p, gx, gy, rows)
     mode = update_link_mode(p.x, p.y, LEADER, index, TopologyParams())
     assert mode == brute_force_mode(p, rows)
 
@@ -164,6 +224,38 @@ def test_far_decoys_change_no_byte_and_no_force_evaluation(monkeypatch):
 def test_singularity_still_raised_at_obstacle_center():
     obs = Obstacle(Vec2(2.0, 0.0), 0.1, 0.6, 0.3)
     spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(4.0, 0.0), obstacles=(obs,))
-    assert spec.obstacle_index.acting(obs.center.x, obs.center.y) == (obs.as_tuple(),)
+    assert spec.obstacle_index.force_rows(obs.center.x, obs.center.y) == (obs.as_tuple(),)
     with pytest.raises(SingularityError):
         leader_step((obs.center.x, obs.center.y, False), spec.goal.x, spec.goal.y, spec)
+
+
+def test_forest_cells_list_only_touching_reach_disks():
+    obstacles = effective_obstacles(read_scenario(SCENARIO_DIR / "case2_forest.json"))
+    rows = tuple(obs.as_tuple() for obs in obstacles)
+    for cell, reach in _grid_reaches(obstacles):
+        listed = _grid(rows, cell, reach)
+        assert listed
+        for (kx, ky), ids in listed.items():
+            assert ids == sorted(set(ids))
+            for i in ids:
+                cx, cy = rows[i][:2]
+                gap = math.hypot(max(kx * cell - cx, 0.0, cx - (kx + 1) * cell),
+                                 max(ky * cell - cy, 0.0, cy - (ky + 1) * cell))
+                assert gap <= reach[i] + GRID_MARGIN * (abs(cx) + abs(cy) + reach[i])
+
+
+def test_baseline_forest_force_query_lists_few_rows(monkeypatch):
+    # The padded reach box listed 9.22 rows per query here; the disk rule ~2.8.
+    spec = read_scenario(SCENARIO_DIR / "case2_forest.json")
+    sizes = []
+    force_rows = ObstacleIndex.force_rows
+
+    def counted(self, x, y):
+        out = force_rows(self, x, y)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(ObstacleIndex, "force_rows", counted)
+    assert run(spec, CONVENTIONAL_APF).outcome == "completed"
+    assert len(sizes) > 1000
+    assert sum(sizes) / len(sizes) < 4.0
