@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .world import (ScenarioParseError, ScenarioSpec, ScenarioValidationError, _number,
-                    load_scenario, validate_spec)
+                    _parse_json, _read, load_scenario, validate_spec)
 from .impedance import critical_damping
 from .simulator import SWARMPATH, run
 from .metrics import drone_path_length
@@ -70,10 +70,7 @@ class SweepResult:
 
 def load_sweep(text: str, base_dir: Path | None = None) -> SweepSpec:
     """Parse a sweep spec document; see the module docstring for the shape."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"invalid JSON: {exc}") from None
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ScenarioParseError("sweep spec must be a JSON object")
     unknown = set(doc) - {"parameter", "values", "scenario"}
@@ -91,11 +88,7 @@ def load_sweep(text: str, base_dir: Path | None = None) -> SweepSpec:
         path = Path(raw_scenario)
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ScenarioParseError(f"cannot read scenario {path}: {exc}") from None
-        scenario = load_scenario(text)
+        scenario = load_scenario(_read(path, "scenario"))
     elif isinstance(raw_scenario, dict):
         scenario = load_scenario(json.dumps(raw_scenario))
     else:
@@ -105,7 +98,7 @@ def load_sweep(text: str, base_dir: Path | None = None) -> SweepSpec:
 
 def read_sweep(path) -> SweepSpec:
     path = Path(path)
-    return load_sweep(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    return load_sweep(_read(path, "sweep"), base_dir=path.parent)
 
 
 def sweep_point(spec: ScenarioSpec, parameter: str, value: float) -> ScenarioSpec:

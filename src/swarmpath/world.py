@@ -1,19 +1,27 @@
-"""Scenario model: geometry, parameter blocks, the validated JSON loader, and
+"""Scenario model: geometry, parameter blocks, the validated JSON codec, and
 the per-spec obstacle grid index.
 
-A scenario is a flat JSON document.  Everything downstream (planner,
-controllers, simulator) consumes the frozen ScenarioSpec built here, so all
-structural and numeric validation lives in the loader rather than being
-scattered across the dynamics code.
+A scenario is a JSON object whose keys are the ScenarioSpec fields.  A Vec2
+is an [x, y] pair, a tuple an array, and an Obstacle, Gate or parameter block
+an object keyed by its own fields.  At every depth a field without a default
+is a required key (start and goal; center, radius, r_apf and r_imp of each
+obstacle; pole_a and pole_b of each gate), a field with a default is an
+optional key, and any other key is an error.  One decoder and one encoder
+walk the dataclass fields, so a new field is written only in its dataclass.
+
+Everything downstream (planner, controllers, simulator) consumes the frozen
+ScenarioSpec built here, so all structural and numeric validation lives in
+the loader rather than being scattered across the dynamics code.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import typing
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache, cached_property
 
 SURFACE_EPS = 1e-6   # repulsion clamps the surface distance at this, m
 
@@ -318,89 +326,107 @@ def _labelled_obstacles(spec: ScenarioSpec):
         yield f"gates[{g}].pole_b", gate.pole_b
 
 
-_TOP_KEYS = {f.name for f in fields(ScenarioSpec)}
-
-
 def load_scenario(text: str) -> ScenarioSpec:
     """Parse and validate a scenario JSON document.
 
     Raises ScenarioParseError for malformed documents and
     ScenarioValidationError when a numeric invariant is violated.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioParseError("top level must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ScenarioParseError(f"unknown top-level keys: {sorted(unknown)}")
-    for key in ("start", "goal"):
-        if key not in doc:
-            raise ScenarioParseError(f"missing required key '{key}'")
-
-    spec = ScenarioSpec(
-        start=_vec(doc["start"], "start"),
-        goal=_vec(doc["goal"], "goal"),
-        obstacles=tuple(
-            _obstacle(o, f"obstacles[{i}]")
-            for i, o in enumerate(_list(doc.get("obstacles", []), "obstacles"))
-        ),
-        gates=tuple(
-            _gate(g, f"gates[{i}]")
-            for i, g in enumerate(_list(doc.get("gates", []), "gates"))
-        ),
-        formation_offsets=_offsets(doc),
-        impedance=_block(doc, "impedance", ImpedanceParams),
-        apf=_block(doc, "apf", ApfParams),
-        topology=_block(doc, "topology", TopologyParams),
-        dt=_number(doc.get("dt", 0.01), "dt"),
-        max_steps=_int(doc.get("max_steps", 5000), "max_steps"),
-    )
+    spec = _decode(ScenarioSpec, _parse_json(text), None)
     validate_spec(spec)
     return spec
 
 
 def read_scenario(path) -> ScenarioSpec:
     """load_scenario on the contents of a file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    return load_scenario(_read(path, "scenario"))
 
 
 def serialize_scenario(spec: ScenarioSpec) -> str:
     """Render a spec back to canonical JSON (load(serialize(s)) == s)."""
-    doc = {
-        "start": list(spec.start.as_tuple()),
-        "goal": list(spec.goal.as_tuple()),
-        "obstacles": [_obstacle_doc(o) for o in spec.obstacles],
-        "gates": [
-            {"pole_a": _obstacle_doc(g.pole_a), "pole_b": _obstacle_doc(g.pole_b)}
-            for g in spec.gates
-        ],
-        "formation_offsets": [list(o.as_tuple()) for o in spec.formation_offsets],
-        "impedance": asdict(spec.impedance),
-        "apf": asdict(spec.apf),
-        "topology": asdict(spec.topology),
-        "dt": spec.dt,
-        "max_steps": spec.max_steps,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_encode(spec), indent=2) + "\n"
 
 
-def _obstacle_doc(obs: Obstacle) -> dict:
-    return {
-        "center": list(obs.center.as_tuple()),
-        "radius": obs.radius,
-        "r_apf": obs.r_apf,
-        "r_imp": obs.r_imp,
-    }
+def _parse_json(text: str):
+    """json.loads, with every way it can fail raised as ScenarioParseError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, over-long int, deep nesting
+        raise ScenarioParseError(f"invalid JSON: {exc}") from None
+
+
+def _read(path, what: str) -> str:
+    """Contents of a UTF-8 file; any failure to read it is a ScenarioParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # missing file, NUL in path, not UTF-8
+        raise ScenarioParseError(f"cannot read {what} {path}: {exc}") from None
+
+
+@cache
+def _field_types(cls) -> dict[str, tuple[type, bool]]:
+    """{name: (resolved type, required)} over the fields of a dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _decode(tp, value, label: str | None):
+    """The tp that a JSON value stands for; label names it in errors (None: the top level).
+
+    Vec2 is [x, y], tuple[X, ...] an array, float and int a number and an
+    integer, and any other dataclass an object.  An object needs a key for
+    each field without a default, may have one for each field with a default,
+    and may have no other.
+    """
+    if tp is float:
+        return _number(value, label)
+    if tp is int:
+        return _int(value, label)
+    if tp is Vec2:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ScenarioParseError(f"{label} must be a [x, y] pair, got {value!r}")
+        return Vec2(_number(value[0], f"{label}[0]"), _number(value[1], f"{label}[1]"))
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ScenarioParseError(f"{label} must be an array, got {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(item, v, f"{label}[{i}]") for i, v in enumerate(value))
+    if not isinstance(value, dict):
+        raise ScenarioParseError(f"{label or 'top level'} must be an object, got {value!r}")
+    types = _field_types(tp)
+    unknown = value.keys() - types.keys()
+    if unknown:
+        raise ScenarioParseError(f"unknown {label or 'top-level'} keys: {sorted(unknown)}")
+    kwargs = {}
+    for name, (field_type, required) in types.items():
+        key = name if label is None else f"{label}.{name}"
+        if name in value:
+            kwargs[name] = _decode(field_type, value[name], key)
+        elif required:
+            raise ScenarioParseError(f"missing required key '{key}'")
+    return tp(**kwargs)
+
+
+def _encode(value):
+    """The JSON value of a spec or any part of it; the inverse of _decode."""
+    if isinstance(value, Vec2):
+        return [value.x, value.y]
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if is_dataclass(value):
+        return {name: _encode(getattr(value, name)) for name in _field_types(type(value))}
+    return value
 
 
 def _number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioParseError(f"{label} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        out = math.inf
     if not math.isfinite(out):
         raise ScenarioParseError(f"{label} must be finite, got {value!r}")
     return out
@@ -410,61 +436,3 @@ def _int(value, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioParseError(f"{label} must be an integer, got {value!r}")
     return value
-
-
-def _list(value, label: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioParseError(f"{label} must be an array, got {value!r}")
-    return value
-
-
-def _vec(value, label: str) -> Vec2:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ScenarioParseError(f"{label} must be a [x, y] pair, got {value!r}")
-    return Vec2(_number(value[0], f"{label}[0]"), _number(value[1], f"{label}[1]"))
-
-
-def _obstacle(value, label: str) -> Obstacle:
-    if not isinstance(value, dict):
-        raise ScenarioParseError(f"{label} must be an object, got {value!r}")
-    required = {"center", "radius", "r_apf", "r_imp"}
-    if set(value) != required:
-        raise ScenarioParseError(
-            f"{label} must have exactly keys {sorted(required)}, got {sorted(value)}")
-    return Obstacle(
-        center=_vec(value["center"], f"{label}.center"),
-        radius=_number(value["radius"], f"{label}.radius"),
-        r_apf=_number(value["r_apf"], f"{label}.r_apf"),
-        r_imp=_number(value["r_imp"], f"{label}.r_imp"),
-    )
-
-
-def _gate(value, label: str) -> Gate:
-    if not isinstance(value, dict) or set(value) != {"pole_a", "pole_b"}:
-        raise ScenarioParseError(f"{label} must be an object with pole_a and pole_b")
-    return Gate(
-        pole_a=_obstacle(value["pole_a"], f"{label}.pole_a"),
-        pole_b=_obstacle(value["pole_b"], f"{label}.pole_b"),
-    )
-
-
-def _offsets(doc: dict) -> tuple[Vec2, ...]:
-    if "formation_offsets" not in doc:
-        return ScenarioSpec.__dataclass_fields__["formation_offsets"].default
-    raw = _list(doc["formation_offsets"], "formation_offsets")
-    return tuple(_vec(v, f"formation_offsets[{i}]") for i, v in enumerate(raw))
-
-
-def _block(doc: dict, name: str, cls):
-    """Build a parameter block, filling unspecified fields from defaults."""
-    if name not in doc:
-        return cls()
-    raw = doc[name]
-    if not isinstance(raw, dict):
-        raise ScenarioParseError(f"{name} must be an object, got {raw!r}")
-    names = [f.name for f in fields(cls)]
-    unknown = set(raw) - set(names)
-    if unknown:
-        raise ScenarioParseError(f"unknown {name} keys: {sorted(unknown)}")
-    kwargs = {f: _number(raw[f], f"{name}.{f}") for f in names if f in raw}
-    return cls(**kwargs)

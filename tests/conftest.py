@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import strategies as st
 
 from swarmpath.world import (
     ApfParams,
@@ -9,6 +10,7 @@ from swarmpath.world import (
     ScenarioSpec,
     TopologyParams,
     Vec2,
+    serialize_scenario,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -50,3 +52,41 @@ def one_pole_spec(**overrides) -> ScenarioSpec:
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
+
+
+BIG_INT = "1" + "0" * 400  # a JSON integer beyond float range, within json's digit limit
+
+# Arbitrary JSON, weighted toward what a number field must reject: integers
+# far beyond float range, non-finite floats, bools, strings and containers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers()
+    | st.builds(lambda n, sign: sign * 10 ** n, st.integers(309, 1000), st.sampled_from((1, -1))),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def plant_json(data, doc):
+    """Replace or add one key anywhere in doc with a drawn JSON value, in place.
+
+    The walk descends from the top level through objects and arrays; at an
+    object it may also pick a key the document does not have.
+    """
+    node = doc
+    while True:
+        keys = list(range(len(node))) if isinstance(node, list) else [*node, data.draw(st.text(max_size=6))]
+        key = data.draw(st.sampled_from(keys))
+        child = node.get(key) if isinstance(node, dict) else node[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            break
+        node = child
+    node[key] = data.draw(JSON_VALUES)
+    return doc
+
+
+def full_scenario_doc() -> dict:
+    """A valid scenario document with every key present: one post, one gate, every block."""
+    doc = json.loads(serialize_scenario(one_pole_spec()))
+    doc["gates"] = [{"pole_a": dict(doc["obstacles"][0], center=[3.0, 0.7]),
+                     "pole_b": dict(doc["obstacles"][0], center=[3.0, -0.7])}]
+    return doc

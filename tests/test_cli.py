@@ -6,7 +6,7 @@ import pytest
 
 from swarmpath.cli import main
 from swarmpath.world import Obstacle, Vec2, serialize_scenario
-from conftest import SCENARIO_DIR, straight_spec
+from conftest import BIG_INT, SCENARIO_DIR, straight_spec
 
 
 @pytest.fixture()
@@ -238,3 +238,33 @@ def test_shipped_scenarios_load_and_run(tmp_path):
 def test_unknown_subcommand_exits_2_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+LOADER_ESCAPES = {
+    # Each raises OverflowError, RecursionError, ValueError or UnicodeDecodeError
+    # inside the loaders, which must surface as ScenarioError, not a traceback.
+    "scenario_big_int": ("run", '{"start": [0, 0], "goal": [1, 0], "dt": %s}' % BIG_INT),
+    "scenario_deep_nesting": ("run", "[" * 100_000),
+    "scenario_not_utf8": ("run", b"\xff\xfe{}"),
+    "sweep_big_int": ("sweep", '{"parameter": "d", "values": [%s], "scenario": "s.json"}' % BIG_INT),
+    "sweep_deep_nesting": ("sweep", '{"parameter": "d", "values": ' + "[" * 100_000),
+    "sweep_nul_in_path": ("sweep", json.dumps({"parameter": "d", "values": [12.6],
+                                               "scenario": "s\u0000.json"})),
+}
+
+
+@pytest.mark.parametrize("case", list(LOADER_ESCAPES))
+def test_loader_failure_exits_1_with_one_error_line(case, tmp_path, capsys):
+    command, content = LOADER_ESCAPES[case]
+    (tmp_path / "s.json").write_text(serialize_scenario(straight_spec()))
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code = main([command, str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from swarmpath.cli import main
+from swarmpath.world import read_scenario, serialize_scenario
 from conftest import SCENARIO_DIR, grid16_forest_doc
 
 GOLDEN = {
@@ -110,3 +111,16 @@ def test_single_frame_edge_matches_golden_digests(argv, tmp_path, capsys):
     assert code == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == GOLDEN_EDGE[argv]
+
+
+# The scenario encoder's bytes: key order, number formatting and indentation.
+GOLDEN_SERIALIZED = {
+    "case1_gate.json": "b90658d0c3b15eb73841ef6e1ef36ca053184eea8c3e6d06b192b85f22ce34ed",
+    "case2_forest.json": "72b0a4653204763c9aa4c98d6c1d3591f9d249c5b532659658bcbca3fc6de28f",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SERIALIZED))
+def test_serialized_scenario_matches_golden_digest(name):
+    text = serialize_scenario(read_scenario(SCENARIO_DIR / name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SERIALIZED[name]

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmpath.sweep import (
     SweepSpec,
@@ -13,13 +14,14 @@ from swarmpath.sweep import (
     sweep_point,
 )
 from swarmpath.world import (
+    ScenarioError,
     ScenarioParseError,
     ScenarioSpec,
     ScenarioValidationError,
     Vec2,
     serialize_scenario,
 )
-from conftest import SCENARIO_DIR, straight_spec
+from conftest import BIG_INT, SCENARIO_DIR, full_scenario_doc, plant_json, straight_spec
 
 
 def inline_sweep(parameter="k", values=(20.88, 29.0)) -> str:
@@ -106,3 +108,33 @@ def test_sweep_json_and_csv_shapes():
     assert lines[0].split(",") == ["drone", "k=20.88", "k=29"]
     assert lines[1].startswith("drone1,")
     assert lines[-1].startswith("outcome,")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_sweep_raises_only_scenario_error(data):
+    # Any JSON at any key of a valid sweep document, its inline scenario included.
+    doc = {"parameter": "d", "values": [12.6, 14.0], "scenario": full_scenario_doc()}
+    try:
+        load_sweep(json.dumps(plant_json(data, doc)), base_dir=SCENARIO_DIR)
+    except ScenarioError:
+        pass
+
+
+
+
+def test_load_sweep_rejects_integer_beyond_float_range():
+    text = inline_sweep(values=(20.88, 29.0)).replace("29.0", BIG_INT)
+    with pytest.raises(ScenarioParseError, match=r"values\[1\] must be finite"):
+        load_sweep(text)
+
+
+def test_load_sweep_rejects_deeply_nested_json():
+    with pytest.raises(ScenarioParseError, match="invalid JSON"):
+        load_sweep('{"parameter": "d", "values": ' + "[" * 100_000)
+
+
+def test_load_sweep_rejects_nul_in_scenario_path():
+    text = json.dumps({"parameter": "d", "values": [12.6], "scenario": "case1\u0000gate.json"})
+    with pytest.raises(ScenarioParseError, match="cannot read scenario"):
+        load_sweep(text, base_dir=SCENARIO_DIR)

@@ -1,14 +1,16 @@
 import dataclasses
+import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from swarmpath.world import (
     ApfParams,
     Gate,
     ImpedanceParams,
     Obstacle,
+    ScenarioError,
     ScenarioParseError,
     ScenarioSpec,
     ScenarioValidationError,
@@ -19,7 +21,7 @@ from swarmpath.world import (
     serialize_scenario,
     validate_spec,
 )
-from conftest import straight_spec
+from conftest import BIG_INT, full_scenario_doc, plant_json, straight_spec
 
 
 def test_vec2_arithmetic():
@@ -174,3 +176,75 @@ def test_surface_distance_matches_norm():
     ob = Obstacle(Vec2(2.0, -1.0), 0.3, 1.0, 0.5)
     p = Vec2(-1.0, 3.0)
     assert ob.surface_distance(p) == pytest.approx(math.hypot(3.0, -4.0) - 0.3)
+
+
+MINIMAL = '{"start": [0, 0], "goal": [1, 0]%s}'
+POST = '{"center": [1, 0.5], "radius": 0.1, "r_apf": 0.4, "r_imp": 0.3}'
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (', "dt": %s' % BIG_INT, "dt must be finite"),
+        (', "obstacles": [{"center": [1, %s], "radius": 0.1, "r_apf": 0.4, "r_imp": 0.3}]'
+         % BIG_INT, r"obstacles\[0\]\.center\[1\] must be finite"),
+        (', "apf": {"k_rep": -%s}' % BIG_INT, "apf.k_rep must be finite"),
+        (', "dt": 1%s' % ("0" * 5000), "invalid JSON"),
+    ],
+    ids=["dt", "obstacle_center", "apf_block", "over_digit_limit"],
+)
+def test_load_rejects_numbers_beyond_float_range(extra, message):
+    with pytest.raises(ScenarioParseError, match=message):
+        load_scenario(MINIMAL % extra)
+
+
+def test_load_rejects_deeply_nested_json():
+    with pytest.raises(ScenarioParseError, match="invalid JSON"):
+        load_scenario("[" * 100_000)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"goal": [1, 0]}', "missing required key 'start'"),
+        ("[1, 2]", "top level must be an object"),
+        (MINIMAL % ', "obstacles": [%s, {"center": [1, 0], "radius": 0.1}]' % POST,
+         r"missing required key 'obstacles\[1\]\.r_apf'"),
+        (MINIMAL % ', "obstacles": [%s]' % POST.replace("}", ', "height": 2}'),
+         r"unknown obstacles\[0\] keys: \['height'\]"),
+        (MINIMAL % ', "obstacles": [%s, %s, %s, {"center": ["a", 0]}]' % (POST, POST, POST),
+         r"obstacles\[3\]\.center\[0\] must be a number"),
+        (MINIMAL % ', "obstacles": {}', "obstacles must be an array"),
+        (MINIMAL % ', "gates": [{"pole_a": %s}]' % POST, r"missing required key 'gates\[0\]\.pole_b'"),
+        (MINIMAL % ', "gates": [{"pole_a": %s, "pole_b": [1, 2]}]' % POST,
+         r"gates\[0\]\.pole_b must be an object"),
+        (MINIMAL % ', "formation_offsets": [[1, 1], [1, 2, 3]]',
+         r"formation_offsets\[1\] must be a \[x, y\] pair"),
+        (MINIMAL % ', "impedance": [1]', "impedance must be an object"),
+        (MINIMAL % ', "topology": {"k_impF": "0.5"}', "topology.k_impF must be a number"),
+        (MINIMAL % ', "max_steps": 10.0', "max_steps must be an integer"),
+    ],
+    ids=["missing_top", "top_not_object", "missing_obstacle_key", "unknown_obstacle_key",
+         "obstacle_center", "obstacles_not_array", "missing_pole", "pole_not_object",
+         "offset_not_pair", "block_not_object", "block_not_number", "max_steps_not_int"],
+)
+def test_load_errors_name_the_offending_key(text, message):
+    with pytest.raises(ScenarioParseError, match=message):
+        load_scenario(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_raises_only_scenario_error(data):
+    # Any JSON at any key of a valid document: a spec or a ScenarioError.
+    text = json.dumps(plant_json(data, full_scenario_doc()))
+    try:
+        load_scenario(text)
+    except ScenarioError:
+        pass
+
+
+def test_full_scenario_doc_loads():
+    # The property above starts from a document that loads as it is.
+    spec = load_scenario(json.dumps(full_scenario_doc()))
+    assert len(spec.obstacles) == 1 and len(spec.gates) == 1
