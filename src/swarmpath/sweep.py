@@ -8,10 +8,13 @@ A sweep spec is a small JSON document:
       "scenario": "case1_gate.json"
     }
 
-scenario is either a path (resolved against the sweep file's directory) or an
-inline scenario object.  Each run reports per-drone path lengths, and values
-within 0.5% of the critical damping of the resulting (m, d, k) triple are
-flagged, since behavior changes character on either side of that point.
+Its keys are the SweepSpec fields, all required: parameter is m, d or k,
+values a non-empty array of numbers, and scenario a path (relative to the
+sweep file) or an inline scenario object.  Every point is validated before any
+run, and an error names its key, such as scenario.start or values[1].  Each
+run reports per-drone path lengths, and values within 0.5% of the critical
+damping of the resulting (m, d, k) triple are flagged, since behavior changes
+character on either side of that point.
 """
 
 from __future__ import annotations
@@ -19,15 +22,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Literal, get_args
 
-from .world import (ScenarioParseError, ScenarioSpec, ScenarioValidationError, _number,
-                    _parse_json, _read, load_scenario, validate_spec)
+from .world import (ScenarioSpec, ScenarioValidationError, _decode, _parse_json, _read,
+                    read_scenario, validate_spec)
+# Unused here, but bench/bench.py's traced mode rebinds this module name.
+from .world import load_scenario  # noqa: F401
 from .impedance import critical_damping
 from .simulator import SWARMPATH, run
 from .metrics import drone_path_length
 from .traceio import sig6
 
-SWEEPABLE = ("m", "d", "k")
+Parameter = Literal["m", "d", "k"]
+SWEEPABLE = get_args(Parameter)
 CRITICAL_REL_TOL = 0.005  # |d - 2*sqrt(m*k)| within 0.5% of critical counts as critical
 
 
@@ -39,7 +46,7 @@ class SweepSpec:
     fails the whole sweep with ScenarioValidationError however it was built.
     """
 
-    parameter: str
+    parameter: Parameter
     values: tuple[float, ...]
     scenario: ScenarioSpec
 
@@ -47,6 +54,9 @@ class SweepSpec:
         if self.parameter not in SWEEPABLE:
             raise ScenarioValidationError(
                 f"parameter must be one of {SWEEPABLE}, got {self.parameter!r}")
+        if not self.values:
+            raise ScenarioValidationError("values: at least one value is required")
+        validate_spec(self.scenario)
         for value in self.values:
             validate_spec(sweep_point(self.scenario, self.parameter, value))
 
@@ -71,29 +81,10 @@ class SweepResult:
 def load_sweep(text: str, base_dir: Path | None = None) -> SweepSpec:
     """Parse a sweep spec document; see the module docstring for the shape."""
     doc = _parse_json(text)
-    if not isinstance(doc, dict):
-        raise ScenarioParseError("sweep spec must be a JSON object")
-    unknown = set(doc) - {"parameter", "values", "scenario"}
-    if unknown:
-        raise ScenarioParseError(f"unknown sweep keys: {sorted(unknown)}")
-    parameter = doc.get("parameter")
-    if parameter not in SWEEPABLE:
-        raise ScenarioParseError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
-    raw_values = doc.get("values")
-    if not isinstance(raw_values, list) or not raw_values:
-        raise ScenarioParseError("values must be a non-empty array of numbers")
-    values = tuple(_number(v, f"values[{i}]") for i, v in enumerate(raw_values))
-    raw_scenario = doc.get("scenario")
-    if isinstance(raw_scenario, str):
-        path = Path(raw_scenario)
-        if not path.is_absolute() and base_dir is not None:
-            path = base_dir / path
-        scenario = load_scenario(_read(path, "scenario"))
-    elif isinstance(raw_scenario, dict):
-        scenario = load_scenario(json.dumps(raw_scenario))
-    else:
-        raise ScenarioParseError("scenario must be a path string or an inline object")
-    return SweepSpec(parameter=parameter, values=values, scenario=scenario)
+    scenario = doc.get("scenario") if isinstance(doc, dict) else None
+    if isinstance(scenario, str):  # a path, relative to base_dir unless absolute
+        doc["scenario"] = read_scenario(Path(base_dir or "", scenario))
+    return _decode(SweepSpec, doc, None)
 
 
 def read_sweep(path) -> SweepSpec:
@@ -101,10 +92,8 @@ def read_sweep(path) -> SweepSpec:
     return load_sweep(_read(path, "sweep"), base_dir=path.parent)
 
 
-def sweep_point(spec: ScenarioSpec, parameter: str, value: float) -> ScenarioSpec:
+def sweep_point(spec: ScenarioSpec, parameter: Parameter, value: float) -> ScenarioSpec:
     """Scenario with one impedance coefficient replaced."""
-    if parameter not in SWEEPABLE:
-        raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     impedance = replace(spec.impedance, **{parameter: value})
     return replace(spec, impedance=impedance)
 

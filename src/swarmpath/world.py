@@ -6,8 +6,9 @@ is an [x, y] pair, a tuple an array, and an Obstacle, Gate or parameter block
 an object keyed by its own fields.  At every depth a field without a default
 is a required key (start and goal; center, radius, r_apf and r_imp of each
 obstacle; pole_a and pole_b of each gate), a field with a default is an
-optional key, and any other key is an error.  One decoder and one encoder
-walk the dataclass fields, so a new field is written only in its dataclass.
+optional key, and any other key is an error.  One decoder and one encoder walk
+the dataclass fields, and validate_spec checks the POSITIVE or NON_NEGATIVE
+bound in their metadata, so a field is written only in its dataclass.
 
 Everything downstream (planner, controllers, simulator) consumes the frozen
 ScenarioSpec built here, so all structural and numeric validation lives in
@@ -18,12 +19,20 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import reprlib
 import typing
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
 
 SURFACE_EPS = 1e-6   # repulsion clamps the surface distance at this, m
+
+# Field bounds, as dataclass field metadata; validate_spec checks every one.
+POSITIVE = {"bound": (operator.lt, "> 0")}       # 0 < v < inf
+NON_NEGATIVE = {"bound": (operator.le, ">= 0")}  # 0 <= v < inf
+# The value an error quotes, cut to a few dozen characters at any size or depth.
+_show = reprlib.Repr().repr
 
 
 class ScenarioError(ValueError):
@@ -84,7 +93,7 @@ class Obstacle:
     """
 
     center: Vec2
-    radius: float  # body radius, m
+    radius: float = field(metadata=POSITIVE)  # body radius, m
     r_apf: float   # repulsion onset distance from the surface, m
     r_imp: float   # link handover distance from the surface, m
 
@@ -204,28 +213,28 @@ class Gate:
 class ImpedanceParams:
     """Mass-spring-damper coefficients of a follower link."""
 
-    m: float = 1.9    # kg
-    d: float = 12.6   # N s/m
-    k: float = 20.88  # N/m
+    m: float = field(default=1.9, metadata=POSITIVE)    # kg
+    d: float = field(default=12.6, metadata=POSITIVE)   # N s/m
+    k: float = field(default=20.88, metadata=POSITIVE)  # N/m
 
 
 @dataclass(frozen=True)
 class ApfParams:
     """Potential-field planner gains and leader kinematics."""
 
-    k_att: float = 1.0
-    k_rep: float = 0.3
-    leader_speed: float = 0.5   # m/s, constant descent speed
-    goal_threshold: float = 0.1  # m
+    k_att: float = field(default=1.0, metadata=POSITIVE)
+    k_rep: float = field(default=0.3, metadata=POSITIVE)
+    leader_speed: float = field(default=0.5, metadata=POSITIVE)    # m/s, constant descent speed
+    goal_threshold: float = field(default=0.1, metadata=POSITIVE)  # m
 
 
 @dataclass(frozen=True)
 class TopologyParams:
     """Link-switching and deflection parameters shared by all followers."""
 
-    k_impF: float = 0.5       # deflection force coefficient, dimensionless
-    hysteresis: float = 0.1   # release at r_imp * (1 + hysteresis)
-    velocity_gain: float = 0.0  # speed-dependent deflection scaling, s/m
+    k_impF: float = field(default=0.5, metadata=NON_NEGATIVE)  # deflection force coefficient
+    hysteresis: float = field(default=0.1, metadata=NON_NEGATIVE)  # release at r_imp * (1 + h)
+    velocity_gain: float = field(default=0.0, metadata=NON_NEGATIVE)  # deflection speed scale, s/m
 
 
 @dataclass(frozen=True)
@@ -242,8 +251,8 @@ class ScenarioSpec:
     impedance: ImpedanceParams = field(default_factory=ImpedanceParams)
     apf: ApfParams = field(default_factory=ApfParams)
     topology: TopologyParams = field(default_factory=TopologyParams)
-    dt: float = 0.01      # s
-    max_steps: int = 5000
+    dt: float = field(default=0.01, metadata=POSITIVE)  # s
+    max_steps: int = field(default=5000, metadata=POSITIVE)
 
     @cached_property
     def obstacle_index(self) -> ObstacleIndex:
@@ -267,14 +276,12 @@ def effective_obstacles(spec: ScenarioSpec) -> tuple[Obstacle, ...]:
 
 
 def validate_spec(spec: ScenarioSpec) -> None:
-    """Raise ScenarioValidationError naming the first violated invariant."""
+    """Raise ScenarioValidationError naming the first violated invariant, bounds first."""
     def fail(msg: str) -> None:
         raise ScenarioValidationError(msg)
 
-    labelled = list(_labelled_obstacles(spec))
+    labelled = list(_checked_obstacles(spec, None))
     for label, obs in labelled:
-        if not obs.radius > 0:
-            fail(f"{label}: body radius must be > 0, got {obs.radius}")
         if not obs.radius < obs.r_imp:
             fail(f"{label}: requires radius < r_imp, got radius={obs.radius} r_imp={obs.r_imp}")
         if not obs.r_imp <= obs.r_apf:
@@ -295,35 +302,24 @@ def validate_spec(spec: ScenarioSpec) -> None:
         fail("formation_offsets: at least one drone is required")
     if len(set(o.as_tuple() for o in spec.formation_offsets)) != len(spec.formation_offsets):
         fail("formation_offsets: offsets must be pairwise distinct")
-    imp = spec.impedance
-    if not (0 < imp.m < math.inf and 0 < imp.d < math.inf and 0 < imp.k < math.inf):
-        fail("impedance: m, d, k must all be > 0 and finite, got "
-             f"m={imp.m} d={imp.d} k={imp.k}")
-    apf = spec.apf
-    if not (apf.k_att > 0 and apf.k_rep > 0):
-        fail(f"apf: k_att and k_rep must be > 0, got k_att={apf.k_att} k_rep={apf.k_rep}")
-    if not (apf.leader_speed > 0 and apf.goal_threshold > 0):
-        fail("apf: leader_speed and goal_threshold must be > 0, got "
-             f"leader_speed={apf.leader_speed} goal_threshold={apf.goal_threshold}")
-    top = spec.topology
-    if not top.k_impF >= 0:
-        fail(f"topology: k_impF must be >= 0, got {top.k_impF}")
-    if not top.hysteresis >= 0:
-        fail(f"topology: hysteresis must be >= 0, got {top.hysteresis}")
-    if not top.velocity_gain >= 0:
-        fail(f"topology: velocity_gain must be >= 0, got {top.velocity_gain}")
-    if not 0 < spec.dt < math.inf:
-        fail(f"dt must be > 0 and finite, got {spec.dt}")
-    if not spec.max_steps > 0:
-        fail(f"max_steps must be > 0, got {spec.max_steps}")
 
 
-def _labelled_obstacles(spec: ScenarioSpec):
-    for i, obs in enumerate(spec.obstacles):
-        yield f"obstacles[{i}]", obs
-    for g, gate in enumerate(spec.gates):
-        yield f"gates[{g}].pole_a", gate.pole_a
-        yield f"gates[{g}].pole_b", gate.pole_b
+def _checked_obstacles(value, label: str | None):
+    """Check every field bound in value at every depth; yield (label, obstacle) per Obstacle."""
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _checked_obstacles(item, f"{label}[{i}]")
+        return
+    for name, (_, _, bound, nested) in _schema(type(value)).items():
+        v = getattr(value, name)
+        if bound is not None and not (bound[0](0, v) and v < math.inf):
+            where = "" if label is None else f"{label}: "
+            raise ScenarioValidationError(
+                f"{where}{name}={_show(v)} must be {bound[1]} and finite")
+        if nested:
+            yield from _checked_obstacles(v, name if label is None else f"{label}.{name}")
+    if isinstance(value, Obstacle):
+        yield label, value
 
 
 def load_scenario(text: str) -> ScenarioSpec:
@@ -365,20 +361,24 @@ def _read(path, what: str) -> str:
 
 
 @cache
-def _field_types(cls) -> dict[str, tuple[type, bool]]:
-    """{name: (resolved type, required)} over the fields of a dataclass, in field order."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
-            for f in fields(cls)}
+def _schema(cls) -> dict[str, tuple[type, bool, tuple | None, bool]]:
+    """{name: (type, required, bound, nested)} over the fields of a dataclass, in field order."""
+    hints, schema = typing.get_type_hints(cls), {}
+    for f in fields(cls):
+        tp = hints[f.name]
+        item = typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else tp
+        schema[f.name] = (tp, f.default is MISSING and f.default_factory is MISSING,
+                          f.metadata.get("bound"), is_dataclass(item) and item is not Vec2)
+    return schema
 
 
 def _decode(tp, value, label: str | None):
     """The tp that a JSON value stands for; label names it in errors (None: the top level).
 
     Vec2 is [x, y], tuple[X, ...] an array, float and int a number and an
-    integer, and any other dataclass an object.  An object needs a key for
-    each field without a default, may have one for each field with a default,
-    and may have no other.
+    integer, Literal[...] one of its arguments, and any other dataclass an
+    object (or an instance, taken as it is).  An object needs a key for each
+    field without a default, may have one for each field with one, and no other.
     """
     if tp is float:
         return _number(value, label)
@@ -386,21 +386,28 @@ def _decode(tp, value, label: str | None):
         return _int(value, label)
     if tp is Vec2:
         if not (isinstance(value, list) and len(value) == 2):
-            raise ScenarioParseError(f"{label} must be a [x, y] pair, got {value!r}")
+            raise ScenarioParseError(f"{label} must be a [x, y] pair, got {_show(value)}")
         return Vec2(_number(value[0], f"{label}[0]"), _number(value[1], f"{label}[1]"))
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, list):
-            raise ScenarioParseError(f"{label} must be an array, got {value!r}")
+            raise ScenarioParseError(f"{label} must be an array, got {_show(value)}")
         item = typing.get_args(tp)[0]
         return tuple(_decode(item, v, f"{label}[{i}]") for i, v in enumerate(value))
+    if typing.get_origin(tp) is typing.Literal:
+        choices = typing.get_args(tp)
+        if value not in choices:
+            raise ScenarioParseError(f"{label} must be one of {choices}, got {_show(value)}")
+        return value
+    if isinstance(value, tp):
+        return value
     if not isinstance(value, dict):
-        raise ScenarioParseError(f"{label or 'top level'} must be an object, got {value!r}")
-    types = _field_types(tp)
+        raise ScenarioParseError(f"{label or 'top level'} must be an object, got {_show(value)}")
+    types = _schema(tp)
     unknown = value.keys() - types.keys()
     if unknown:
         raise ScenarioParseError(f"unknown {label or 'top-level'} keys: {sorted(unknown)}")
     kwargs = {}
-    for name, (field_type, required) in types.items():
+    for name, (field_type, required, _, _) in types.items():
         key = name if label is None else f"{label}.{name}"
         if name in value:
             kwargs[name] = _decode(field_type, value[name], key)
@@ -416,23 +423,23 @@ def _encode(value):
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     if is_dataclass(value):
-        return {name: _encode(getattr(value, name)) for name in _field_types(type(value))}
+        return {name: _encode(getattr(value, name)) for name in _schema(type(value))}
     return value
 
 
 def _number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioParseError(f"{label} must be a number, got {value!r}")
+        raise ScenarioParseError(f"{label} must be a number, got {_show(value)}")
     try:
         out = float(value)
     except OverflowError:  # an integer literal beyond float range
         out = math.inf
     if not math.isfinite(out):
-        raise ScenarioParseError(f"{label} must be finite, got {value!r}")
+        raise ScenarioParseError(f"{label} must be finite, got {_show(value)}")
     return out
 
 
 def _int(value, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioParseError(f"{label} must be an integer, got {value!r}")
+        raise ScenarioParseError(f"{label} must be an integer, got {_show(value)}")
     return value

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmpath import world
 from swarmpath.sweep import (
     SweepSpec,
     load_sweep,
@@ -37,10 +38,21 @@ def test_load_sweep_inline_scenario():
     assert sweep.parameter == "k"
     assert sweep.values == (20.88, 29.0)
     assert sweep.scenario.goal == Vec2(1.0, 0.0)
+    doc = json.loads(inline_sweep())
+    del doc["scenario"]["start"]
+    with pytest.raises(ScenarioParseError, match=r"missing required key 'scenario\.start'"):
+        load_sweep(json.dumps(doc))
+
+
+def test_load_sweep_parses_an_inline_scenario_once(monkeypatch):
+    text, calls, loads = inline_sweep(), [], world.json.loads
+    monkeypatch.setattr(world.json, "loads", lambda s: calls.append(s) or loads(s))
+    load_sweep(text)
+    assert len(calls) == 1
 
 
 def test_load_sweep_rejects_unknown_parameter():
-    with pytest.raises(ScenarioParseError):
+    with pytest.raises(ScenarioParseError, match=r"one of \('m', 'd', 'k'\), got 'mass'"):
         load_sweep(inline_sweep(parameter="mass"))
 
 
@@ -76,6 +88,8 @@ def test_sweep_spec_built_in_code_is_validated():
         SweepSpec("k", (math.inf,), straight_spec())
     with pytest.raises(ScenarioValidationError, match="parameter"):
         SweepSpec("mass", (1.0,), straight_spec())
+    with pytest.raises(ScenarioValidationError, match="values"):
+        SweepSpec("d", (), straight_spec())
 
 
 def test_sweep_point_replaces_one_impedance_field():

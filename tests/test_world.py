@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,10 +80,14 @@ def test_effective_obstacles_orders_gate_poles_after_obstacles():
         (lambda s: dataclasses.replace(s, impedance=ImpedanceParams(d=-1.0)), "d"),
         (lambda s: dataclasses.replace(s, impedance=ImpedanceParams(k=0.0)), "k"),
         (lambda s: dataclasses.replace(s, apf=ApfParams(k_att=0.0)), "k_att"),
+        (lambda s: dataclasses.replace(s, apf=ApfParams(k_att=math.inf)), "k_att=inf"),
+        (lambda s: dataclasses.replace(s, apf=ApfParams(k_rep=0.0)), "k_rep"),
         (lambda s: dataclasses.replace(s, apf=ApfParams(leader_speed=0.0)), "leader_speed"),
         (lambda s: dataclasses.replace(s, apf=ApfParams(goal_threshold=0.0)), "goal_threshold"),
         (lambda s: dataclasses.replace(s, topology=TopologyParams(k_impF=-0.5)), "k_impF"),
         (lambda s: dataclasses.replace(s, topology=TopologyParams(hysteresis=-0.1)), "hysteresis"),
+        (lambda s: dataclasses.replace(s, topology=TopologyParams(velocity_gain=-1.0)),
+         "velocity_gain"),
         (lambda s: dataclasses.replace(s, dt=0.0), "dt"),
         (lambda s: dataclasses.replace(s, max_steps=0), "max_steps"),
     ],
@@ -201,6 +206,23 @@ def test_load_rejects_numbers_beyond_float_range(extra, message):
 def test_load_rejects_deeply_nested_json():
     with pytest.raises(ScenarioParseError, match="invalid JSON"):
         load_scenario("[" * 100_000)
+
+
+@pytest.mark.parametrize(
+    "start, key",
+    [("[" * 990 + "]" * 990, "start must be"), ("[%s, 0]" % BIG_INT, r"start\[0\] must be")],
+    ids=["nested_lists", "long_integer"],
+)
+def test_load_errors_quote_a_bounded_value(start, key):
+    # json decodes 990 nested lists only with more headroom than pytest's stack leaves.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 1000)
+    try:
+        with pytest.raises(ScenarioParseError, match=key) as err:
+            load_scenario('{"start": %s, "goal": [1, 0]}' % start)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(str(err.value)) < 200
 
 
 @pytest.mark.parametrize(
