@@ -36,7 +36,6 @@ from .impedance import (
     analytic_response,
     critical_damping,
     link_coefficients,
-    link_energy,
     link_step,
 )
 from .topology import (
@@ -65,27 +64,15 @@ from .metrics import (
     gate_crossings,
     max_pairwise_distance,
     min_obstacle_clearance,
-    pair_max_distance,
+    pair_max_distances,
     path_length,
 )
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApfParams", "Gate", "ImpedanceParams", "Obstacle", "ObstacleIndex", "ScenarioError",
-    "ScenarioParseError", "ScenarioSpec", "ScenarioValidationError",
-    "TopologyParams", "Vec2", "effective_obstacles", "load_scenario",
-    "read_scenario", "serialize_scenario", "validate_spec",
-    "SingularityError", "attraction_force",
-    "leader_step", "repulsion_force", "total_force",
-    "analytic_response", "critical_damping", "link_coefficients",
-    "link_energy", "link_step",
-    "LEADER", "deflection_offset", "nearest_obstacle", "swarm_step", "update_link_mode",
-    "baseline_step",
-    "COMPLETED", "CONVENTIONAL_APF", "MAX_STEPS", "STALLED", "SWARMPATH",
-    "SimulationTrace", "run",
-    "ComparisonReport", "ape", "compare", "completion_time",
-    "drone_path_length", "gate_crossings", "max_pairwise_distance",
-    "min_obstacle_clearance", "pair_max_distance", "path_length",
-    "__version__",
-]
+# Every public name imported above; submodules are not exports.
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -38,12 +38,11 @@ def _output_dir(arg: str | None) -> Path:
 
 def _load_spec(path: str, dt: float | None, max_steps: int | None):
     spec = read_scenario(path)
-    # The overrides bypass the loader's checks, so validate once more.
-    if dt is not None:
-        spec = dataclasses.replace(spec, dt=dt)
-    if max_steps is not None:
-        spec = dataclasses.replace(spec, max_steps=max_steps)
-    validate_spec(spec)
+    overrides = {name: value for name, value in (("dt", dt), ("max_steps", max_steps))
+                 if value is not None}
+    if overrides:  # they bypass the loader's checks, so validate once more
+        spec = dataclasses.replace(spec, **overrides)
+        validate_spec(spec)
     return spec
 
 

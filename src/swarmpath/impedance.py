@@ -82,14 +82,6 @@ def link_step(dx: float, dy: float, vx: float, vy: float, fx: float, fy: float,
             p10 * dx + p11 * vx + g1 * fx, p10 * dy + p11 * vy + g1 * fy)
 
 
-def link_energy(dx: float, dy: float, vx: float, vy: float,
-                params: ImpedanceParams) -> float:
-    """Stored energy 0.5*m*|v|^2 + 0.5*k*|x|^2 of the link, J."""
-    v2 = vx * vx + vy * vy
-    x2 = dx * dx + dy * dy
-    return 0.5 * params.m * v2 + 0.5 * params.k * x2
-
-
 def analytic_response(params: ImpedanceParams, x0: float, v0: float, t: float) -> float:
     """Closed-form unforced response of one axis, critically damped case only.
 

@@ -34,11 +34,19 @@ def leader_path_length(trace: SimulationTrace) -> float | None:
     return None if trace.leader is None else path_length(trace.leader)
 
 
-def pair_max_distance(trace: SimulationTrace, drone_a: int, drone_b: int) -> float:
-    """Largest separation between two drones over the whole run."""
-    pa = trace.drone_positions(drone_a)
-    pb = trace.drone_positions(drone_b)
-    return float(np.max(np.linalg.norm(pa - pb, axis=1)))
+def pair_max_distances(trace: SimulationTrace) -> np.ndarray:
+    """Largest separation of each drone pair over the whole run, (D, D) metres.
+
+    Symmetric, with a zero diagonal.
+    """
+    pos = trace.positions
+    out = np.zeros((trace.n_drones, trace.n_drones))
+    for a in range(trace.n_drones - 1):
+        # Drone a against every later drone at once.  sqrt is monotone, so its
+        # value at the largest square equals the largest np.linalg.norm.
+        dx, dy = (pos[:, a + 1:, k] - pos[:, a, None, k] for k in (0, 1))
+        out[a, a + 1:] = out[a + 1:, a] = np.sqrt(np.max(dx * dx + dy * dy, axis=0))
+    return out
 
 
 def max_pairwise_distance(trace: SimulationTrace) -> float:
@@ -46,14 +54,7 @@ def max_pairwise_distance(trace: SimulationTrace) -> float:
 
     Zero for a single-drone swarm.
     """
-    pos = trace.positions
-    best = 0.0
-    for a in range(trace.n_drones - 1):
-        # Drone a against every later drone at once.  sqrt is monotone, so its
-        # value at the largest square equals the largest np.linalg.norm.
-        dx, dy = (pos[:, a + 1:, k] - pos[:, a, None, k] for k in (0, 1))
-        best = max(best, math.sqrt(float(np.max(dx * dx + dy * dy))))
-    return best
+    return float(pair_max_distances(trace).max())
 
 
 def completion_time(trace: SimulationTrace) -> float | None:
@@ -141,8 +142,8 @@ def compare(sp: SimulationTrace, base: SimulationTrace) -> ComparisonReport:
 
     t_sp = completion_time(sp)
     t_base = completion_time(base)
-    sp_pairwise = max_pairwise_distance(sp)
-    base_pairwise = max_pairwise_distance(base)
+    d_sp, d_base = pair_max_distances(sp), pair_max_distances(base)
+    sp_pairwise, base_pairwise = float(d_sp.max()), float(d_base.max())
 
     drones = []
     for i in range(sp.n_drones):
@@ -155,9 +156,8 @@ def compare(sp: SimulationTrace, base: SimulationTrace) -> ComparisonReport:
 
     pairs = []
     for a, b in itertools.combinations(range(sp.n_drones), 2):
-        d_sp = pair_max_distance(sp, a, b)
-        d_base = pair_max_distance(base, a, b)
-        pairs.append(PairComparison(a, b, d_sp, d_base, _ratio(d_sp, d_base)))
+        pair_sp, pair_base = float(d_sp[a, b]), float(d_base[a, b])
+        pairs.append(PairComparison(a, b, pair_sp, pair_base, _ratio(pair_sp, pair_base)))
 
     return ComparisonReport(
         sp_outcome=sp.outcome,

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Literal, get_args
 
 from .world import (ScenarioSpec, ScenarioValidationError, _decode, _parse_json, _read,
-                    read_scenario, validate_spec)
+                    validate_spec)
 # Unused here, but bench/bench.py's traced mode rebinds this module name.
 from .world import load_scenario  # noqa: F401
 from .impedance import critical_damping
@@ -56,9 +56,9 @@ class SweepSpec:
                 f"parameter must be one of {SWEEPABLE}, got {self.parameter!r}")
         if not self.values:
             raise ScenarioValidationError("values: at least one value is required")
-        validate_spec(self.scenario)
-        for value in self.values:
-            validate_spec(sweep_point(self.scenario, self.parameter, value))
+        validate_spec(self.scenario, "scenario")
+        for i, value in enumerate(self.values):
+            validate_spec(sweep_point(self.scenario, self.parameter, value), f"values[{i}]")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def load_sweep(text: str, base_dir: Path | None = None) -> SweepSpec:
     doc = _parse_json(text)
     scenario = doc.get("scenario") if isinstance(doc, dict) else None
     if isinstance(scenario, str):  # a path, relative to base_dir unless absolute
-        doc["scenario"] = read_scenario(Path(base_dir or "", scenario))
+        doc["scenario"] = _parse_json(_read(Path(base_dir or "", scenario), "scenario"))
     return _decode(SweepSpec, doc, None)
 
 

@@ -58,23 +58,6 @@ class Vec2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite vector ({self.x}, {self.y})")
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, scale: float) -> "Vec2":
-        return Vec2(self.x * scale, self.y * scale)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
     def dist(self, other: "Vec2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
@@ -96,10 +79,6 @@ class Obstacle:
     radius: float = field(metadata=POSITIVE)  # body radius, m
     r_apf: float   # repulsion onset distance from the surface, m
     r_imp: float   # link handover distance from the surface, m
-
-    def surface_distance(self, p: Vec2) -> float:
-        """Distance from p to the body surface; negative means inside."""
-        return p.dist(self.center) - self.radius
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         """(cx, cy, radius, r_apf, r_imp), the form the step functions read."""
@@ -275,33 +254,39 @@ def effective_obstacles(spec: ScenarioSpec) -> tuple[Obstacle, ...]:
     return spec.obstacle_index.obstacles
 
 
-def validate_spec(spec: ScenarioSpec) -> None:
-    """Raise ScenarioValidationError naming the first violated invariant, bounds first."""
-    def fail(msg: str) -> None:
-        raise ScenarioValidationError(msg)
+def validate_spec(spec: ScenarioSpec, label: str | None = None) -> None:
+    """Raise ScenarioValidationError naming the first violated invariant, bounds first.
 
-    labelled = list(_checked_obstacles(spec, None))
-    for label, obs in labelled:
+    label is the spec's key in an enclosing document, such as values[1] in a
+    sweep; it prefixes every key an error names, as in _decode.
+    """
+    def fail(key: str, msg: str) -> None:
+        raise ScenarioValidationError(f"{key}: {msg}")
+
+    prefix = "" if label is None else f"{label}."
+
+    labelled = list(_checked_obstacles(spec, label))
+    for key, obs in labelled:
         if not obs.radius < obs.r_imp:
-            fail(f"{label}: requires radius < r_imp, got radius={obs.radius} r_imp={obs.r_imp}")
+            fail(key, f"requires radius < r_imp, got radius={obs.radius} r_imp={obs.r_imp}")
         if not obs.r_imp <= obs.r_apf:
-            fail(f"{label}: requires r_imp <= r_apf, got r_imp={obs.r_imp} r_apf={obs.r_apf}")
+            fail(key, f"requires r_imp <= r_apf, got r_imp={obs.r_imp} r_apf={obs.r_apf}")
     # ObstacleIndex needs a finite cell number for every reach box edge; the
     # farthest edge from the origin is max(|cx|, |cy|) + reach.
     for cell, reach in _grid_reaches([obs for _, obs in labelled]):
-        for (label, obs), r in zip(labelled, reach):
+        for (key, obs), r in zip(labelled, reach):
             c = obs.center
             if not math.isfinite((max(abs(c.x), abs(c.y)) + r) / cell):
-                fail(f"{label}: center ({c.x}, {c.y}) +/- reach {r} overflows the "
-                     f"obstacle grid (cell {cell})")
+                fail(key, f"center ({c.x}, {c.y}) +/- reach {r} overflows the "
+                          f"obstacle grid (cell {cell})")
     for g, gate in enumerate(spec.gates):
         gap = gate.pole_a.center.dist(gate.pole_b.center) - gate.pole_a.radius - gate.pole_b.radius
         if not gap > 0:
-            fail(f"gates[{g}]: pole bodies must not touch, surface gap is {gap}")
+            fail(f"{prefix}gates[{g}]", f"pole bodies must not touch, surface gap is {gap}")
     if len(spec.formation_offsets) == 0:
-        fail("formation_offsets: at least one drone is required")
+        fail(f"{prefix}formation_offsets", "at least one drone is required")
     if len(set(o.as_tuple() for o in spec.formation_offsets)) != len(spec.formation_offsets):
-        fail("formation_offsets: offsets must be pairwise distinct")
+        fail(f"{prefix}formation_offsets", "offsets must be pairwise distinct")
 
 
 def _checked_obstacles(value, label: str | None):

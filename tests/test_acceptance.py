@@ -20,7 +20,7 @@ from swarmpath.metrics import (
     drone_path_length,
     gate_crossings,
     min_obstacle_clearance,
-    pair_max_distance,
+    pair_max_distances,
 )
 from swarmpath.selfcheck import check_integrator, check_no_overshoot
 from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, run
@@ -92,10 +92,9 @@ def test_c03_forest_completion_time_advantage(forest_sp, forest_base):
 
 def test_c04_forest_formation_stays_tighter(forest_sp, forest_base):
     ratios = {}
+    d_sp, d_base = pair_max_distances(forest_sp), pair_max_distances(forest_base)
     for a, b in ((1, 0), (1, 2), (1, 3)):  # drone labels (2,1), (2,3), (2,4)
-        sp = pair_max_distance(forest_sp, a, b)
-        base = pair_max_distance(forest_base, a, b)
-        ratios[(a + 1, b + 1)] = sp / base
+        ratios[(a + 1, b + 1)] = d_sp[a, b] / d_base[a, b]
     ok = all(r <= 0.75 for r in ratios.values())
     detail = ", ".join(f"({a},{b}): {r:.3f}" for (a, b), r in ratios.items())
     report(4, ok, f"max pairwise distance ratios {detail} (each need <= 0.75)")

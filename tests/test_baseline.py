@@ -14,13 +14,14 @@ def test_initial_state_puts_drones_on_slots():
     leader, drones = initial_baseline_state(spec)
     assert leader is None
     for (x, y, reached), offset in zip(drones, spec.formation_offsets, strict=True):
-        assert Vec2(x, y) == spec.start + offset
+        assert (x, y) == (spec.start.x + offset.x, spec.start.y + offset.y)
         assert not reached
 
 
 def test_drone_step_descends_toward_own_slot():
     spec = straight_spec(goal=Vec2(2.0, 0.0))
-    slot_goal = spec.goal + spec.formation_offsets[1]
+    offset = spec.formation_offsets[1]
+    slot_goal = Vec2(spec.goal.x + offset.x, spec.goal.y + offset.y)
     drone = (0.4, -0.4, False)
     out, stalled = leader_step(drone, slot_goal.x, slot_goal.y, spec)
     assert not stalled
@@ -31,7 +32,8 @@ def test_drone_step_descends_toward_own_slot():
 
 def test_drone_latches_within_threshold():
     spec = straight_spec(goal=Vec2(2.0, 0.0))
-    slot_goal = spec.goal + spec.formation_offsets[0]
+    offset = spec.formation_offsets[0]
+    slot_goal = Vec2(spec.goal.x + offset.x, spec.goal.y + offset.y)
     drone = (2.35, 0.4, False)
     out, stalled = leader_step(drone, slot_goal.x, slot_goal.y, spec)
     assert out[2]

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from swarmpath import cli, sweep, world
 from swarmpath.cli import main
 from swarmpath.world import Obstacle, Vec2, serialize_scenario
 from conftest import BIG_INT, SCENARIO_DIR, straight_spec
@@ -33,6 +34,25 @@ def test_run_writes_outputs(short_scenario, tmp_path, capsys):
     doc = json.loads((out / "metrics.json").read_text())
     assert doc["outcome"] == "completed"
     assert "completed" in capsys.readouterr().out
+
+
+def test_each_spec_is_validated_once(short_scenario, tmp_path, monkeypatch):
+    validate, labels = world.validate_spec, []
+
+    def counted(*args):
+        labels.append(args[1:])
+        validate(*args)
+
+    for module in (world, sweep, cli):
+        monkeypatch.setattr(module, "validate_spec", counted)
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(
+        {"parameter": "d", "values": [12.6, 14.0], "scenario": short_scenario.name}))
+    sweep.read_sweep(sweep_path)
+    assert labels == [("scenario",), ("values[0]",), ("values[1]",)]
+    labels.clear()
+    assert main(["compare", str(short_scenario), "-o", str(tmp_path / "out")]) == 0
+    assert labels == [()]
 
 
 def test_run_incomplete_exits_2(unreachable_scenario, tmp_path):

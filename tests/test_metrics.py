@@ -14,7 +14,7 @@ from swarmpath.metrics import (
     leader_path_length,
     max_pairwise_distance,
     min_obstacle_clearance,
-    pair_max_distance,
+    pair_max_distances,
     path_length,
 )
 from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, run
@@ -57,10 +57,11 @@ def test_pairwise_distances_rigid_formation():
     spec = straight_spec(goal=Vec2(1.5, 0.0))
     trace = run(spec, SWARMPATH)
     # Transport is exact without obstacles, so pair distances never change.
-    assert pair_max_distance(trace, 0, 1) == pytest.approx(0.8, abs=1e-12)
-    assert pair_max_distance(trace, 0, 3) == pytest.approx(math.hypot(0.8, 0.8), abs=1e-12)
+    pairs = pair_max_distances(trace)
+    assert pairs[0, 1] == pytest.approx(0.8, abs=1e-12)
+    assert pairs[0, 3] == pytest.approx(math.hypot(0.8, 0.8), abs=1e-12)
     assert max_pairwise_distance(trace) == pytest.approx(math.hypot(0.8, 0.8), abs=1e-12)
-    assert pair_max_distance(trace, 1, 0) == pair_max_distance(trace, 0, 1)
+    assert pairs[1, 0] == pairs[0, 1]
 
 
 def test_ape_zero_against_itself():
@@ -202,8 +203,10 @@ def recorded(request):
 def test_metrics_equal_references_to_the_last_bit(recorded):
     trace = recorded
     assert max_pairwise_distance(trace) == reference_max_pairwise_distance(trace)
-    for a, b in itertools.combinations(range(trace.n_drones), 2):
-        assert pair_max_distance(trace, a, b) == reference_pair_max_distance(trace, a, b)
+    pairs = pair_max_distances(trace)
+    for a, b in itertools.permutations(range(trace.n_drones), 2):
+        assert pairs[a, b] == reference_pair_max_distance(trace, a, b)
+    assert all(pairs[i, i] == 0.0 for i in range(trace.n_drones))
     assert min_obstacle_clearance(trace) == reference_min_obstacle_clearance(trace)
     for i in range(trace.n_drones):
         assert drone_path_length(trace, i) == reference_path_length(trace.drone_positions(i))

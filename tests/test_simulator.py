@@ -107,8 +107,8 @@ def test_leader_track_detours_around_obstacle():
     trace = run(spec, SWARMPATH)
     assert trace.outcome == COMPLETED
     assert leader_path_length(trace) > 3.9
-    clearances = [spec.obstacles[0].surface_distance(Vec2(*p))
-                  for p in trace.leader]
+    obs = spec.obstacles[0]
+    clearances = [Vec2(*p).dist(obs.center) - obs.radius for p in trace.leader]
     assert min(clearances) > 0.0
 
 

@@ -80,6 +80,15 @@ def test_load_sweep_validates_every_point_before_running():
         load_sweep(inline_sweep(parameter="d", values=(12.6, -1.0)))
 
 
+def test_sweep_validation_errors_name_their_key():
+    doc = json.loads(inline_sweep())
+    doc["scenario"]["dt"] = 0
+    with pytest.raises(ScenarioValidationError, match=r"^scenario: dt=0\.0 "):
+        load_sweep(json.dumps(doc))
+    with pytest.raises(ScenarioValidationError, match=r"^values\[1\]\.impedance: d=-2\.0 "):
+        load_sweep(inline_sweep(parameter="d", values=(12.6, -2.0)))
+
+
 def test_sweep_spec_built_in_code_is_validated():
     # Built without load_sweep, a bad point still fails before any run.
     with pytest.raises(ScenarioValidationError, match="d=-1.0"):

@@ -102,7 +102,8 @@ def test_desired_position_leader_linked_is_formation_slot():
     (lx, ly, _), drones = state
     x, y, _, _, mode, _ = drones[2]
     assert mode == LEADER
-    assert Vec2(x, y) == Vec2(lx, ly) + spec.formation_offsets[2]
+    offset = spec.formation_offsets[2]
+    assert (x, y) == (lx + offset.x, ly + offset.y)
 
 
 def test_pure_transport_keeps_deviations_exactly_zero():
@@ -114,7 +115,7 @@ def test_pure_transport_keeps_deviations_exactly_zero():
         state, _ = swarm_step(state, spec)
     (lx, ly, _), drones = state
     for (x, y, vx, vy, _, _), offset in zip(drones, spec.formation_offsets, strict=True):
-        assert Vec2(x, y) == Vec2(lx, ly) + offset
+        assert (x, y) == (lx + offset.x, ly + offset.y)
         assert (vx, vy) == (0.0, 0.0)
 
 
@@ -135,7 +136,7 @@ def test_formation_recovery_decays_monotonically():
     leader, drones = initial_swarm_state(spec)
     x, y, vx, vy, mode, mean_speed = drones[0]
     state = (leader, ((x + 0.5, y - 0.2, vx, vy, mode, mean_speed),) + drones[1:])
-    slot = spec.goal + spec.formation_offsets[0]
+    slot = spec.formation_offsets[0]  # the goal is the origin
 
     def deviation(state):
         x, y = state[1][0][:2]

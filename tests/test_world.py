@@ -25,15 +25,7 @@ from swarmpath.world import (
 from conftest import BIG_INT, full_scenario_doc, plant_json, straight_spec
 
 
-def test_vec2_arithmetic():
-    a = Vec2(1.0, 2.0)
-    b = Vec2(-3.0, 4.5)
-    assert a + b == Vec2(-2.0, 6.5)
-    assert a - b == Vec2(4.0, -2.5)
-    assert a * 2.0 == Vec2(2.0, 4.0)
-    assert 2.0 * a == a * 2.0
-    assert a.dot(b) == 1.0 * -3.0 + 2.0 * 4.5
-    assert Vec2(3.0, 4.0).norm() == 5.0
+def test_vec2_dist():
     assert Vec2(1.0, 1.0).dist(Vec2(4.0, 5.0)) == 5.0
 
 
@@ -42,12 +34,6 @@ def test_vec2_rejects_non_finite():
         Vec2(float("nan"), 0.0)
     with pytest.raises(ValueError):
         Vec2(0.0, float("inf"))
-
-
-def test_obstacle_surface_distance_sign():
-    ob = Obstacle(Vec2(0.0, 0.0), 1.0, 2.0, 1.5)
-    assert ob.surface_distance(Vec2(3.0, 0.0)) == 2.0
-    assert ob.surface_distance(Vec2(0.5, 0.0)) == -0.5
 
 
 def test_default_formation_is_square():
@@ -175,12 +161,6 @@ def test_serialize_round_trip_property(sx, sy, gx, gy, impedance, apf, topology,
 def test_validate_accepts_ordered_radii(radius, pad_imp, pad_apf):
     ob = Obstacle(Vec2(1.0, 1.0), radius, radius + pad_imp + pad_apf, radius + pad_imp)
     validate_spec(straight_spec(obstacles=(ob,)))
-
-
-def test_surface_distance_matches_norm():
-    ob = Obstacle(Vec2(2.0, -1.0), 0.3, 1.0, 0.5)
-    p = Vec2(-1.0, 3.0)
-    assert ob.surface_distance(p) == pytest.approx(math.hypot(3.0, -4.0) - 0.3)
 
 
 MINIMAL = '{"start": [0, 0], "goal": [1, 0]%s}'
