@@ -40,6 +40,7 @@ from .impedance import (
 )
 from .topology import (
     LEADER,
+    LeaderTrack,
     deflection_offset,
     nearest_obstacle,
     swarm_step,

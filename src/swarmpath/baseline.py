@@ -15,18 +15,15 @@ from .world import effective_obstacles  # noqa: F401
 from .apf import total_force  # noqa: F401
 
 
-Fleet = tuple[None, tuple[Agent, ...]]  # (no leader, drones)
 
-
-def initial_baseline_state(spec: ScenarioSpec) -> Fleet:
+def initial_baseline_state(spec: ScenarioSpec) -> tuple[Agent, ...]:
     """Every drone on its start slot, none at its goal yet."""
     sx, sy = spec.start.x, spec.start.y
-    return None, tuple((sx + off.x, sy + off.y, False) for off in spec.formation_offsets)
+    return tuple((sx + off.x, sy + off.y, False) for off in spec.formation_offsets)
 
 
-def baseline_step(state: Fleet, spec: ScenarioSpec) -> tuple[Fleet, bool]:
+def baseline_step(drones: tuple[Agent, ...], spec: ScenarioSpec) -> tuple[tuple[Agent, ...], bool]:
     """Advance every drone; stalled means no unfinished drone could move."""
-    _, drones = state
     gx, gy = spec.goal.x, spec.goal.y
     out = []
     moved = False
@@ -38,4 +35,4 @@ def baseline_step(state: Fleet, spec: ScenarioSpec) -> tuple[Fleet, bool]:
             unfinished = True
         if not stalled and (new[0] != drone[0] or new[1] != drone[1]):
             moved = True
-    return (None, tuple(out)), (unfinished and not moved)
+    return tuple(out), (unfinished and not moved)

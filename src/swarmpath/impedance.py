@@ -7,7 +7,7 @@ step, so the zero-order-hold update [x, v] <- Phi(dt) [x, v] + Gamma(dt) f is
 the exact solution at the step ends, not an approximation: the stepped link
 follows the continuous one for any dt, including its dissipation and its
 no-overshoot release at critical damping.  Phi and Gamma are evaluated in
-closed form once per (m, d, k, dt) by link_coefficients.  The two axes are
+closed form by link_coefficients, once per run.  The two axes are
 fully independent.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 
 from .world import ImpedanceParams
 
@@ -29,7 +28,6 @@ def critical_damping(m: float, k: float) -> float:
     return 2.0 * math.sqrt(m * k)
 
 
-@lru_cache(maxsize=128)
 def link_coefficients(params: ImpedanceParams, dt: float) -> Coefficients:
     """Exact one-step coefficients (phi00, phi01, phi10, phi11, gamma0, gamma1).
 

@@ -3,15 +3,17 @@
 run() keeps only the current state and records it after every step into the
 trace's columns, so metrics and export read arrays and never re-integrate
 anything: replaying the same spec gives identical columns.  The state of a run
-is a pair (leader, drones) of plain floats and ints: the leader is an apf
-agent (None for the baseline, like the trace's leader column), and the drones
-are topology drones for the adaptive-link swarm or apf agents for the
-baseline.  Either way a drone starts with its x, y.
+is its drones, plain floats and ints: topology drones for the adaptive-link
+swarm, apf agents for the baseline; either way a drone starts with its x, y.
+The swarm's virtual leader reads no drone, so it is not stepped here: its rows
+come from a topology.LeaderTrack, which a sweep builds once and hands to every
+point, and they fill the trace's leader column once, when the trace is built.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
@@ -19,7 +21,8 @@ import numpy as np
 
 from .world import ScenarioSpec
 from .apf import SingularityError
-from .topology import initial_swarm_state, swarm_step
+from .impedance import link_coefficients
+from .topology import LeaderTrack, initial_swarm_state, leader_inputs, swarm_step
 from .baseline import initial_baseline_state, baseline_step
 
 SWARMPATH = "swarmpath"
@@ -64,89 +67,118 @@ class SimulationTrace:
 
 
 class _Columns:
-    """The trace's arrays while a run fills them in place, grown by doubling."""
+    """The trace's columns while a run appends to them, as flat arrays.
+
+    A row is appended element by element, which costs less than writing it
+    into numpy per step; the finished arrays become the trace's columns
+    without a copy.
+    """
 
     def __init__(self, n_drones: int, linked: bool):
         self.rows = 0
-        self.positions = np.empty((0, n_drones, 2))
-        self.leader = np.empty((0, 2)) if linked else None
-        self.modes = np.empty((0, n_drones), dtype=int) if linked else None
+        self.n_drones = n_drones
+        self.positions = array("d")  # x, y of every drone, row after row
+        self.modes = array("q") if linked else None
 
-    def _each(self) -> list[np.ndarray]:
-        return [c for c in (self.positions, self.leader, self.modes) if c is not None]
+    def record(self, drones) -> None:
+        positions = self.positions
+        for d in drones:
+            positions.append(d[0])
+            positions.append(d[1])
+        if self.modes is not None:
+            modes = self.modes
+            for d in drones:
+                modes.append(d[4])
+        self.rows += 1
 
-    def _resize(self, rows: int) -> None:
-        # In place; safe without the reference check because no view of a
-        # column exists before trace() hands them out.
-        for col in self._each():
-            col.resize((rows,) + col.shape[1:], refcheck=False)
-
-    def record(self, state) -> None:
-        n = self.rows
-        if n == len(self.positions):
-            self._resize(max(2 * n, 256))
-        leader, drones = state
-        self.positions[n, :, 0] = [d[0] for d in drones]
-        self.positions[n, :, 1] = [d[1] for d in drones]
-        if self.leader is not None:
-            self.leader[n] = leader[:2]
-            self.modes[n] = [d[4] for d in drones]
-        self.rows = n + 1
-
-    def trace(self, spec: ScenarioSpec, controller: str, outcome: str) -> SimulationTrace:
-        self._resize(self.rows)
+    def trace(self, spec: ScenarioSpec, controller: str, outcome: str,
+              track: LeaderTrack | None) -> SimulationTrace:
+        shape = (self.rows, self.n_drones)
         t = np.arange(self.rows) * spec.dt  # bit for bit the step * dt of each row
-        for col in [t] + self._each():
-            col.flags.writeable = False
-        return SimulationTrace(spec, controller, t, self.positions,
-                               self.leader, self.modes, outcome)
+        positions = np.frombuffer(self.positions).reshape(shape + (2,))
+        leader = None if track is None else _leader_column(track, self.rows)
+        modes = (None if self.modes is None
+                 else np.frombuffer(self.modes, dtype=np.int64).reshape(shape))
+        for col in (t, positions, leader, modes):
+            if col is not None:
+                col.flags.writeable = False
+        return SimulationTrace(spec, controller, t, positions, leader, modes, outcome)
 
 
-def _finite(state) -> bool:
-    """True when every number in the state is finite.
+def _leader_column(track: LeaderTrack, frames: int) -> np.ndarray:
+    """(frames, 2) leader rows; rows past the track's fixed point repeat its last."""
+    known = np.frombuffer(track.xy[:2 * frames]).reshape(-1, 2)
+    column = np.empty((frames, 2))
+    column[:len(known)] = known
+    column[len(known):] = known[-1]
+    return column
+
+
+def _finite(drones) -> bool:
+    """True when every number of every drone is finite.
 
     One C-level sum decides the common case; only a sum that is not finite,
     which finite values can also reach by overflowing, looks at each number.
     """
-    leader, drones = state
-    numbers = list(chain(leader or (), *drones))
+    numbers = list(chain(*drones))
     return math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers))
 
 
-def run(spec: ScenarioSpec, controller: str = SWARMPATH) -> SimulationTrace:
+def run(spec: ScenarioSpec, controller: str = SWARMPATH,
+        track: LeaderTrack | None = None) -> SimulationTrace:
     """Simulate until completion, a persistent stall, or max_steps.
 
     Frame 0 is the initial state and counts for completion (a swarm that
     starts on its goal slots completes in zero steps); the run stops on the
     first complete frame, so a completed trace ends on it.  Complete means
     every drone within goal_threshold of its goal slot.  Singularities raised
-    by the controllers, and a state that is no longer finite, are raised as
-    SingularityError with the offending step attached.
+    by the controllers or the leader, and a state that is no longer finite,
+    are raised as SingularityError with the offending step attached.
+
+    track is the swarm leader's LeaderTrack; runs that share one step the
+    leader once between them.  It must have been built for spec's leader
+    inputs (ValueError otherwise); when None, the run builds its own.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}, expected one of {CONTROLLERS}")
     if controller == SWARMPATH:
-        state, step_fn = initial_swarm_state(spec), swarm_step
+        if track is None:
+            track = LeaderTrack(spec)
+        elif track.inputs != leader_inputs(spec):
+            raise ValueError("the leader track was built for other leader inputs "
+                             "(start, goal, obstacles, gates, apf, dt, max_steps)")
+        drones = initial_swarm_state(spec)
+        coefficients = link_coefficients(spec.impedance, spec.dt)
+        offsets = tuple((off.x, off.y) for off in spec.formation_offsets)
+
+        def advance(drones, step):
+            drones = swarm_step(drones, step, track, spec, coefficients, offsets)
+            return drones, track.stalled(step)
     else:
-        state, step_fn = initial_baseline_state(spec), baseline_step
-    columns = _Columns(len(spec.formation_offsets), linked=controller == SWARMPATH)
+        if track is not None:
+            raise ValueError(f"the {controller} controller has no leader to take a track")
+        drones = initial_baseline_state(spec)
+
+        def advance(drones, step):
+            return baseline_step(drones, spec)
+    columns = _Columns(len(spec.formation_offsets), linked=track is not None)
     slots = [(spec.goal.x + off.x, spec.goal.y + off.y) for off in spec.formation_offsets]
     threshold = spec.apf.goal_threshold
     stall_run = 0
     step = 0
     while True:
-        columns.record(state)
+        columns.record(drones)
         if all(math.hypot(d[0] - gx, d[1] - gy) <= threshold
-               for d, (gx, gy) in zip(state[1], slots)):
-            return columns.trace(spec, controller, COMPLETED)
+               for d, (gx, gy) in zip(drones, slots)):
+            return columns.trace(spec, controller, COMPLETED, track)
         if stall_run >= STALL_PATIENCE:
-            return columns.trace(spec, controller, STALLED)
+            return columns.trace(spec, controller, STALLED, track)
         if step == spec.max_steps:
-            return columns.trace(spec, controller, MAX_STEPS)
+            return columns.trace(spec, controller, MAX_STEPS, track)
         step += 1
         try:
-            state, stalled = step_fn(state, spec)
-            if not _finite(state):
+            drones, stalled = advance(drones, step)
+            if not _finite(drones):
                 raise SingularityError("the state overflowed to a non-finite value")
         except SingularityError as exc:
             raise SingularityError(f"step {step}: {exc}") from None

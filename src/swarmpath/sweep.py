@@ -30,6 +30,7 @@ from .world import (ScenarioSpec, ScenarioValidationError, _decode, _parse_json,
 from .world import load_scenario  # noqa: F401
 from .impedance import critical_damping
 from .simulator import SWARMPATH, run
+from .topology import LeaderTrack
 from .metrics import drone_path_length
 from .traceio import sig6
 
@@ -99,7 +100,11 @@ def sweep_point(spec: ScenarioSpec, parameter: Parameter, value: float) -> Scena
 
 
 def run_sweep(sweep: SweepSpec) -> SweepResult:
-    """Run the adaptive-link controller once per value."""
+    """Run the adaptive-link controller once per value.
+
+    m, d and k do not reach the leader, so every point reads one LeaderTrack.
+    """
+    track = LeaderTrack(sweep.scenario)
     runs = []
     for value in sweep.values:
         spec = sweep_point(sweep.scenario, sweep.parameter, value)
@@ -107,7 +112,7 @@ def run_sweep(sweep: SweepSpec) -> SweepResult:
         crit = critical_damping(imp.m, imp.k)
         is_critical = abs(imp.d - crit) <= CRITICAL_REL_TOL * crit
         note = f"critically damped (2*sqrt(m*k)={crit:.3f})" if is_critical else None
-        trace = run(spec, SWARMPATH)
+        trace = run(spec, SWARMPATH, track)
         lengths = tuple(drone_path_length(trace, i) for i in range(trace.n_drones))
         runs.append(SweepRun(
             value=value,

@@ -7,20 +7,26 @@ term, which carries it around the body.  The link releases back to the leader
 once the surface distance exceeds r_imp * (1 + hysteresis); a drone never hands
 over directly from one obstacle to another, it must release first.
 
-The state is plain floats and ints.  A drone is (x, y, vx, vy, mode,
-mean_speed): its position, its link velocity, its link mode (LEADER or the
-index of the obstacle it is linked to, the trace's mode code) and its smoothed
-ground speed.  The leader is an apf agent (x, y, reached_goal).  Obstacles are
-ObstacleIndex rows (cx, cy, radius, r_apf, r_imp).
+The state of a run is its drones, plain floats and ints.  A drone is (x, y,
+vx, vy, mode, mean_speed): its position, its link velocity, its link mode
+(LEADER or the index of the obstacle it is linked to, the trace's mode code)
+and its smoothed ground speed.  Obstacles are ObstacleIndex rows (cx, cy,
+radius, r_apf, r_imp).
+
+The virtual leader is not part of that state.  It reads no drone, so its path
+is fixed by the leader inputs of a spec (start, goal, obstacles, gates, apf,
+dt, max_steps); a LeaderTrack computes that path once, row by row as runs reach
+each step, and every run with the same leader inputs reads its rows.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 from .world import ObstacleIndex, TopologyParams, ScenarioSpec
 from .apf import Agent, SingularityError, leader_step
-from .impedance import link_coefficients, link_step
+from .impedance import Coefficients, link_step
 # Unused here, but bench/bench.py's traced mode rebinds this module name.
 from .world import effective_obstacles  # noqa: F401
 
@@ -28,7 +34,6 @@ MEAN_SPEED_ALPHA = 0.05  # exponential moving average weight for drone speed
 LEADER = -1  # mode of a drone linked to the leader; otherwise an obstacle index
 
 Drone = tuple[float, float, float, float, int, float]  # x, y, vx, vy, mode, mean_speed
-Swarm = tuple[Agent, tuple[Drone, ...]]  # (leader, drones)
 
 
 def nearest_obstacle(x: float, y: float,
@@ -95,38 +100,84 @@ def deflection_offset(x: float, y: float, mean_speed: float, obs: tuple,
 _update_link_mode = update_link_mode
 
 
-def initial_swarm_state(spec: ScenarioSpec) -> Swarm:
-    """Leader and drones at rest on the start formation, every link on the leader."""
+def leader_inputs(spec: ScenarioSpec) -> tuple:
+    """Every field of spec that the leader's path depends on."""
+    return (spec.start, spec.goal, spec.obstacles, spec.gates, spec.apf, spec.dt,
+            spec.max_steps)
+
+
+class LeaderTrack:
+    """The virtual leader's path for one set of leader inputs, grown on demand.
+
+    xy holds the rows computed so far, flat: the leader's (x, y) after step n
+    is xy[2n], xy[2n + 1], and row 0 is the start.  row(n) runs leader_step up
+    to step n the first time any run asks for it.  The path stops growing at
+    its fixed point: once the leader latches reached_goal or stalls,
+    leader_step returns it unchanged forever, so every later row repeats the
+    last one.  stall_step is the first step at which the leader stalled, None
+    while it has not.  A step whose leader_step raises, or whose row is not
+    finite, is not stored, so every run that reaches it raises again.  Whoever
+    builds a track chooses the runs that share it.
+    """
+
+    def __init__(self, spec: ScenarioSpec):
+        self.inputs = leader_inputs(spec)
+        self._spec = spec
+        self.xy = array("d", (spec.start.x, spec.start.y))
+        self.stall_step: int | None = None
+        self._agent: Agent = (spec.start.x, spec.start.y, False)
+        self._settled = False
+
+    def row(self, step: int) -> tuple[float, float]:
+        xy = self.xy
+        while 2 * step >= len(xy) and not self._settled:
+            spec = self._spec
+            agent, stalled = leader_step(self._agent, spec.goal.x, spec.goal.y, spec)
+            x, y, reached = agent
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise SingularityError("the state overflowed to a non-finite value")
+            if stalled:
+                self.stall_step = len(xy) // 2
+            self._agent = agent
+            self._settled = reached or stalled
+            xy.append(x)
+            xy.append(y)
+        i = min(2 * step, len(xy) - 2)
+        return xy[i], xy[i + 1]
+
+    def stalled(self, step: int) -> bool:
+        """True when the leader stalled at step; a stall lasts forever."""
+        return self.stall_step is not None and step >= self.stall_step
+
+
+def initial_swarm_state(spec: ScenarioSpec) -> tuple[Drone, ...]:
+    """Drones at rest on the start formation, every link on the leader."""
     sx, sy = spec.start.x, spec.start.y
-    drones = tuple((sx + off.x, sy + off.y, 0.0, 0.0, LEADER, 0.0)
-                   for off in spec.formation_offsets)
-    return (sx, sy, False), drones
+    return tuple((sx + off.x, sy + off.y, 0.0, 0.0, LEADER, 0.0)
+                 for off in spec.formation_offsets)
 
 
-def swarm_step(state: Swarm, spec: ScenarioSpec) -> tuple[Swarm, bool]:
-    """Advance leader and all followers by one dt; returns (new state, stalled flag).
+def swarm_step(drones: tuple[Drone, ...], step: int, track: LeaderTrack, spec: ScenarioSpec,
+               coefficients: Coefficients,
+               offsets: tuple[tuple[float, float], ...]) -> tuple[Drone, ...]:
+    """Advance every follower to the given step; the leader's rows come from track.
 
-    stalled is the leader's: its field vanished, so it held position.
-    Order: the leader moves first (a stalled or finished leader just holds
-    position, followers keep settling), then each drone refreshes its link
-    mode, integrates its link against the slot it was tracking, and re-anchors
-    the integrated deviation onto the slot derived from the new leader pose.
+    coefficients is link_coefficients(spec.impedance, spec.dt) and offsets
+    the (x, y) pairs of spec.formation_offsets, both fixed for a run.
+    Each drone refreshes its link mode, integrates its link against the slot
+    it was tracking (on the leader's row step - 1), and re-anchors the
+    integrated deviation onto the slot derived from the leader's row step.
     Anchoring this way makes pure transport exact: a drone sitting on its slot
     with no deviation translates with the leader instead of lagging it.  The
     slot's deflection depends on the drone alone, so both slots share it.
     """
-    leader, drones = state
-    new_leader, stalled = leader_step(leader, spec.goal.x, spec.goal.y, spec)
-    lx, ly, _ = leader
-    nlx, nly, _ = new_leader
+    lx, ly = track.row(step - 1)
+    nlx, nly = track.row(step)
     dt = spec.dt
     index, params = spec.obstacle_index, spec.topology
-    coefficients = link_coefficients(spec.impedance, dt)
     out = []
-    for i, ((x, y, vx, vy, mode, mean_speed), off) in enumerate(
-            zip(drones, spec.formation_offsets)):
+    for i, ((x, y, vx, vy, mode, mean_speed), (ox, oy)) in enumerate(zip(drones, offsets)):
         mode = _update_link_mode(x, y, mode, index, params)
-        ox, oy = off.x, off.y
         slot_x, slot_y = lx + ox, ly + oy
         new_x, new_y = nlx + ox, nly + oy
         if mode != LEADER:
@@ -141,4 +192,4 @@ def swarm_step(state: Swarm, spec: ScenarioSpec) -> tuple[Swarm, bool]:
         speed = math.hypot(new_x - x, new_y - y) / dt
         mean_speed = (1.0 - MEAN_SPEED_ALPHA) * mean_speed + MEAN_SPEED_ALPHA * speed
         out.append((new_x, new_y, vx, vy, mode, mean_speed))
-    return (new_leader, tuple(out)), stalled
+    return tuple(out)

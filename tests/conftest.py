@@ -40,6 +40,23 @@ def straight_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**defaults)
 
 
+def sweep_traces(sweep, monkeypatch) -> list:
+    """run_sweep(sweep)'s result and the trace of each of its points, in order."""
+    from swarmpath import sweep as sweep_module
+
+    traces = []
+    run = sweep_module.run
+
+    def recorded(*args, **kwargs):
+        traces.append(run(*args, **kwargs))
+        return traces[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(sweep_module, "run", recorded)
+        result = sweep_module.run_sweep(sweep)
+    return result, traces
+
+
 def one_pole_spec(**overrides) -> ScenarioSpec:
     """Single off-axis obstacle that followers must slip past."""
     defaults = dict(

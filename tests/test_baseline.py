@@ -11,8 +11,7 @@ from conftest import straight_spec
 
 def test_initial_state_puts_drones_on_slots():
     spec = straight_spec()
-    leader, drones = initial_baseline_state(spec)
-    assert leader is None
+    drones = initial_baseline_state(spec)
     for (x, y, reached), offset in zip(drones, spec.formation_offsets, strict=True):
         assert (x, y) == (spec.start.x + offset.x, spec.start.y + offset.y)
         assert not reached
@@ -48,30 +47,29 @@ def test_drones_avoid_obstacles_independently():
         goal=Vec2(4.0, 0.0),
         obstacles=(Obstacle(Vec2(2.0, 0.15), 0.15, 0.5, 0.3),),
     )
-    state = initial_baseline_state(spec)
+    drones = initial_baseline_state(spec)
     post = spec.obstacles[0]
     min_clear = float("inf")
     for _ in range(1200):
-        state, stalled = baseline_step(state, spec)
+        drones, stalled = baseline_step(drones, spec)
         assert not stalled
-        for x, y, _ in state[1]:
+        for x, y, _ in drones:
             min_clear = min(min_clear,
                             math.hypot(x - post.center.x, y - post.center.y) - post.radius)
-        if all(d[2] for d in state[1]):
+        if all(d[2] for d in drones):
             break
-    assert all(d[2] for d in state[1])
+    assert all(d[2] for d in drones)
     assert min_clear > 0.0
 
 
 def test_baseline_step_reports_stall_only_when_nobody_moves():
     spec = straight_spec(goal=Vec2(1.0, 0.0))
-    state = initial_baseline_state(spec)
-    state, stalled = baseline_step(state, spec)
+    _, stalled = baseline_step(initial_baseline_state(spec), spec)
     assert not stalled
     # Everyone already on their slot goal: all latch, nobody moves, but that
     # is completion, not a stall.
     parked = straight_spec(goal=Vec2(0.0, 0.0))
-    (_, done), stalled = baseline_step(initial_baseline_state(parked), parked)
+    done, stalled = baseline_step(initial_baseline_state(parked), parked)
     assert not stalled
     assert all(d[2] for d in done)
 

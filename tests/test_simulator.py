@@ -3,17 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
+from swarmpath.apf import SingularityError
 from swarmpath.simulator import (
     COMPLETED,
     CONVENTIONAL_APF,
     MAX_STEPS,
+    STALL_PATIENCE,
     STALLED,
     SWARMPATH,
     run,
 )
 from swarmpath.metrics import leader_path_length
-from swarmpath.world import Obstacle, Vec2, read_scenario
-from conftest import SCENARIO_DIR, one_pole_spec, straight_spec
+from swarmpath.sweep import SweepSpec
+from swarmpath.topology import LeaderTrack
+from swarmpath.world import ImpedanceParams, Obstacle, Vec2, read_scenario
+from conftest import SCENARIO_DIR, one_pole_spec, straight_spec, sweep_traces
 
 
 def test_run_rejects_unknown_controller():
@@ -51,7 +55,7 @@ def test_max_steps_outcome():
         assert trace.n_frames == 21
 
 
-def test_stalled_outcome_at_field_equilibrium():
+def test_stalled_outcome_at_field_equilibrium(monkeypatch):
     # Start the leader exactly where attraction and repulsion cancel (found
     # by bisection); it never moves and the run gives up after the stall
     # patience.
@@ -74,7 +78,45 @@ def test_stalled_outcome_at_field_equilibrium():
     spec = straight_spec(start=Vec2(lo, 0.0), goal=goal, obstacles=(ob,), max_steps=4000)
     trace = run(spec, SWARMPATH)
     assert trace.outcome == STALLED
-    assert trace.n_frames < spec.max_steps + 1
+    # Stalled from step 1: frame 0 plus STALL_PATIENCE stalled steps.
+    assert trace.n_frames == STALL_PATIENCE + 1
+    # Every point of a sweep reads the same stall off the shared leader track.
+    result, traces = sweep_traces(SweepSpec("d", (12.0, 14.0), spec), monkeypatch)
+    assert [r.outcome for r in result.runs] == [STALLED, STALLED]
+    assert [t.n_frames for t in traces] == [STALL_PATIENCE + 1] * 2
+
+
+def test_run_rejects_a_track_for_other_leader_inputs():
+    spec = straight_spec(goal=Vec2(1.0, 0.0))
+    for other in (dataclasses.replace(spec, goal=Vec2(1.5, 0.0)),
+                  dataclasses.replace(spec, dt=0.02)):
+        with pytest.raises(ValueError, match="leader inputs"):
+            run(spec, SWARMPATH, LeaderTrack(other))
+    with pytest.raises(ValueError):
+        run(spec, CONVENTIONAL_APF, LeaderTrack(spec))
+
+
+def test_run_accepts_a_track_for_another_impedance():
+    spec = straight_spec(goal=Vec2(1.0, 0.0))
+    stiff = dataclasses.replace(spec, impedance=ImpedanceParams(k=30.0))
+    shared = run(spec, SWARMPATH, LeaderTrack(stiff))
+    alone = run(spec, SWARMPATH)
+    for column in ("t", "positions", "leader", "modes"):
+        assert np.array_equal(getattr(shared, column), getattr(alone, column))
+    assert shared.outcome == alone.outcome
+
+
+def test_leader_singularity_is_raised_by_every_run_that_reaches_it():
+    # The leader starts on an obstacle center: its first step has no
+    # direction.  A shared track stores no row for that step, so a second run
+    # on it raises the same error again.
+    spec = straight_spec(start=Vec2(0.4, 0.4), goal=Vec2(3.0, 0.4),
+                         obstacles=(Obstacle(Vec2(0.4, 0.4), 0.1, 0.5, 0.3),))
+    track = LeaderTrack(spec)
+    for _ in range(2):
+        with pytest.raises(SingularityError) as err:
+            run(spec, SWARMPATH, track)
+        assert str(err.value) == "step 1: position coincides with obstacle center (0.4, 0.4)"
 
 
 def test_leader_track_straight_line():

@@ -4,7 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmpath import world
+import numpy as np
+
+from swarmpath import topology, world
+from swarmpath.simulator import run
 from swarmpath.sweep import (
     SweepSpec,
     load_sweep,
@@ -22,7 +25,8 @@ from swarmpath.world import (
     Vec2,
     serialize_scenario,
 )
-from conftest import BIG_INT, SCENARIO_DIR, full_scenario_doc, plant_json, straight_spec
+from conftest import (BIG_INT, SCENARIO_DIR, full_scenario_doc, plant_json, straight_spec,
+                      sweep_traces)
 
 
 def inline_sweep(parameter="k", values=(20.88, 29.0)) -> str:
@@ -117,6 +121,33 @@ def test_run_sweep_flags_critical_damping():
     assert flags == [False, True, False]
     assert "12.597" in result.runs[1].note
     assert all(run.outcome == "completed" for run in result.runs)
+
+
+def test_sweep_steps_the_leader_once(monkeypatch):
+    # m, d and k never reach the leader: a whole sweep makes exactly the
+    # leader_step calls of one run, and each point still equals its own run.
+    calls = [0]
+    leader_step = topology.leader_step
+
+    def counted(*args):
+        calls[0] += 1
+        return leader_step(*args)
+
+    monkeypatch.setattr(topology, "leader_step", counted)
+    sweep = read_sweep(SCENARIO_DIR / "sweep_d.json")
+    assert len(sweep.values) == 4
+    run(sweep.scenario)
+    one_run = calls[0]
+    calls[0] = 0
+    result, traces = sweep_traces(sweep, monkeypatch)
+    assert one_run > 0
+    assert calls[0] == one_run
+    assert len(traces) == len(result.runs) == 4
+    for value, trace in zip(sweep.values, traces):
+        alone = run(sweep_point(sweep.scenario, sweep.parameter, value))
+        for column in ("t", "positions", "leader", "modes"):
+            assert np.array_equal(getattr(trace, column), getattr(alone, column))
+        assert trace.outcome == alone.outcome
 
 
 def test_sweep_json_and_csv_shapes():

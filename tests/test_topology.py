@@ -3,9 +3,11 @@ import math
 import pytest
 
 from swarmpath.apf import SingularityError
+from swarmpath.impedance import link_coefficients
 from swarmpath.simulator import SWARMPATH, run
 from swarmpath.topology import (
     LEADER,
+    LeaderTrack,
     deflection_offset,
     initial_swarm_state,
     nearest_obstacle,
@@ -23,6 +25,14 @@ OB = (
 ROWS = tuple(ob.as_tuple() for ob in OB)
 OB_INDEX = ObstacleIndex(OB)
 TOPO = TopologyParams(k_impF=0.5, hysteresis=0.1, velocity_gain=0.0)
+
+
+def stepper(spec):
+    """A fresh LeaderTrack for spec, and swarm_step(drones, step) on it with spec's constants."""
+    track = LeaderTrack(spec)
+    coefficients = link_coefficients(spec.impedance, spec.dt)
+    offsets = tuple((off.x, off.y) for off in spec.formation_offsets)
+    return track, lambda drones, step: swarm_step(drones, step, track, spec, coefficients, offsets)
 
 
 def test_link_mode_encoding_round_trip():
@@ -98,8 +108,9 @@ def test_desired_position_leader_linked_is_formation_slot():
     # A leader-linked drone at rest on its slot stays exactly on it: its
     # slot is the leader plus its offset, with no deflection term.
     spec = straight_spec()
-    state, _ = swarm_step(initial_swarm_state(spec), spec)
-    (lx, ly, _), drones = state
+    track, step = stepper(spec)
+    drones = step(initial_swarm_state(spec), 1)
+    lx, ly = track.row(1)
     x, y, _, _, mode, _ = drones[2]
     assert mode == LEADER
     offset = spec.formation_offsets[2]
@@ -110,10 +121,11 @@ def test_pure_transport_keeps_deviations_exactly_zero():
     # No obstacles: slots translate rigidly with the leader, so the link
     # deviation never becomes nonzero and followers track exactly.
     spec = straight_spec(goal=Vec2(2.0, 0.0), max_steps=500)
-    state = initial_swarm_state(spec)
-    for _ in range(300):
-        state, _ = swarm_step(state, spec)
-    (lx, ly, _), drones = state
+    track, step = stepper(spec)
+    drones = initial_swarm_state(spec)
+    for n in range(1, 301):
+        drones = step(drones, n)
+    lx, ly = track.row(300)
     for (x, y, vx, vy, _, _), offset in zip(drones, spec.formation_offsets, strict=True):
         assert (x, y) == (lx + offset.x, ly + offset.y)
         assert (vx, vy) == (0.0, 0.0)
@@ -122,8 +134,9 @@ def test_pure_transport_keeps_deviations_exactly_zero():
 def test_swarm_step_advances_clock():
     # The state carries no clock; the trace's row n is step n at t = n * dt.
     spec = straight_spec(max_steps=1)
-    _, stalled = swarm_step(initial_swarm_state(spec), spec)
-    assert not stalled
+    track, step = stepper(spec)
+    step(initial_swarm_state(spec), 1)
+    assert not track.stalled(1)
     trace = run(spec, SWARMPATH)
     assert trace.n_frames == 2
     assert trace.t[1] == pytest.approx(spec.dt)
@@ -133,19 +146,20 @@ def test_formation_recovery_decays_monotonically():
     # Kick one follower off its slot with the leader parked at the goal;
     # the link must pull it back without oscillation growth.
     spec = straight_spec(start=Vec2(0.0, 0.0), goal=Vec2(0.0, 0.0))
-    leader, drones = initial_swarm_state(spec)
+    _, step = stepper(spec)
+    drones = initial_swarm_state(spec)
     x, y, vx, vy, mode, mean_speed = drones[0]
-    state = (leader, ((x + 0.5, y - 0.2, vx, vy, mode, mean_speed),) + drones[1:])
+    drones = ((x + 0.5, y - 0.2, vx, vy, mode, mean_speed),) + drones[1:]
     slot = spec.formation_offsets[0]  # the goal is the origin
 
-    def deviation(state):
-        x, y = state[1][0][:2]
+    def deviation(drones):
+        x, y = drones[0][:2]
         return math.hypot(x - slot.x, y - slot.y)
 
-    dev = deviation(state)
-    for _ in range(1500):
-        state, _ = swarm_step(state, spec)
-        new_dev = deviation(state)
+    dev = deviation(drones)
+    for n in range(1, 1501):
+        drones = step(drones, n)
+        new_dev = deviation(drones)
         assert new_dev <= dev + 1e-12
         dev = new_dev
     assert dev < 1e-6
