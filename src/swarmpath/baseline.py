@@ -8,6 +8,8 @@ comparison controller for the adaptive-link swarm.
 
 from __future__ import annotations
 
+from array import array
+
 from .world import ScenarioSpec
 from .apf import Agent, leader_step
 # Unused here, but bench/bench.py's traced mode rebinds these module names.
@@ -15,24 +17,35 @@ from .world import effective_obstacles  # noqa: F401
 from .apf import total_force  # noqa: F401
 
 
-
-def initial_baseline_state(spec: ScenarioSpec) -> tuple[Agent, ...]:
+def initial_baseline_state(spec: ScenarioSpec) -> list[Agent]:
     """Every drone on its start slot, none at its goal yet."""
     sx, sy = spec.start.x, spec.start.y
-    return tuple((sx + off.x, sy + off.y, False) for off in spec.formation_offsets)
+    return [(sx + off.x, sy + off.y, False) for off in spec.formation_offsets]
 
 
-def baseline_step(drones: tuple[Agent, ...], spec: ScenarioSpec) -> tuple[tuple[Agent, ...], bool]:
-    """Advance every drone; stalled means no unfinished drone could move."""
+def baseline_step(drones: list[Agent], spec: ScenarioSpec,
+                  positions: array) -> tuple[bool, bool, float]:
+    """Advance every drone in place and append its new x, y to positions.
+
+    Returns (done, stalled, total): done when every drone has latched
+    reached_goal, which after a step means it is within goal_threshold of its
+    goal slot; stalled when no unfinished drone could move; and total the sum
+    of every new coordinate, which is finite only if all of them are.
+    """
     gx, gy = spec.goal.x, spec.goal.y
-    out = []
+    append = positions.append
     moved = False
     unfinished = False
-    for drone, off in zip(drones, spec.formation_offsets):
+    total = 0.0
+    for i, (drone, off) in enumerate(zip(drones, spec.formation_offsets)):
         new, stalled = leader_step(drone, gx + off.x, gy + off.y, spec)
-        out.append(new)
-        if not new[2]:
+        drones[i] = new
+        x, y, reached = new
+        append(x)
+        append(y)
+        total += x + y
+        if not reached:
             unfinished = True
-        if not stalled and (new[0] != drone[0] or new[1] != drone[1]):
+        if not stalled and (x != drone[0] or y != drone[1]):
             moved = True
-    return tuple(out), (unfinished and not moved)
+    return not unfinished, unfinished and not moved, total

@@ -1,13 +1,17 @@
 """Deterministic fixed-step simulation loop for both controllers.
 
-run() keeps only the current state and records it after every step into the
-trace's columns, so metrics and export read arrays and never re-integrate
-anything: replaying the same spec gives identical columns.  The state of a run
-is its drones, plain floats and ints: topology drones for the adaptive-link
-swarm, apf agents for the baseline; either way a drone starts with its x, y.
-The swarm's virtual leader reads no drone, so it is not stepped here: its rows
-come from a topology.LeaderTrack, which a sweep builds once and hands to every
-point, and they fill the trace's leader column once, when the trace is built.
+The state of a run is its drones, plain floats and ints in a list that each
+step updates in place: topology drones for the adaptive-link swarm, apf agents
+for the baseline; either way a drone starts with its x, y.  A step is one pass
+over the drones: it moves each one, appends its row to the trace's columns,
+adds its new numbers to a sum and tests it against its goal slot.  run()
+records frame 0 and tests it once, then loops over the steps and acts on what
+each returns, so it stays the only loop and the one place that ends a run.
+Metrics and export read the columns and never re-integrate anything:
+replaying the same spec gives identical columns.  The swarm's virtual leader
+reads no drone, so it is not stepped here: its rows come from a
+topology.LeaderTrack, which a sweep builds once and hands to every point, and
+they fill the trace's leader column once, when the trace is built.
 """
 
 from __future__ import annotations
@@ -69,59 +73,29 @@ class SimulationTrace:
 class _Columns:
     """The trace's columns while a run appends to them, as flat arrays.
 
-    A row is appended element by element, which costs less than writing it
-    into numpy per step; the finished arrays become the trace's columns
-    without a copy.
+    Frame 0 is written here; each step function appends its own row, element
+    by element, which costs less than writing it into numpy per step.  The
+    finished arrays become the trace's columns without a copy.
     """
 
-    def __init__(self, n_drones: int, linked: bool):
-        self.rows = 0
-        self.n_drones = n_drones
-        self.positions = array("d")  # x, y of every drone, row after row
-        self.modes = array("q") if linked else None
-
-    def record(self, drones) -> None:
-        positions = self.positions
-        for d in drones:
-            positions.append(d[0])
-            positions.append(d[1])
-        if self.modes is not None:
-            modes = self.modes
-            for d in drones:
-                modes.append(d[4])
-        self.rows += 1
+    def __init__(self, drones, linked: bool):
+        self.n_drones = len(drones)
+        self.positions = array("d", chain.from_iterable(d[:2] for d in drones))
+        self.modes = array("q", (d[4] for d in drones)) if linked else None
 
     def trace(self, spec: ScenarioSpec, controller: str, outcome: str,
-              track: LeaderTrack | None) -> SimulationTrace:
-        shape = (self.rows, self.n_drones)
-        t = np.arange(self.rows) * spec.dt  # bit for bit the step * dt of each row
+              track: LeaderTrack | None, rows: int) -> SimulationTrace:
+        shape = (rows, self.n_drones)
+        t = np.arange(rows) * spec.dt  # bit for bit the step * dt of each row
         positions = np.frombuffer(self.positions).reshape(shape + (2,))
-        leader = None if track is None else _leader_column(track, self.rows)
+        leader = (None if track is None
+                  else np.frombuffer(track.xy, count=2 * rows).reshape(rows, 2).copy())
         modes = (None if self.modes is None
                  else np.frombuffer(self.modes, dtype=np.int64).reshape(shape))
         for col in (t, positions, leader, modes):
             if col is not None:
                 col.flags.writeable = False
         return SimulationTrace(spec, controller, t, positions, leader, modes, outcome)
-
-
-def _leader_column(track: LeaderTrack, frames: int) -> np.ndarray:
-    """(frames, 2) leader rows; rows past the track's fixed point repeat its last."""
-    known = np.frombuffer(track.xy[:2 * frames]).reshape(-1, 2)
-    column = np.empty((frames, 2))
-    column[:len(known)] = known
-    column[len(known):] = known[-1]
-    return column
-
-
-def _finite(drones) -> bool:
-    """True when every number of every drone is finite.
-
-    One C-level sum decides the common case; only a sum that is not finite,
-    which finite values can also reach by overflowing, looks at each number.
-    """
-    numbers = list(chain(*drones))
-    return math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers))
 
 
 def run(spec: ScenarioSpec, controller: str = SWARMPATH,
@@ -148,38 +122,37 @@ def run(spec: ScenarioSpec, controller: str = SWARMPATH,
             raise ValueError("the leader track was built for other leader inputs "
                              "(start, goal, obstacles, gates, apf, dt, max_steps)")
         drones = initial_swarm_state(spec)
+        columns = _Columns(drones, linked=True)
         coefficients = link_coefficients(spec.impedance, spec.dt)
         offsets = tuple((off.x, off.y) for off in spec.formation_offsets)
+        positions, modes = columns.positions, columns.modes
 
-        def advance(drones, step):
-            drones = swarm_step(drones, step, track, spec, coefficients, offsets)
-            return drones, track.stalled(step)
+        def advance(step):
+            return swarm_step(drones, step, track, spec, coefficients, offsets,
+                              positions, modes)
     else:
         if track is not None:
             raise ValueError(f"the {controller} controller has no leader to take a track")
         drones = initial_baseline_state(spec)
+        columns = _Columns(drones, linked=False)
+        positions = columns.positions
 
-        def advance(drones, step):
-            return baseline_step(drones, spec)
-    columns = _Columns(len(spec.formation_offsets), linked=track is not None)
-    slots = [(spec.goal.x + off.x, spec.goal.y + off.y) for off in spec.formation_offsets]
+        def advance(step):
+            return baseline_step(drones, spec, positions)
     threshold = spec.apf.goal_threshold
-    stall_run = 0
-    step = 0
-    while True:
-        columns.record(drones)
-        if all(math.hypot(d[0] - gx, d[1] - gy) <= threshold
-               for d, (gx, gy) in zip(drones, slots)):
-            return columns.trace(spec, controller, COMPLETED, track)
-        if stall_run >= STALL_PATIENCE:
-            return columns.trace(spec, controller, STALLED, track)
-        if step == spec.max_steps:
-            return columns.trace(spec, controller, MAX_STEPS, track)
+    done = all(math.hypot(x - (spec.goal.x + off.x), y - (spec.goal.y + off.y)) <= threshold
+               for (x, y, *_), off in zip(drones, spec.formation_offsets))
+    stall_run = step = 0
+    while not done and stall_run < STALL_PATIENCE and step < spec.max_steps:
         step += 1
         try:
-            drones, stalled = advance(drones, step)
-            if not _finite(drones):
+            done, stalled, total = advance(step)
+            # A sum of finite numbers can overflow too: only then look at each.
+            if not (math.isfinite(total)
+                    or all(map(math.isfinite, chain.from_iterable(drones)))):
                 raise SingularityError("the state overflowed to a non-finite value")
         except SingularityError as exc:
             raise SingularityError(f"step {step}: {exc}") from None
         stall_run = stall_run + 1 if stalled else 0
+    outcome = COMPLETED if done else STALLED if stall_run >= STALL_PATIENCE else MAX_STEPS
+    return columns.trace(spec, controller, outcome, track, step + 1)

@@ -102,12 +102,15 @@ def sweep_point(spec: ScenarioSpec, parameter: Parameter, value: float) -> Scena
 def run_sweep(sweep: SweepSpec) -> SweepResult:
     """Run the adaptive-link controller once per value.
 
-    m, d and k do not reach the leader, so every point reads one LeaderTrack.
+    m, d and k reach neither the leader nor the obstacles, so every point
+    reads one LeaderTrack and the base scenario's obstacle index.
     """
     track = LeaderTrack(sweep.scenario)
+    index = sweep.scenario.obstacle_index
     runs = []
     for value in sweep.values:
         spec = sweep_point(sweep.scenario, sweep.parameter, value)
+        vars(spec)["obstacle_index"] = index  # fills the cached property's slot
         imp = spec.impedance
         crit = critical_damping(imp.m, imp.k)
         is_critical = abs(imp.d - crit) <= CRITICAL_REL_TOL * crit

@@ -7,11 +7,11 @@ term, which carries it around the body.  The link releases back to the leader
 once the surface distance exceeds r_imp * (1 + hysteresis); a drone never hands
 over directly from one obstacle to another, it must release first.
 
-The state of a run is its drones, plain floats and ints.  A drone is (x, y,
-vx, vy, mode, mean_speed): its position, its link velocity, its link mode
-(LEADER or the index of the obstacle it is linked to, the trace's mode code)
-and its smoothed ground speed.  Obstacles are ObstacleIndex rows (cx, cy,
-radius, r_apf, r_imp).
+The state of a run is its drones, a list that swarm_step updates in place.
+A drone is a tuple of plain floats and ints (x, y, vx, vy, mode, mean_speed):
+its position, its link velocity, its link mode (LEADER or the index of the
+obstacle it is linked to, the trace's mode code) and its smoothed ground
+speed.  Obstacles are ObstacleIndex rows (cx, cy, radius, r_apf, r_imp).
 
 The virtual leader is not part of that state.  It reads no drone, so its path
 is fixed by the leader inputs of a spec (start, goal, obstacles, gates, apf,
@@ -109,15 +109,16 @@ def leader_inputs(spec: ScenarioSpec) -> tuple:
 class LeaderTrack:
     """The virtual leader's path for one set of leader inputs, grown on demand.
 
-    xy holds the rows computed so far, flat: the leader's (x, y) after step n
-    is xy[2n], xy[2n + 1], and row 0 is the start.  row(n) runs leader_step up
-    to step n the first time any run asks for it.  The path stops growing at
-    its fixed point: once the leader latches reached_goal or stalls,
-    leader_step returns it unchanged forever, so every later row repeats the
-    last one.  stall_step is the first step at which the leader stalled, None
-    while it has not.  A step whose leader_step raises, or whose row is not
-    finite, is not stored, so every run that reaches it raises again.  Whoever
-    builds a track chooses the runs that share it.
+    xy holds the rows grown so far, flat: the leader's (x, y) after step n
+    is xy[2n], xy[2n + 1], and row 0 is the start.  row(n) grows xy through
+    step n the first time any run asks for it, so a run that has read row n
+    reads every earlier row straight from xy.  Growing runs leader_step until
+    the path's fixed point: once the leader latches reached_goal or stalls,
+    leader_step would return it unchanged forever, so every later row is a
+    copy of the last one.  stall_step is the first step at which the leader
+    stalled, None while it has not.  A step whose leader_step raises, or
+    whose row is not finite, is not stored, so every run that reaches it
+    raises again.  Whoever builds a track chooses the runs that share it.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -129,8 +130,13 @@ class LeaderTrack:
         self._settled = False
 
     def row(self, step: int) -> tuple[float, float]:
+        """The leader's (x, y) after step, growing xy through it first."""
         xy = self.xy
-        while 2 * step >= len(xy) and not self._settled:
+        while 2 * step >= len(xy):
+            if self._settled:
+                xy.append(xy[-2])
+                xy.append(xy[-1])
+                continue
             spec = self._spec
             agent, stalled = leader_step(self._agent, spec.goal.x, spec.goal.y, spec)
             x, y, reached = agent
@@ -142,25 +148,24 @@ class LeaderTrack:
             self._settled = reached or stalled
             xy.append(x)
             xy.append(y)
-        i = min(2 * step, len(xy) - 2)
-        return xy[i], xy[i + 1]
+        return xy[2 * step], xy[2 * step + 1]
 
     def stalled(self, step: int) -> bool:
         """True when the leader stalled at step; a stall lasts forever."""
         return self.stall_step is not None and step >= self.stall_step
 
 
-def initial_swarm_state(spec: ScenarioSpec) -> tuple[Drone, ...]:
+def initial_swarm_state(spec: ScenarioSpec) -> list[Drone]:
     """Drones at rest on the start formation, every link on the leader."""
     sx, sy = spec.start.x, spec.start.y
-    return tuple((sx + off.x, sy + off.y, 0.0, 0.0, LEADER, 0.0)
-                 for off in spec.formation_offsets)
+    return [(sx + off.x, sy + off.y, 0.0, 0.0, LEADER, 0.0)
+            for off in spec.formation_offsets]
 
 
-def swarm_step(drones: tuple[Drone, ...], step: int, track: LeaderTrack, spec: ScenarioSpec,
-               coefficients: Coefficients,
-               offsets: tuple[tuple[float, float], ...]) -> tuple[Drone, ...]:
-    """Advance every follower to the given step; the leader's rows come from track.
+def swarm_step(drones: list[Drone], step: int, track: LeaderTrack, spec: ScenarioSpec,
+               coefficients: Coefficients, offsets: tuple[tuple[float, float], ...],
+               positions: array, modes: array) -> tuple[bool, bool, float]:
+    """Advance every follower to step, in place; the leader's rows come from track.
 
     coefficients is link_coefficients(spec.impedance, spec.dt) and offsets
     the (x, y) pairs of spec.formation_offsets, both fixed for a run.
@@ -170,12 +175,22 @@ def swarm_step(drones: tuple[Drone, ...], step: int, track: LeaderTrack, spec: S
     Anchoring this way makes pure transport exact: a drone sitting on its slot
     with no deviation translates with the leader instead of lagging it.  The
     slot's deflection depends on the drone alone, so both slots share it.
+
+    The same pass appends each drone's new x, y to positions and its mode to
+    modes, the trace's flat row buffers.  Returns (done, stalled, total):
+    done when every drone is within goal_threshold of its goal slot, stalled
+    when the leader stalled at step, and total the sum of every new number,
+    which is finite only if all of them are.
     """
-    lx, ly = track.row(step - 1)
     nlx, nly = track.row(step)
+    xy = track.xy
+    lx, ly = xy[2 * step - 2], xy[2 * step - 1]
     dt = spec.dt
     index, params = spec.obstacle_index, spec.topology
-    out = []
+    gx, gy, threshold = spec.goal.x, spec.goal.y, spec.apf.goal_threshold
+    append_position, append_mode = positions.append, modes.append
+    done = True
+    total = 0.0
     for i, ((x, y, vx, vy, mode, mean_speed), (ox, oy)) in enumerate(zip(drones, offsets)):
         mode = _update_link_mode(x, y, mode, index, params)
         slot_x, slot_y = lx + ox, ly + oy
@@ -191,5 +206,11 @@ def swarm_step(drones: tuple[Drone, ...], step: int, track: LeaderTrack, spec: S
         new_x, new_y = new_x + dx, new_y + dy
         speed = math.hypot(new_x - x, new_y - y) / dt
         mean_speed = (1.0 - MEAN_SPEED_ALPHA) * mean_speed + MEAN_SPEED_ALPHA * speed
-        out.append((new_x, new_y, vx, vy, mode, mean_speed))
-    return tuple(out)
+        drones[i] = (new_x, new_y, vx, vy, mode, mean_speed)
+        append_position(new_x)
+        append_position(new_y)
+        append_mode(mode)
+        total += new_x + new_y + vx + vy + mean_speed
+        if done and not math.hypot(new_x - (gx + ox), new_y - (gy + oy)) <= threshold:
+            done = False
+    return done, track.stalled(step), total

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 
@@ -51,8 +52,9 @@ def test_drones_avoid_obstacles_independently():
     post = spec.obstacles[0]
     min_clear = float("inf")
     for _ in range(1200):
-        drones, stalled = baseline_step(drones, spec)
+        done, stalled, _ = baseline_step(drones, spec, array("d"))
         assert not stalled
+        assert done == all(d[2] for d in drones)
         for x, y, _ in drones:
             min_clear = min(min_clear,
                             math.hypot(x - post.center.x, y - post.center.y) - post.radius)
@@ -64,14 +66,16 @@ def test_drones_avoid_obstacles_independently():
 
 def test_baseline_step_reports_stall_only_when_nobody_moves():
     spec = straight_spec(goal=Vec2(1.0, 0.0))
-    _, stalled = baseline_step(initial_baseline_state(spec), spec)
+    _, stalled, _ = baseline_step(initial_baseline_state(spec), spec, array("d"))
     assert not stalled
     # Everyone already on their slot goal: all latch, nobody moves, but that
     # is completion, not a stall.
     parked = straight_spec(goal=Vec2(0.0, 0.0))
-    done, stalled = baseline_step(initial_baseline_state(parked), parked)
+    drones = initial_baseline_state(parked)
+    done, stalled, _ = baseline_step(drones, parked, array("d"))
     assert not stalled
-    assert all(d[2] for d in done)
+    assert all(d[2] for d in drones)
+    assert done
 
 
 def test_baseline_clock_advances():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from swarmpath.simulator import (
 from swarmpath.metrics import leader_path_length
 from swarmpath.sweep import SweepSpec
 from swarmpath.topology import LeaderTrack
-from swarmpath.world import ImpedanceParams, Obstacle, Vec2, read_scenario
+from swarmpath.world import ImpedanceParams, Obstacle, TopologyParams, Vec2, read_scenario
 from conftest import SCENARIO_DIR, one_pole_spec, straight_spec, sweep_traces
 
 
@@ -117,6 +118,23 @@ def test_leader_singularity_is_raised_by_every_run_that_reaches_it():
         with pytest.raises(SingularityError) as err:
             run(spec, SWARMPATH, track)
         assert str(err.value) == "step 1: position coincides with obstacle center (0.4, 0.4)"
+
+
+def test_drone_state_overflow_reports_its_step():
+    # Drone 1 starts inside the post's r_imp, so it links at once and its slot
+    # is pushed k_impF * r_imp ~ 5e307 m away; the stiff link's velocity
+    # overflows on that first step.  The leader stays clear of the post and
+    # finite, so the run's own finiteness check is what stops it.
+    spec = straight_spec(
+        goal=Vec2(3.0, 0.0),
+        obstacles=(Obstacle(Vec2(0.4, 0.7), 0.1, 0.3, 0.3),),
+        impedance=ImpedanceParams(k=1e4),
+        topology=TopologyParams(k_impF=1.7e308),
+    )
+    assert all(map(math.isfinite, LeaderTrack(spec).row(1)))
+    with pytest.raises(SingularityError) as err:
+        run(spec, SWARMPATH)
+    assert str(err.value) == "step 1: the state overflowed to a non-finite value"
 
 
 def test_leader_track_straight_line():

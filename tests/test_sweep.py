@@ -150,6 +150,24 @@ def test_sweep_steps_the_leader_once(monkeypatch):
         assert trace.outcome == alone.outcome
 
 
+def test_sweep_points_share_one_obstacle_index(monkeypatch):
+    # m, d and k leave the obstacles alone: a whole sweep builds one index,
+    # the base scenario's, and every point reads it.
+    built = [0]
+    init = world.ObstacleIndex.__init__
+
+    def counted(index, obstacles):
+        built[0] += 1
+        init(index, obstacles)
+
+    sweep = read_sweep(SCENARIO_DIR / "sweep_k.json")
+    monkeypatch.setattr(world.ObstacleIndex, "__init__", counted)
+    result, traces = sweep_traces(sweep, monkeypatch)
+    assert built[0] == 1
+    assert len(traces) == len(result.runs) == len(sweep.values) > 1
+    assert all(t.spec.obstacle_index is sweep.scenario.obstacle_index for t in traces)
+
+
 def test_sweep_json_and_csv_shapes():
     result = run_sweep(load_sweep(inline_sweep()))
     doc = json.loads(render_sweep_json(result))

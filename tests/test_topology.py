@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 
@@ -28,11 +29,20 @@ TOPO = TopologyParams(k_impF=0.5, hysteresis=0.1, velocity_gain=0.0)
 
 
 def stepper(spec):
-    """A fresh LeaderTrack for spec, and swarm_step(drones, step) on it with spec's constants."""
+    """A fresh LeaderTrack for spec, and step(drones, n) on it with spec's constants.
+
+    step runs swarm_step on the drones in place, with throwaway row buffers,
+    and returns them.
+    """
     track = LeaderTrack(spec)
     coefficients = link_coefficients(spec.impedance, spec.dt)
     offsets = tuple((off.x, off.y) for off in spec.formation_offsets)
-    return track, lambda drones, step: swarm_step(drones, step, track, spec, coefficients, offsets)
+
+    def step(drones, n):
+        swarm_step(drones, n, track, spec, coefficients, offsets, array("d"), array("q"))
+        return drones
+
+    return track, step
 
 
 def test_link_mode_encoding_round_trip():
@@ -149,7 +159,7 @@ def test_formation_recovery_decays_monotonically():
     _, step = stepper(spec)
     drones = initial_swarm_state(spec)
     x, y, vx, vy, mode, mean_speed = drones[0]
-    drones = ((x + 0.5, y - 0.2, vx, vy, mode, mean_speed),) + drones[1:]
+    drones = [(x + 0.5, y - 0.2, vx, vy, mode, mean_speed)] + drones[1:]
     slot = spec.formation_offsets[0]  # the goal is the origin
 
     def deviation(drones):
