@@ -9,7 +9,8 @@ it toward its own goal slot.
 Everything here runs once per step, so it works on plain floats: a point is
 x, y, an obstacle is its Obstacle.as_tuple() row (cx, cy, radius, r_apf,
 r_imp), a force is an (fx, fy) pair, and a descending agent is (x, y,
-reached_goal).
+reached_goal).  total_force sums the field inline; attraction_force and
+repulsion_force are the one-term references it is tested against.
 """
 
 from __future__ import annotations
@@ -65,23 +66,32 @@ def total_force(x: float, y: float, gx: float, gy: float, obstacles: tuple[tuple
                 params: ApfParams) -> tuple[float, float]:
     """Attraction plus the repulsions of obstacle rows at (x, y), summed in order.
 
-    A row beyond its r_apf adds no term, not even +0.0, so listing it changes
-    no bit of the sum (an attraction component that underflowed to -0.0 stays
-    -0.0).
+    The hot loop of every descent step, so it writes attraction_force and
+    repulsion_force out inline, with their operations, checks and messages in
+    the same order; the tests check it against a sum of those helpers, bit
+    for bit.  A row beyond its r_apf adds no term, not even +0.0, so listing
+    it changes no bit of the sum (an attraction component that underflowed to
+    -0.0 stays -0.0).
     """
-    fx, fy = attraction_force(x, y, gx, gy, params.k_att)
-    k_rep = params.k_rep
-    for obs in obstacles:
-        force = _repulsion_force(x, y, obs, k_rep)
-        if force is not NO_REPULSION:
-            fx += force[0]
-            fy += force[1]
+    k_att, k_rep = params.k_att, params.k_rep
+    fx, fy = (gx - x) * k_att, (gy - y) * k_att
+    for cx, cy, radius, d_safe, _ in obstacles:
+        ox, oy = x - cx, y - cy
+        dist = math.hypot(ox, oy)
+        if dist == 0.0:
+            raise SingularityError(f"position coincides with obstacle center ({cx}, {cy})")
+        d_o = dist - radius
+        if d_o < SURFACE_EPS:  # max(dist - radius, SURFACE_EPS)
+            d_o = SURFACE_EPS
+        if d_o > d_safe:
+            continue
+        scale = k_rep * (1.0 / d_o - 1.0 / d_safe) / dist
+        if not math.isfinite(scale):
+            raise SingularityError(
+                f"position {dist:g} m from obstacle center ({cx}, {cy}), direction undefined")
+        fx += ox * scale
+        fy += oy * scale
     return fx, fy
-
-
-# total_force calls repulsion_force under a private name: bench/bench.py's
-# traced mode rebinds the public name with an observer that reads force.x.
-_repulsion_force = repulsion_force
 
 
 def leader_step(agent: Agent, gx: float, gy: float,

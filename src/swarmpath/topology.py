@@ -17,6 +17,11 @@ The virtual leader is not part of that state.  It reads no drone, so its path
 is fixed by the leader inputs of a spec (start, goal, obstacles, gates, apf,
 dt, max_steps); a LeaderTrack computes that path once, row by row as runs reach
 each step, and every run with the same leader inputs reads its rows.
+
+swarm_step is the hot loop, so it applies the link rule and the link update
+inline rather than through update_link_mode, nearest_obstacle and link_step.
+Those helpers stay the reference: the tests check swarm_step against a run
+built from them, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from __future__ import annotations
 import math
 from array import array
 
-from .world import ObstacleIndex, TopologyParams, ScenarioSpec
+from .world import NO_CANDIDATES, ObstacleIndex, TopologyParams, ScenarioSpec
 from .apf import Agent, SingularityError, leader_step
-from .impedance import Coefficients, link_step
-# Unused here, but bench/bench.py's traced mode rebinds this module name.
+from .impedance import Coefficients
+# Unused here, but bench/bench.py's traced mode rebinds these module names.
 from .world import effective_obstacles  # noqa: F401
+from .impedance import link_step  # noqa: F401
 
 MEAN_SPEED_ALPHA = 0.05  # exponential moving average weight for drone speed
 LEADER = -1  # mode of a drone linked to the leader; otherwise an obstacle index
@@ -95,11 +101,6 @@ def deflection_offset(x: float, y: float, mean_speed: float, obs: tuple,
     return ox * scale, oy * scale
 
 
-# swarm_step calls update_link_mode under a private name: bench/bench.py's
-# traced mode rebinds the public name with an observer that reads args[0].mode.
-_update_link_mode = update_link_mode
-
-
 def leader_inputs(spec: ScenarioSpec) -> tuple:
     """Every field of spec that the leader's path depends on."""
     return (spec.start, spec.goal, spec.obstacles, spec.gates, spec.apf, spec.dt,
@@ -134,8 +135,7 @@ class LeaderTrack:
         xy = self.xy
         while 2 * step >= len(xy):
             if self._settled:
-                xy.append(xy[-2])
-                xy.append(xy[-1])
+                xy.extend(xy[-2:])
                 continue
             spec = self._spec
             agent, stalled = leader_step(self._agent, spec.goal.x, spec.goal.y, spec)
@@ -176,6 +176,10 @@ def swarm_step(drones: list[Drone], step: int, track: LeaderTrack, spec: Scenari
     with no deviation translates with the leader instead of lagging it.  The
     slot's deflection depends on the drone alone, so both slots share it.
 
+    The link rule is update_link_mode's and the link update is link_step's
+    with no external force, both written out in the loop with the same
+    operations in the same order, so every bit matches the helpers.
+
     The same pass appends each drone's new x, y to positions and its mode to
     modes, the trace's flat row buffers.  Returns (done, stalled, total):
     done when every drone is within goal_threshold of its goal slot, stalled
@@ -187,30 +191,55 @@ def swarm_step(drones: list[Drone], step: int, track: LeaderTrack, spec: Scenari
     lx, ly = xy[2 * step - 2], xy[2 * step - 1]
     dt = spec.dt
     index, params = spec.obstacle_index, spec.topology
+    rows, link_cells, link_cell = index.rows, index.link_cells, index.link_cell
+    release = 1.0 + params.hysteresis
+    p00, p01, p10, p11, g0, g1 = coefficients
+    # link_step's force terms g * f for f = 0.0 are signed zeros; adding a
+    # +0.0 turns a -0.0 sum into +0.0, so the terms stay.
+    hold0, hold1 = g0 * 0.0, g1 * 0.0
+    keep = 1.0 - MEAN_SPEED_ALPHA
     gx, gy, threshold = spec.goal.x, spec.goal.y, spec.apf.goal_threshold
+    hypot, inf = math.hypot, math.inf
     append_position, append_mode = positions.append, modes.append
     done = True
     total = 0.0
     for i, ((x, y, vx, vy, mode, mean_speed), (ox, oy)) in enumerate(zip(drones, offsets)):
-        mode = _update_link_mode(x, y, mode, index, params)
+        if mode == LEADER:
+            # nearest_obstacle over the link cell, ties to the lower index.  A
+            # surface at inf can acquire nothing, so starting the scan at inf
+            # acquires exactly what starting it on the first row would.
+            ids, cell_rows = link_cells.get((x // link_cell, y // link_cell), NO_CANDIDATES)
+            best = reach = inf
+            for j, (cx, cy, radius, _, r_imp) in zip(ids, cell_rows):
+                dist = hypot(x - cx, y - cy) - radius
+                if dist < best:
+                    best, reach, near = dist, r_imp, j
+            if best < reach:
+                mode = near
+        else:
+            cx, cy, radius, _, r_imp = rows[mode]
+            if hypot(x - cx, y - cy) - radius > r_imp * release:
+                mode = LEADER
         slot_x, slot_y = lx + ox, ly + oy
         new_x, new_y = nlx + ox, nly + oy
         if mode != LEADER:
             try:
-                ex, ey = deflection_offset(x, y, mean_speed, index.rows[mode], params)
+                ex, ey = deflection_offset(x, y, mean_speed, rows[mode], params)
             except SingularityError as exc:  # drones are numbered from 1, as in files
                 raise SingularityError(f"drone {i + 1}: {exc}") from None
             slot_x, slot_y = slot_x + ex, slot_y + ey
             new_x, new_y = new_x + ex, new_y + ey
-        dx, dy, vx, vy = link_step(x - slot_x, y - slot_y, vx, vy, 0.0, 0.0, coefficients)
-        new_x, new_y = new_x + dx, new_y + dy
-        speed = math.hypot(new_x - x, new_y - y) / dt
-        mean_speed = (1.0 - MEAN_SPEED_ALPHA) * mean_speed + MEAN_SPEED_ALPHA * speed
+        dx, dy = x - slot_x, y - slot_y
+        new_x += p00 * dx + p01 * vx + hold0
+        new_y += p00 * dy + p01 * vy + hold0
+        vx, vy = p10 * dx + p11 * vx + hold1, p10 * dy + p11 * vy + hold1
+        speed = hypot(new_x - x, new_y - y) / dt
+        mean_speed = keep * mean_speed + MEAN_SPEED_ALPHA * speed
         drones[i] = (new_x, new_y, vx, vy, mode, mean_speed)
         append_position(new_x)
         append_position(new_y)
         append_mode(mode)
         total += new_x + new_y + vx + vy + mean_speed
-        if done and not math.hypot(new_x - (gx + ox), new_y - (gy + oy)) <= threshold:
+        if done and not hypot(new_x - (gx + ox), new_y - (gy + oy)) <= threshold:
             done = False
     return done, track.stalled(step), total

@@ -27,6 +27,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
 
 SURFACE_EPS = 1e-6   # repulsion clamps the surface distance at this, m
+NO_CANDIDATES = ((), ())  # the (indices, rows) of a link cell that lists no obstacle
 
 # Field bounds, as dataclass field metadata; validate_spec checks every one.
 POSITIVE = {"bound": (operator.lt, "> 0")}       # 0 < v < inf
@@ -104,6 +105,11 @@ class ObstacleIndex:
     arithmetic on either side, so rounding can never drop an obstacle that
     acts.  A query is one dict lookup.  Rows and cells hold each obstacle as
     its as_tuple().
+
+    link_cells is the link grid that candidates() reads, public so a hot
+    loop can make the same lookup without the call: it maps (x // link_cell,
+    y // link_cell) to the cell's (indices, rows), and a cell it does not
+    list is empty.  Treat it as read-only.
     """
 
     def __init__(self, obstacles: tuple[Obstacle, ...]):
@@ -112,8 +118,8 @@ class ObstacleIndex:
         (self.cell, force_reach), (self.link_cell, link_reach) = _grid_reaches(obstacles)
         self._force_cells = {key: tuple(map(rows.__getitem__, ids))
                              for key, ids in _grid(rows, self.cell, force_reach).items()}
-        self._link_cells = {key: (tuple(ids), tuple(map(rows.__getitem__, ids)))
-                            for key, ids in _grid(rows, self.link_cell, link_reach).items()}
+        self.link_cells = {key: (tuple(ids), tuple(map(rows.__getitem__, ids)))
+                           for key, ids in _grid(rows, self.link_cell, link_reach).items()}
 
     def candidates(self, x: float, y: float) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
         """(indices, rows) of the link grid's cell of (x, y), ascending by index.
@@ -122,7 +128,7 @@ class ObstacleIndex:
         r_imp.
         """
         cell = self.link_cell
-        return self._link_cells.get((x // cell, y // cell), ((), ()))
+        return self.link_cells.get((x // cell, y // cell), NO_CANDIDATES)
 
     def force_rows(self, x: float, y: float) -> tuple[tuple, ...]:
         """Rows of the force grid's cell of (x, y), ascending by index.

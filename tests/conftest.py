@@ -2,7 +2,7 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from swarmpath.world import (
     ApfParams,
@@ -12,6 +12,11 @@ from swarmpath.world import (
     Vec2,
     serialize_scenario,
 )
+
+# Every property draws the same examples on every run, so a tier-1 result
+# repeats; each test's own max_examples still sets how many.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"

@@ -2,9 +2,10 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from swarmpath.apf import (
+    NO_REPULSION,
     SingularityError,
     attraction_force,
     leader_step,
@@ -160,3 +161,60 @@ def test_total_force_adds_nothing_for_a_row_that_does_not_act():
     assert struct.pack("<dd", fx, fy) == struct.pack("<dd", -0.0, 0.0)
     assert struct.pack("<dd", *total_force(1e-300, 0.0, 0.0, 0.0, (), params)) == \
         struct.pack("<dd", fx, fy)
+
+
+def reference_force(x, y, gx, gy, rows, params):
+    """total_force rebuilt from its one-term helpers: attraction, then every
+    acting repulsion in row order."""
+    fx, fy = attraction_force(x, y, gx, gy, params.k_att)
+    for row in rows:
+        force = repulsion_force(x, y, row, params.k_rep)
+        if force is not NO_REPULSION:
+            fx += force[0]
+            fy += force[1]
+    return fx, fy
+
+
+def outcome(force, *args):
+    """The exact bits of force(*args), or its SingularityError's text."""
+    try:
+        return struct.pack("<dd", *force(*args))
+    except SingularityError as exc:
+        return str(exc)
+
+
+@st.composite
+def force_queries(draw):
+    """Rows near the origin and a point on a center, inside a body, at the
+    surface clamp, on a surface plus r_apf, or off the rows' grid of simple
+    values; gains from denormal (an attraction that rounds to -0.0) to large
+    enough to overflow the repulsion."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        radius = draw(st.floats(0.0, 0.5))
+        r_apf = draw(st.floats(0.01, 1.5))
+        rows.append((draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), radius,
+                     r_apf, r_apf))
+    kinds = ["free", "center", "inside", "skin", "reach"] if rows else ["free"]
+    kind = draw(st.sampled_from(kinds))
+    x, y = draw(st.floats(-2.0, 2.0)) + 0.3125, draw(st.floats(-2.0, 2.0)) - 0.1875
+    if kind != "free":
+        cx, cy, radius, r_apf, _ = draw(st.sampled_from(rows))
+        if kind == "center":
+            x, y = cx, cy
+        elif kind == "inside":
+            x, y = cx + draw(st.floats(-radius, radius)), cy
+        elif kind == "skin":  # about SURFACE_EPS off the surface, where d_o is clamped
+            x, y = cx, cy + radius + draw(st.sampled_from([5e-7, 1e-6, 1.5e-6, 3e-6]))
+        else:
+            x, y = cx, cy + radius + r_apf
+    steps = st.sampled_from([-0.25, 0.0, 0.25, 2.0])
+    params = ApfParams(k_att=draw(st.sampled_from([5e-324, 1.0, 3.0])),
+                       k_rep=draw(st.sampled_from([0.3, 2.0, 1e300, 1e308])))
+    return x, y, x + draw(steps), y + draw(steps), tuple(rows), params
+
+
+@settings(max_examples=300)
+@given(query=force_queries())
+def test_total_force_matches_the_sum_of_its_helpers(query):
+    assert outcome(total_force, *query) == outcome(reference_force, *query)

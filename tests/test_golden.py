@@ -10,8 +10,9 @@ import json
 import pytest
 
 from swarmpath.cli import main
+from swarmpath.sweep import read_sweep
 from swarmpath.world import read_scenario, serialize_scenario
-from conftest import SCENARIO_DIR, grid16_forest_doc
+from conftest import SCENARIO_DIR, grid16_forest_doc, sweep_traces
 
 GOLDEN = {
     ("run", "case1_gate.json", "--controller", "swarmpath"): {
@@ -124,3 +125,46 @@ GOLDEN_SERIALIZED = {
 def test_serialized_scenario_matches_golden_digest(name):
     text = serialize_scenario(read_scenario(SCENARIO_DIR / name))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SERIALIZED[name]
+
+
+# Every sweep point's columns at full precision, as sha256 of (positions,
+# modes) bytes: sweep.json and sweep.csv round to 6 digits, so a last-bit
+# drift in a point's run would change no byte of them.
+GOLDEN_SWEEP_POINTS = {
+    ("sweep_k.json", 20.88): (
+        "9fc9dca0a08e02aaafda01ab7b34c0be4e8422f69a5e673c566b0547fd46da92",
+        "42595a40dcbedc38973ced53e866d0a154619d6dda82f05f84c8775caadd39cf"),
+    ("sweep_k.json", 23.0): (
+        "f1539740c53fd4a37422989103205c4fba0823174d698d3b2403d8611f02e7d0",
+        "79a8916b3b6ae44acdcdc2636d3f34544c9b08bc36e96bd88c9d3a2f5f1c3a27"),
+    ("sweep_k.json", 25.0): (
+        "50c679c217d32500ea40c81631187d16f919a70101968ee03c16b42a56ee4ba0",
+        "531978ed3d0ccf2a65cca217e0e30b0dcd19b5551813f8318fba6ceab8029d7c"),
+    ("sweep_k.json", 27.0): (
+        "4448afc6e97d4185cf203d16b12df9e29ca0925969948c0ddca2bd754408f41f",
+        "2e04d44fe6c1d4aae181b825116e4d598f3789a659695cf752188a8617f0ff64"),
+    ("sweep_k.json", 29.0): (
+        "a6058f01a463a9cd0a9e30f735a26a7c80f278993714eee6d1f5c12740aaaffe",
+        "8e728c94201c11f499eb9c942819c57a3afcafec2ec4ca70604d786ff0b31934"),
+    ("sweep_d.json", 12.5): (
+        "e70d4c2d6527cadda2a2a187a9187dcdc16ca3aeba2c4a5059bc1543b4f62e85",
+        "42595a40dcbedc38973ced53e866d0a154619d6dda82f05f84c8775caadd39cf"),
+    ("sweep_d.json", 12.6): (
+        "9fc9dca0a08e02aaafda01ab7b34c0be4e8422f69a5e673c566b0547fd46da92",
+        "42595a40dcbedc38973ced53e866d0a154619d6dda82f05f84c8775caadd39cf"),
+    ("sweep_d.json", 12.7): (
+        "3965a7e253c90d64370fb0f363441b53bd9b8f24406ff5fa63418531e19378e0",
+        "7a0a7703b01a395ea51979a37a0c61d140704fcbaac96117868ef05472ba1fc9"),
+    ("sweep_d.json", 12.8): (
+        "a2142760e5f822909f19de8efbae0fbb32bc1bd7cafaa0852ba53ce00dc0cd8c",
+        "1621025848ffbc90781f29ad10776bcff5f95de888556be515b9e017aa66ea37"),
+}
+
+
+@pytest.mark.parametrize("name", ["sweep_k.json", "sweep_d.json"])
+def test_sweep_point_columns_match_golden_digests(name, monkeypatch):
+    result, traces = sweep_traces(read_sweep(SCENARIO_DIR / name), monkeypatch)
+    digests = {(name, r.value): (hashlib.sha256(t.positions.tobytes()).hexdigest(),
+                                 hashlib.sha256(t.modes.tobytes()).hexdigest())
+               for r, t in zip(result.runs, traces)}
+    assert digests == {key: pin for key, pin in GOLDEN_SWEEP_POINTS.items() if key[0] == name}

@@ -189,16 +189,17 @@ def with_far_decoys(spec, n, seed):
 
 
 def counted_run(spec, monkeypatch):
+    """The run and its number of repulsion evaluations: total_force evaluates
+    each row it is handed exactly once, so count the rows leader_step hands it."""
     calls = [0]
-    original = apf.repulsion_force
+    original = apf.total_force
 
-    def counted(x, y, obs, k_rep):
-        calls[0] += 1
-        return original(x, y, obs, k_rep)
+    def counted(x, y, gx, gy, obstacles, params):
+        calls[0] += len(obstacles)
+        return original(x, y, gx, gy, obstacles, params)
 
     with monkeypatch.context() as m:
-        # The name total_force calls repulsion_force by.
-        m.setattr(apf, "_repulsion_force", counted)
+        m.setattr(apf, "total_force", counted)  # the name leader_step calls it by
         trace = run(spec, SWARMPATH)
     return trace, calls[0]
 

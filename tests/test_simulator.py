@@ -81,6 +81,8 @@ def test_stalled_outcome_at_field_equilibrium(monkeypatch):
     assert trace.outcome == STALLED
     # Stalled from step 1: frame 0 plus STALL_PATIENCE stalled steps.
     assert trace.n_frames == STALL_PATIENCE + 1
+    # The stalled leader holds its row: every later row repeats it.
+    assert np.array_equal(trace.leader, np.tile(spec.start.as_tuple(), (trace.n_frames, 1)))
     # Every point of a sweep reads the same stall off the shared leader track.
     result, traces = sweep_traces(SweepSpec("d", (12.0, 14.0), spec), monkeypatch)
     assert [r.outcome for r in result.runs] == [STALLED, STALLED]
