@@ -1,14 +1,17 @@
-"""Deterministic fixed-step simulation loop for both controllers.
+"""Deterministic fixed-step simulation of both controllers.
 
-The state of a run is its drones, plain floats and ints in a list that each
-step updates in place: topology drones for the adaptive-link swarm, apf agents
-for the baseline; either way a drone starts with its x, y.  A step is one pass
-over the drones: it moves each one, appends its row to the trace's columns,
-adds its new numbers to a sum and tests it against its goal slot.  run()
-records frame 0 and tests it once, then loops over the steps and acts on what
-each returns, so it stays the only loop and the one place that ends a run.
-Metrics and export read the columns and never re-integrate anything:
-replaying the same spec gives identical columns.  The swarm's virtual leader
+A run records frame 0, moves the drones step by step, and ends on the first
+frame at which every drone is within goal_threshold of its goal slot, after a
+stall has lasted STALL_PATIENCE steps, or at max_steps, whichever comes first.
+Metrics and export read the trace's columns and never re-integrate anything:
+replaying the same spec gives identical columns.
+
+The baseline's drones are apf agents that baseline_step moves in place, all
+of them once per step, in run's one step loop.  The swarm's followers each
+read only their own state, the leader's rows and the obstacles, so they run
+drone-major: topology.swarm_step advances one follower over a range of steps,
+and run composes completion, the leader's stall and the first fault from the
+followers' tracks, exactly as a loop over steps would meet them.  The leader
 reads no drone, so it is not stepped here: its rows come from a
 topology.LeaderTrack, which a sweep builds once and hands to every point, and
 they fill the trace's leader column once, when the trace is built.
@@ -26,7 +29,8 @@ import numpy as np
 from .world import ScenarioSpec
 from .apf import SingularityError
 from .impedance import link_coefficients
-from .topology import LeaderTrack, initial_swarm_state, leader_inputs, swarm_step
+from .topology import (DEFLECTION_FAULT, NON_FINITE, LeaderTrack, initial_swarm_state,
+                       leader_inputs, swarm_step)
 from .baseline import initial_baseline_state, baseline_step
 
 SWARMPATH = "swarmpath"
@@ -34,6 +38,8 @@ CONVENTIONAL_APF = "conventional-apf"
 CONTROLLERS = (SWARMPATH, CONVENTIONAL_APF)
 
 STALL_PATIENCE = 100  # consecutive stalled steps before the run is abandoned
+CHUNK = 128  # leader rows a swarm run grows ahead of its drones at a time
+LEADER_FAULT = 0  # ranks before DEFLECTION_FAULT and OVERFLOW_FAULT at the same step
 
 COMPLETED = "completed"
 MAX_STEPS = "max_steps"
@@ -70,32 +76,67 @@ class SimulationTrace:
         return self.positions[:, drone]
 
 
-class _Columns:
-    """The trace's columns while a run appends to them, as flat arrays.
+def _trace(spec: ScenarioSpec, controller: str, outcome: str, positions: np.ndarray,
+           leader: np.ndarray | None = None, modes: np.ndarray | None = None) -> SimulationTrace:
+    """The finished run, its columns made read-only."""
+    t = np.arange(len(positions)) * spec.dt  # bit for bit the step * dt of each row
+    for col in (t, positions, leader, modes):
+        if col is not None:
+            col.flags.writeable = False
+    return SimulationTrace(spec, controller, t, positions, leader, modes, outcome)
 
-    Frame 0 is written here; each step function appends its own row, element
-    by element, which costs less than writing it into numpy per step.  The
-    finished arrays become the trace's columns without a copy.
+
+def _within(spec: ScenarioSpec, drones) -> list[bool]:
+    """Whether each drone (x, y, ...) is within goal_threshold of its goal slot."""
+    gx, gy, threshold = spec.goal.x, spec.goal.y, spec.apf.goal_threshold
+    return [math.hypot(x - (gx + off.x), y - (gy + off.y)) <= threshold
+            for (x, y, *_), off in zip(drones, spec.formation_offsets)]
+
+
+class _Followers:
+    """Every follower's own track: its state, the step it is at, its rows.
+
+    A follower reads the leader's rows and no other drone, so each one runs
+    on alone through swarm_step; run() decides how far.  faults lists the
+    faults met so far as (step, kind, drone, text), the leader's with kind
+    LEADER_FAULT and drone -1.
     """
 
-    def __init__(self, drones, linked: bool):
-        self.n_drones = len(drones)
-        self.positions = array("d", chain.from_iterable(d[:2] for d in drones))
-        self.modes = array("q", (d[4] for d in drones)) if linked else None
+    def __init__(self, spec: ScenarioSpec, track: LeaderTrack):
+        self.spec, self.track = spec, track
+        self.coefficients = link_coefficients(spec.impedance, spec.dt)
+        self.offsets = tuple((off.x, off.y) for off in spec.formation_offsets)
+        self.drones = initial_swarm_state(spec)
+        self.steps = [0] * len(self.drones)
+        self.within = _within(spec, self.drones)
+        self.positions = [array("d", d[:2]) for d in self.drones]
+        self.modes = [array("q", (d[4],)) for d in self.drones]
+        self.faults: list[tuple[int, int, int, str]] = []
 
-    def trace(self, spec: ScenarioSpec, controller: str, outcome: str,
-              track: LeaderTrack | None, rows: int) -> SimulationTrace:
-        shape = (rows, self.n_drones)
-        t = np.arange(rows) * spec.dt  # bit for bit the step * dt of each row
-        positions = np.frombuffer(self.positions).reshape(shape + (2,))
-        leader = (None if track is None
-                  else np.frombuffer(track.xy, count=2 * rows).reshape(rows, 2).copy())
-        modes = (None if self.modes is None
-                 else np.frombuffer(self.modes, dtype=np.int64).reshape(shape))
-        for col in (t, positions, leader, modes):
-            if col is not None:
-                col.flags.writeable = False
-        return SimulationTrace(spec, controller, t, positions, leader, modes, outcome)
+    @property
+    def fail(self) -> float:
+        """The earliest step with a fault, inf while there is none."""
+        return min(self.faults)[0] if self.faults else math.inf
+
+    def advance(self, i: int, settle: int, last: int) -> None:
+        """Run drone i on through at most step last, stopping at its first within-step >= settle."""
+        if self.steps[i] >= last:
+            return
+        drone, step, within, fault = swarm_step(
+            self.drones[i], self.steps[i], last, settle, self.track, self.offsets[i],
+            self.spec, self.coefficients, self.positions[i], self.modes[i])
+        self.drones[i], self.steps[i], self.within[i] = drone, step, within
+        if fault is not None:
+            kind, text = fault
+            self.faults.append((step, kind, i, text))
+
+    def trace(self, outcome: str, rows: int) -> SimulationTrace:
+        positions = np.stack([np.frombuffer(p, count=2 * rows).reshape(rows, 2)
+                              for p in self.positions], axis=1)
+        modes = np.stack([np.frombuffer(m, dtype=np.int64, count=rows) for m in self.modes],
+                         axis=1)
+        leader = np.frombuffer(self.track.xy, count=2 * rows).reshape(rows, 2).copy()
+        return _trace(self.spec, SWARMPATH, outcome, positions, leader, modes)
 
 
 def run(spec: ScenarioSpec, controller: str = SWARMPATH,
@@ -115,44 +156,74 @@ def run(spec: ScenarioSpec, controller: str = SWARMPATH,
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}, expected one of {CONTROLLERS}")
-    if controller == SWARMPATH:
-        if track is None:
-            track = LeaderTrack(spec)
-        elif track.inputs != leader_inputs(spec):
-            raise ValueError("the leader track was built for other leader inputs "
-                             "(start, goal, obstacles, gates, apf, dt, max_steps)")
-        drones = initial_swarm_state(spec)
-        columns = _Columns(drones, linked=True)
-        coefficients = link_coefficients(spec.impedance, spec.dt)
-        offsets = tuple((off.x, off.y) for off in spec.formation_offsets)
-        positions, modes = columns.positions, columns.modes
-
-        def advance(step):
-            return swarm_step(drones, step, track, spec, coefficients, offsets,
-                              positions, modes)
-    else:
+    if controller == CONVENTIONAL_APF:
         if track is not None:
             raise ValueError(f"the {controller} controller has no leader to take a track")
         drones = initial_baseline_state(spec)
-        columns = _Columns(drones, linked=False)
-        positions = columns.positions
+        positions = array("d", chain.from_iterable(d[:2] for d in drones))
+        done = all(_within(spec, drones))
+        stall_run = step = 0
+        while not done and stall_run < STALL_PATIENCE and step < spec.max_steps:
+            step += 1
+            try:
+                done, stalled, total = baseline_step(drones, spec, positions)
+                # A sum of finite numbers can overflow too: only then look at each.
+                if not (math.isfinite(total)
+                        or all(map(math.isfinite, chain.from_iterable(drones)))):
+                    raise SingularityError(NON_FINITE)
+            except SingularityError as exc:
+                raise SingularityError(f"step {step}: {exc}") from None
+            stall_run = stall_run + 1 if stalled else 0
+        outcome = COMPLETED if done else STALLED if stall_run >= STALL_PATIENCE else MAX_STEPS
+        return _trace(spec, controller, outcome,
+                      np.frombuffer(positions).reshape(step + 1, len(drones), 2))
 
-        def advance(step):
-            return baseline_step(drones, spec, positions)
-    threshold = spec.apf.goal_threshold
-    done = all(math.hypot(x - (spec.goal.x + off.x), y - (spec.goal.y + off.y)) <= threshold
-               for (x, y, *_), off in zip(drones, spec.formation_offsets))
-    stall_run = step = 0
-    while not done and stall_run < STALL_PATIENCE and step < spec.max_steps:
-        step += 1
-        try:
-            done, stalled, total = advance(step)
-            # A sum of finite numbers can overflow too: only then look at each.
-            if not (math.isfinite(total)
-                    or all(map(math.isfinite, chain.from_iterable(drones)))):
-                raise SingularityError("the state overflowed to a non-finite value")
-        except SingularityError as exc:
-            raise SingularityError(f"step {step}: {exc}") from None
-        stall_run = stall_run + 1 if stalled else 0
-    outcome = COMPLETED if done else STALLED if stall_run >= STALL_PATIENCE else MAX_STEPS
-    return columns.trace(spec, controller, outcome, track, step + 1)
+    if track is None:
+        track = LeaderTrack(spec)
+    elif track.inputs != leader_inputs(spec):
+        raise ValueError("the leader track was built for other leader inputs "
+                         "(start, goal, obstacles, gates, apf, dt, max_steps)")
+    # The followers run drone-major.  The run ends on the earliest of: the
+    # first frame at which every drone is within (found by raising a candidate
+    # frame until each drone is within at it), the leader's stall_step plus
+    # STALL_PATIENCE - 1, and max_steps.  A fault at or before that frame is
+    # raised instead, the lowest by (step, kind, drone), which is the order a
+    # loop over steps would meet them in.  The leader grows CHUNK rows ahead
+    # of the drones at a time, and no drone runs past the end.
+    followers = _Followers(spec, track)
+    count = len(followers.drones)
+    frontier = 0  # the leader's rows exist through this step
+    frame = agreed = i = 0  # candidate frame, drones within at it, next drone to ask
+    while True:
+        stall = (math.inf if track.stall_step is None
+                 else track.stall_step + STALL_PATIENCE - 1)
+        last = min(spec.max_steps, stall)  # the end if no frame completes
+        bound = min(frontier, last, followers.fail - 1)
+        while agreed < count and frame <= bound:
+            if followers.steps[i] != frame or not followers.within[i]:
+                followers.advance(i, frame, bound)
+                if not followers.within[i]:
+                    break
+                if followers.steps[i] > frame:
+                    frame, agreed = followers.steps[i], 0
+            agreed += 1
+            i = (i + 1) % count
+        if agreed == count:
+            return followers.trace(COMPLETED, frame + 1)
+        if frontier < min(last, followers.fail - 1):
+            target = min(max(frontier + CHUNK, len(track.xy) // 2 - 1), spec.max_steps)
+            try:
+                track.row(target)
+            except SingularityError as exc:
+                followers.faults.append((len(track.xy) // 2, LEADER_FAULT, -1, str(exc)))
+            frontier = min(target, len(track.xy) // 2 - 1)
+            continue
+        end = min(last, followers.fail)
+        for j in range(count):
+            followers.advance(j, end + 1, min(end, frontier))
+        if followers.fail <= last:
+            step, kind, drone, text = min(followers.faults)
+            if kind == DEFLECTION_FAULT:  # drones are numbered from 1, as in files
+                text = f"drone {drone + 1}: {text}"
+            raise SingularityError(f"step {step}: {text}")
+        return followers.trace(STALLED if last == stall else MAX_STEPS, last + 1)

@@ -7,16 +7,19 @@ term, which carries it around the body.  The link releases back to the leader
 once the surface distance exceeds r_imp * (1 + hysteresis); a drone never hands
 over directly from one obstacle to another, it must release first.
 
-The state of a run is its drones, a list that swarm_step updates in place.
 A drone is a tuple of plain floats and ints (x, y, vx, vy, mode, mean_speed):
 its position, its link velocity, its link mode (LEADER or the index of the
 obstacle it is linked to, the trace's mode code) and its smoothed ground
 speed.  Obstacles are ObstacleIndex rows (cx, cy, radius, r_apf, r_imp).
 
-The virtual leader is not part of that state.  It reads no drone, so its path
-is fixed by the leader inputs of a spec (start, goal, obstacles, gates, apf,
-dt, max_steps); a LeaderTrack computes that path once, row by row as runs reach
-each step, and every run with the same leader inputs reads its rows.
+The virtual leader is not a drone.  It reads no drone, so its path is fixed
+by the leader inputs of a spec (start, goal, obstacles, gates, apf, dt,
+max_steps); a LeaderTrack computes that path once, row by row as runs reach
+each step, and every run with the same leader inputs reads its rows.  A
+follower reads its own state, the leader's rows and the obstacles, never
+another drone, so swarm_step runs one follower over a range of steps at a
+time, its state in locals, and simulator.run composes the swarm's outcome
+from the followers' tracks.
 
 swarm_step is the hot loop, so it applies the link rule and the link update
 inline rather than through update_link_mode, nearest_obstacle and link_step.
@@ -38,8 +41,13 @@ from .impedance import link_step  # noqa: F401
 
 MEAN_SPEED_ALPHA = 0.05  # exponential moving average weight for drone speed
 LEADER = -1  # mode of a drone linked to the leader; otherwise an obstacle index
+NON_FINITE = "the state overflowed to a non-finite value"
+# A follower's faults, ranked in the order a step meets them: its link's
+# direction, then the finiteness of its new state.
+DEFLECTION_FAULT, OVERFLOW_FAULT = 1, 2
 
 Drone = tuple[float, float, float, float, int, float]  # x, y, vx, vy, mode, mean_speed
+Fault = tuple[int, str]  # (kind, text)
 
 
 def nearest_obstacle(x: float, y: float,
@@ -116,10 +124,11 @@ class LeaderTrack:
     reads every earlier row straight from xy.  Growing runs leader_step until
     the path's fixed point: once the leader latches reached_goal or stalls,
     leader_step would return it unchanged forever, so every later row is a
-    copy of the last one.  stall_step is the first step at which the leader
-    stalled, None while it has not.  A step whose leader_step raises, or
-    whose row is not finite, is not stored, so every run that reaches it
-    raises again.  Whoever builds a track chooses the runs that share it.
+    copy of the last one, and one call appends every such row it asks for.
+    stall_step is the first step at which the leader stalled, None while it
+    has not.  A step whose leader_step raises, or whose row is not finite, is
+    not stored, so every run that reaches it raises again.  Whoever builds a
+    track chooses the runs that share it.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -135,13 +144,13 @@ class LeaderTrack:
         xy = self.xy
         while 2 * step >= len(xy):
             if self._settled:
-                xy.extend(xy[-2:])
-                continue
+                xy.extend(xy[-2:] * (step + 1 - len(xy) // 2))
+                break
             spec = self._spec
             agent, stalled = leader_step(self._agent, spec.goal.x, spec.goal.y, spec)
             x, y, reached = agent
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise SingularityError("the state overflowed to a non-finite value")
+                raise SingularityError(NON_FINITE)
             if stalled:
                 self.stall_step = len(xy) // 2
             self._agent = agent
@@ -162,16 +171,18 @@ def initial_swarm_state(spec: ScenarioSpec) -> list[Drone]:
             for off in spec.formation_offsets]
 
 
-def swarm_step(drones: list[Drone], step: int, track: LeaderTrack, spec: ScenarioSpec,
-               coefficients: Coefficients, offsets: tuple[tuple[float, float], ...],
-               positions: array, modes: array) -> tuple[bool, bool, float]:
-    """Advance every follower to step, in place; the leader's rows come from track.
 
-    coefficients is link_coefficients(spec.impedance, spec.dt) and offsets
-    the (x, y) pairs of spec.formation_offsets, both fixed for a run.
-    Each drone refreshes its link mode, integrates its link against the slot
-    it was tracking (on the leader's row step - 1), and re-anchors the
-    integrated deviation onto the slot derived from the leader's row step.
+
+def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTrack,
+               offset: tuple[float, float], spec: ScenarioSpec, coefficients: Coefficients,
+               positions: array, modes: array) -> tuple[Drone | None, int, bool, Fault | None]:
+    """Advance one follower from its state after step through at most step last.
+
+    track must hold the leader's rows through last, offset is the drone's
+    (x, y) formation offset and coefficients link_coefficients(spec.impedance,
+    spec.dt).  At each step n the drone refreshes its link mode, integrates its
+    link against the slot it was tracking (on the leader's row n - 1), and
+    re-anchors the integrated deviation onto the slot derived from row n.
     Anchoring this way makes pure transport exact: a drone sitting on its slot
     with no deviation translates with the leader instead of lagging it.  The
     slot's deflection depends on the drone alone, so both slots share it.
@@ -180,15 +191,16 @@ def swarm_step(drones: list[Drone], step: int, track: LeaderTrack, spec: Scenari
     with no external force, both written out in the loop with the same
     operations in the same order, so every bit matches the helpers.
 
-    The same pass appends each drone's new x, y to positions and its mode to
-    modes, the trace's flat row buffers.  Returns (done, stalled, total):
-    done when every drone is within goal_threshold of its goal slot, stalled
-    when the leader stalled at step, and total the sum of every new number,
-    which is finite only if all of them are.
+    Each step appends the drone's new x, y to positions and its mode to modes,
+    the drone's own row buffers.  The loop stops after the first step n >=
+    settle at which the drone is within goal_threshold of its goal slot, and
+    at the first step that faults: its link has no direction, or its new state
+    is not finite.  Returns (drone, n, within, fault): the state after the
+    last step n run, whether it is within, and None; or, when step n faulted,
+    None, n, False and the fault (kind, text), with nothing appended for n.
     """
-    nlx, nly = track.row(step)
-    xy = track.xy
-    lx, ly = xy[2 * step - 2], xy[2 * step - 1]
+    x, y, vx, vy, mode, mean_speed = drone
+    ox, oy = offset
     dt = spec.dt
     index, params = spec.obstacle_index, spec.topology
     rows, link_cells, link_cell = index.rows, index.link_cells, index.link_cell
@@ -198,12 +210,15 @@ def swarm_step(drones: list[Drone], step: int, track: LeaderTrack, spec: Scenari
     # +0.0 turns a -0.0 sum into +0.0, so the terms stay.
     hold0, hold1 = g0 * 0.0, g1 * 0.0
     keep = 1.0 - MEAN_SPEED_ALPHA
-    gx, gy, threshold = spec.goal.x, spec.goal.y, spec.apf.goal_threshold
-    hypot, inf = math.hypot, math.inf
+    goal_x, goal_y = spec.goal.x + ox, spec.goal.y + oy
+    threshold = spec.apf.goal_threshold
+    hypot, inf, isfinite = math.hypot, math.inf, math.isfinite
     append_position, append_mode = positions.append, modes.append
-    done = True
-    total = 0.0
-    for i, ((x, y, vx, vy, mode, mean_speed), (ox, oy)) in enumerate(zip(drones, offsets)):
+    xy = track.xy
+    lx, ly = xy[2 * step], xy[2 * step + 1]
+    n = step
+    for n, nlx, nly in zip(range(step + 1, last + 1), xy[2 * step + 2:2 * last + 2:2],
+                           xy[2 * step + 3:2 * last + 3:2]):
         if mode == LEADER:
             # nearest_obstacle over the link cell, ties to the lower index.  A
             # surface at inf can acquire nothing, so starting the scan at inf
@@ -225,8 +240,8 @@ def swarm_step(drones: list[Drone], step: int, track: LeaderTrack, spec: Scenari
         if mode != LEADER:
             try:
                 ex, ey = deflection_offset(x, y, mean_speed, rows[mode], params)
-            except SingularityError as exc:  # drones are numbered from 1, as in files
-                raise SingularityError(f"drone {i + 1}: {exc}") from None
+            except SingularityError as exc:
+                return None, n, False, (DEFLECTION_FAULT, str(exc))
             slot_x, slot_y = slot_x + ex, slot_y + ey
             new_x, new_y = new_x + ex, new_y + ey
         dx, dy = x - slot_x, y - slot_y
@@ -235,11 +250,14 @@ def swarm_step(drones: list[Drone], step: int, track: LeaderTrack, spec: Scenari
         vx, vy = p10 * dx + p11 * vx + hold1, p10 * dy + p11 * vy + hold1
         speed = hypot(new_x - x, new_y - y) / dt
         mean_speed = keep * mean_speed + MEAN_SPEED_ALPHA * speed
-        drones[i] = (new_x, new_y, vx, vy, mode, mean_speed)
-        append_position(new_x)
-        append_position(new_y)
+        # A sum of finite numbers can overflow too: only then look at each.
+        if not (isfinite(new_x + new_y + vx + vy + mean_speed)
+                or all(map(isfinite, (new_x, new_y, vx, vy, mean_speed)))):
+            return None, n, False, (OVERFLOW_FAULT, NON_FINITE)
+        x, y, lx, ly = new_x, new_y, nlx, nly
+        append_position(x)
+        append_position(y)
         append_mode(mode)
-        total += new_x + new_y + vx + vy + mean_speed
-        if done and not hypot(new_x - (gx + ox), new_y - (gy + oy)) <= threshold:
-            done = False
-    return done, track.stalled(step), total
+        if n >= settle and hypot(x - goal_x, y - goal_y) <= threshold:
+            return (x, y, vx, vy, mode, mean_speed), n, True, None
+    return (x, y, vx, vy, mode, mean_speed), n, False, None

@@ -56,10 +56,8 @@ def test_max_steps_outcome():
         assert trace.n_frames == 21
 
 
-def test_stalled_outcome_at_field_equilibrium(monkeypatch):
-    # Start the leader exactly where attraction and repulsion cancel (found
-    # by bisection); it never moves and the run gives up after the stall
-    # patience.
+def equilibrium_spec():
+    """A leader started exactly where attraction and repulsion cancel (found by bisection)."""
     from swarmpath.apf import total_force
 
     ob = Obstacle(Vec2(0.0, 0.0), 0.1, 10.0, 5.0)
@@ -76,7 +74,12 @@ def test_stalled_outcome_at_field_equilibrium(monkeypatch):
             lo = mid
         else:
             hi = mid
-    spec = straight_spec(start=Vec2(lo, 0.0), goal=goal, obstacles=(ob,), max_steps=4000)
+    return straight_spec(start=Vec2(lo, 0.0), goal=goal, obstacles=(ob,), max_steps=4000)
+
+
+def test_stalled_outcome_at_field_equilibrium(monkeypatch):
+    # The leader never moves and the run gives up after the stall patience.
+    spec = equilibrium_spec()
     trace = run(spec, SWARMPATH)
     assert trace.outcome == STALLED
     # Stalled from step 1: frame 0 plus STALL_PATIENCE stalled steps.
@@ -137,6 +140,22 @@ def test_drone_state_overflow_reports_its_step():
     with pytest.raises(SingularityError) as err:
         run(spec, SWARMPATH)
     assert str(err.value) == "step 1: the state overflowed to a non-finite value"
+
+
+@pytest.mark.parametrize("settled", ["goal", "stall"])
+def test_a_settled_leader_grows_its_rows_in_one_call(settled):
+    # Past its fixed point the track appends every row a call asks for at
+    # once; the bytes and the stall step equal those of growing row by row.
+    spec = straight_spec(goal=Vec2(1.0, 0.0)) if settled == "goal" else equilibrium_spec()
+    bulk, single = LeaderTrack(spec), LeaderTrack(spec)
+    bulk.row(900)
+    for n in range(1, 901):
+        single.row(n)
+    assert bulk.row(900) == bulk.row(899)
+    assert bulk.xy.tobytes() == single.xy.tobytes()
+    assert len(bulk.xy) == 2 * 901
+    assert bulk.stall_step == single.stall_step
+    assert (bulk.stall_step is None) == (settled == "goal")
 
 
 def test_leader_track_straight_line():

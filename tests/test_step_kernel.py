@@ -1,13 +1,15 @@
-"""The fused step passes against a reference run built from the public helpers.
+"""The fused step kernels against a reference run built from the public helpers.
 
-swarm_step and baseline_step each move every drone, append its row and test
-it in one pass.  The reference below rebuilds both controllers' runs one drone
-at a time from update_link_mode, deflection_offset and link_step (the swarm)
-and leader_step (the baseline), with the run loop written out again, so the
-fused passes cannot drift from the helpers: columns must match bit for bit,
-and outcomes and error messages exactly.  A fixed case pins the link scan's
-tie-break, and another the signed zeros of link_step's force terms, which
-random posts almost never reach.
+swarm_step runs one follower over a range of steps and simulator.run composes
+the swarm's outcome from the followers' tracks; baseline_step moves every
+baseline drone once per step.  The reference below rebuilds both controllers'
+runs step by step, one drone at a time, from update_link_mode,
+deflection_offset and link_step (the swarm) and leader_step (the baseline),
+with the run loop written out again, so the kernels and the drone-major
+composition cannot drift from the helpers: columns must match bit for bit,
+and outcomes and error messages exactly.  Fixed cases pin the link scan's
+tie-break, the signed zeros of link_step's force terms, and the order of
+faults that random posts almost never reach.
 """
 
 import dataclasses
@@ -19,12 +21,12 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from swarmpath.apf import SingularityError, leader_step, total_force
 from swarmpath.impedance import link_coefficients, link_step
-from swarmpath.simulator import (COMPLETED, CONTROLLERS, MAX_STEPS, STALL_PATIENCE, STALLED,
-                                 SWARMPATH, run)
+from swarmpath.simulator import (CHUNK, COMPLETED, CONTROLLERS, MAX_STEPS, STALL_PATIENCE,
+                                 STALLED, SWARMPATH, run)
 from swarmpath.topology import (LEADER, MEAN_SPEED_ALPHA, LeaderTrack, deflection_offset,
                                 update_link_mode)
 from swarmpath.world import (ImpedanceParams, Obstacle, ScenarioSpec, ScenarioValidationError,
-                             TopologyParams, Vec2, validate_spec)
+                             TopologyParams, Vec2, read_scenario, validate_spec)
 
 
 @st.composite
@@ -212,3 +214,44 @@ def test_the_zero_force_terms_of_link_step_are_kept():
     assert trace.outcome == outcome == STALLED
     assert trace.positions.tobytes() == positions.tobytes()
     assert [math.copysign(1.0, x) for x in trace.positions[:3, 0, 0]] == [-1.0, 1.0, 1.0]
+
+
+def posts_on(*centres):
+    """Small posts centred on the given points, out of the leader's reach from the origin."""
+    return tuple(Obstacle(Vec2(*c), 0.1, 0.3, 0.3) for c in centres)
+
+
+def test_two_drones_on_post_centres_name_the_lower_drone():
+    # Drones 1 and 2 both link to the post they start on at step 1, whose
+    # deflection has no direction: step-major order meets drone 1 first.
+    spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(3.0, 0.0),
+                        obstacles=posts_on((0.4, 0.4), (0.4, -0.4)))
+    validate_spec(spec)
+    with pytest.raises(SingularityError) as err:
+        run(spec, SWARMPATH)
+    assert str(err.value) == reference_run(spec, SWARMPATH)
+    assert str(err.value).startswith("step 1: drone 1: 0 m from obstacle center (0.4, 0.4)")
+
+
+def test_a_later_drone_faulting_first_is_raised_at_its_step():
+    # Drone 2 faults at step 1 while drone 1 flies on.  The followers run
+    # drone-major, so drone 1's track is computed first and further, but the
+    # run raises drone 2's step-1 fault.
+    spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(3.0, 0.0),
+                        obstacles=posts_on((0.4, -0.4)))
+    validate_spec(spec)
+    with pytest.raises(SingularityError) as err:
+        run(spec, SWARMPATH)
+    assert str(err.value) == reference_run(spec, SWARMPATH)
+    assert str(err.value).startswith("step 1: drone 2: 0 m from obstacle center (0.4, -0.4)")
+    alone = dataclasses.replace(spec, formation_offsets=spec.formation_offsets[:1])
+    assert run(alone, SWARMPATH).outcome == COMPLETED
+
+
+@pytest.mark.parametrize("name", ["case1_gate.json", "case2_forest.json"])
+def test_a_completed_run_grows_its_track_at_most_one_chunk_past_its_end(name, scenario_dir):
+    spec = read_scenario(scenario_dir / name)
+    track = LeaderTrack(spec)
+    trace = run(spec, SWARMPATH, track)
+    assert trace.outcome == COMPLETED
+    assert 0 <= len(track.xy) // 2 - trace.n_frames <= CHUNK

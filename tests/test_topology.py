@@ -31,16 +31,18 @@ TOPO = TopologyParams(k_impF=0.5, hysteresis=0.1, velocity_gain=0.0)
 def stepper(spec):
     """A fresh LeaderTrack for spec, and step(drones, n) on it with spec's constants.
 
-    step runs swarm_step on the drones in place, with throwaway row buffers,
-    and returns them.
+    step runs swarm_step over step n alone for each drone, with throwaway row
+    buffers, and returns the new drones.
     """
     track = LeaderTrack(spec)
     coefficients = link_coefficients(spec.impedance, spec.dt)
     offsets = tuple((off.x, off.y) for off in spec.formation_offsets)
 
     def step(drones, n):
-        swarm_step(drones, n, track, spec, coefficients, offsets, array("d"), array("q"))
-        return drones
+        track.row(n)
+        return [swarm_step(drone, n - 1, n, n + 1, track, offset, spec, coefficients,
+                           array("d"), array("q"))[0]
+                for drone, offset in zip(drones, offsets)]
 
     return track, step
 
@@ -79,6 +81,33 @@ def test_mode_acquire_release_hysteresis():
     assert update_link_mode(0.42, 0.0, mode, OB_INDEX, TOPO) == 0
     # Beyond the release radius: back to the leader.
     assert update_link_mode(0.44, 0.0, mode, OB_INDEX, TOPO) == LEADER
+
+
+def test_link_rule_at_exactly_each_threshold():
+    # Surface distances that equal a threshold exactly: the release test is a
+    # strict >, so a link at exactly r_imp * (1 + hysteresis) holds, and the
+    # acquire test a strict <, so a drone at exactly r_imp acquires nothing.
+    # One ulp further out releases, one ulp further in acquires.
+    post = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.25)
+    spec = straight_spec(start=Vec2(0.0, -3.0), goal=Vec2(0.0, -4.0), obstacles=(post,),
+                         topology=TopologyParams(k_impF=0.5, hysteresis=1.0, velocity_gain=0.0))
+    index, params = spec.obstacle_index, spec.topology
+    release_x, acquire_x = 1.0, 0.75  # surface 0.5 == 0.25 * 2.0 and 0.25 == r_imp
+    track, _ = stepper(spec)
+    track.row(1)
+    coefficients = link_coefficients(spec.impedance, spec.dt)
+
+    def kernel_mode(x, mode):
+        drone = (x, 0.0, 0.0, 0.0, mode, 0.0)
+        new, *_ = swarm_step(drone, 0, 1, 2, track, (0.0, 0.0), spec, coefficients,
+                             array("d"), array("q"))
+        return new[4]
+
+    cases = [(release_x, 0, 0), (math.nextafter(release_x, 2.0), 0, LEADER),
+             (acquire_x, LEADER, LEADER), (math.nextafter(acquire_x, 0.0), LEADER, 0)]
+    for x, mode, expected in cases:
+        assert update_link_mode(x, 0.0, mode, index, params) == expected
+        assert kernel_mode(x, mode) == expected
 
 
 def test_mode_no_direct_handoff_between_obstacles():
