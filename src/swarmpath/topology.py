@@ -22,15 +22,22 @@ time, its state in locals, and simulator.run composes the swarm's outcome
 from the followers' tracks.
 
 swarm_step is the hot loop, so it applies the link rule and the link update
-inline rather than through update_link_mode, nearest_obstacle and link_step.
-Those helpers stay the reference: the tests check swarm_step against a run
-built from them, bit for bit.
+itself (the leader-linked scan in _link_rule) rather than through
+update_link_mode, nearest_obstacle and link_step.  Those helpers stay the
+reference: the tests check swarm_step against a run built from them, bit for
+bit.  Until a follower first links to an obstacle it usually sits
+bit-exactly on its slot with a zero link state, which the zero-force update
+keeps zero; swarm_step then moves it over the whole stretch up to its next
+acquire, within-step or last step at once, with numpy (see _ride), and
+steps on from there one step at a time.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+
+import numpy as np
 
 from .world import NO_CANDIDATES, ObstacleIndex, TopologyParams, ScenarioSpec
 from .apf import Agent, SingularityError, leader_step
@@ -159,10 +166,6 @@ class LeaderTrack:
             xy.append(y)
         return xy[2 * step], xy[2 * step + 1]
 
-    def stalled(self, step: int) -> bool:
-        """True when the leader stalled at step; a stall lasts forever."""
-        return self.stall_step is not None and step >= self.stall_step
-
 
 def initial_swarm_state(spec: ScenarioSpec) -> list[Drone]:
     """Drones at rest on the start formation, every link on the leader."""
@@ -171,6 +174,97 @@ def initial_swarm_state(spec: ScenarioSpec) -> list[Drone]:
             for off in spec.formation_offsets]
 
 
+def _link_rule(x: float, y: float, ids: tuple[int, ...], cell_rows: tuple[tuple, ...]) -> int:
+    """The mode a leader-linked drone at (x, y) takes, given its link cell's (ids, rows).
+
+    nearest_obstacle over the cell, ties to the lower index, is acquired when
+    its surface is closer than its r_imp; otherwise LEADER.  A surface at inf
+    can acquire nothing, so starting the scan at inf acquires exactly what
+    starting it on the first row would.
+    """
+    best = reach = math.inf
+    near = LEADER
+    for j, (cx, cy, radius, _, r_imp) in zip(ids, cell_rows):
+        dist = math.hypot(x - cx, y - cy) - radius
+        if dist < best:
+            best, reach, near = dist, r_imp, j
+    return near if best < reach else LEADER
+
+
+def _ride(drone: Drone, step: int, last: int, settle: int, xy: array,
+          offset: tuple[float, float], spec: ScenarioSpec, coefficients: Coefficients,
+          positions: array, modes: array) -> tuple[Drone, int, bool]:
+    """Move a follower at rest on its slot over a whole stretch at once.
+
+    A leader-linked drone whose link state is dx = dy = +0.0 and a zero
+    (vx, vy) that the zero-force update keeps bit for bit adds the same
+    signed zero c = p00 * dx + p01 * vx + hold0 to its slot every step, so
+    its positions are (leader row + offset) + c, computed here with numpy's
+    elementwise IEEE operations in swarm_step's order.  The stretch ends on
+    the earliest of: the step before the first one whose link rule
+    acquires, the first step >= settle within goal_threshold (included),
+    and last.  It also ends before a non-finite position, and is dropped
+    whole if mean_speed, whose exact sequential EMA runs here, is not
+    finite at its end, so swarm_step's loop meets every fault.  Appends the
+    stretch's rows and returns (drone, n, within) after its last step n; a
+    drone not at rest comes back unchanged with n = step.  This holds while
+    nothing pushes on a leader-linked link.
+    """
+    x, y, vx, vy, mode, mean_speed = drone
+    ox, oy = offset
+    p00, p01, p10, p11, g0, g1 = coefficients
+    hold0, hold1 = g0 * 0.0, g1 * 0.0
+    copysign = math.copysign
+    dx, dy = x - (xy[2 * step] + ox), y - (xy[2 * step + 1] + oy)
+    if (mode != LEADER or dx or dy or vx or vy
+            or copysign(1.0, dx) < 0.0 or copysign(1.0, dy) < 0.0
+            or copysign(1.0, p10 * dx + p11 * vx + hold1) != copysign(1.0, vx)
+            or copysign(1.0, p10 * dy + p11 * vy + hold1) != copysign(1.0, vy)):
+        return drone, step, False
+    leader = np.frombuffer(xy[2 * step:2 * last + 2]).reshape(-1, 2)  # rows step..last
+    index = spec.obstacle_index
+    with np.errstate(over="ignore", invalid="ignore"):
+        rode = (leader[1:] + (ox, oy)) + (p00 * dx + p01 * vx + hold0,
+                                            p00 * dy + p01 * vy + hold0)
+        finite = np.isfinite(rode).all(axis=1)
+        k = int(finite.argmin()) if not finite.all() else len(rode)
+        if k == 0:
+            return drone, step, False
+        before = np.concatenate(([(x, y)], rode))[:k]  # where each step's link rule looks
+        keys = np.floor_divide(before, index.link_cell)
+    # Steps in one cell in a row share a lookup; only a cell that lists
+    # obstacles is scanned, one step at a time, as the loop would.
+    bounds = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist(), k]
+    for lo, hi, key in zip(bounds, bounds[1:], keys[bounds[:-1]].tolist()):
+        ids, cell_rows = index.link_cells.get(tuple(key), NO_CANDIDATES)
+        hit = next((i for i, (bx, by) in enumerate(before[lo:hi].tolist(), lo)
+                    if _link_rule(bx, by, ids, cell_rows) != LEADER), None) if ids else None
+        if hit is not None:
+            k = hit
+            break
+    # |x - gx| and |y - gy| are <= threshold whenever the hypot is; the
+    # slack keeps that true through the hypot's rounding.
+    goal_x, goal_y = spec.goal.x + ox, spec.goal.y + oy
+    threshold = spec.apf.goal_threshold
+    first = max(settle - step - 1, 0)  # rode[i] is the position after step + 1 + i
+    near = np.flatnonzero((np.abs(rode[first:k] - (goal_x, goal_y))
+                           <= threshold * (1.0 + 1e-9)).all(axis=1)) + first
+    within = False
+    for i, (rx, ry) in zip(near.tolist(), rode[near].tolist()):
+        if math.hypot(rx - goal_x, ry - goal_y) <= threshold:
+            k, within = i + 1, True
+            break
+    if k == 0:
+        return drone, step, False
+    keep, dt = 1.0 - MEAN_SPEED_ALPHA, spec.dt
+    for distance in map(math.hypot, *(rode[:k] - before[:k]).T.tolist()):
+        mean_speed = keep * mean_speed + MEAN_SPEED_ALPHA * (distance / dt)
+    if not math.isfinite(mean_speed):
+        return drone, step, False
+    positions.frombytes(rode[:k].tobytes())
+    modes.extend([LEADER] * k)
+    x, y = rode[k - 1].tolist()
+    return (x, y, vx, vy, LEADER, mean_speed), step + k, within
 
 
 def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTrack,
@@ -187,9 +281,10 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
     with no deviation translates with the leader instead of lagging it.  The
     slot's deflection depends on the drone alone, so both slots share it.
 
-    The link rule is update_link_mode's and the link update is link_step's
-    with no external force, both written out in the loop with the same
-    operations in the same order, so every bit matches the helpers.
+    The link rule is update_link_mode's (its leader-linked scan is
+    _link_rule) and the link update is link_step's with no external force,
+    both written out with the same operations in the same order, so every
+    bit matches the helpers.
 
     Each step appends the drone's new x, y to positions and its mode to modes,
     the drone's own row buffers.  The loop stops after the first step n >=
@@ -199,6 +294,10 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
     last step n run, whether it is within, and None; or, when step n faulted,
     None, n, False and the fault (kind, text), with nothing appended for n.
     """
+    drone, step, within = _ride(drone, step, last, settle, track.xy, offset, spec, coefficients,
+                                positions, modes)
+    if within:
+        return drone, step, True, None
     x, y, vx, vy, mode, mean_speed = drone
     ox, oy = offset
     dt = spec.dt
@@ -212,7 +311,7 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
     keep = 1.0 - MEAN_SPEED_ALPHA
     goal_x, goal_y = spec.goal.x + ox, spec.goal.y + oy
     threshold = spec.apf.goal_threshold
-    hypot, inf, isfinite = math.hypot, math.inf, math.isfinite
+    hypot, isfinite, link_rule = math.hypot, math.isfinite, _link_rule
     append_position, append_mode = positions.append, modes.append
     xy = track.xy
     lx, ly = xy[2 * step], xy[2 * step + 1]
@@ -220,17 +319,8 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
     for n, nlx, nly in zip(range(step + 1, last + 1), xy[2 * step + 2:2 * last + 2:2],
                            xy[2 * step + 3:2 * last + 3:2]):
         if mode == LEADER:
-            # nearest_obstacle over the link cell, ties to the lower index.  A
-            # surface at inf can acquire nothing, so starting the scan at inf
-            # acquires exactly what starting it on the first row would.
-            ids, cell_rows = link_cells.get((x // link_cell, y // link_cell), NO_CANDIDATES)
-            best = reach = inf
-            for j, (cx, cy, radius, _, r_imp) in zip(ids, cell_rows):
-                dist = hypot(x - cx, y - cy) - radius
-                if dist < best:
-                    best, reach, near = dist, r_imp, j
-            if best < reach:
-                mode = near
+            mode = link_rule(x, y, *link_cells.get((x // link_cell, y // link_cell),
+                                                   NO_CANDIDATES))
         else:
             cx, cy, radius, _, r_imp = rows[mode]
             if hypot(x - cx, y - cy) - radius > r_imp * release:

@@ -5,7 +5,8 @@ t, leader_x, leader_y, then drone<i>_x, drone<i>_y, drone<i>_mode per drone
 (drones numbered from 1 in files and reports).  Mode cells hold L for
 leader-linked or O<k> with k the obstacle index; baseline runs have no leader
 and no links, those cells stay empty.  Floats are written with repr so
-float(cell) recovers each value exactly.
+float(cell) recovers each value exactly; a block of frames formats each
+distinct float, by bit pattern, once.
 
 Report JSON uses fixed key order and rounds to 6 significant digits, which
 keeps report bytes stable across platforms.
@@ -16,8 +17,12 @@ from __future__ import annotations
 import json
 from itertools import chain
 
+import numpy as np
+
 from .simulator import SimulationTrace
 from . import metrics
+
+CSV_BLOCK = 128  # frames a trace CSV formats and joins at a time
 
 
 def mode_cell(code: int) -> str:
@@ -38,20 +43,38 @@ def _header(n_drones: int) -> str:
 
 
 def render_trace_csv(trace: SimulationTrace) -> str:
-    """Serialize a recorded run to CSV text, built column by column."""
-    blank = [""] * trace.n_frames
+    """Serialize a recorded run to CSV text, built column by column.
+
+    A run repeats many floats (drones riding slots a shared offset apart, a
+    settled leader), so the frames are formatted CSV_BLOCK at a time and each
+    distinct float of a block once: its float columns are keyed by their bit
+    patterns, which keeps -0.0 apart from 0.0, and every cell takes its
+    key's text.  Each block is joined into one text before the next starts,
+    so its cells and rows are freed as it ends.
+    """
+    frames = trace.n_frames
+    floats = [trace.t[:, None], trace.positions.reshape(frames, -1)]
     if trace.leader is None:
-        leader, modes = [blank, blank], [blank] * trace.n_drones
+        modes = [[""] * frames] * trace.n_drones
     else:
-        leader = [map(repr, col) for col in trace.leader.T.tolist()]
+        floats.insert(1, trace.leader)
         # A run uses few distinct codes, so each cell text is made once.
-        modes = [map({c: mode_cell(c) for c in set(codes)}.__getitem__, codes)
+        modes = [list(map({c: mode_cell(c) for c in set(codes)}.__getitem__, codes))
                  for codes in trace.modes.T.tolist()]
-    columns = [map(repr, trace.t.tolist()), *leader]
-    for (xs, ys), cells in zip(trace.positions.transpose(1, 2, 0).tolist(), modes):
-        columns += [map(repr, xs), map(repr, ys), cells]
-    rows = map(",".join, zip(*columns))
-    return "\n".join(chain([_header(trace.n_drones)], rows)) + "\n"
+    table = np.concatenate(floats, axis=1)
+    parts = [_header(trace.n_drones)]
+    for lo in range(0, frames, CSV_BLOCK):
+        block = table[lo:lo + CSV_BLOCK]
+        bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        t, *columns = texts[inverse].reshape(block.shape).T.tolist()
+        if trace.leader is None:
+            columns[:0] = [[""] * len(t)] * 2
+        cells = [codes[lo:lo + CSV_BLOCK] for codes in modes]
+        tracks = chain.from_iterable(zip(columns[2::2], columns[3::2], cells))
+        parts.append("\n".join(map(",".join, zip(t, *columns[:2], *tracks))))
+    parts.append("")
+    return "\n".join(parts)
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:

@@ -8,12 +8,15 @@ deflection_offset and link_step (the swarm) and leader_step (the baseline),
 with the run loop written out again, so the kernels and the drone-major
 composition cannot drift from the helpers: columns must match bit for bit,
 and outcomes and error messages exactly.  Fixed cases pin the link scan's
-tie-break, the signed zeros of link_step's force terms, and the order of
-faults that random posts almost never reach.
+tie-break, the signed zeros of link_step's force terms, the order of faults
+that random posts almost never reach, and where a follower's ride on its
+slot (many steps at once) must end.
 """
 
 import dataclasses
+import functools
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -21,40 +24,89 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from swarmpath.apf import SingularityError, leader_step, total_force
 from swarmpath.impedance import link_coefficients, link_step
+from swarmpath import simulator
 from swarmpath.simulator import (CHUNK, COMPLETED, CONTROLLERS, MAX_STEPS, STALL_PATIENCE,
                                  STALLED, SWARMPATH, run)
 from swarmpath.topology import (LEADER, MEAN_SPEED_ALPHA, LeaderTrack, deflection_offset,
-                                update_link_mode)
-from swarmpath.world import (ImpedanceParams, Obstacle, ScenarioSpec, ScenarioValidationError,
-                             TopologyParams, Vec2, read_scenario, validate_spec)
+                                initial_swarm_state, swarm_step, update_link_mode)
+from swarmpath.world import (ApfParams, ImpedanceParams, Obstacle, ScenarioSpec,
+                             ScenarioValidationError, TopologyParams, Vec2, read_scenario,
+                             validate_spec)
+from conftest import SCENARIO_DIR, one_pole_spec, straight_spec
+
+
+def equilibrium_x(gx, obstacles, apf):
+    """An x on the line y = 0 before obstacles[0] where the field's x-component vanishes.
+
+    obstacles[0] sits on y = 0 between the origin side and a goal (gx, 0.0),
+    so attraction wins far from it and repulsion at its surface.
+    """
+    cx, _, radius, r_apf, _ = obstacles[0]
+    lo, hi = cx - radius - r_apf - 0.01, cx - radius - 1e-4
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if total_force(mid, 0.0, gx, 0.0, obstacles, apf)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def impedances(draw, dt):
+    """Link (m, d, k) from over- to under-damped, some with w * dt in (pi, 3 pi / 2)."""
+    m = draw(st.floats(0.5, 3.0))
+    if draw(st.integers(0, 3)) == 0:  # both phi00 and phi01 negative
+        d = draw(st.floats(0.05, 1.0))
+        w = draw(st.floats(1.01 * math.pi / dt, 1.49 * math.pi / dt))
+        return ImpedanceParams(m=m, d=d, k=m * (w * w + (d / (2.0 * m)) ** 2))
+    k = draw(st.floats(1.0, 200.0))
+    return ImpedanceParams(m=m, d=draw(st.floats(0.1, 6.0)) * math.sqrt(m * k), k=k)
 
 
 @st.composite
 def small_specs(draw):
-    """A few posts around the path, 1 to 5 drones and a short step limit."""
+    """A few posts around the path, 1 to 5 drones and a step limit of 1 to 600.
+
+    One draw in four starts the leader on a field equilibrium before a post
+    on its axis, where it stalls at step 1, so runs past STALL_PATIENCE
+    stall.  The links range over impedances(), and half the draws take a
+    k_impF from 1e307 to 1.7e308, whose deflections overflow the state or
+    lose their direction after the drones have moved apart.
+    """
     offsets = draw(st.lists(st.tuples(st.sampled_from([-0.4, 0.0, 0.4]),
                                       st.sampled_from([-0.4, 0.0, 0.4])),
                             min_size=1, max_size=5, unique=True))
+    trapped = draw(st.integers(0, 3)) == 0
+    goal = Vec2(draw(st.floats(0.5, 1.5)), 0.0 if trapped else draw(st.floats(-0.5, 0.5)))
     posts = []
-    for _ in range(draw(st.integers(0, 4))):
+    for i in range(draw(st.integers(1, 2) if trapped else st.integers(0, 4))):
         radius = draw(st.floats(0.05, 0.2))
         r_imp = radius + draw(st.floats(0.1, 0.5))
         r_apf = r_imp + draw(st.floats(0.0, 0.5))
         center = Vec2(draw(st.floats(0.2, 1.8)), draw(st.floats(-0.6, 0.6)))
-        if draw(st.integers(0, 9)) == 0:  # on a drone's start: its first step has no direction
-            center = Vec2(*offsets[0])
+        if trapped and i == 0:  # on the axis, between the start and the goal
+            center = Vec2(goal.x - draw(st.floats(0.1, 0.4)), 0.0)
+        elif not trapped and draw(st.integers(0, 9)) == 0:
+            center = Vec2(*offsets[0])  # on a drone's start: its first step has no direction
         posts.append(Obstacle(center, radius, r_apf, r_imp))
+    dt = draw(st.sampled_from([0.02, 0.05]))
     spec = ScenarioSpec(
         start=Vec2(0.0, 0.0),
-        goal=Vec2(draw(st.floats(0.5, 1.5)), draw(st.floats(-0.5, 0.5))),
+        goal=goal,
         obstacles=tuple(posts),
         formation_offsets=tuple(Vec2(x, y) for x, y in offsets),
-        topology=TopologyParams(k_impF=draw(st.floats(0.0, 1.0)),
+        impedance=draw(impedances(dt)),
+        topology=TopologyParams(k_impF=draw(st.floats(0.0, 1.0) if draw(st.booleans())
+                                            else st.floats(1e307, 1.7e308)),
                                 hysteresis=draw(st.floats(0.0, 0.3)),
                                 velocity_gain=draw(st.floats(0.0, 2.0))),
-        dt=draw(st.sampled_from([0.02, 0.05])),
-        max_steps=draw(st.integers(1, 400)),
+        dt=dt,
+        max_steps=draw(st.sampled_from([600, 250, 10, 1])),
     )
+    if trapped:
+        rows = tuple(obs.as_tuple() for obs in posts)
+        spec = dataclasses.replace(spec, start=Vec2(equilibrium_x(goal.x, rows, spec.apf), 0.0))
     try:
         validate_spec(spec)
     except ScenarioValidationError:
@@ -90,7 +142,7 @@ def swarm_reference(spec):
             speed = math.hypot(new_x - x, new_y - y) / spec.dt
             mean_speed = (1.0 - MEAN_SPEED_ALPHA) * mean_speed + MEAN_SPEED_ALPHA * speed
             drones[i] = (new_x, new_y, vx, vy, mode, mean_speed)
-        return track.stalled(n)
+        return track.stall_step is not None and n >= track.stall_step
 
     return drones, step
 
@@ -255,3 +307,159 @@ def test_a_completed_run_grows_its_track_at_most_one_chunk_past_its_end(name, sc
     trace = run(spec, SWARMPATH, track)
     assert trace.outcome == COMPLETED
     assert 0 <= len(track.xy) // 2 - trace.n_frames <= CHUNK
+
+
+def reference_rows(spec, steps, drones=None, start=0):
+    """Every drone's (x, y) after each step start..steps, from the helpers.
+
+    drones, when given, replaces the reference's state after step start.
+    """
+    state, step = swarm_reference(spec)
+    if drones is not None:
+        state[:] = drones
+    rows = [[d[:2] for d in state]]
+    for n in range(start + 1, steps + 1):
+        step(n)
+        rows.append([d[:2] for d in state])
+    return np.array(rows)
+
+
+def assert_matches_reference(spec):
+    trace = run(spec, SWARMPATH)
+    outcome, positions, modes = reference_run(spec, SWARMPATH)
+    assert trace.outcome == outcome
+    assert trace.positions.tobytes() == positions.tobytes()
+    assert np.array_equal(trace.modes, np.array(modes))
+    return trace
+
+
+@functools.cache
+def shipped_reference(name):
+    spec = read_scenario(SCENARIO_DIR / name)
+    return spec, reference_run(spec, SWARMPATH)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+@pytest.mark.parametrize("name", ["case1_gate.json", "case2_forest.json"])
+def test_every_chunk_size_matches_the_helpers(name, chunk, monkeypatch):
+    # The leader grows chunk rows at a time, so while the leader is still
+    # moving, a swarm_step call, and a ride on a slot, covers at most chunk steps.
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    spec, (outcome, positions, modes) = shipped_reference(name)
+    trace = run(spec, SWARMPATH)
+    assert trace.outcome == outcome == COMPLETED
+    assert trace.positions.tobytes() == positions.tobytes()
+    assert np.array_equal(trace.modes, np.array(modes))
+
+
+def test_an_acquire_on_the_first_step_of_a_call(monkeypatch):
+    # With CHUNK one step short of drone 1's first acquire, the call that
+    # starts with the drone at rest on its slot acquires on its first step.
+    spec = one_pole_spec()
+    _, _, modes = reference_run(spec, SWARMPATH)
+    acquire = next(n for n, row in enumerate(modes) if row[0] != LEADER)
+    assert acquire > 1
+    monkeypatch.setattr(simulator, "CHUNK", acquire - 1)
+    trace = assert_matches_reference(spec)
+    assert trace.modes[acquire - 1, 0] == LEADER != trace.modes[acquire, 0]
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_a_ride_ends_on_its_first_within_step_at_or_after_settle(shift):
+    spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),))
+    last = 400
+    rows = reference_rows(spec, last)
+    goal_x, goal_y = spec.goal.x, spec.goal.y + 0.4
+    within = [math.hypot(x - goal_x, y - goal_y) <= spec.apf.goal_threshold
+              for x, y in rows[:, 0].tolist()]
+    first = within.index(True)
+    settle = first + shift
+    end = next(n for n in range(settle, last + 1) if within[n])
+    assert end == max(first, settle)
+    track = LeaderTrack(spec)
+    track.row(last)
+    positions, modes = array("d"), array("q")
+    drone, n, inside, fault = swarm_step(
+        initial_swarm_state(spec)[0], 0, last, settle, track, (0.0, 0.4), spec,
+        link_coefficients(spec.impedance, spec.dt), positions, modes)
+    assert (n, inside, fault) == (end, True, None)
+    assert drone[:2] == tuple(rows[end, 0])
+    assert bytes(positions) == rows[1:end + 1, 0].tobytes()
+    assert list(modes) == [LEADER] * end
+
+
+def test_a_zero_offset_on_a_leader_coordinate_of_zero():
+    # As case2_forest's drones 1 and 3: mirrored posts keep the leader on
+    # y = 0.0 exactly, and the offset's y is 0.0, so the slot's y is
+    # 0.0 + 0.0 on every step the drone rides it.
+    post = dict(radius=0.1, r_apf=0.5, r_imp=0.25)
+    spec = straight_spec(goal=Vec2(3.0, 0.0),
+                         obstacles=(Obstacle(Vec2(2.0, 0.3), **post),
+                                    Obstacle(Vec2(2.0, -0.3), **post)),
+                         formation_offsets=(Vec2(0.8, 0.0), Vec2(-0.8, 0.0), Vec2(0.0, 0.4)))
+    validate_spec(spec)
+    trace = assert_matches_reference(spec)
+    assert not np.signbit(trace.leader[:, 1]).any()
+    assert not trace.leader[:, 1].any()
+    for drone in (0, 1):
+        riding = np.cumprod(trace.modes[:, drone] == LEADER).astype(bool)
+        assert riding.sum() > 10
+        ys = trace.positions[riding, drone, 1]
+        assert not ys.any() and not np.signbit(ys).any()
+
+
+def test_a_start_at_negative_zero():
+    spec = ScenarioSpec(start=Vec2(-0.0, -0.0), goal=Vec2(1.0, -0.0),
+                        formation_offsets=(Vec2(-0.0, -0.0), Vec2(0.4, -0.0),
+                                           Vec2(-0.0, 0.4)))
+    validate_spec(spec)
+    trace = assert_matches_reference(spec)
+    assert np.signbit(trace.positions[0]).tolist() == [[True, True], [False, True],
+                                                       [True, False]]
+
+
+@pytest.mark.parametrize("spec, step", [
+    # 3e307 m per step: drone 1's slot, 5e307 m ahead of the leader, overflows at step 5.
+    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.5e308, 0.0),
+                  apf=ApfParams(leader_speed=3e307), dt=1.0,
+                  formation_offsets=(Vec2(5e307, 0.0), Vec2(0.0, 0.4))), 5),
+    # A dt of 5e-324 s: one rounding step of drone 1's x near 8.0 is an infinite speed.
+    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
+                  apf=ApfParams(leader_speed=1.7e308), dt=5e-324,
+                  formation_offsets=(Vec2(8.0, 0.0), Vec2(0.0, 0.4)), max_steps=50), 2),
+])
+def test_a_ride_leaves_an_overflow_to_the_loop(spec, step):
+    validate_spec(spec)
+    with pytest.raises(SingularityError) as err:
+        run(spec, SWARMPATH)
+    assert str(err.value) == reference_run(spec, SWARMPATH)
+    assert str(err.value) == f"step {step}: the state overflowed to a non-finite value"
+
+
+def test_a_negative_zero_rate_is_stepped_like_the_helpers():
+    # A drone on its slot with vx = -0.0: the zero-force update turns the
+    # rate into +0.0, so the state is not a fixed point and is stepped one
+    # step at a time.
+    spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),), max_steps=400)
+    track = LeaderTrack(spec)
+    track.row(60)
+    x, y = track.row(20)
+    drone = (x + 0.0, y + 0.4, -0.0, 0.0, LEADER, 0.25)
+    rows = reference_rows(spec, 60, [drone], start=20)
+    positions = array("d")
+    after, n, _, _ = swarm_step(drone, 20, 60, 61, track, (0.0, 0.4), spec,
+                                link_coefficients(spec.impedance, spec.dt), positions,
+                                array("q"))
+    assert n == 60
+    assert bytes(positions) == rows[1:, 0].tobytes()
+    assert math.copysign(1.0, after[2]) == 1.0
+
+
+def test_numpy_floor_division_is_pythons():
+    # The ride looks its link cells up with keys from np.floor_divide; the
+    # loop's keys come from float //.
+    values = [0.0, -0.0, 5e-324, -5e-324, 0.35, -0.35, 0.7, -0.7, 1.05, 2.1, -2.1, 1e300,
+              *np.random.default_rng(5).uniform(-20.0, 20.0, 2000).tolist()]
+    for cell in (0.35, 0.1, 0.3 + 0.05, 1.0, 1.15 + 0.3, 3.0):
+        numpy_keys = np.floor_divide(np.array(values), cell)
+        assert numpy_keys.tobytes() == np.array([v // cell for v in values]).tobytes()

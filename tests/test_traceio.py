@@ -142,3 +142,23 @@ def test_comparison_json_structure():
     assert len(doc["drones"]) == 4
     assert doc["drones"][0]["drone"] == 1
     assert "ape_definition" in doc
+
+
+@pytest.mark.parametrize("controller", [SWARMPATH, CONVENTIONAL_APF])
+def test_csv_keeps_negative_zero_apart_from_zero(controller):
+    # Each distinct float is formatted once, keyed by its bits: -0.0 == 0.0
+    # as values, but their cells must stay -0.0 and 0.0.
+    spec = straight_spec()
+    xs = np.array([0.0, -0.0, 0.0, -0.0, 1.5])
+    positions = np.stack([xs, -xs], axis=1)[:, None, :]
+    swarm = controller == SWARMPATH
+    trace = SimulationTrace(spec, controller, np.arange(5) * spec.dt, positions,
+                            np.stack([-xs, xs], axis=1) if swarm else None,
+                            np.full((5, 1), -1) if swarm else None, COMPLETED)
+    rows = data_rows(render_trace_csv(trace))
+    assert [cells[3] for cells in rows] == ["0.0", "-0.0", "0.0", "-0.0", "1.5"]
+    assert [cells[4] for cells in rows] == ["-0.0", "0.0", "-0.0", "0.0", "-1.5"]
+    assert [cells[1:3] for cells in rows] == (
+        [["-0.0", "0.0"], ["0.0", "-0.0"], ["-0.0", "0.0"], ["0.0", "-0.0"], ["-1.5", "1.5"]]
+        if swarm else [["", ""]] * 5)
+    assert [cells[0] for cells in rows] == [repr(t) for t in trace.t.tolist()]
