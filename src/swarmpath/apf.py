@@ -1,21 +1,25 @@
-"""Artificial potential field and the one constant-speed descent step.
+"""Artificial potential field and the one constant-speed descent.
 
 Attraction pulls straight at the goal, repulsion pushes radially off every
-obstacle whose surface is closer than its r_apf.  leader_step descends the
+obstacle whose surface is closer than its r_apf.  A descent steps down the
 combined field at constant speed, so the field only sets the direction.  The
-virtual leader runs it toward the scenario goal and every baseline drone runs
-it toward its own goal slot.
+virtual leader descends toward the scenario goal and every baseline drone
+toward its own goal slot; neither reads any other agent, so each path is
+grown alone, by descend, one loop over its steps with its state in locals.
 
-Everything here runs once per step, so it works on plain floats: a point is
-x, y, an obstacle is its Obstacle.as_tuple() row (cx, cy, radius, r_apf,
-r_imp), a force is an (fx, fy) pair, and a descending agent is (x, y,
-reached_goal).  total_force sums the field inline; attraction_force and
-repulsion_force are the one-term references it is tested against.
+Everything here works on plain floats: a point is x, y, an obstacle is its
+Obstacle.as_tuple() row (cx, cy, radius, r_apf, r_imp), a force is an
+(fx, fy) pair, and a descending agent is (x, y, reached_goal).  descend
+writes leader_step and total_force out inline; leader_step is the one-step
+reference it is tested against, and total_force, which sums the field inline,
+is tested against attraction_force and repulsion_force, the one-term
+references.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 from .world import SURFACE_EPS, ApfParams, ScenarioSpec
 # Unused here, but bench/bench.py's traced mode rebinds this module name.
@@ -23,6 +27,14 @@ from .world import effective_obstacles  # noqa: F401
 
 STALL_EPS = 1e-9     # below this force norm the field has no direction, N
 NO_REPULSION = (0.0, 0.0)  # what repulsion_force returns beyond an obstacle's r_apf
+AT_CENTER = "position coincides with obstacle center ({}, {})"
+NEAR_CENTER = "position {:g} m from obstacle center ({}, {}), direction undefined"
+NON_FINITE = "the state overflowed to a non-finite value"
+# How descend stops: on the row asked for; at the path's fixed point, whose
+# last row every later step repeats (goal latched, no field, or a step that
+# left x and y bit for bit); or on a fault, ranked in the order a step meets
+# them (a repulsion with no direction, then a position that is not finite).
+DESCENDING, LATCHED, NO_FIELD, FIXED, SINGULAR, OVERFLOW = range(6)
 
 Agent = tuple[float, float, bool]  # x, y, reached_goal
 
@@ -50,15 +62,14 @@ def repulsion_force(x: float, y: float, obs: tuple, k_rep: float) -> tuple[float
     ox, oy = x - cx, y - cy
     dist = math.hypot(ox, oy)
     if dist == 0.0:
-        raise SingularityError(f"position coincides with obstacle center ({cx}, {cy})")
+        raise SingularityError(AT_CENTER.format(cx, cy))
     d_o = max(dist - radius, SURFACE_EPS)
     if d_o > d_safe:
         return NO_REPULSION
     magnitude = k_rep * (1.0 / d_o - 1.0 / d_safe)
     scale = magnitude / dist
     if not math.isfinite(scale):
-        raise SingularityError(
-            f"position {dist:g} m from obstacle center ({cx}, {cy}), direction undefined")
+        raise SingularityError(NEAR_CENTER.format(dist, cx, cy))
     return ox * scale, oy * scale
 
 
@@ -79,7 +90,7 @@ def total_force(x: float, y: float, gx: float, gy: float, obstacles: tuple[tuple
         ox, oy = x - cx, y - cy
         dist = math.hypot(ox, oy)
         if dist == 0.0:
-            raise SingularityError(f"position coincides with obstacle center ({cx}, {cy})")
+            raise SingularityError(AT_CENTER.format(cx, cy))
         d_o = dist - radius
         if d_o < SURFACE_EPS:  # max(dist - radius, SURFACE_EPS)
             d_o = SURFACE_EPS
@@ -87,8 +98,7 @@ def total_force(x: float, y: float, gx: float, gy: float, obstacles: tuple[tuple
             continue
         scale = k_rep * (1.0 / d_o - 1.0 / d_safe) / dist
         if not math.isfinite(scale):
-            raise SingularityError(
-                f"position {dist:g} m from obstacle center ({cx}, {cy}), direction undefined")
+            raise SingularityError(NEAR_CENTER.format(dist, cx, cy))
         fx += ox * scale
         fy += oy * scale
     return fx, fy
@@ -117,3 +127,71 @@ def leader_step(agent: Agent, gx: float, gy: float,
     scale = spec.dt * spec.apf.leader_speed / norm
     x, y = x + fx * scale, y + fy * scale
     return (x, y, math.hypot(x - gx, y - gy) <= threshold), False
+
+
+def descend(xy: array, gx: float, gy: float, last: int, spec: ScenarioSpec,
+            still: list[int]) -> tuple[int, str | None]:
+    """Grow a descent path toward (gx, gy) through row last, or to its fixed point.
+
+    xy holds the path's rows flat, (x, y) after step n at xy[2n], xy[2n + 1];
+    its last row is the agent, not latched at the goal.  Each step is
+    leader_step's with total_force inline over the force cell's rows, the
+    same operations, checks and texts in the same order, and appends its row.
+    A latched goal needs no flag: the goal test before moving latches it one
+    step after the move that reached it, with the same result.  A step that
+    leaves x and y == but not bit for bit (a signed zero) did not move, but
+    the path goes on from the new bits; its step is appended to still.
+
+    Returns (status, text): DESCENDING on row last; LATCHED, NO_FIELD or
+    FIXED at the fixed point, whose row is the last appended; or SINGULAR
+    or OVERFLOW and the fault's text, with nothing appended for its step.
+    """
+    apf = spec.apf
+    k_att, k_rep, threshold = apf.k_att, apf.k_rep, apf.goal_threshold
+    distance = spec.dt * apf.leader_speed
+    index = spec.obstacle_index
+    cell, cell_rows = index.cell, index.force_cells.get
+    hypot, isfinite, copysign = math.hypot, math.isfinite, math.copysign
+    append = xy.append
+    n = len(xy) // 2 - 1
+    x, y = xy[-2], xy[-1]
+    while n < last:
+        n += 1
+        if hypot(x - gx, y - gy) <= threshold:
+            append(x)
+            append(y)
+            return LATCHED, None
+        fx, fy = (gx - x) * k_att, (gy - y) * k_att
+        for cx, cy, radius, d_safe, _ in cell_rows((x // cell, y // cell), ()):
+            ox, oy = x - cx, y - cy
+            dist = hypot(ox, oy)
+            if dist == 0.0:
+                return SINGULAR, AT_CENTER.format(cx, cy)
+            d_o = dist - radius
+            if d_o < SURFACE_EPS:
+                d_o = SURFACE_EPS
+            if d_o > d_safe:
+                continue
+            scale = k_rep * (1.0 / d_o - 1.0 / d_safe) / dist
+            if not isfinite(scale):
+                return SINGULAR, NEAR_CENTER.format(dist, cx, cy)
+            fx += ox * scale
+            fy += oy * scale
+        norm = hypot(fx, fy)
+        if norm < STALL_EPS:
+            append(x)
+            append(y)
+            return NO_FIELD, None
+        scale = distance / norm
+        new_x, new_y = x + fx * scale, y + fy * scale
+        if not (isfinite(new_x) and isfinite(new_y)):
+            return OVERFLOW, NON_FINITE
+        append(new_x)
+        append(new_y)
+        if new_x == x and new_y == y:  # == and the same sign: the same bits
+            if (copysign(1.0, new_x) == copysign(1.0, x)
+                    and copysign(1.0, new_y) == copysign(1.0, y)):
+                return FIXED, None
+            still.append(n)
+        x, y = new_x, new_y
+    return DESCENDING, None

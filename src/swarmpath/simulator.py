@@ -6,12 +6,12 @@ stall has lasted STALL_PATIENCE steps, or at max_steps, whichever comes first.
 Metrics and export read the trace's columns and never re-integrate anything:
 replaying the same spec gives identical columns.
 
-The baseline's drones are apf agents that baseline_step moves in place, all
-of them once per step, in run's one step loop.  The swarm's followers each
-read only their own state, the leader's rows and the obstacles, so they run
-drone-major: topology.swarm_step advances one follower over a range of steps,
-and run composes completion, the leader's stall and the first fault from the
-followers' tracks, exactly as a loop over steps would meet them.  The leader
+No drone of either controller reads another, so both run drone-major and run
+composes the end from the drones' tracks, exactly as a loop over steps would
+meet it.  Each baseline drone is a topology.LeaderTrack from its start slot
+toward its goal slot, grown alone by baseline_step.  The swarm's followers
+each read only their own state, the leader's rows and the obstacles:
+topology.swarm_step advances one follower over a range of steps.  The leader
 reads no drone, so it is not stepped here: its rows come from a
 topology.LeaderTrack, which a sweep builds once and hands to every point, and
 they fill the trace's leader column once, when the trace is built.
@@ -22,16 +22,15 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .world import ScenarioSpec
 from .apf import SingularityError
 from .impedance import link_coefficients
-from .topology import (DEFLECTION_FAULT, NON_FINITE, LeaderTrack, initial_swarm_state,
-                       leader_inputs, swarm_step)
-from .baseline import initial_baseline_state, baseline_step
+from .topology import (DEFLECTION_FAULT, LeaderTrack, initial_swarm_state, leader_inputs,
+                       swarm_step)
+from .baseline import baseline_step
 
 SWARMPATH = "swarmpath"
 CONVENTIONAL_APF = "conventional-apf"
@@ -139,6 +138,72 @@ class _Followers:
         return _trace(self.spec, SWARMPATH, outcome, positions, leader, modes)
 
 
+def _first_within(track: LeaderTrack, threshold: float) -> float:
+    """The first frame at which the track is within threshold of its goal, inf if none is.
+
+    A track that latched its goal was within one step before its rest; one
+    still descending can be within on its last row, not yet tested.
+    """
+    if track.reached:
+        return track.rest - 1
+    (x, y), (gx, gy) = track.xy[-2:], track.goal
+    return len(track.xy) // 2 - 1 if math.hypot(x - gx, y - gy) <= threshold else math.inf
+
+
+def _stall_end(tracks: list[LeaderTrack]) -> float:
+    """The last step of the first STALL_PATIENCE steps in a row at which no drone moves.
+
+    From the latest rest on nobody moves; before it, only at a step that is
+    still for every drone not yet at rest.
+    """
+    rest = max(math.inf if t.rest is None else t.rest for t in tracks)
+    still = sorted({n for t in tracks for n in t.still
+                    if all(u.rest is not None and n >= u.rest or n in u.still for u in tracks)})
+    start = prev = None
+    for n in [*still, rest]:
+        if start is None or n != prev + 1:
+            start = n
+        if n - start + 1 >= STALL_PATIENCE:
+            break
+        prev = n
+    return start + STALL_PATIENCE - 1
+
+
+def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
+    """The baseline run, composed from one descent track per drone.
+
+    Each track grows through max_steps, or through the earliest fault met so
+    far (a later drone may fault at that step too), and stops early at its
+    fixed point.  The run ends on the earliest of: the first frame at which
+    every drone is within, the end of the first STALL_PATIENCE steps in a
+    row at which no drone moves (while one is not within), and max_steps.  A
+    fault at or before that frame is raised instead, the lowest by (step,
+    kind, drone).  Each drone's column is its track's rows, padded with its
+    last.
+    """
+    tracks = []
+    fail = math.inf
+    for offset in spec.formation_offsets:
+        tracks.append(baseline_step(spec, offset, min(spec.max_steps, fail)))
+        if tracks[-1].fault is not None:  # at or before the earliest so far
+            fail = tracks[-1].fault[0]
+    complete = max(_first_within(t, spec.apf.goal_threshold) for t in tracks)
+    stall = _stall_end(tracks)
+    end = min(complete, stall, spec.max_steps)
+    if fail <= end:
+        step, _, _, text = min((*t.fault[:2], i, t.fault[2])
+                               for i, t in enumerate(tracks) if t.fault is not None)
+        raise SingularityError(f"step {step}: {text}")
+    frames = end + 1
+    positions = np.empty((frames, len(tracks), 2))
+    for i, t in enumerate(tracks):
+        rows = np.frombuffer(t.xy).reshape(-1, 2)[:frames]
+        positions[:len(rows), i] = rows
+        positions[len(rows):, i] = rows[-1]
+    outcome = COMPLETED if end == complete else STALLED if end == stall else MAX_STEPS
+    return _trace(spec, CONVENTIONAL_APF, outcome, positions)
+
+
 def run(spec: ScenarioSpec, controller: str = SWARMPATH,
         track: LeaderTrack | None = None) -> SimulationTrace:
     """Simulate until completion, a persistent stall, or max_steps.
@@ -159,24 +224,7 @@ def run(spec: ScenarioSpec, controller: str = SWARMPATH,
     if controller == CONVENTIONAL_APF:
         if track is not None:
             raise ValueError(f"the {controller} controller has no leader to take a track")
-        drones = initial_baseline_state(spec)
-        positions = array("d", chain.from_iterable(d[:2] for d in drones))
-        done = all(_within(spec, drones))
-        stall_run = step = 0
-        while not done and stall_run < STALL_PATIENCE and step < spec.max_steps:
-            step += 1
-            try:
-                done, stalled, total = baseline_step(drones, spec, positions)
-                # A sum of finite numbers can overflow too: only then look at each.
-                if not (math.isfinite(total)
-                        or all(map(math.isfinite, chain.from_iterable(drones)))):
-                    raise SingularityError(NON_FINITE)
-            except SingularityError as exc:
-                raise SingularityError(f"step {step}: {exc}") from None
-            stall_run = stall_run + 1 if stalled else 0
-        outcome = COMPLETED if done else STALLED if stall_run >= STALL_PATIENCE else MAX_STEPS
-        return _trace(spec, controller, outcome,
-                      np.frombuffer(positions).reshape(step + 1, len(drones), 2))
+        return _baseline_run(spec)
 
     if track is None:
         track = LeaderTrack(spec)

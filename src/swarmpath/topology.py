@@ -14,12 +14,13 @@ speed.  Obstacles are ObstacleIndex rows (cx, cy, radius, r_apf, r_imp).
 
 The virtual leader is not a drone.  It reads no drone, so its path is fixed
 by the leader inputs of a spec (start, goal, obstacles, gates, apf, dt,
-max_steps); a LeaderTrack computes that path once, row by row as runs reach
-each step, and every run with the same leader inputs reads its rows.  A
-follower reads its own state, the leader's rows and the obstacles, never
-another drone, so swarm_step runs one follower over a range of steps at a
-time, its state in locals, and simulator.run composes the swarm's outcome
-from the followers' tracks.
+max_steps); a LeaderTrack grows that path once through apf.descend, as far
+as runs ask for it, and every run with the same leader inputs reads its
+rows.  A baseline drone's path is a LeaderTrack too, built with the drone's
+own start and goal slots.  A follower reads its own state, the leader's rows
+and the obstacles, never another drone, so swarm_step runs one follower over
+a range of steps at a time, its state in locals, and simulator.run composes
+the swarm's outcome from the followers' tracks.
 
 swarm_step is the hot loop, so it applies the link rule and the link update
 itself (the leader-linked scan in _link_rule) rather than through
@@ -40,15 +41,15 @@ from array import array
 import numpy as np
 
 from .world import NO_CANDIDATES, ObstacleIndex, TopologyParams, ScenarioSpec
-from .apf import Agent, SingularityError, leader_step
+from .apf import DESCENDING, LATCHED, NO_FIELD, NON_FINITE, SingularityError, descend
 from .impedance import Coefficients
 # Unused here, but bench/bench.py's traced mode rebinds these module names.
 from .world import effective_obstacles  # noqa: F401
 from .impedance import link_step  # noqa: F401
+from .apf import leader_step  # noqa: F401
 
 MEAN_SPEED_ALPHA = 0.05  # exponential moving average weight for drone speed
 LEADER = -1  # mode of a drone linked to the leader; otherwise an obstacle index
-NON_FINITE = "the state overflowed to a non-finite value"
 # A follower's faults, ranked in the order a step meets them: its link's
 # direction, then the finiteness of its new state.
 DEFLECTION_FAULT, OVERFLOW_FAULT = 1, 2
@@ -116,54 +117,70 @@ def deflection_offset(x: float, y: float, mean_speed: float, obs: tuple,
     return ox * scale, oy * scale
 
 
-def leader_inputs(spec: ScenarioSpec) -> tuple:
-    """Every field of spec that the leader's path depends on."""
-    return (spec.start, spec.goal, spec.obstacles, spec.gates, spec.apf, spec.dt,
-            spec.max_steps)
+def leader_inputs(spec: ScenarioSpec, start: tuple[float, float] | None = None,
+                  goal: tuple[float, float] | None = None) -> tuple:
+    """Every input a descent path depends on: its start and goal, spec's unless
+    given, and spec's obstacles, gates, apf, dt and max_steps."""
+    return (spec.start.as_tuple() if start is None else start,
+            spec.goal.as_tuple() if goal is None else goal,
+            spec.obstacles, spec.gates, spec.apf, spec.dt, spec.max_steps)
 
 
 class LeaderTrack:
-    """The virtual leader's path for one set of leader inputs, grown on demand.
+    """One descent path from start toward goal, grown on demand.
 
-    xy holds the rows grown so far, flat: the leader's (x, y) after step n
-    is xy[2n], xy[2n + 1], and row 0 is the start.  row(n) grows xy through
-    step n the first time any run asks for it, so a run that has read row n
-    reads every earlier row straight from xy.  Growing runs leader_step until
-    the path's fixed point: once the leader latches reached_goal or stalls,
-    leader_step would return it unchanged forever, so every later row is a
-    copy of the last one, and one call appends every such row it asks for.
-    stall_step is the first step at which the leader stalled, None while it
-    has not.  A step whose leader_step raises, or whose row is not finite, is
-    not stored, so every run that reaches it raises again.  Whoever builds a
-    track chooses the runs that share it.
+    The virtual leader's path, from spec's start toward its goal, unless
+    start and goal are given, as (x, y): a baseline drone's path runs from
+    its start slot toward its goal slot.  inputs holds both, so a run can
+    tell the track it was built for.
+
+    xy holds the rows grown so far, flat: (x, y) after step n is xy[2n],
+    xy[2n + 1], and row 0 is the start.  grow(last) runs apf.descend through
+    row last, or to the path's fixed point: from step rest on, every row
+    repeats the one before, because the path latched its goal (reached), the
+    field vanished (stall_step, the step it did, is rest) or a step left x
+    and y bit for bit.  still lists the earlier steps whose row was == the
+    one before though a signed zero changed.  A step that faults is not
+    stored: fault is its (step, kind, text), and the track grows no further.
+    row(n) reads row n, growing the track and appending copies of the fixed
+    point through n first, or raises the fault's SingularityError if the
+    path cannot reach n.  Whoever builds a track chooses the runs that share
+    it.
     """
 
-    def __init__(self, spec: ScenarioSpec):
-        self.inputs = leader_inputs(spec)
+    def __init__(self, spec: ScenarioSpec, start: tuple[float, float] | None = None,
+                 goal: tuple[float, float] | None = None):
+        self.inputs = leader_inputs(spec, start, goal)
+        start, self.goal = self.inputs[:2]
         self._spec = spec
-        self.xy = array("d", (spec.start.x, spec.start.y))
+        self.xy = array("d", start)
+        self.rest: int | None = None
+        self.reached = False
         self.stall_step: int | None = None
-        self._agent: Agent = (spec.start.x, spec.start.y, False)
-        self._settled = False
+        self.still: list[int] = []
+        self.fault: tuple[int, int, str] | None = None
+
+    def grow(self, last: int) -> None:
+        """Grow xy through row last, stopping early at the fixed point or a fault."""
+        xy = self.xy
+        if self.rest is None and self.fault is None and 2 * last >= len(xy):
+            status, text = descend(xy, *self.goal, last, self._spec, self.still)
+            if text is not None:
+                self.fault = (len(xy) // 2, status, text)
+            elif status != DESCENDING:
+                self.rest = len(xy) // 2 - 1
+                self.reached = status == LATCHED
+                if status == NO_FIELD:
+                    self.stall_step = self.rest
 
     def row(self, step: int) -> tuple[float, float]:
-        """The leader's (x, y) after step, growing xy through it first."""
+        """The (x, y) after step, growing xy through it first."""
         xy = self.xy
-        while 2 * step >= len(xy):
-            if self._settled:
-                xy.extend(xy[-2:] * (step + 1 - len(xy) // 2))
-                break
-            spec = self._spec
-            agent, stalled = leader_step(self._agent, spec.goal.x, spec.goal.y, spec)
-            x, y, reached = agent
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise SingularityError(NON_FINITE)
-            if stalled:
-                self.stall_step = len(xy) // 2
-            self._agent = agent
-            self._settled = reached or stalled
-            xy.append(x)
-            xy.append(y)
+        if 2 * step >= len(xy):
+            self.grow(step)
+            if self.fault is not None:
+                raise SingularityError(self.fault[2])
+            xy.extend(xy[-2:] * (step + 1 - len(xy) // 2))
         return xy[2 * step], xy[2 * step + 1]
 
 

@@ -106,18 +106,20 @@ class ObstacleIndex:
     acts.  A query is one dict lookup.  Rows and cells hold each obstacle as
     its as_tuple().
 
-    link_cells is the link grid that candidates() reads, public so a hot
-    loop can make the same lookup without the call: it maps (x // link_cell,
-    y // link_cell) to the cell's (indices, rows), and a cell it does not
-    list is empty.  Treat it as read-only.
+    The grids are public so a hot loop can make the same lookup without the
+    call.  force_cells is the force grid that force_rows() reads: it maps
+    (x // cell, y // cell) to the cell's rows.  link_cells is the link grid
+    that candidates() reads: it maps (x // link_cell, y // link_cell) to the
+    cell's (indices, rows).  A cell a grid does not list is empty.  Treat
+    both as read-only.
     """
 
     def __init__(self, obstacles: tuple[Obstacle, ...]):
         self.obstacles = obstacles
         self.rows = rows = tuple(obs.as_tuple() for obs in obstacles)
         (self.cell, force_reach), (self.link_cell, link_reach) = _grid_reaches(obstacles)
-        self._force_cells = {key: tuple(map(rows.__getitem__, ids))
-                             for key, ids in _grid(rows, self.cell, force_reach).items()}
+        self.force_cells = {key: tuple(map(rows.__getitem__, ids))
+                            for key, ids in _grid(rows, self.cell, force_reach).items()}
         self.link_cells = {key: (tuple(ids), tuple(map(rows.__getitem__, ids)))
                            for key, ids in _grid(rows, self.link_cell, link_reach).items()}
 
@@ -137,7 +139,7 @@ class ObstacleIndex:
         every obstacle whose center is (x, y).
         """
         cell = self.cell
-        return self._force_cells.get((x // cell, y // cell), ())
+        return self.force_cells.get((x // cell, y // cell), ())
 
 
 def _grid_reaches(obstacles) -> list[tuple[float, list[float]]]:
@@ -293,6 +295,13 @@ def validate_spec(spec: ScenarioSpec, label: str | None = None) -> None:
         fail(f"{prefix}formation_offsets", "at least one drone is required")
     if len(set(o.as_tuple() for o in spec.formation_offsets)) != len(spec.formation_offsets):
         fail(f"{prefix}formation_offsets", "offsets must be pairwise distinct")
+    # Every drone's path starts at start + offset and ends at goal + offset.
+    for i, off in enumerate(spec.formation_offsets):
+        for name, point in (("start", spec.start), ("goal", spec.goal)):
+            x, y = point.x + off.x, point.y + off.y
+            if not (math.isfinite(x) and math.isfinite(y)):
+                fail(f"{prefix}formation_offsets[{i}]",
+                     f"the {name} slot {name} + offset = ({x}, {y}) is not finite")
 
 
 def _checked_obstacles(value, label: str | None):

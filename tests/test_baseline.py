@@ -1,21 +1,20 @@
-import math
-from array import array
-
+import numpy as np
 import pytest
 
 from swarmpath.apf import leader_step
-from swarmpath.baseline import baseline_step, initial_baseline_state
-from swarmpath.simulator import CONVENTIONAL_APF, run
+from swarmpath.baseline import baseline_step
+from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, run
 from swarmpath.world import Obstacle, Vec2
 from conftest import straight_spec
 
 
 def test_initial_state_puts_drones_on_slots():
     spec = straight_spec()
-    drones = initial_baseline_state(spec)
-    for (x, y, reached), offset in zip(drones, spec.formation_offsets, strict=True):
-        assert (x, y) == (spec.start.x + offset.x, spec.start.y + offset.y)
-        assert not reached
+    for offset in spec.formation_offsets:
+        track = baseline_step(spec, offset, 0)
+        assert tuple(track.xy) == (spec.start.x + offset.x, spec.start.y + offset.y)
+        assert track.goal == (spec.goal.x + offset.x, spec.goal.y + offset.y)
+        assert not track.reached and track.rest is None
 
 
 def test_drone_step_descends_toward_own_slot():
@@ -48,34 +47,39 @@ def test_drones_avoid_obstacles_independently():
         goal=Vec2(4.0, 0.0),
         obstacles=(Obstacle(Vec2(2.0, 0.15), 0.15, 0.5, 0.3),),
     )
-    drones = initial_baseline_state(spec)
     post = spec.obstacles[0]
-    min_clear = float("inf")
-    for _ in range(1200):
-        done, stalled, _ = baseline_step(drones, spec, array("d"))
-        assert not stalled
-        assert done == all(d[2] for d in drones)
-        for x, y, _ in drones:
-            min_clear = min(min_clear,
-                            math.hypot(x - post.center.x, y - post.center.y) - post.radius)
-        if all(d[2] for d in drones):
-            break
-    assert all(d[2] for d in drones)
-    assert min_clear > 0.0
+    tracks = [baseline_step(spec, offset, 1200) for offset in spec.formation_offsets]
+    for track in tracks:
+        assert track.stall_step is None and track.fault is None
+        assert track.reached
+        rows = np.frombuffer(track.xy).reshape(-1, 2)
+        assert np.all(np.hypot(*(rows - post.center.as_tuple()).T) - post.radius > 0.0)
+    # The run's columns are the tracks' rows, each padded with its last; it
+    # completes on the frame before the latest rest, where the last drone
+    # that arrives is within.
+    trace = run(spec, CONVENTIONAL_APF)
+    assert trace.outcome == COMPLETED
+    assert trace.n_frames == max(track.rest for track in tracks)
+    for i, track in enumerate(tracks):
+        rows = np.frombuffer(track.xy).reshape(-1, 2)[:trace.n_frames]
+        assert trace.positions[:len(rows), i].tobytes() == rows.tobytes()
+        assert (trace.positions[len(rows):, i] == rows[-1]).all()
 
 
 def test_baseline_step_reports_stall_only_when_nobody_moves():
     spec = straight_spec(goal=Vec2(1.0, 0.0))
-    _, stalled, _ = baseline_step(initial_baseline_state(spec), spec, array("d"))
-    assert not stalled
+    track = baseline_step(spec, spec.formation_offsets[0], 1)
+    assert track.stall_step is None and track.rest is None
+    assert track.row(1) != track.row(0)
     # Everyone already on their slot goal: all latch, nobody moves, but that
     # is completion, not a stall.
     parked = straight_spec(goal=Vec2(0.0, 0.0))
-    drones = initial_baseline_state(parked)
-    done, stalled, _ = baseline_step(drones, parked, array("d"))
-    assert not stalled
-    assert all(d[2] for d in drones)
-    assert done
+    for offset in parked.formation_offsets:
+        track = baseline_step(parked, offset, 1)
+        assert track.stall_step is None
+        assert track.reached and track.rest == 1
+    trace = run(parked, CONVENTIONAL_APF)
+    assert trace.outcome == COMPLETED and trace.n_frames == 1
 
 
 def test_baseline_clock_advances():

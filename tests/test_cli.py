@@ -143,6 +143,21 @@ def test_overflowing_scenario_exits_1(command, tmp_path, capsys):
     assert capsys.readouterr().err == "error: step 1: the state overflowed to a non-finite value\n"
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "run --controller apf"])
+def test_a_slot_that_is_not_finite_exits_1(command, tmp_path, capsys):
+    # Start and goal are finite, but drone 1's start slot start + offset is
+    # not: the loader rejects it before any frame is recorded.
+    path = tmp_path / "slot.json"
+    path.write_text('{"start": [1.7e308, 0], "goal": [1.7e308, 1], '
+                    '"formation_offsets": [[1e308, 0]]}')
+    code = main([*command.split(), str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: formation_offsets[0]: the start slot start + offset = (inf, 0.0) "
+        "is not finite\n")
+    assert not (tmp_path / "out").exists()
+
+
 FAR = {"center": [1.7e308, 0], "radius": 0.1, "r_apf": 1e308, "r_imp": 0.3}
 NEAR = {"center": [0, 5], "radius": 0.1, "r_apf": 0.5, "r_imp": 0.3}
 OVERFLOWING_GRIDS = {

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmpath import apf
 from swarmpath.apf import (
     NO_REPULSION,
     SingularityError,
@@ -35,7 +34,6 @@ from swarmpath.world import (
     ApfParams,
     Gate,
     Obstacle,
-    ObstacleIndex,
     ScenarioSpec,
     TopologyParams,
     Vec2,
@@ -188,20 +186,34 @@ def with_far_decoys(spec, n, seed):
     return dataclasses.replace(spec, obstacles=spec.obstacles + decoys)
 
 
+class CountedCells(dict):
+    """A force grid that records how many rows each lookup hands out."""
+
+    def __init__(self, cells, sizes):
+        super().__init__(cells)
+        self.sizes = sizes
+
+    def get(self, key, default=None):
+        rows = super().get(key, default)
+        self.sizes.append(len(rows))
+        return rows
+
+
+def force_lookups(spec, monkeypatch) -> list[int]:
+    """The number of rows of every force cell looked up in spec's index from now on."""
+    sizes = []
+    index = spec.obstacle_index
+    monkeypatch.setattr(index, "force_cells", CountedCells(index.force_cells, sizes))
+    return sizes
+
+
 def counted_run(spec, monkeypatch):
-    """The run and its number of repulsion evaluations: total_force evaluates
-    each row it is handed exactly once, so count the rows leader_step hands it."""
-    calls = [0]
-    original = apf.total_force
-
-    def counted(x, y, gx, gy, obstacles, params):
-        calls[0] += len(obstacles)
-        return original(x, y, gx, gy, obstacles, params)
-
+    """The run and its number of repulsion evaluations: the descent evaluates
+    each row of the force cell it looks up exactly once, so count those rows."""
     with monkeypatch.context() as m:
-        m.setattr(apf, "total_force", counted)  # the name leader_step calls it by
+        sizes = force_lookups(spec, m)
         trace = run(spec, SWARMPATH)
-    return trace, calls[0]
+    return trace, sum(sizes)
 
 
 def test_far_decoys_change_no_byte_and_no_force_evaluation(monkeypatch):
@@ -248,15 +260,7 @@ def test_forest_cells_list_only_touching_reach_disks():
 def test_baseline_forest_force_query_lists_few_rows(monkeypatch):
     # The padded reach box listed 9.22 rows per query here; the disk rule ~2.8.
     spec = read_scenario(SCENARIO_DIR / "case2_forest.json")
-    sizes = []
-    force_rows = ObstacleIndex.force_rows
-
-    def counted(self, x, y):
-        out = force_rows(self, x, y)
-        sizes.append(len(out))
-        return out
-
-    monkeypatch.setattr(ObstacleIndex, "force_rows", counted)
+    sizes = force_lookups(spec, monkeypatch)
     assert run(spec, CONVENTIONAL_APF).outcome == "completed"
     assert len(sizes) > 1000
     assert sum(sizes) / len(sizes) < 4.0

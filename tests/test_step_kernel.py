@@ -1,16 +1,18 @@
-"""The fused step kernels against a reference run built from the public helpers.
+"""The fused kernels against a reference run built from the public helpers.
 
-swarm_step runs one follower over a range of steps and simulator.run composes
-the swarm's outcome from the followers' tracks; baseline_step moves every
-baseline drone once per step.  The reference below rebuilds both controllers'
-runs step by step, one drone at a time, from update_link_mode,
-deflection_offset and link_step (the swarm) and leader_step (the baseline),
+swarm_step runs one follower over a range of steps, apf.descend grows one
+descent path (the leader's, or a baseline drone's from its start slot toward
+its goal slot), and simulator.run composes each controller's outcome from
+the drones' tracks.  The reference below rebuilds both controllers' runs
+step by step, one drone at a time, from update_link_mode, deflection_offset
+and link_step (the swarm) and leader_step (the leader and the baseline),
 with the run loop written out again, so the kernels and the drone-major
 composition cannot drift from the helpers: columns must match bit for bit,
 and outcomes and error messages exactly.  Fixed cases pin the link scan's
 tie-break, the signed zeros of link_step's force terms, the order of faults
-that random posts almost never reach, and where a follower's ride on its
-slot (many steps at once) must end.
+that random posts almost never reach, where a follower's ride on its slot
+(many steps at once) must end, and descent steps that leave a drone where it
+was without a stall flag.
 """
 
 import dataclasses
@@ -22,11 +24,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from swarmpath.apf import SingularityError, leader_step, total_force
+from swarmpath.apf import NON_FINITE, SingularityError, leader_step, total_force
 from swarmpath.impedance import link_coefficients, link_step
 from swarmpath import simulator
-from swarmpath.simulator import (CHUNK, COMPLETED, CONTROLLERS, MAX_STEPS, STALL_PATIENCE,
-                                 STALLED, SWARMPATH, run)
+from swarmpath.simulator import (CHUNK, COMPLETED, CONTROLLERS, CONVENTIONAL_APF, MAX_STEPS,
+                                 STALL_PATIENCE, STALLED, SWARMPATH, run)
 from swarmpath.topology import (LEADER, MEAN_SPEED_ALPHA, LeaderTrack, deflection_offset,
                                 initial_swarm_state, swarm_step, update_link_mode)
 from swarmpath.world import (ApfParams, ImpedanceParams, Obstacle, ScenarioSpec,
@@ -68,16 +70,20 @@ def impedances(draw, dt):
 def small_specs(draw):
     """A few posts around the path, 1 to 5 drones and a step limit of 1 to 600.
 
-    One draw in four starts the leader on a field equilibrium before a post
-    on its axis, where it stalls at step 1, so runs past STALL_PATIENCE
-    stall.  The links range over impedances(), and half the draws take a
-    k_impF from 1e307 to 1.7e308, whose deflections overflow the state or
-    lose their direction after the drones have moved apart.
+    One draw in four starts the leader, and a baseline drone with it, on a
+    field equilibrium before a post on its axis, where it stalls at step 1,
+    so runs past STALL_PATIENCE stall: the swarm's from the leader's stall,
+    the baseline's once its other drones have stopped too.  The links range
+    over impedances(), and half the draws take a k_impF from 1e307 to
+    1.7e308, whose deflections overflow the state or lose their direction
+    after the drones have moved apart.
     """
     offsets = draw(st.lists(st.tuples(st.sampled_from([-0.4, 0.0, 0.4]),
                                       st.sampled_from([-0.4, 0.0, 0.4])),
                             min_size=1, max_size=5, unique=True))
     trapped = draw(st.integers(0, 3)) == 0
+    if trapped and (0.0, 0.0) not in offsets:  # a baseline drone trapped with the leader
+        offsets[draw(st.integers(0, len(offsets) - 1))] = (0.0, 0.0)
     goal = Vec2(draw(st.floats(0.5, 1.5)), 0.0 if trapped else draw(st.floats(-0.5, 0.5)))
     posts = []
     for i in range(draw(st.integers(1, 2) if trapped else st.integers(0, 4))):
@@ -114,9 +120,37 @@ def small_specs(draw):
     return spec
 
 
+class ReferenceLeader:
+    """A descent path from leader_step, one call per step, like LeaderTrack's rows.
+
+    row(n) is the (x, y) after step n; stall_step is the first step that
+    returned the stall flag.  A step whose leader_step raises, or whose row is
+    not finite, raises on every request that reaches it.
+    """
+
+    def __init__(self, spec, start=None, goal=None):
+        self.spec = spec
+        self.goal = goal or (spec.goal.x, spec.goal.y)
+        start = start or (spec.start.x, spec.start.y)
+        self.agent = (*start, False)
+        self.rows = [start]
+        self.stall_step = None
+
+    def row(self, n):
+        while len(self.rows) <= n:
+            agent, stalled = leader_step(self.agent, *self.goal, self.spec)
+            if not all(map(math.isfinite, agent[:2])):
+                raise SingularityError(NON_FINITE)
+            if stalled and self.stall_step is None:
+                self.stall_step = len(self.rows)
+            self.agent = agent
+            self.rows.append(agent[:2])
+        return self.rows[n]
+
+
 def swarm_reference(spec):
     """The swarm's drones and step(n), one drone at a time; step returns the leader's stall."""
-    track = LeaderTrack(spec)
+    track = ReferenceLeader(spec)
     coefficients = link_coefficients(spec.impedance, spec.dt)
     index, params = spec.obstacle_index, spec.topology
     drones = [(spec.start.x + o.x, spec.start.y + o.y, 0.0, 0.0, LEADER, 0.0)
@@ -198,21 +232,47 @@ def reference_run(spec, controller):
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(spec=small_specs(), controller=st.sampled_from(CONTROLLERS))
-def test_fused_step_matches_the_helpers(spec, controller):
-    expected = reference_run(spec, controller)
-    try:
-        trace = run(spec, controller)
-    except SingularityError as exc:
-        assert str(exc) == expected
-        return
-    outcome, positions, modes = expected
-    assert trace.outcome == outcome
-    assert trace.positions.tobytes() == positions.tobytes()
-    if controller == SWARMPATH:
-        assert np.array_equal(trace.modes, np.array(modes))
-    else:
-        assert trace.modes is None
+@given(spec=small_specs())
+def test_fused_step_matches_the_helpers(spec):
+    for controller in CONTROLLERS:
+        expected = reference_run(spec, controller)
+        try:
+            trace = run(spec, controller)
+        except SingularityError as exc:
+            assert str(exc) == expected
+            continue
+        outcome, positions, modes = expected
+        assert trace.outcome == outcome
+        assert trace.positions.tobytes() == positions.tobytes()
+        if controller == SWARMPATH:
+            assert np.array_equal(trace.modes, np.array(modes))
+        else:
+            assert trace.modes is None
+
+
+def descent_slots(spec):
+    """(start, goal) of the leader's path (None, None) and of each baseline drone's."""
+    return [(None, None)] + [((spec.start.x + o.x, spec.start.y + o.y),
+                              (spec.goal.x + o.x, spec.goal.y + o.y))
+                             for o in spec.formation_offsets]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=small_specs())
+def test_descent_tracks_match_leader_step(spec):
+    for start, goal in descent_slots(spec):
+        track, reference = LeaderTrack(spec, start, goal), ReferenceLeader(spec, start, goal)
+        try:
+            expected = [reference.row(n) for n in range(spec.max_steps + 1)]
+        except SingularityError as exc:
+            with pytest.raises(SingularityError) as err:
+                track.row(spec.max_steps)
+            assert str(err.value) == str(exc)
+            assert bytes(track.xy) == np.array(reference.rows).tobytes()
+            continue
+        assert track.row(spec.max_steps) == expected[-1]
+        assert bytes(track.xy) == np.array(expected).tobytes()
+        assert track.stall_step == reference.stall_step
 
 
 @pytest.mark.parametrize("first_y", [0.3, -0.3])
@@ -298,6 +358,129 @@ def test_a_later_drone_faulting_first_is_raised_at_its_step():
     assert str(err.value).startswith("step 1: drone 2: 0 m from obstacle center (0.4, -0.4)")
     alone = dataclasses.replace(spec, formation_offsets=spec.formation_offsets[:1])
     assert run(alone, SWARMPATH).outcome == COMPLETED
+
+
+def test_baseline_drones_on_post_centres_name_the_lower_drones_post():
+    # Drones 1 and 2 both start on a post's centre, where the field has no
+    # direction: step-major order meets drone 1 first.
+    spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(3.0, 0.0),
+                        obstacles=posts_on((0.4, 0.4), (0.4, -0.4)))
+    validate_spec(spec)
+    with pytest.raises(SingularityError) as err:
+        run(spec, CONVENTIONAL_APF)
+    assert str(err.value) == reference_run(spec, CONVENTIONAL_APF)
+    assert str(err.value) == "step 1: position coincides with obstacle center (0.4, 0.4)"
+
+
+def test_a_later_baseline_drone_faulting_first_is_raised_at_its_step():
+    # Drone 2 faults at step 1 while drone 1, whose track is grown first,
+    # flies on to its goal slot.
+    spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(3.0, 0.0),
+                        obstacles=posts_on((0.4, -0.4)))
+    validate_spec(spec)
+    with pytest.raises(SingularityError) as err:
+        run(spec, CONVENTIONAL_APF)
+    assert str(err.value) == reference_run(spec, CONVENTIONAL_APF)
+    assert str(err.value) == "step 1: position coincides with obstacle center (0.4, -0.4)"
+    alone = dataclasses.replace(spec, formation_offsets=spec.formation_offsets[:1])
+    assert run(alone, CONVENTIONAL_APF).outcome == COMPLETED
+
+
+def test_a_baseline_singularity_ranks_before_an_overflow_at_its_step():
+    # dt * leader_speed overflows, so drone 1's first step leaves a state that
+    # is not finite; at the same step drone 2 sits on a post's centre.
+    spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
+                        obstacles=posts_on((0.4, -0.4)), apf=ApfParams(leader_speed=1.7e308),
+                        dt=1.5)
+    validate_spec(spec)
+    for offsets, text in ((spec.formation_offsets, "position coincides with obstacle center "
+                                                   "(0.4, -0.4)"),
+                          (spec.formation_offsets[:1], NON_FINITE)):
+        one = dataclasses.replace(spec, formation_offsets=offsets)
+        with pytest.raises(SingularityError) as err:
+            run(one, CONVENTIONAL_APF)
+        assert str(err.value) == reference_run(one, CONVENTIONAL_APF) == f"step 1: {text}"
+
+
+def test_a_baseline_stall_waits_for_every_drone_to_stop():
+    # Drone 1 starts on the field's equilibrium before a post on its axis and
+    # stalls at step 1; drone 2 flies on to its goal slot.  Nobody moves from
+    # drone 2's rest on, and the run stalls STALL_PATIENCE - 1 steps later.
+    obstacles = (Obstacle(Vec2(1.0, 0.0), 0.1, 0.4, 0.3),)
+    x = equilibrium_x(1.5, tuple(o.as_tuple() for o in obstacles), ApfParams())
+    spec = ScenarioSpec(start=Vec2(x, 0.0), goal=Vec2(1.5, 0.0), obstacles=obstacles,
+                        formation_offsets=(Vec2(0.0, 0.0), Vec2(0.0, 0.8)), max_steps=600)
+    validate_spec(spec)
+    trapped, flier = (LeaderTrack(spec, start, goal) for start, goal in descent_slots(spec)[1:])
+    trapped.grow(spec.max_steps)
+    flier.grow(spec.max_steps)
+    assert trapped.stall_step == trapped.rest == 1 and not trapped.reached
+    assert flier.reached and flier.rest > 100
+    trace = run(spec, CONVENTIONAL_APF)
+    outcome, positions, _ = reference_run(spec, CONVENTIONAL_APF)
+    assert trace.outcome == outcome == STALLED
+    assert trace.n_frames == flier.rest + STALL_PATIENCE
+    assert trace.positions.tobytes() == positions.tobytes()
+
+
+@pytest.mark.parametrize("cut, outcome", [(0, COMPLETED), (1, MAX_STEPS)])
+def test_a_baseline_within_on_its_last_step_completes(cut, outcome):
+    # The goal test runs before a step moves, so a track grown through
+    # max_steps has not yet tested its last row; the run does.
+    spec = straight_spec()
+    end = run(spec, CONVENTIONAL_APF).n_frames - 1
+    short = dataclasses.replace(spec, max_steps=end - cut)
+    trace = run(short, CONVENTIONAL_APF)
+    expected, positions, _ = reference_run(short, CONVENTIONAL_APF)
+    assert trace.outcome == expected == outcome
+    assert trace.positions.tobytes() == positions.tobytes()
+
+
+def assert_both_match_reference(spec, expected):
+    """Both controllers' runs equal the reference's, with the outcomes and frame counts given."""
+    for controller, (outcome, frames) in zip((CONVENTIONAL_APF, SWARMPATH), expected):
+        trace = run(spec, controller)
+        reference, positions, _ = reference_run(spec, controller)
+        assert trace.outcome == reference == outcome
+        assert trace.n_frames == frames
+        assert trace.positions.tobytes() == positions.tobytes()
+
+
+def test_a_step_below_half_an_ulp_leaves_the_drone_without_a_stall_flag():
+    # At x = 1e6 a step of dt * leader_speed = 1e-11 m is below half an ulp
+    # (5.8e-11 m), so every drone and the leader stay put bit for bit with no
+    # stall flag.  To the baseline that is a stall; the swarm's leader has
+    # not stalled, so the swarm runs to max_steps.
+    spec = ScenarioSpec(start=Vec2(1e6, 0.0), goal=Vec2(1e6 + 1.0, 0.0),
+                        apf=ApfParams(leader_speed=1e-9), max_steps=150)
+    validate_spec(spec)
+    assert_both_match_reference(spec, [(STALLED, STALL_PATIENCE + 1),
+                                       (MAX_STEPS, spec.max_steps + 1)])
+    for start, goal in descent_slots(spec):
+        track = LeaderTrack(spec, start, goal)
+        track.grow(spec.max_steps)
+        assert (track.rest, track.stall_step, track.reached) == (1, None, False)
+
+
+def test_a_signed_zero_step_did_not_move_but_is_no_fixed_point():
+    # Drone 1 starts at x = -0.0 below its goal slot: its first step adds
+    # +0.0 to x, which turns it into 0.0, and 1e-11 m to y = 1e6, below half
+    # an ulp, so its row is == the one before but not bit for bit; its
+    # second step leaves it bit for bit.  Drone 2 stays put bit for bit from
+    # step 1.  Nobody moves from step 1 on, so the stall ends at step
+    # STALL_PATIENCE, not a step after it.
+    spec = ScenarioSpec(start=Vec2(-0.0, 1e6), goal=Vec2(-0.0, 1e6 + 1.0),
+                        formation_offsets=(Vec2(-0.0, 0.0), Vec2(0.4, 0.0)),
+                        apf=ApfParams(leader_speed=1e-9), max_steps=150)
+    validate_spec(spec)
+    assert_both_match_reference(spec, [(STALLED, STALL_PATIENCE + 1),
+                                       (MAX_STEPS, spec.max_steps + 1)])
+    tracks = [LeaderTrack(spec, start, goal) for start, goal in descent_slots(spec)]
+    for track in tracks:
+        track.grow(spec.max_steps)
+    assert [(t.still, t.rest) for t in tracks] == [([1], 2), ([1], 2), ([], 1)]
+    assert np.signbit(run(spec, CONVENTIONAL_APF).positions[:3, 0, 0]).tolist() == \
+        [True, False, False]
 
 
 @pytest.mark.parametrize("name", ["case1_gate.json", "case2_forest.json"])
@@ -419,8 +602,10 @@ def test_a_start_at_negative_zero():
 
 
 @pytest.mark.parametrize("spec, step", [
-    # 3e307 m per step: drone 1's slot, 5e307 m ahead of the leader, overflows at step 5.
-    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.5e308, 0.0),
+    # 3e307 m per step: drone 1's slot, 5e307 m ahead of the leader, overflows at
+    # step 5, where the leader overshoots its goal by 2.5e307 m (the goal slot
+    # itself, 1.75e308, is finite).
+    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.25e308, 0.0),
                   apf=ApfParams(leader_speed=3e307), dt=1.0,
                   formation_offsets=(Vec2(5e307, 0.0), Vec2(0.0, 0.4))), 5),
     # A dt of 5e-324 s: one rounding step of drone 1's x near 8.0 is an infinite speed.

@@ -91,6 +91,11 @@ def test_sweep_validation_errors_name_their_key():
         load_sweep(json.dumps(doc))
     with pytest.raises(ScenarioValidationError, match=r"^values\[1\]\.impedance: d=-2\.0 "):
         load_sweep(inline_sweep(parameter="d", values=(12.6, -2.0)))
+    doc = json.loads(inline_sweep())
+    doc["scenario"].update(start=[1.7e308, 0], goal=[1.7e308, 1], formation_offsets=[[1e308, 0]])
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^scenario\.formation_offsets\[0\]: the start slot "):
+        load_sweep(json.dumps(doc))
 
 
 def test_sweep_spec_built_in_code_is_validated():
@@ -124,24 +129,27 @@ def test_run_sweep_flags_critical_damping():
 
 
 def test_sweep_steps_the_leader_once(monkeypatch):
-    # m, d and k never reach the leader: a whole sweep makes exactly the
-    # leader_step calls of one run, and each point still equals its own run.
-    calls = [0]
-    leader_step = topology.leader_step
+    # m, d and k never reach the leader: a whole sweep grows exactly the
+    # leader rows of one run, and each point still equals its own run.
+    grown = [0]
+    descend = topology.descend
 
-    def counted(*args):
-        calls[0] += 1
-        return leader_step(*args)
+    def counted(xy, *args):
+        before = len(xy)
+        try:
+            return descend(xy, *args)
+        finally:
+            grown[0] += (len(xy) - before) // 2
 
-    monkeypatch.setattr(topology, "leader_step", counted)
+    monkeypatch.setattr(topology, "descend", counted)
     sweep = read_sweep(SCENARIO_DIR / "sweep_d.json")
     assert len(sweep.values) == 4
     run(sweep.scenario)
-    one_run = calls[0]
-    calls[0] = 0
+    one_run = grown[0]
+    grown[0] = 0
     result, traces = sweep_traces(sweep, monkeypatch)
     assert one_run > 0
-    assert calls[0] == one_run
+    assert grown[0] == one_run
     assert len(traces) == len(result.runs) == 4
     for value, trace in zip(sweep.values, traces):
         alone = run(sweep_point(sweep.scenario, sweep.parameter, value))

@@ -91,6 +91,19 @@ def test_validate_rejects_coincident_gate_poles():
         validate_spec(spec)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"start": [1.7e308, 0], "goal": [1.7e308, 1], "formation_offsets": [[1e308, 0]]}',
+     r"^formation_offsets\[0\]: the start slot start \+ offset = \(inf, 0\.0\) is not finite$"),
+    ('{"start": [0, 0], "goal": [-1.7e308, 0], "formation_offsets": [[0, 1], [-1e308, 0]]}',
+     r"^formation_offsets\[1\]: the goal slot goal \+ offset = \(-inf, 0\.0\) is not finite$"),
+])
+def test_load_rejects_a_slot_that_is_not_finite(doc, message):
+    # Each drone's path starts on start + offset and ends on goal + offset,
+    # so both slots must be finite; frame 0 is then finite too.
+    with pytest.raises(ScenarioValidationError, match=message):
+        load_scenario(doc)
+
+
 def test_load_rejects_unknown_keys():
     with pytest.raises(ScenarioParseError, match="unknown"):
         load_scenario('{"start": [0, 0], "goal": [1, 0], "warp_drive": true}')
