@@ -22,20 +22,24 @@ and the obstacles, never another drone, so swarm_step runs one follower over
 a range of steps at a time, its state in locals, and simulator.run composes
 the swarm's outcome from the followers' tracks.
 
-swarm_step is the hot loop, so it applies the link rule and the link update
-itself (the leader-linked scan in _link_rule) rather than through
-update_link_mode, nearest_obstacle and link_step.  Those helpers stay the
-reference: the tests check swarm_step against a run built from them, bit for
-bit.  Until a follower first links to an obstacle it usually sits
-bit-exactly on its slot with a zero link state, which the zero-force update
-keeps zero; swarm_step then moves it over the whole stretch up to its next
-acquire, within-step or last step at once, with numpy (see _ride), and
-steps on from there one step at a time.
+swarm_step is the hot loop, so it applies the link rule, the deflection and
+the link update itself (the leader-linked scan in _link_rule) rather than
+through update_link_mode, nearest_obstacle, deflection_offset and link_step.
+Those helpers stay the reference: the tests check swarm_step against a run
+built from them, bit for bit.  The loop looks a leader-linked drone's link
+cell up only when the drone enters another cell, scans it only when it lists
+obstacles, and appends its rows to the drone's buffers once, on exit.
+Until a follower first links to an obstacle it usually sits bit-exactly on
+its slot with a zero link state, which the zero-force update keeps zero;
+swarm_step then moves it over the whole stretch up to its next acquire,
+within-step or last step at once, with numpy (see _ride), and steps on from
+there one step at a time.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 
 import numpy as np
@@ -53,6 +57,7 @@ LEADER = -1  # mode of a drone linked to the leader; otherwise an obstacle index
 # A follower's faults, ranked in the order a step meets them: its link's
 # direction, then the finiteness of its new state.
 DEFLECTION_FAULT, OVERFLOW_FAULT = 1, 2
+NO_DIRECTION = "{:g} m from obstacle center ({}, {}), direction undefined"
 
 Drone = tuple[float, float, float, float, int, float]  # x, y, vx, vy, mode, mean_speed
 Fault = tuple[int, str]  # (kind, text)
@@ -112,18 +117,22 @@ def deflection_offset(x: float, y: float, mean_speed: float, obs: tuple,
     magnitude = params.k_impF * (1.0 + params.velocity_gain * mean_speed) * r_imp
     scale = magnitude / dist if dist else math.inf
     if not math.isfinite(scale):
-        raise SingularityError(
-            f"{dist:g} m from obstacle center ({cx}, {cy}), direction undefined")
+        raise SingularityError(NO_DIRECTION.format(dist, cx, cy))
     return ox * scale, oy * scale
 
 
 def leader_inputs(spec: ScenarioSpec, start: tuple[float, float] | None = None,
                   goal: tuple[float, float] | None = None) -> tuple:
     """Every input a descent path depends on: its start and goal, spec's unless
-    given, and spec's obstacles, gates, apf, dt and max_steps."""
-    return (spec.start.as_tuple() if start is None else start,
-            spec.goal.as_tuple() if goal is None else goal,
-            spec.obstacles, spec.gates, spec.apf, spec.dt, spec.max_steps)
+    given, and spec's obstacles, gates, apf, dt and max_steps.
+
+    A last item holds start and goal's bytes: == takes -0.0 for 0.0, though
+    the path's signed zeros follow them, so the tuples compare them bit for
+    bit."""
+    start = spec.start.as_tuple() if start is None else start
+    goal = spec.goal.as_tuple() if goal is None else goal
+    return (start, goal, spec.obstacles, spec.gates, spec.apf, spec.dt, spec.max_steps,
+            struct.pack("4d", *start, *goal))
 
 
 class LeaderTrack:
@@ -299,15 +308,17 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
     slot's deflection depends on the drone alone, so both slots share it.
 
     The link rule is update_link_mode's (its leader-linked scan is
-    _link_rule) and the link update is link_step's with no external force,
-    both written out with the same operations in the same order, so every
-    bit matches the helpers.
+    _link_rule, run only on a link cell that lists obstacles), the deflection
+    is deflection_offset's, with the same SingularityError text, and the link
+    update is link_step's with no external force, all written out with the
+    same operations in the same order, so every bit matches the helpers.
 
-    Each step appends the drone's new x, y to positions and its mode to modes,
-    the drone's own row buffers.  The loop stops after the first step n >=
-    settle at which the drone is within goal_threshold of its goal slot, and
-    at the first step that faults: its link has no direction, or its new state
-    is not finite.  Returns (drone, n, within, fault): the state after the
+    Each step run appends the drone's new x, y to positions and its mode to
+    modes, the drone's own row buffers; the rows are collected in lists and
+    appended when the call returns.  The loop
+    stops after the first step n >= settle at which the drone is within
+    goal_threshold of its goal slot, and at the first step that faults: its
+    link has no direction, or its new state is not finite.  Returns (drone, n, within, fault): the state after the
     last step n run, whether it is within, and None; or, when step n faulted,
     None, n, False and the fault (kind, text), with nothing appended for n.
     """
@@ -321,50 +332,75 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
     index, params = spec.obstacle_index, spec.topology
     rows, link_cells, link_cell = index.rows, index.link_cells, index.link_cell
     release = 1.0 + params.hysteresis
+    k_impF, velocity_gain = params.k_impF, params.velocity_gain
     p00, p01, p10, p11, g0, g1 = coefficients
     # link_step's force terms g * f for f = 0.0 are signed zeros; adding a
     # +0.0 turns a -0.0 sum into +0.0, so the terms stay.
     hold0, hold1 = g0 * 0.0, g1 * 0.0
-    keep = 1.0 - MEAN_SPEED_ALPHA
+    keep, alpha = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA
     goal_x, goal_y = spec.goal.x + ox, spec.goal.y + oy
     threshold = spec.apf.goal_threshold
+    # |x - goal_x| <= the hypot, so a drone farther than this along x is not
+    # within; the slack keeps that true through the hypot's rounding.
+    near = threshold * (1.0 + 1e-9)
     hypot, isfinite, link_rule = math.hypot, math.isfinite, _link_rule
-    append_position, append_mode = positions.append, modes.append
     xy = track.xy
-    lx, ly = xy[2 * step], xy[2 * step + 1]
+    # The slot the drone tracks at step n sits on the leader's row n - 1: the
+    # slot of row n that step n - 1 made, before its deflection.
+    slot_x, slot_y = xy[2 * step] + ox, xy[2 * step + 1] + oy
+    cell_x = cell_y = None  # the link cell last looked up; ids, cell_rows list it
+    out, out_modes = [], []  # this call's rows, appended to the buffers on every exit
+    put, put_mode = out.append, out_modes.append
     n = step
-    for n, nlx, nly in zip(range(step + 1, last + 1), xy[2 * step + 2:2 * last + 2:2],
-                           xy[2 * step + 3:2 * last + 3:2]):
-        if mode == LEADER:
-            mode = link_rule(x, y, *link_cells.get((x // link_cell, y // link_cell),
-                                                   NO_CANDIDATES))
-        else:
-            cx, cy, radius, _, r_imp = rows[mode]
-            if hypot(x - cx, y - cy) - radius > r_imp * release:
-                mode = LEADER
-        slot_x, slot_y = lx + ox, ly + oy
-        new_x, new_y = nlx + ox, nly + oy
-        if mode != LEADER:
-            try:
-                ex, ey = deflection_offset(x, y, mean_speed, rows[mode], params)
-            except SingularityError as exc:
-                return None, n, False, (DEFLECTION_FAULT, str(exc))
-            slot_x, slot_y = slot_x + ex, slot_y + ey
-            new_x, new_y = new_x + ex, new_y + ey
-        dx, dy = x - slot_x, y - slot_y
-        new_x += p00 * dx + p01 * vx + hold0
-        new_y += p00 * dy + p01 * vy + hold0
-        vx, vy = p10 * dx + p11 * vx + hold1, p10 * dy + p11 * vy + hold1
-        speed = hypot(new_x - x, new_y - y) / dt
-        mean_speed = keep * mean_speed + MEAN_SPEED_ALPHA * speed
-        # A sum of finite numbers can overflow too: only then look at each.
-        if not (isfinite(new_x + new_y + vx + vy + mean_speed)
-                or all(map(isfinite, (new_x, new_y, vx, vy, mean_speed)))):
-            return None, n, False, (OVERFLOW_FAULT, NON_FINITE)
-        x, y, lx, ly = new_x, new_y, nlx, nly
-        append_position(x)
-        append_position(y)
-        append_mode(mode)
-        if n >= settle and hypot(x - goal_x, y - goal_y) <= threshold:
-            return (x, y, vx, vy, mode, mean_speed), n, True, None
-    return (x, y, vx, vy, mode, mean_speed), n, False, None
+    try:
+        for n, nlx, nly in zip(range(step + 1, last + 1), xy[2 * step + 2:2 * last + 2:2],
+                               xy[2 * step + 3:2 * last + 3:2]):
+            if mode == LEADER:
+                kx, ky = x // link_cell, y // link_cell
+                if kx != cell_x or ky != cell_y:
+                    cell_x, cell_y = kx, ky
+                    ids, cell_rows = link_cells.get((kx, ky), NO_CANDIDATES)
+                if ids:
+                    mode = link_rule(x, y, ids, cell_rows)
+            else:
+                cx, cy, radius, _, r_imp = rows[mode]
+                if hypot(x - cx, y - cy) - radius > r_imp * release:
+                    mode = LEADER
+            next_slot_x, next_slot_y = nlx + ox, nly + oy
+            if mode == LEADER:
+                dx, dy = x - slot_x, y - slot_y
+                new_x, new_y = next_slot_x, next_slot_y
+            else:  # deflection_offset
+                cx, cy, _, _, r_imp = rows[mode]
+                ex, ey = x - cx, y - cy
+                dist = hypot(ex, ey)
+                magnitude = k_impF * (1.0 + velocity_gain * mean_speed) * r_imp
+                scale = magnitude / dist if dist else math.inf
+                if not isfinite(scale):
+                    return None, n, False, (DEFLECTION_FAULT,
+                                            NO_DIRECTION.format(dist, cx, cy))
+                ex, ey = ex * scale, ey * scale
+                dx, dy = x - (slot_x + ex), y - (slot_y + ey)
+                new_x, new_y = next_slot_x + ex, next_slot_y + ey
+            new_x += p00 * dx + p01 * vx + hold0
+            new_y += p00 * dy + p01 * vy + hold0
+            vx, vy = p10 * dx + p11 * vx + hold1, p10 * dy + p11 * vy + hold1
+            speed = hypot(new_x - x, new_y - y) / dt
+            mean_speed = keep * mean_speed + alpha * speed
+            # A sum of finite numbers can overflow too: only then look at each.
+            if not (isfinite(new_x + new_y + vx + vy + mean_speed)
+                    or all(map(isfinite, (new_x, new_y, vx, vy, mean_speed)))):
+                return None, n, False, (OVERFLOW_FAULT, NON_FINITE)
+            x, y, slot_x, slot_y = new_x, new_y, next_slot_x, next_slot_y
+            put(x)
+            put(y)
+            put_mode(mode)
+            if (n >= settle and abs(x - goal_x) <= near
+                    and hypot(x - goal_x, y - goal_y) <= threshold):
+                return (x, y, vx, vy, mode, mean_speed), n, True, None
+        return (x, y, vx, vy, mode, mean_speed), n, False, None
+    finally:
+        # extend grows the buffers as append does; fromlist's larger resizes
+        # left a long-lived process holding more memory.
+        positions.extend(out)
+        modes.extend(out_modes)

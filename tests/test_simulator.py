@@ -102,6 +102,19 @@ def test_run_rejects_a_track_for_other_leader_inputs():
         run(spec, CONVENTIONAL_APF, LeaderTrack(spec))
 
 
+def test_run_rejects_a_track_for_a_start_or_goal_of_another_signed_zero():
+    # -0.0 == 0.0, so the specs compare equal, but the leader's rows keep the
+    # sign: on its own track this run's leader column starts at -0.0.
+    spec = straight_spec(start=Vec2(-0.0, 0.0), goal=Vec2(-0.0, 2.0),
+                         formation_offsets=(Vec2(-0.0, -0.0),))
+    assert np.signbit(run(spec, SWARMPATH).leader[0, 0])
+    for other in (dataclasses.replace(spec, start=Vec2(0.0, 0.0)),
+                  dataclasses.replace(spec, goal=Vec2(0.0, 2.0))):
+        assert other == spec
+        with pytest.raises(ValueError, match="leader inputs"):
+            run(spec, SWARMPATH, LeaderTrack(other))
+
+
 def test_run_accepts_a_track_for_another_impedance():
     spec = straight_spec(goal=Vec2(1.0, 0.0))
     stiff = dataclasses.replace(spec, impedance=ImpedanceParams(k=30.0))

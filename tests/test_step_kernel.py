@@ -10,9 +10,10 @@ with the run loop written out again, so the kernels and the drone-major
 composition cannot drift from the helpers: columns must match bit for bit,
 and outcomes and error messages exactly.  Fixed cases pin the link scan's
 tie-break, the signed zeros of link_step's force terms, the order of faults
-that random posts almost never reach, where a follower's ride on its slot
-(many steps at once) must end, and descent steps that leave a drone where it
-was without a stall flag.
+that random posts almost never reach, the rows a swarm_step call keeps when
+it faults after stepping, the goal test's edge, where a follower's ride on
+its slot (many steps at once) must end, and descent steps that leave a drone
+where it was without a stall flag.
 """
 
 import dataclasses
@@ -29,8 +30,9 @@ from swarmpath.impedance import link_coefficients, link_step
 from swarmpath import simulator
 from swarmpath.simulator import (CHUNK, COMPLETED, CONTROLLERS, CONVENTIONAL_APF, MAX_STEPS,
                                  STALL_PATIENCE, STALLED, SWARMPATH, run)
-from swarmpath.topology import (LEADER, MEAN_SPEED_ALPHA, LeaderTrack, deflection_offset,
-                                initial_swarm_state, swarm_step, update_link_mode)
+from swarmpath.topology import (DEFLECTION_FAULT, LEADER, MEAN_SPEED_ALPHA, OVERFLOW_FAULT,
+                                LeaderTrack, deflection_offset, initial_swarm_state, swarm_step,
+                                update_link_mode)
 from swarmpath.world import (ApfParams, ImpedanceParams, Obstacle, ScenarioSpec,
                              ScenarioValidationError, TopologyParams, Vec2, read_scenario,
                              validate_spec)
@@ -619,6 +621,103 @@ def test_a_ride_leaves_an_overflow_to_the_loop(spec, step):
         run(spec, SWARMPATH)
     assert str(err.value) == reference_run(spec, SWARMPATH)
     assert str(err.value) == f"step {step}: the state overflowed to a non-finite value"
+
+
+def reference_rows_to_fault(spec, drone, last):
+    """Drone 1's (x, y) and mode after each step from the helpers, up to the first
+    step through last that faults, and that step and its text."""
+    state, step = swarm_reference(spec)
+    state[:] = [drone]
+    rows, modes = [], []
+    for n in range(1, last + 1):
+        try:
+            step(n)
+            if not all(map(math.isfinite, state[0])):
+                raise SingularityError(NON_FINITE)
+        except SingularityError as exc:
+            return rows, modes, (n, str(exc).removeprefix("drone 1: "))
+        rows.append(state[0][:2])
+        modes.append(state[0][4])
+    raise AssertionError(f"no fault through step {last}")
+
+
+@pytest.mark.parametrize("spec, kind", [
+    # k_impF * (1 + velocity_gain * mean_speed) overflows once the drone
+    # moves, so the link it acquires has no direction.
+    (straight_spec(obstacles=(Obstacle(Vec2(0.6, 0.75), 0.1, 0.3, 0.3),),
+                   formation_offsets=(Vec2(0.0, 0.4),),
+                   topology=TopologyParams(k_impF=1.7e308, velocity_gain=1.0)),
+     DEFLECTION_FAULT),
+    # 3e307 m per step: the slot, 5e307 m ahead of the leader, overflows.
+    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.25e308, 0.0),
+                  apf=ApfParams(leader_speed=3e307), dt=1.0,
+                  formation_offsets=(Vec2(5e307, 0.0),)), OVERFLOW_FAULT),
+])
+def test_a_fault_after_steps_of_one_call_keeps_only_the_earlier_rows(spec, kind):
+    # Off rest (vx = 0.01), the drone is stepped by the loop from step 1 on,
+    # so the fault's step comes after rows the call has collected.
+    validate_spec(spec)
+    last = 120
+    track = LeaderTrack(spec)
+    track.row(last)
+    offset = spec.formation_offsets[0].as_tuple()
+    x, y = track.row(0)
+    drone = (x + offset[0], y + offset[1], 0.01, 0.0, LEADER, 0.0)
+    rows, modes, (step, text) = reference_rows_to_fault(spec, drone, last)
+    assert step > 1
+    positions, mode_rows = array("d", drone[:2]), array("q", [LEADER])
+    result = swarm_step(drone, 0, last, last + 1, track, offset, spec,
+                        link_coefficients(spec.impedance, spec.dt), positions, mode_rows)
+    assert result == (None, step, False, (kind, text))
+    assert bytes(positions) == np.array([drone[:2], *rows]).tobytes()
+    assert list(mode_rows) == [LEADER, *modes]
+
+
+def far_mirrored_posts(k_impF, goal_threshold=1e-3):
+    """One drone on the leader, between mirrored posts whose r_imp reaches it all the way.
+
+    The leader stays on y = 0.0 exactly.  The drone links to post 0 at step 1
+    and never releases, so swarm_step's loop, not a ride, runs its every step.
+    """
+    post = dict(radius=0.1, r_apf=4.0, r_imp=4.0)
+    spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.2, 0.0),
+                        obstacles=(Obstacle(Vec2(0.0, 3.0), **post),
+                                   Obstacle(Vec2(0.0, -3.0), **post)),
+                        formation_offsets=(Vec2(0.0, 0.0),),
+                        apf=ApfParams(goal_threshold=goal_threshold),
+                        topology=TopologyParams(k_impF=k_impF), max_steps=400)
+    validate_spec(spec)
+    return spec
+
+
+def test_a_drone_goal_threshold_away_along_x_is_within():
+    # With no deflection the drone sits on the leader at y = 0.0, so its
+    # distance to its goal slot is |x - goal_x| exactly.  A threshold of that
+    # distance at step 100 puts the goal test on its edge there; the leader,
+    # not within before, moves as it did.
+    x = float(run(far_mirrored_posts(0.0), SWARMPATH).positions[100, 0, 0])
+    spec = far_mirrored_posts(0.0, goal_threshold=1.2 - x)
+    trace = assert_matches_reference(spec)
+    assert trace.outcome == COMPLETED and trace.n_frames == 101
+    assert (trace.modes[1:, 0] == 0).all()
+    assert trace.positions[100, 0].tolist() == [x, 0.0]
+    assert math.hypot(x - 1.2, 0.0) == spec.apf.goal_threshold
+
+
+def test_a_drone_within_goal_threshold_along_x_only_is_not_within():
+    # The deflection keeps the drone about 0.19 m below y = 0.0 and ahead of
+    # the leader.  At the first step n where it is within 0.03 m of its goal
+    # slot along x, a threshold of that |x - goal_x| passes |x - goal_x| but
+    # not the hypot, and the run goes on to max_steps.
+    rows = run(far_mirrored_posts(0.05), SWARMPATH).positions[:, 0]
+    n = int(np.argmax(np.abs(rows[:, 0] - 1.2) < 0.03))
+    x, y = rows[n].tolist()
+    spec = far_mirrored_posts(0.05, goal_threshold=abs(x - 1.2))
+    trace = assert_matches_reference(spec)
+    assert trace.outcome == MAX_STEPS
+    assert (trace.modes[1:, 0] == 0).all()
+    assert trace.positions[n, 0].tolist() == [x, y]
+    assert abs(x - 1.2) <= spec.apf.goal_threshold < math.hypot(x - 1.2, y)
 
 
 def test_a_negative_zero_rate_is_stepped_like_the_helpers():
