@@ -6,6 +6,8 @@ combined field at constant speed, so the field only sets the direction.  The
 virtual leader descends toward the scenario goal and every baseline drone
 toward its own goal slot; neither reads any other agent, so each path is
 grown alone, by descend, one loop over its steps with its state in locals.
+The loop looks its force cell up only when the path enters another cell, and
+tests the goal along x before it takes the goal's hypot.
 
 Everything here works on plain floats: a point is x, y, an obstacle is its
 Obstacle.as_tuple() row (cx, cy, radius, r_apf, r_imp), a force is an
@@ -137,6 +139,9 @@ def descend(xy: array, gx: float, gy: float, last: int, spec: ScenarioSpec,
     its last row is the agent, not latched at the goal.  Each step is
     leader_step's with total_force inline over the force cell's rows, the
     same operations, checks and texts in the same order, and appends its row.
+    The force cell is looked up only when x // cell or y // cell changes, and
+    the goal test takes its hypot only when |x - gx| is within the threshold
+    (and a slack): the hypot is never below |x - gx|, so the result is the same.
     A latched goal needs no flag: the goal test before moving latches it one
     step after the move that reached it, with the same result.  A step that
     leaves x and y == but not bit for bit (a signed zero) did not move, but
@@ -150,19 +155,27 @@ def descend(xy: array, gx: float, gy: float, last: int, spec: ScenarioSpec,
     k_att, k_rep, threshold = apf.k_att, apf.k_rep, apf.goal_threshold
     distance = spec.dt * apf.leader_speed
     index = spec.obstacle_index
-    cell, cell_rows = index.cell, index.force_cells.get
+    cell, force_cells = index.cell, index.force_cells
+    # |x - gx| <= the hypot, so an agent farther than this along x is not
+    # within; the slack keeps that true through the hypot's rounding.
+    near = threshold * (1.0 + 1e-9)
     hypot, isfinite, copysign = math.hypot, math.isfinite, math.copysign
     append = xy.append
     n = len(xy) // 2 - 1
     x, y = xy[-2], xy[-1]
+    cell_x = cell_y = None  # the force cell last looked up; cell_rows lists it
     while n < last:
         n += 1
-        if hypot(x - gx, y - gy) <= threshold:
+        if abs(x - gx) <= near and hypot(x - gx, y - gy) <= threshold:
             append(x)
             append(y)
             return LATCHED, None
         fx, fy = (gx - x) * k_att, (gy - y) * k_att
-        for cx, cy, radius, d_safe, _ in cell_rows((x // cell, y // cell), ()):
+        kx, ky = x // cell, y // cell
+        if kx != cell_x or ky != cell_y:
+            cell_x, cell_y = kx, ky
+            cell_rows = force_cells.get((kx, ky), ())
+        for cx, cy, radius, d_safe, _ in cell_rows:
             ox, oy = x - cx, y - cy
             dist = hypot(ox, oy)
             if dist == 0.0:

@@ -90,7 +90,7 @@ def cmd_sweep(args) -> int:
     (out / "sweep.csv").write_text(sweep.render_sweep_csv(result), encoding="utf-8")
     for point in result.runs:
         note = f"  [{point.note}]" if point.note else ""
-        print(f"{result.parameter}={point.value:g}: {point.outcome}{note}")
+        print(f"{result.parameter}={sweep.value_label(point.value)}: {point.outcome}{note}")
     print(f"wrote {out / 'sweep.json'}, {out / 'sweep.csv'}")
     all_done = all(p.outcome == COMPLETED for p in result.runs)
     return EXIT_OK if all_done else EXIT_INCOMPLETE

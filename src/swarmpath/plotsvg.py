@@ -57,7 +57,9 @@ def _polyline(frame: _Frame, points: np.ndarray, style: str) -> str:
     if (len(points) - 1) % step:
         kept = np.concatenate([kept, points[-1:]])
     px, py = frame.px(kept[:, 0], kept[:, 1])
-    coords = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+    # One % call formats every point; "%.2f" gives "{:.2f}"'s text, -0.00 included.
+    xy = np.column_stack((px, py)).ravel().tolist()
+    coords = " ".join(["%.2f,%.2f"] * len(kept)) % tuple(xy)
     return f'<polyline points="{coords}" fill="none" {style}/>'
 
 

@@ -144,10 +144,19 @@ def render_sweep_json(result: SweepResult) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def value_label(value: float) -> str:
+    """value as :g prints it when that reads back as value, else its repr.
+
+    So two distinct swept values never share a label.
+    """
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def render_sweep_csv(result: SweepResult) -> str:
     """Table with one row per drone and one column per swept value."""
     n_drones = len(result.runs[0].drone_path_lengths)
-    header = ["drone"] + [f"{result.parameter}={r.value:g}" for r in result.runs]
+    header = ["drone"] + [f"{result.parameter}={value_label(r.value)}" for r in result.runs]
     lines = [",".join(header)]
     for i in range(n_drones):
         row = [f"drone{i + 1}"] + [f"{r.drone_path_lengths[i]:.6g}" for r in result.runs]

@@ -234,6 +234,21 @@ def test_sweep_writes_tables(tmp_path):
     assert [r["value"] for r in doc["runs"]] == [12.0, 12.6]
 
 
+def test_sweep_labels_distinct_values_apart(tmp_path, capsys):
+    # :g prints both 12.6 and 12.6000001 as 12.6; a label that does not read
+    # back as its value is printed as its repr.
+    scenario = tmp_path / "s.json"
+    scenario.write_text(serialize_scenario(straight_spec(goal=Vec2(1.0, 0.0))))
+    sweep = tmp_path / "sw.json"
+    sweep.write_text('{"parameter": "d", "values": [12, 12.6, 12.6000001], "scenario": "s.json"}')
+    out = tmp_path / "out"
+    assert main(["sweep", str(sweep), "--output-dir", str(out)]) == 0
+    header = (out / "sweep.csv").read_text().split("\n")[0]
+    assert header == "drone,d=12,d=12.6,d=12.6000001"
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == ["d=12", "d=12.6", "d=12.6000001"]
+
+
 @pytest.mark.parametrize("value, message", [("-1.0", "d=-1.0"),
                                             ("1e400", "values[1] must be finite")])
 def test_sweep_bad_value_exits_1_before_any_run(value, message, tmp_path, capsys):

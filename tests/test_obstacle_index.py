@@ -26,6 +26,7 @@ from swarmpath.apf import (
     repulsion_force,
     total_force,
 )
+from swarmpath.baseline import baseline_step
 from swarmpath.simulator import CONVENTIONAL_APF, SWARMPATH, run
 from swarmpath.topology import LEADER, nearest_obstacle, update_link_mode
 from swarmpath.traceio import render_trace_csv
@@ -186,34 +187,51 @@ def with_far_decoys(spec, n, seed):
     return dataclasses.replace(spec, obstacles=spec.obstacles + decoys)
 
 
-class CountedCells(dict):
-    """A force grid that records how many rows each lookup hands out."""
+class CountedRows(tuple):
+    """A force cell's rows that record their number on every pass over them."""
 
-    def __init__(self, cells, sizes):
-        super().__init__(cells)
-        self.sizes = sizes
-
-    def get(self, key, default=None):
-        rows = super().get(key, default)
-        self.sizes.append(len(rows))
-        return rows
+    def __iter__(self):
+        self.passes.append(len(self))
+        return super().__iter__()
 
 
-def force_lookups(spec, monkeypatch) -> list[int]:
-    """The number of rows of every force cell looked up in spec's index from now on."""
-    sizes = []
-    index = spec.obstacle_index
-    monkeypatch.setattr(index, "force_cells", CountedCells(index.force_cells, sizes))
-    return sizes
+def force_evaluations(spec, monkeypatch) -> list[int]:
+    """The rows of every pass over a force cell of spec's index from now on.
+
+    A descent step passes once over its cell's rows and evaluates each row's
+    repulsion once, so these sum to the repulsion evaluations.
+    """
+    passes = []
+    cells = {}
+    for key, rows in spec.obstacle_index.force_cells.items():
+        cells[key] = CountedRows(rows)
+        cells[key].passes = passes
+    monkeypatch.setattr(spec.obstacle_index, "force_cells", cells)
+    return passes
 
 
 def counted_run(spec, monkeypatch):
-    """The run and its number of repulsion evaluations: the descent evaluates
-    each row of the force cell it looks up exactly once, so count those rows."""
+    """The run and its number of repulsion evaluations.
+
+    The descent looks its force cell up only when it enters another cell, and
+    evaluates the cell's rows on every step it spends there.
+    """
     with monkeypatch.context() as m:
-        sizes = force_lookups(spec, m)
+        passes = force_evaluations(spec, m)
         trace = run(spec, SWARMPATH)
-    return trace, sum(sizes)
+    return trace, sum(passes)
+
+
+def descent_step_points(spec):
+    """Every (x, y) the baseline's descents step from, drone by drone.
+
+    A step from a row evaluates the force there unless it latches the goal;
+    a latch appends a copy of its row, and every other step the row it made.
+    """
+    for offset in spec.formation_offsets:
+        track = baseline_step(spec, offset, spec.max_steps)
+        rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
+        yield from rows[:-2] if track.reached else rows[:-1]
 
 
 def test_far_decoys_change_no_byte_and_no_force_evaluation(monkeypatch):
@@ -260,7 +278,11 @@ def test_forest_cells_list_only_touching_reach_disks():
 def test_baseline_forest_force_query_lists_few_rows(monkeypatch):
     # The padded reach box listed 9.22 rows per query here; the disk rule ~2.8.
     spec = read_scenario(SCENARIO_DIR / "case2_forest.json")
-    sizes = force_lookups(spec, monkeypatch)
-    assert run(spec, CONVENTIONAL_APF).outcome == "completed"
+    index = spec.obstacle_index
+    sizes = [len(index.force_rows(x, y)) for x, y in descent_step_points(spec)]
     assert len(sizes) > 1000
     assert sum(sizes) / len(sizes) < 4.0
+    # The run's descents evaluate exactly those rows, one pass per step.
+    passes = force_evaluations(spec, monkeypatch)
+    assert run(spec, CONVENTIONAL_APF).outcome == "completed"
+    assert sum(passes) == sum(sizes)

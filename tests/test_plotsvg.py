@@ -1,6 +1,10 @@
+from types import SimpleNamespace
 from xml.etree import ElementTree
 
-from swarmpath.plotsvg import render_compare_svg, render_trace_svg
+import numpy as np
+import pytest
+
+from swarmpath.plotsvg import MAX_POLYLINE, _polyline, render_compare_svg, render_trace_svg
 from swarmpath.simulator import CONVENTIONAL_APF, SWARMPATH, run
 from conftest import one_pole_spec
 
@@ -34,3 +38,28 @@ def test_compare_svg_stacks_two_panels():
     ElementTree.fromstring(svg)
     assert svg.count("<g") >= 2
     assert "conventional" in svg.lower()
+
+
+# A frame whose pixels are the world coordinates, so a test picks the pixels.
+IDENTITY = SimpleNamespace(px=lambda x, y: (x, y))
+EDGES = [(-0.004, 2.675), (-0.0, 0.125), (0.375, 1.005), (1e6, -1e6), (-0.005, 1.115)]
+LONG = np.column_stack((np.linspace(-3.0, 7.0, 2 * MAX_POLYLINE + 2),
+                        np.linspace(0.0, -0.01, 2 * MAX_POLYLINE + 2)))
+
+
+@pytest.mark.parametrize("points, kept", [
+    (EDGES, EDGES),
+    (EDGES[:1], EDGES[:1]),
+    # Stride 2 drops the last point, so it is appended.
+    (LONG, [*LONG[::2], LONG[-1]]),
+])
+def test_polyline_formats_every_point_as_per_point_format(points, kept):
+    text = _polyline(IDENTITY, np.array(points, dtype=float), 'stroke="#111"')
+    coords = " ".join("{:.2f},{:.2f}".format(x, y) for x, y in kept)
+    assert text == f'<polyline points="{coords}" fill="none" stroke="#111"/>'
+
+
+def test_polyline_edge_pixels_keep_their_text():
+    text = _polyline(IDENTITY, np.array(EDGES), "")
+    assert text.split('"')[1] == ("-0.00,2.67 -0.00,0.12 0.38,1.00 "
+                                  "1000000.00,-1000000.00 -0.01,1.11")

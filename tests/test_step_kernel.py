@@ -277,6 +277,63 @@ def test_descent_tracks_match_leader_step(spec):
         assert track.stall_step == reference.stall_step
 
 
+def assert_descent_matches_reference(spec, start=None, goal=None):
+    """The descent's LeaderTrack through max_steps, checked row by row against leader_step's."""
+    track, reference = LeaderTrack(spec, start, goal), ReferenceLeader(spec, start, goal)
+    expected = [reference.row(n) for n in range(spec.max_steps + 1)]
+    assert track.row(spec.max_steps) == expected[-1]
+    assert bytes(track.xy) == np.array(expected).tobytes()
+    assert track.stall_step == reference.stall_step
+    return track
+
+
+@pytest.mark.parametrize("goal_x, n", [(1.0, 50), (5e-324, 0)])
+def test_a_descent_goal_threshold_away_along_x_latches(goal_x, n):
+    # On y = 0.0 with no obstacle the descent stays on the line, so its
+    # distance to the goal is |x - goal_x| exactly.  A threshold of that
+    # distance at row n puts the goal test on its edge there.  A subnormal
+    # threshold times 1 + 1e-9 rounds to itself, so there the prefilter's
+    # bound is the threshold and only <= passes it.
+    x = LeaderTrack(straight_spec(goal=Vec2(goal_x, 0.0))).row(n)[0]
+    spec = straight_spec(goal=Vec2(goal_x, 0.0), apf=ApfParams(goal_threshold=goal_x - x),
+                         max_steps=400)
+    validate_spec(spec)
+    assert math.hypot(x - goal_x, 0.0) == spec.apf.goal_threshold
+    track = assert_descent_matches_reference(spec)
+    assert track.reached and track.rest == n + 1
+    assert track.row(n + 1) == track.row(n) == (x, 0.0)
+
+
+def test_a_descent_within_goal_threshold_along_x_only_does_not_latch():
+    # The descent runs straight at a goal above its line, so at row n it is
+    # half as far from the goal along y as along x.  A threshold of that
+    # |x - goal_x| passes |x - goal_x| but not the hypot: the descent steps on.
+    n = 50
+    x, y = LeaderTrack(straight_spec(goal=Vec2(1.0, 0.5))).row(n)
+    spec = straight_spec(goal=Vec2(1.0, 0.5), apf=ApfParams(goal_threshold=abs(x - 1.0)),
+                         max_steps=400)
+    assert abs(x - 1.0) <= spec.apf.goal_threshold < math.hypot(x - 1.0, y - 0.5)
+    track = assert_descent_matches_reference(spec)
+    assert track.row(n) == (x, y) and track.row(n + 1) != (x, y)
+    assert track.reached and track.rest > n + 1
+
+
+def test_a_descent_entering_a_force_cell_along_y_alone_gets_its_force():
+    # The goal is straight above the start, so x stays 0.0 until the post
+    # acts, and the descent enters the post's first force cell (0, 1) from
+    # (0, 0), which lists nothing, by a change of y alone.
+    post = Obstacle(Vec2(0.3, 1.0), 0.1, 0.5, 0.3)
+    spec = straight_spec(goal=Vec2(0.0, 2.0), obstacles=(post,), max_steps=800)
+    index = spec.obstacle_index
+    assert index.cell == 0.3
+    assert index.force_rows(0.0, 0.0) == () and index.force_rows(0.0, 0.3) == (post.as_tuple(),)
+    track = assert_descent_matches_reference(spec)
+    rows = np.frombuffer(track.xy).reshape(-1, 2)
+    first = int(np.argmax(rows[:, 0] != 0.0))
+    assert first > 0 and 0.3 < rows[first - 1, 1] < 0.6
+    assert track.reached
+
+
 @pytest.mark.parametrize("first_y", [0.3, -0.3])
 def test_mirrored_posts_tie_and_the_lower_index_is_acquired(first_y):
     # The field is symmetric about y = 0, so the leader and the one drone on
