@@ -27,7 +27,6 @@ from .world import (
 )
 from .apf import (
     SingularityError,
-    attraction_force,
     leader_step,
     repulsion_force,
     total_force,
@@ -41,7 +40,6 @@ from .impedance import (
 from .topology import (
     LEADER,
     LeaderTrack,
-    deflection_offset,
     nearest_obstacle,
     swarm_step,
     update_link_mode,
@@ -62,6 +60,7 @@ from .metrics import (
     compare,
     completion_time,
     drone_path_length,
+    drone_path_lengths,
     gate_crossings,
     max_pairwise_distance,
     min_obstacle_clearance,

@@ -14,8 +14,8 @@ Obstacle.as_tuple() row (cx, cy, radius, r_apf, r_imp), a force is an
 (fx, fy) pair, and a descending agent is (x, y, reached_goal).  descend
 writes leader_step and total_force out inline; leader_step is the one-step
 reference it is tested against, and total_force, which sums the field inline,
-is tested against attraction_force and repulsion_force, the one-term
-references.
+is tested against repulsion_force and tests/reference.py's attraction_force,
+the one-term references.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ Agent = tuple[float, float, bool]  # x, y, reached_goal
 
 class SingularityError(ValueError):
     """A position on (or too close to) an obstacle center, direction undefined."""
-
-
-def attraction_force(x: float, y: float, gx: float, gy: float,
-                     k_att: float) -> tuple[float, float]:
-    """Linear pull toward the goal (gx, gy), k_att * (goal - p)."""
-    return (gx - x) * k_att, (gy - y) * k_att
 
 
 def repulsion_force(x: float, y: float, obs: tuple, k_rep: float) -> tuple[float, float]:
@@ -79,10 +73,10 @@ def total_force(x: float, y: float, gx: float, gy: float, obstacles: tuple[tuple
                 params: ApfParams) -> tuple[float, float]:
     """Attraction plus the repulsions of obstacle rows at (x, y), summed in order.
 
-    The hot loop of every descent step, so it writes attraction_force and
-    repulsion_force out inline, with their operations, checks and messages in
-    the same order; the tests check it against a sum of those helpers, bit
-    for bit.  A row beyond its r_apf adds no term, not even +0.0, so listing
+    The hot loop of every descent step, so it writes the attraction
+    (tests/reference.py's attraction_force) and repulsion_force out inline,
+    with their operations, checks and messages in the same order; the tests
+    check it against a sum of those helpers, bit for bit.  A row beyond its r_apf adds no term, not even +0.0, so listing
     it changes no bit of the sum (an attraction component that underflowed to
     -0.0 stays -0.0).
     """

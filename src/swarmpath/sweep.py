@@ -31,7 +31,7 @@ from .world import load_scenario  # noqa: F401
 from .impedance import critical_damping
 from .simulator import SWARMPATH, run
 from .topology import LeaderTrack
-from .metrics import drone_path_length
+from .metrics import drone_path_lengths
 from .traceio import sig6
 
 Parameter = Literal["m", "d", "k"]
@@ -103,7 +103,10 @@ def run_sweep(sweep: SweepSpec) -> SweepResult:
     """Run the adaptive-link controller once per value.
 
     m, d and k reach neither the leader nor the obstacles, so every point
-    reads one LeaderTrack and the base scenario's obstacle index.
+    reads one LeaderTrack and the base scenario's obstacle index.  Nor do
+    they reach where a follower at rest on its slot rides, or its speed
+    there, so the points also share the track's approaches: the first point
+    works each one out, and the later ones only test their goals along it.
     """
     track = LeaderTrack(sweep.scenario)
     index = sweep.scenario.obstacle_index
@@ -116,7 +119,7 @@ def run_sweep(sweep: SweepSpec) -> SweepResult:
         is_critical = abs(imp.d - crit) <= CRITICAL_REL_TOL * crit
         note = f"critically damped (2*sqrt(m*k)={crit:.3f})" if is_critical else None
         trace = run(spec, SWARMPATH, track)
-        lengths = tuple(drone_path_length(trace, i) for i in range(trace.n_drones))
+        lengths = tuple(drone_path_lengths(trace))
         runs.append(SweepRun(
             value=value,
             outcome=trace.outcome,

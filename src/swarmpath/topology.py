@@ -24,16 +24,22 @@ the swarm's outcome from the followers' tracks.
 
 swarm_step is the hot loop, so it applies the link rule, the deflection and
 the link update itself (the leader-linked scan in _link_rule) rather than
-through update_link_mode, nearest_obstacle, deflection_offset and link_step.
-Those helpers stay the reference: the tests check swarm_step against a run
-built from them, bit for bit.  The loop looks a leader-linked drone's link
-cell up only when the drone enters another cell, scans it only when it lists
-obstacles, and appends its rows to the drone's buffers once, on exit.
-Until a follower first links to an obstacle it usually sits bit-exactly on
-its slot with a zero link state, which the zero-force update keeps zero;
-swarm_step then moves it over the whole stretch up to its next acquire,
-within-step or last step at once, with numpy (see _ride), and steps on from
-there one step at a time.
+through update_link_mode, nearest_obstacle, tests/reference.py's
+deflection_offset and link_step.  Those helpers stay the reference: the
+tests check swarm_step against a run built from them, bit for bit.  The loop
+looks a leader-linked drone's link cell up only when the drone enters
+another cell, scans it only when it lists obstacles, and appends its rows to
+the drone's buffers once, on exit.
+
+Until a follower first comes within an obstacle's r_imp it usually sits
+bit-exactly on its slot with a zero link state, which the zero-force update
+keeps zero; swarm_step then moves it over the whole stretch up to that step,
+its within-step or its last step at once, with numpy (see _ride), and steps
+on from there one step at a time.  Where that stretch ends and the drone's
+mean_speed along it read only the leader's rows, the offset, the obstacles
+and dt, never m, d or k, so a LeaderTrack works them out once per offset
+(its Approach) and every run that reads the track shares them: each point
+of a sweep after the first does only its own goal test and row appends.
 """
 
 from __future__ import annotations
@@ -104,23 +110,6 @@ def update_link_mode(x: float, y: float, mode: int, index: ObstacleIndex,
     return mode
 
 
-def deflection_offset(x: float, y: float, mean_speed: float, obs: tuple,
-                      params: TopologyParams) -> tuple[float, float]:
-    """Radial push-out added to the formation slot of a drone linked to obs.
-
-    Magnitude k_impF * (1 + velocity_gain * mean_speed) * r_imp, directed from
-    the obstacle center through the drone at (x, y).
-    """
-    cx, cy, _, _, r_imp = obs
-    ox, oy = x - cx, y - cy
-    dist = math.hypot(ox, oy)
-    magnitude = params.k_impF * (1.0 + params.velocity_gain * mean_speed) * r_imp
-    scale = magnitude / dist if dist else math.inf
-    if not math.isfinite(scale):
-        raise SingularityError(NO_DIRECTION.format(dist, cx, cy))
-    return ox * scale, oy * scale
-
-
 def leader_inputs(spec: ScenarioSpec, start: tuple[float, float] | None = None,
                   goal: tuple[float, float] | None = None) -> tuple:
     """Every input a descent path depends on: its start and goal, spec's unless
@@ -155,6 +144,13 @@ class LeaderTrack:
     point through n first, or raises the fault's SingularityError if the
     path cannot reach n.  Whoever builds a track chooses the runs that share
     it.
+
+    The runs that share a track also share its followers' approaches
+    (approach(offset, last)): where a follower at rest on its slot from step
+    0 may ride and its mean_speed there.  These follow from the rows, the
+    offset, the obstacles and dt, all fixed with the track, and the ride
+    moves the link by no more than a signed zero, so m, d and k, which a
+    sweep varies, cannot change them.
     """
 
     def __init__(self, spec: ScenarioSpec, start: tuple[float, float] | None = None,
@@ -168,6 +164,7 @@ class LeaderTrack:
         self.stall_step: int | None = None
         self.still: list[int] = []
         self.fault: tuple[int, int, str] | None = None
+        self.approaches: dict[tuple[float, float], Approach] = {}
 
     def grow(self, last: int) -> None:
         """Grow xy through row last, stopping early at the fixed point or a fault."""
@@ -191,6 +188,87 @@ class LeaderTrack:
                 raise SingularityError(self.fault[2])
             xy.extend(xy[-2:] * (step + 1 - len(xy) // 2))
         return xy[2 * step], xy[2 * step + 1]
+
+    def approach(self, offset: tuple[float, float], last: int) -> Approach:
+        """The Approach of the follower on offset, searched through step last.
+
+        Built on the first request for offset and kept: every run that reads
+        this track shares it.  The track must hold row last.
+        """
+        approach = self.approaches.get(offset)
+        if approach is None:
+            approach = self.approaches[offset] = Approach(offset)
+        approach.search(self, last)
+        return approach
+
+
+class Approach:
+    """Where a follower at rest on its slot from step 0 can ride, and its speed there.
+
+    A drone starts on its slot (leader row 0 + offset) with a zero link, and
+    while nothing pushes on its link it stays on the slot: its position after
+    step n is slot n = leader row n + offset, up to the sign of a zero, which
+    the link coefficients choose and which neither a link cell key (-0.0 ==
+    0.0) nor a hypot reads.  So along one LeaderTrack the ride depends on the
+    offset alone, never on m, d or k, and every run on the track, such as
+    each point of a sweep, reads one Approach per offset.
+
+    stop is the first step at which the ride must hand over to swarm_step's
+    loop: the first step n whose slot n - 1 is within its own r_imp of an
+    obstacle listed in its link cell, whose slot n is not finite, or whose
+    mean_speed is not finite; None while no step searched so far is one.
+    ema[n] is the drone's mean_speed after step n, the exact sequential EMA
+    from 0.0 at step 0, through the step before stop, or through the last
+    step searched.
+
+    The stop rule is wider than an acquire: with one r_imp in a scenario the
+    two fall on the same step, and with mixed r_imp a drone within one
+    obstacle's r_imp whose nearest obstacle is another stops riding there
+    although it acquires nothing.  Within each run of steps in one link cell
+    the cell is looked up once, and scanned only if it lists obstacles.
+    """
+
+    def __init__(self, offset: tuple[float, float]):
+        self.offset = offset
+        self.ema = array("d", [0.0])
+        self.stop: int | None = None
+
+    def search(self, track: LeaderTrack, last: int) -> None:
+        """Search on along track through step last, or to the stop; track must hold row last."""
+        start = len(self.ema) - 1  # searched through this step
+        if self.stop is not None or last <= start:
+            return
+        spec = track._spec
+        index = spec.obstacle_index
+        with np.errstate(over="ignore", invalid="ignore"):
+            slots = (np.frombuffer(track.xy[2 * start:2 * last + 2]).reshape(-1, 2)
+                     + self.offset)  # slots start..last
+            finite = np.isfinite(slots[1:]).all(axis=1)
+            k = len(finite) if finite.all() else int(finite.argmin())
+            keys = np.floor_divide(slots[:k], index.link_cell)  # where each step looks
+        # Steps start + 1 .. start + k have finite slots, and step start + 1 + i
+        # looks from slots[i].  Steps in one cell in a row share a lookup.
+        changes = (np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist()
+        bounds = [0, *changes, k] if k else []
+        for lo, hi, key in zip(bounds, bounds[1:], keys[bounds[:-1]].tolist()):
+            cell_rows = index.link_cells.get(tuple(key), NO_CANDIDATES)[1]
+            hit = next((i for i, (x, y) in enumerate(slots[lo:hi].tolist(), lo)
+                        if _in_reach(x, y, cell_rows)), None) if cell_rows else None
+            if hit is not None:
+                k = hit
+                break
+        keep, alpha, dt = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA, spec.dt
+        mean_speed, speeds = self.ema[-1], []
+        put = speeds.append
+        for distance in map(math.hypot, *(slots[1:k + 1] - slots[:k]).T.tolist()):
+            mean_speed = keep * mean_speed + alpha * (distance / dt)
+            put(mean_speed)
+        if not math.isfinite(mean_speed):  # a term of inf stays inf from there on
+            k = next(i for i, v in enumerate(speeds) if not math.isfinite(v))
+            del speeds[k:]
+        self.ema.extend(speeds)
+        if k < len(finite):
+            self.stop = start + 1 + k
 
 
 def initial_swarm_state(spec: ScenarioSpec) -> list[Drone]:
@@ -217,7 +295,18 @@ def _link_rule(x: float, y: float, ids: tuple[int, ...], cell_rows: tuple[tuple,
     return near if best < reach else LEADER
 
 
-def _ride(drone: Drone, step: int, last: int, settle: int, xy: array,
+def _in_reach(x: float, y: float, cell_rows: tuple[tuple, ...]) -> bool:
+    """Whether (x, y) is within its own r_imp of any of a link cell's rows.
+
+    Wherever _link_rule acquires, its nearest row is one of these.
+    """
+    for cx, cy, radius, _, r_imp in cell_rows:
+        if math.hypot(x - cx, y - cy) - radius < r_imp:
+            return True
+    return False
+
+
+def _ride(drone: Drone, step: int, last: int, settle: int, track: LeaderTrack,
           offset: tuple[float, float], spec: ScenarioSpec, coefficients: Coefficients,
           positions: array, modes: array) -> tuple[Drone, int, bool]:
     """Move a follower at rest on its slot over a whole stretch at once.
@@ -226,71 +315,49 @@ def _ride(drone: Drone, step: int, last: int, settle: int, xy: array,
     (vx, vy) that the zero-force update keeps bit for bit adds the same
     signed zero c = p00 * dx + p01 * vx + hold0 to its slot every step, so
     its positions are (leader row + offset) + c, computed here with numpy's
-    elementwise IEEE operations in swarm_step's order.  The stretch ends on
-    the earliest of: the step before the first one whose link rule
-    acquires, the first step >= settle within goal_threshold (included),
-    and last.  It also ends before a non-finite position, and is dropped
-    whole if mean_speed, whose exact sequential EMA runs here, is not
-    finite at its end, so swarm_step's loop meets every fault.  Appends the
-    stretch's rows and returns (drone, n, within) after its last step n; a
-    drone not at rest comes back unchanged with n = step.  This holds while
-    nothing pushes on a leader-linked link.
+    elementwise IEEE operations in swarm_step's order.  Where the stretch
+    may go, and mean_speed along it, is the track's Approach for offset,
+    which reads no m, d or k: a drone rides only while its mean_speed is the
+    approach's, and only up to the step before the approach's stop.  Here
+    the stretch also ends on the first step >= settle within goal_threshold
+    (included) and on last.  Appends the stretch's rows and returns (drone,
+    n, within) after its last step n; a drone not at rest comes back
+    unchanged with n = step.
     """
     x, y, vx, vy, mode, mean_speed = drone
     ox, oy = offset
     p00, p01, p10, p11, g0, g1 = coefficients
     hold0, hold1 = g0 * 0.0, g1 * 0.0
     copysign = math.copysign
+    xy = track.xy
     dx, dy = x - (xy[2 * step] + ox), y - (xy[2 * step + 1] + oy)
-    if (mode != LEADER or dx or dy or vx or vy
+    c0, c1 = p00 * dx + p01 * vx + hold0, p00 * dy + p01 * vy + hold0
+    if (mode != LEADER or dx or dy or vx or vy or c0 or c1
             or copysign(1.0, dx) < 0.0 or copysign(1.0, dy) < 0.0
             or copysign(1.0, p10 * dx + p11 * vx + hold1) != copysign(1.0, vx)
             or copysign(1.0, p10 * dy + p11 * vy + hold1) != copysign(1.0, vy)):
         return drone, step, False
-    leader = np.frombuffer(xy[2 * step:2 * last + 2]).reshape(-1, 2)  # rows step..last
-    index = spec.obstacle_index
-    with np.errstate(over="ignore", invalid="ignore"):
-        rode = (leader[1:] + (ox, oy)) + (p00 * dx + p01 * vx + hold0,
-                                            p00 * dy + p01 * vy + hold0)
-        finite = np.isfinite(rode).all(axis=1)
-        k = int(finite.argmin()) if not finite.all() else len(rode)
-        if k == 0:
-            return drone, step, False
-        before = np.concatenate(([(x, y)], rode))[:k]  # where each step's link rule looks
-        keys = np.floor_divide(before, index.link_cell)
-    # Steps in one cell in a row share a lookup; only a cell that lists
-    # obstacles is scanned, one step at a time, as the loop would.
-    bounds = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist(), k]
-    for lo, hi, key in zip(bounds, bounds[1:], keys[bounds[:-1]].tolist()):
-        ids, cell_rows = index.link_cells.get(tuple(key), NO_CANDIDATES)
-        hit = next((i for i, (bx, by) in enumerate(before[lo:hi].tolist(), lo)
-                    if _link_rule(bx, by, ids, cell_rows) != LEADER), None) if ids else None
-        if hit is not None:
-            k = hit
-            break
+    ema = track.approach(offset, last).ema
+    end = min(last, len(ema) - 1)
+    if step >= end or ema[step] != mean_speed:
+        return drone, step, False
+    rode = (np.frombuffer(xy[2 * step + 2:2 * end + 2]).reshape(-1, 2) + (ox, oy)) + (c0, c1)
     # |x - gx| and |y - gy| are <= threshold whenever the hypot is; the
     # slack keeps that true through the hypot's rounding.
     goal_x, goal_y = spec.goal.x + ox, spec.goal.y + oy
     threshold = spec.apf.goal_threshold
     first = max(settle - step - 1, 0)  # rode[i] is the position after step + 1 + i
-    near = np.flatnonzero((np.abs(rode[first:k] - (goal_x, goal_y))
+    near = np.flatnonzero((np.abs(rode[first:] - (goal_x, goal_y))
                            <= threshold * (1.0 + 1e-9)).all(axis=1)) + first
-    within = False
+    k, within = end - step, False
     for i, (rx, ry) in zip(near.tolist(), rode[near].tolist()):
         if math.hypot(rx - goal_x, ry - goal_y) <= threshold:
             k, within = i + 1, True
             break
-    if k == 0:
-        return drone, step, False
-    keep, dt = 1.0 - MEAN_SPEED_ALPHA, spec.dt
-    for distance in map(math.hypot, *(rode[:k] - before[:k]).T.tolist()):
-        mean_speed = keep * mean_speed + MEAN_SPEED_ALPHA * (distance / dt)
-    if not math.isfinite(mean_speed):
-        return drone, step, False
     positions.frombytes(rode[:k].tobytes())
     modes.extend([LEADER] * k)
     x, y = rode[k - 1].tolist()
-    return (x, y, vx, vy, LEADER, mean_speed), step + k, within
+    return (x, y, vx, vy, LEADER, ema[step + k]), step + k, within
 
 
 def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTrack,
@@ -309,9 +376,10 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
 
     The link rule is update_link_mode's (its leader-linked scan is
     _link_rule, run only on a link cell that lists obstacles), the deflection
-    is deflection_offset's, with the same SingularityError text, and the link
-    update is link_step's with no external force, all written out with the
-    same operations in the same order, so every bit matches the helpers.
+    is tests/reference.py's deflection_offset's, with the same
+    SingularityError text, and the link update is link_step's with no
+    external force, all written out with the same operations in the same
+    order, so every bit matches the helpers.
 
     Each step run appends the drone's new x, y to positions and its mode to
     modes, the drone's own row buffers; the rows are collected in lists and
@@ -322,7 +390,7 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
     last step n run, whether it is within, and None; or, when step n faulted,
     None, n, False and the fault (kind, text), with nothing appended for n.
     """
-    drone, step, within = _ride(drone, step, last, settle, track.xy, offset, spec, coefficients,
+    drone, step, within = _ride(drone, step, last, settle, track, offset, spec, coefficients,
                                 positions, modes)
     if within:
         return drone, step, True, None
@@ -370,7 +438,7 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
             if mode == LEADER:
                 dx, dy = x - slot_x, y - slot_y
                 new_x, new_y = next_slot_x, next_slot_y
-            else:  # deflection_offset
+            else:  # the deflection
                 cx, cy, _, _, r_imp = rows[mode]
                 ex, ey = x - cx, y - cy
                 dist = hypot(ex, ey)

@@ -92,8 +92,8 @@ def render_metrics_json(trace: SimulationTrace) -> str:
         "completion_time_s": sig6(metrics.completion_time(trace)),
         "leader_path_length_m": sig6(metrics.leader_path_length(trace)),
         "drone_path_lengths_m": {
-            f"drone{i + 1}": sig6(metrics.drone_path_length(trace, i))
-            for i in range(trace.n_drones)
+            f"drone{i + 1}": sig6(length)
+            for i, length in enumerate(metrics.drone_path_lengths(trace))
         },
         "max_pairwise_distance_m": sig6(metrics.max_pairwise_distance(trace)),
         "min_obstacle_clearance_m": _clearance(trace),

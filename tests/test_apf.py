@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from swarmpath.apf import (
     NO_REPULSION,
     SingularityError,
-    attraction_force,
     leader_step,
     repulsion_force,
     total_force,
 )
 from swarmpath.world import ApfParams, Obstacle, Vec2
 from conftest import straight_spec
+from reference import attraction_force
 
 
 def rotate(v: Vec2, angle: float) -> Vec2:

@@ -10,6 +10,7 @@ from swarmpath.metrics import (
     compare,
     completion_time,
     drone_path_length,
+    drone_path_lengths,
     gate_crossings,
     leader_path_length,
     max_pairwise_distance,
@@ -17,7 +18,8 @@ from swarmpath.metrics import (
     pair_max_distances,
     path_length,
 )
-from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, run
+from swarmpath.simulator import (COMPLETED, CONTROLLERS, CONVENTIONAL_APF, SWARMPATH,
+                                 SimulationTrace, run)
 from swarmpath.world import Gate, Obstacle, Vec2, effective_obstacles, load_scenario, read_scenario
 from conftest import SCENARIO_DIR, grid16_forest_doc, one_pole_spec, straight_spec
 
@@ -210,3 +212,23 @@ def test_metrics_equal_references_to_the_last_bit(recorded):
     assert min_obstacle_clearance(trace) == reference_min_obstacle_clearance(trace)
     for i in range(trace.n_drones):
         assert drone_path_length(trace, i) == reference_path_length(trace.drone_positions(i))
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3, 129, 1382, 2501])
+def test_drone_path_lengths_are_each_drone_path_length_to_the_last_bit(frames):
+    # 129 and more segments take np.sum's pairwise blocks; the one pass must
+    # add each drone's segments in path_length's order.
+    rng = np.random.default_rng(frames)
+    positions = np.cumsum(rng.normal(scale=0.05, size=(frames, 5, 2)), axis=0) + (3.0, -1.0)
+    trace = SimulationTrace(straight_spec(), CONVENTIONAL_APF, np.arange(frames) * 0.05,
+                            positions, None, None, COMPLETED)
+    assert drone_path_lengths(trace) == [drone_path_length(trace, i) for i in range(5)]
+
+
+@pytest.mark.parametrize("controller", CONTROLLERS)
+@pytest.mark.parametrize("name", ["case1_gate.json", "case2_forest.json"])
+def test_drone_path_lengths_of_the_shipped_runs(name, controller):
+    trace = run(read_scenario(SCENARIO_DIR / name), controller)
+    lengths = drone_path_lengths(trace)
+    assert lengths == [drone_path_length(trace, i) for i in range(trace.n_drones)]
+    assert all(type(v) is float for v in lengths)

@@ -13,7 +13,8 @@ tie-break, the signed zeros of link_step's force terms, the order of faults
 that random posts almost never reach, the rows a swarm_step call keeps when
 it faults after stepping, the goal test's edge, where a follower's ride on
 its slot (many steps at once) must end, and descent steps that leave a drone
-where it was without a stall flag.
+where it was without a stall flag.  Runs that share one LeaderTrack, and so
+its followers' approaches, must each equal a run on a track of its own.
 """
 
 import dataclasses
@@ -31,12 +32,12 @@ from swarmpath import simulator
 from swarmpath.simulator import (CHUNK, COMPLETED, CONTROLLERS, CONVENTIONAL_APF, MAX_STEPS,
                                  STALL_PATIENCE, STALLED, SWARMPATH, run)
 from swarmpath.topology import (DEFLECTION_FAULT, LEADER, MEAN_SPEED_ALPHA, OVERFLOW_FAULT,
-                                LeaderTrack, deflection_offset, initial_swarm_state, swarm_step,
-                                update_link_mode)
+                                LeaderTrack, initial_swarm_state, swarm_step, update_link_mode)
 from swarmpath.world import (ApfParams, ImpedanceParams, Obstacle, ScenarioSpec,
                              ScenarioValidationError, TopologyParams, Vec2, read_scenario,
                              validate_spec)
 from conftest import SCENARIO_DIR, one_pole_spec, straight_spec
+from reference import deflection_offset
 
 
 def equilibrium_x(gx, obstacles, apf):
@@ -250,6 +251,29 @@ def test_fused_step_matches_the_helpers(spec):
             assert np.array_equal(trace.modes, np.array(modes))
         else:
             assert trace.modes is None
+
+
+def run_result(spec, track=None):
+    """The swarm run's outcome and column bytes, or its SingularityError's text."""
+    try:
+        trace = run(spec, SWARMPATH, track)
+    except SingularityError as exc:
+        return str(exc)
+    return (trace.outcome, trace.positions.tobytes(), trace.modes.tobytes(),
+            trace.leader.tobytes())
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=small_specs(), data=st.data())
+def test_two_impedances_on_one_shared_track_match_fresh_runs(spec, data):
+    # A track shares its followers' approaches between the runs that read
+    # it; whichever link runs first, each run equals one on its own track.
+    other = dataclasses.replace(spec, impedance=data.draw(impedances(spec.dt)))
+    fresh = [run_result(spec), run_result(other)]
+    for order in ((0, 1), (1, 0)):
+        track = LeaderTrack(spec)
+        for i in order:
+            assert run_result((spec, other)[i], track) == fresh[i]
 
 
 def descent_slots(spec):
@@ -630,6 +654,59 @@ def test_a_ride_ends_on_its_first_within_step_at_or_after_settle(shift):
     assert list(modes) == [LEADER] * end
 
 
+@pytest.mark.parametrize("linked", [False, True])
+def test_a_drone_goal_threshold_away_along_x_at_a_subnormal_threshold_is_within(linked):
+    # The leader starts 5e-324 m from its goal along x and latches there, so
+    # a drone on offset (0, 0) stays at x = 0.0, its goal slot 5e-324 away.
+    # A subnormal threshold times 1 + 1e-9 rounds to itself, so there the
+    # goal prefilter's bound is the threshold and only <= passes it.  At
+    # rest the drone rides; linked to a post with no deflection, swarm_step's
+    # loop steps it.
+    post = dict(radius=0.1, r_apf=4.0, r_imp=4.0)
+    spec = straight_spec(goal=Vec2(5e-324, 0.0), apf=ApfParams(goal_threshold=5e-324),
+                         obstacles=(Obstacle(Vec2(0.0, 3.0), **post),
+                                    Obstacle(Vec2(0.0, -3.0), **post)) if linked else (),
+                         formation_offsets=(Vec2(0.0, 0.0),),
+                         topology=TopologyParams(k_impF=0.0))
+    validate_spec(spec)
+    drone = (0.0, 0.0, 0.0, 0.0, 0 if linked else LEADER, 0.0)
+    rows = reference_rows(spec, 1, [drone])
+    assert math.hypot(rows[1, 0, 0] - 5e-324, rows[1, 0, 1]) == spec.apf.goal_threshold
+    track = LeaderTrack(spec)
+    track.row(10)
+    positions, modes = array("d"), array("q")
+    after, n, inside, fault = swarm_step(drone, 0, 10, 1, track, (0.0, 0.0), spec,
+                                         link_coefficients(spec.impedance, spec.dt),
+                                         positions, modes)
+    assert (n, inside, fault) == (1, True, None)
+    assert bytes(positions) == rows[1, 0].tobytes()
+    assert list(modes) == [0 if linked else LEADER]
+
+
+def test_a_ride_stops_within_a_wide_r_imp_that_it_does_not_acquire():
+    # Post 1's r_imp reaches the drone's path, but post 0, with a small
+    # r_imp, is nearer wherever it does, so the drone acquires nothing.  Its
+    # ride still hands over to the loop on the first step whose slot before
+    # it is within post 1's r_imp, and the loop steps on exactly.
+    near = Obstacle(Vec2(1.5, 0.9), 0.05, 0.1, 0.1)
+    wide = Obstacle(Vec2(1.5, 1.2), 0.1, 0.8, 0.8)
+    spec = straight_spec(goal=Vec2(3.0, 0.0), obstacles=(near, wide),
+                         formation_offsets=(Vec2(0.0, 0.4),))
+    validate_spec(spec)
+    track = LeaderTrack(spec)
+    trace = run(spec, SWARMPATH, track)
+    outcome, positions, modes = reference_run(spec, SWARMPATH)
+    assert trace.outcome == outcome == COMPLETED
+    assert trace.positions.tobytes() == positions.tobytes()
+    assert np.array_equal(trace.modes, np.array(modes))
+    assert (trace.modes == LEADER).all()
+    slots = (trace.leader + (0.0, 0.4)).tolist()
+    assert trace.positions[:, 0].tolist() == slots
+    reach = [math.hypot(x - 1.5, y - 1.2) - 0.1 < 0.8 for x, y in slots]
+    assert sum(reach) > 100
+    assert track.approaches[(0.0, 0.4)].stop == reach.index(True) + 1
+
+
 def test_a_zero_offset_on_a_leader_coordinate_of_zero():
     # As case2_forest's drones 1 and 3: mirrored posts keep the leader on
     # y = 0.0 exactly, and the offset's y is 0.0, so the slot's y is
@@ -794,6 +871,27 @@ def test_a_negative_zero_rate_is_stepped_like_the_helpers():
     assert n == 60
     assert bytes(positions) == rows[1:, 0].tobytes()
     assert math.copysign(1.0, after[2]) == 1.0
+
+
+def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_helpers():
+    # A drone at rest on its slot at step 20, as after a link episode, with a
+    # mean_speed that is not the one its approach ran up from rest at step
+    # 0: its EMA goes on from its own, so it does not ride.
+    spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),), max_steps=400)
+    track = LeaderTrack(spec)
+    track.row(60)
+    x, y = track.row(20)
+    drone = (x + 0.0, y + 0.4, 0.0, 0.0, LEADER, 0.25)
+    state, step = swarm_reference(spec)
+    state[:] = [drone]
+    for n in range(21, 61):
+        step(n)
+    positions = array("d")
+    after, n, _, _ = swarm_step(drone, 20, 60, 61, track, (0.0, 0.4), spec,
+                                link_coefficients(spec.impedance, spec.dt), positions,
+                                array("q"))
+    assert (n, after) == (60, state[0])
+    assert after[5] != track.approaches[(0.0, 0.4)].ema[60]
 
 
 def test_numpy_floor_division_is_pythons():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
-from swarmpath import topology, world
+from swarmpath import sweep as sweep_module, topology, world
 from swarmpath.simulator import run
 from swarmpath.sweep import (
     SweepSpec,
@@ -174,6 +174,50 @@ def test_sweep_points_share_one_obstacle_index(monkeypatch):
     assert built[0] == 1
     assert len(traces) == len(result.runs) == len(sweep.values) > 1
     assert all(t.spec.obstacle_index is sweep.scenario.obstacle_index for t in traces)
+
+
+@pytest.mark.parametrize("name", ["sweep_k.json", "sweep_d.json"])
+def test_sweep_points_search_each_offsets_approach_once(name, monkeypatch):
+    # m, d and k leave each follower's approach alone: a sweep builds one
+    # Approach per formation offset, the first point searches it up to its
+    # stop, each step once, and the later points search nothing.
+    approaches, searches, point = [], [], [0]
+    init, search = topology.Approach.__init__, topology.Approach.search
+
+    def counted_init(approach, offset):
+        approaches.append(approach)
+        init(approach, offset)
+
+    def counted_search(approach, track, last):
+        start = len(approach.ema) - 1
+        if approach.stop is None and last > start:
+            searches.append((point[0], approach.offset, start, last))
+        search(approach, track, last)
+
+    def counted_run(*args, **kwargs):
+        try:
+            return run(*args, **kwargs)
+        finally:
+            point[0] += 1
+
+    sweep = read_sweep(SCENARIO_DIR / name)
+    monkeypatch.setattr(topology.Approach, "__init__", counted_init)
+    monkeypatch.setattr(topology.Approach, "search", counted_search)
+    monkeypatch.setattr(sweep_module, "run", counted_run)
+    result, traces = sweep_traces(sweep, monkeypatch)
+    assert point[0] == len(traces) == len(result.runs) == len(sweep.values) > 1
+    offsets = [o.as_tuple() for o in sweep.scenario.formation_offsets]
+    assert [a.offset for a in approaches] == offsets
+    assert {p for p, *_ in searches} == {0}
+    for i, approach in enumerate(approaches):
+        ranges = [(start, last) for _, offset, start, last in searches
+                  if offset == approach.offset]
+        assert ranges[0][0] == 0 and ranges[-1][1] >= approach.stop
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        # The gate has one r_imp, so each ride stops on the drone's first
+        # acquire, the same step at every point.
+        for trace in traces:
+            assert int(np.argmax(trace.modes[:, i] != topology.LEADER)) == approach.stop
 
 
 def test_sweep_json_and_csv_shapes():

@@ -9,7 +9,6 @@ from swarmpath.simulator import SWARMPATH, run
 from swarmpath.topology import (
     LEADER,
     LeaderTrack,
-    deflection_offset,
     initial_swarm_state,
     nearest_obstacle,
     swarm_step,
@@ -18,6 +17,7 @@ from swarmpath.topology import (
 from swarmpath.traceio import mode_cell
 from swarmpath.world import Obstacle, ObstacleIndex, TopologyParams, Vec2
 from conftest import one_pole_spec, straight_spec
+from reference import deflection_offset
 
 OB = (
     Obstacle(Vec2(0.0, 0.0), 0.1, 0.6, 0.3),
