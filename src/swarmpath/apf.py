@@ -11,11 +11,11 @@ tests the goal along x before it takes the goal's hypot.
 
 Everything here works on plain floats: a point is x, y, an obstacle is its
 Obstacle.as_tuple() row (cx, cy, radius, r_apf, r_imp), a force is an
-(fx, fy) pair, and a descending agent is (x, y, reached_goal).  descend
-writes leader_step and total_force out inline; leader_step is the one-step
-reference it is tested against, and total_force, which sums the field inline,
-is tested against repulsion_force and tests/reference.py's attraction_force,
-the one-term references.
+(fx, fy) pair, and a descending agent is (x, y, reached_goal).
+repulsion_force is the one repulsion term and total_force sums the field
+from it; leader_step takes one step with total_force.  These are the
+references: descend writes leader_step and the field's sum out inline, and
+the tests check it against them bit for bit.
 """
 
 from __future__ import annotations
@@ -71,32 +71,19 @@ def repulsion_force(x: float, y: float, obs: tuple, k_rep: float) -> tuple[float
 
 def total_force(x: float, y: float, gx: float, gy: float, obstacles: tuple[tuple, ...],
                 params: ApfParams) -> tuple[float, float]:
-    """Attraction plus the repulsions of obstacle rows at (x, y), summed in order.
+    """Attraction plus the repulsion_force of each obstacle row at (x, y), summed in order.
 
-    The hot loop of every descent step, so it writes the attraction
-    (tests/reference.py's attraction_force) and repulsion_force out inline,
-    with their operations, checks and messages in the same order; the tests
-    check it against a sum of those helpers, bit for bit.  A row beyond its r_apf adds no term, not even +0.0, so listing
-    it changes no bit of the sum (an attraction component that underflowed to
-    -0.0 stays -0.0).
+    A row beyond its r_apf adds no term, not even +0.0, so listing it changes
+    no bit of the sum (an attraction component that underflowed to -0.0
+    stays -0.0).  leader_step, the one-step reference, sums the field here.
     """
-    k_att, k_rep = params.k_att, params.k_rep
-    fx, fy = (gx - x) * k_att, (gy - y) * k_att
-    for cx, cy, radius, d_safe, _ in obstacles:
-        ox, oy = x - cx, y - cy
-        dist = math.hypot(ox, oy)
-        if dist == 0.0:
-            raise SingularityError(AT_CENTER.format(cx, cy))
-        d_o = dist - radius
-        if d_o < SURFACE_EPS:  # max(dist - radius, SURFACE_EPS)
-            d_o = SURFACE_EPS
-        if d_o > d_safe:
-            continue
-        scale = k_rep * (1.0 / d_o - 1.0 / d_safe) / dist
-        if not math.isfinite(scale):
-            raise SingularityError(NEAR_CENTER.format(dist, cx, cy))
-        fx += ox * scale
-        fy += oy * scale
+    k_rep = params.k_rep
+    fx, fy = (gx - x) * params.k_att, (gy - y) * params.k_att
+    for obs in obstacles:
+        force = repulsion_force(x, y, obs, k_rep)
+        if force is not NO_REPULSION:
+            fx += force[0]
+            fy += force[1]
     return fx, fy
 
 

@@ -6,15 +6,16 @@ stall has lasted STALL_PATIENCE steps, or at max_steps, whichever comes first.
 Metrics and export read the trace's columns and never re-integrate anything:
 replaying the same spec gives identical columns.
 
-No drone of either controller reads another, so both run drone-major and run
-composes the end from the drones' tracks, exactly as a loop over steps would
-meet it.  Each baseline drone is a topology.LeaderTrack from its start slot
-toward its goal slot, grown alone by baseline_step.  The swarm's followers
-each read only their own state, the leader's rows and the obstacles:
-topology.swarm_step advances one follower over a range of steps.  The leader
-reads no drone, so it is not stepped here: its rows come from a
-topology.LeaderTrack, which a sweep builds once and hands to every point, and
-they fill the trace's leader column once, when the trace is built.
+No drone of either controller reads another, so both run drone-major and
+run composes each the same way, exactly as a loop over steps would meet its
+end: one track per drone, then the end and the first fault at or before it
+(_raise_first), then the columns (_columns).  Each baseline drone is a
+topology.LeaderTrack from its start slot toward its goal slot, grown alone
+by baseline_step.  Each swarm follower reads only its own state, the
+leader's rows and the obstacles, and topology.swarm_step advances it over a
+range of steps.  The leader reads no drone, so it is not stepped here: its
+rows come from a topology.LeaderTrack, which a sweep builds once and hands
+to every point, and its fault is the track's.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ CONTROLLERS = (SWARMPATH, CONVENTIONAL_APF)
 
 STALL_PATIENCE = 100  # consecutive stalled steps before the run is abandoned
 CHUNK = 128  # leader rows a swarm run grows ahead of its drones at a time
-LEADER_FAULT = 0  # ranks before DEFLECTION_FAULT and OVERFLOW_FAULT at the same step
 
 COMPLETED = "completed"
 MAX_STEPS = "max_steps"
@@ -92,52 +92,6 @@ def _within(spec: ScenarioSpec, drones) -> list[bool]:
             for (x, y, *_), off in zip(drones, spec.formation_offsets)]
 
 
-class _Followers:
-    """Every follower's own track: its state, the step it is at, its rows.
-
-    A follower reads the leader's rows and no other drone, so each one runs
-    on alone through swarm_step; run() decides how far.  faults lists the
-    faults met so far as (step, kind, drone, text), the leader's with kind
-    LEADER_FAULT and drone -1.
-    """
-
-    def __init__(self, spec: ScenarioSpec, track: LeaderTrack):
-        self.spec, self.track = spec, track
-        self.coefficients = link_coefficients(spec.impedance, spec.dt)
-        self.offsets = tuple((off.x, off.y) for off in spec.formation_offsets)
-        self.drones = initial_swarm_state(spec)
-        self.steps = [0] * len(self.drones)
-        self.within = _within(spec, self.drones)
-        self.positions = [array("d", d[:2]) for d in self.drones]
-        self.modes = [array("q", (d[4],)) for d in self.drones]
-        self.faults: list[tuple[int, int, int, str]] = []
-
-    @property
-    def fail(self) -> float:
-        """The earliest step with a fault, inf while there is none."""
-        return min(self.faults)[0] if self.faults else math.inf
-
-    def advance(self, i: int, settle: int, last: int) -> None:
-        """Run drone i on through at most step last, stopping at its first within-step >= settle."""
-        if self.steps[i] >= last:
-            return
-        drone, step, within, fault = swarm_step(
-            self.drones[i], self.steps[i], last, settle, self.track, self.offsets[i],
-            self.spec, self.coefficients, self.positions[i], self.modes[i])
-        self.drones[i], self.steps[i], self.within[i] = drone, step, within
-        if fault is not None:
-            kind, text = fault
-            self.faults.append((step, kind, i, text))
-
-    def trace(self, outcome: str, rows: int) -> SimulationTrace:
-        positions = np.stack([np.frombuffer(p, count=2 * rows).reshape(rows, 2)
-                              for p in self.positions], axis=1)
-        modes = np.stack([np.frombuffer(m, dtype=np.int64, count=rows) for m in self.modes],
-                         axis=1)
-        leader = np.frombuffer(self.track.xy, count=2 * rows).reshape(rows, 2).copy()
-        return _trace(self.spec, SWARMPATH, outcome, positions, leader, modes)
-
-
 def _first_within(track: LeaderTrack, threshold: float) -> float:
     """The first frame at which the track is within threshold of its goal, inf if none is.
 
@@ -169,6 +123,25 @@ def _stall_end(tracks: list[LeaderTrack]) -> float:
     return start + STALL_PATIENCE - 1
 
 
+def _raise_first(faults: list[tuple[int, int, int, str]], end: int) -> None:
+    """Raise the lowest fault (step, kind, drone, text) if its step is at or before end.
+
+    The lowest by (step, kind, drone) is the one a loop over steps meets
+    first.  A link with no direction names its drone.
+    """
+    if faults and min(faults)[0] <= end:
+        step, kind, drone, text = min(faults)
+        if kind == DEFLECTION_FAULT:  # drones are numbered from 1, as in files
+            text = f"drone {drone + 1}: {text}"
+        raise SingularityError(f"step {step}: {text}")
+
+
+def _columns(buffers: list[array], rows: int) -> np.ndarray:
+    """The (rows, D, 2) positions of D drones, read from each one's flat (x, y) rows."""
+    return np.stack([np.frombuffer(xy, count=2 * rows).reshape(rows, 2) for xy in buffers],
+                    axis=1)
+
+
 def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
     """The baseline run, composed from one descent track per drone.
 
@@ -176,10 +149,8 @@ def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
     far (a later drone may fault at that step too), and stops early at its
     fixed point.  The run ends on the earliest of: the first frame at which
     every drone is within, the end of the first STALL_PATIENCE steps in a
-    row at which no drone moves (while one is not within), and max_steps.  A
-    fault at or before that frame is raised instead, the lowest by (step,
-    kind, drone).  Each drone's column is its track's rows, padded with its
-    last.
+    row at which no drone moves (while one is not within), and max_steps.
+    Each drone's column is its track's rows, padded with its fixed point.
     """
     tracks = []
     fail = math.inf
@@ -190,18 +161,81 @@ def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
     complete = max(_first_within(t, spec.apf.goal_threshold) for t in tracks)
     stall = _stall_end(tracks)
     end = min(complete, stall, spec.max_steps)
-    if fail <= end:
-        step, _, _, text = min((*t.fault[:2], i, t.fault[2])
-                               for i, t in enumerate(tracks) if t.fault is not None)
-        raise SingularityError(f"step {step}: {text}")
-    frames = end + 1
-    positions = np.empty((frames, len(tracks), 2))
-    for i, t in enumerate(tracks):
-        rows = np.frombuffer(t.xy).reshape(-1, 2)[:frames]
-        positions[:len(rows), i] = rows
-        positions[len(rows):, i] = rows[-1]
+    _raise_first([(*t.fault[:2], i, t.fault[2]) for i, t in enumerate(tracks) if t.fault], end)
+    for t in tracks:
+        t.row(end)
     outcome = COMPLETED if end == complete else STALLED if end == stall else MAX_STEPS
-    return _trace(spec, CONVENTIONAL_APF, outcome, positions)
+    return _trace(spec, CONVENTIONAL_APF, outcome, _columns([t.xy for t in tracks], end + 1))
+
+
+def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
+    """The swarm run, composed from the leader's track and one track per follower.
+
+    A follower reads the leader's rows and no other drone, so each one runs
+    on alone through swarm_step.  The run ends on the earliest of: the first
+    frame at which every drone is within (found by raising a candidate frame
+    until each drone is within at it), the leader's stall_step plus
+    STALL_PATIENCE - 1, and max_steps.  The leader grows CHUNK rows ahead of
+    the drones at a time, and no drone runs past the end.  A leader fault is
+    its track.fault, with drone -1: the track holds no row for its step, so
+    no follower meets a fault at that step.
+    """
+    coefficients = link_coefficients(spec.impedance, spec.dt)
+    offsets = [(off.x, off.y) for off in spec.formation_offsets]
+    drones = initial_swarm_state(spec)
+    count = len(drones)
+    steps, within = [0] * count, _within(spec, drones)
+    positions = [array("d", d[:2]) for d in drones]
+    modes = [array("q", (d[4],)) for d in drones]
+    faults: list[tuple[int, int, int, str]] = []
+
+    def advance(i: int, settle: int, last: int) -> None:
+        """Run drone i on through at most step last, stopping at its first within-step >= settle."""
+        if steps[i] < last:
+            drones[i], steps[i], within[i], fault = swarm_step(
+                drones[i], steps[i], last, settle, track, offsets[i], spec, coefficients,
+                positions[i], modes[i])
+            if fault is not None:
+                faults.append((steps[i], fault[0], i, fault[1]))
+
+    frontier = 0  # the leader's rows exist through this step
+    frame = agreed = i = 0  # candidate frame, drones within at it, next drone to ask
+    fail = math.inf  # the earliest fault's step; frontier stops short of the leader's
+    while True:
+        stall = (math.inf if track.stall_step is None
+                 else track.stall_step + STALL_PATIENCE - 1)
+        last = min(spec.max_steps, stall)  # the end if no frame completes
+        bound = min(frontier, last, fail - 1)
+        while agreed < count and frame <= bound:
+            if steps[i] != frame or not within[i]:
+                advance(i, frame, bound)
+                if not within[i]:
+                    break
+                if steps[i] > frame:
+                    frame, agreed = steps[i], 0
+            agreed += 1
+            i = (i + 1) % count
+        if agreed == count:
+            end, outcome = frame, COMPLETED
+            break
+        fail = min(faults)[0] if faults else math.inf  # a drone may have faulted above
+        if frontier >= min(last, fail - 1):
+            end, outcome = last, STALLED if last == stall else MAX_STEPS
+            break
+        target = min(max(frontier + CHUNK, len(track.xy) // 2 - 1), spec.max_steps)
+        try:
+            track.row(target)
+        except SingularityError:
+            step, kind, text = track.fault
+            faults.append((step, kind, -1, text))
+        frontier = min(target, len(track.xy) // 2 - 1)
+    for j in range(count):
+        advance(j, end + 1, min(end, fail, frontier))
+    _raise_first(faults, end)
+    rows = end + 1
+    leader = np.frombuffer(track.xy, count=2 * rows).reshape(rows, 2).copy()
+    modes = np.stack([np.frombuffer(m, dtype=np.int64, count=rows) for m in modes], axis=1)
+    return _trace(spec, SWARMPATH, outcome, _columns(positions, rows), leader, modes)
 
 
 def run(spec: ScenarioSpec, controller: str = SWARMPATH,
@@ -225,53 +259,9 @@ def run(spec: ScenarioSpec, controller: str = SWARMPATH,
         if track is not None:
             raise ValueError(f"the {controller} controller has no leader to take a track")
         return _baseline_run(spec)
-
     if track is None:
         track = LeaderTrack(spec)
     elif track.inputs != leader_inputs(spec):
         raise ValueError("the leader track was built for other leader inputs "
                          "(start, goal, obstacles, gates, apf, dt, max_steps)")
-    # The followers run drone-major.  The run ends on the earliest of: the
-    # first frame at which every drone is within (found by raising a candidate
-    # frame until each drone is within at it), the leader's stall_step plus
-    # STALL_PATIENCE - 1, and max_steps.  A fault at or before that frame is
-    # raised instead, the lowest by (step, kind, drone), which is the order a
-    # loop over steps would meet them in.  The leader grows CHUNK rows ahead
-    # of the drones at a time, and no drone runs past the end.
-    followers = _Followers(spec, track)
-    count = len(followers.drones)
-    frontier = 0  # the leader's rows exist through this step
-    frame = agreed = i = 0  # candidate frame, drones within at it, next drone to ask
-    while True:
-        stall = (math.inf if track.stall_step is None
-                 else track.stall_step + STALL_PATIENCE - 1)
-        last = min(spec.max_steps, stall)  # the end if no frame completes
-        bound = min(frontier, last, followers.fail - 1)
-        while agreed < count and frame <= bound:
-            if followers.steps[i] != frame or not followers.within[i]:
-                followers.advance(i, frame, bound)
-                if not followers.within[i]:
-                    break
-                if followers.steps[i] > frame:
-                    frame, agreed = followers.steps[i], 0
-            agreed += 1
-            i = (i + 1) % count
-        if agreed == count:
-            return followers.trace(COMPLETED, frame + 1)
-        if frontier < min(last, followers.fail - 1):
-            target = min(max(frontier + CHUNK, len(track.xy) // 2 - 1), spec.max_steps)
-            try:
-                track.row(target)
-            except SingularityError as exc:
-                followers.faults.append((len(track.xy) // 2, LEADER_FAULT, -1, str(exc)))
-            frontier = min(target, len(track.xy) // 2 - 1)
-            continue
-        end = min(last, followers.fail)
-        for j in range(count):
-            followers.advance(j, end + 1, min(end, frontier))
-        if followers.fail <= last:
-            step, kind, drone, text = min(followers.faults)
-            if kind == DEFLECTION_FAULT:  # drones are numbered from 1, as in files
-                text = f"drone {drone + 1}: {text}"
-            raise SingularityError(f"step {step}: {text}")
-        return followers.trace(STALLED if last == stall else MAX_STEPS, last + 1)
+    return _swarm_run(spec, track)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from swarmpath import simulator
 from swarmpath.apf import SingularityError
 from swarmpath.simulator import (
     COMPLETED,
@@ -153,6 +154,30 @@ def test_drone_state_overflow_reports_its_step():
     with pytest.raises(SingularityError) as err:
         run(spec, SWARMPATH)
     assert str(err.value) == "step 1: the state overflowed to a non-finite value"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+def test_a_leader_fault_after_several_chunks_is_raised_at_its_step(chunk, monkeypatch):
+    # A post on the free leader's row 300 is out of its r_apf until the leader
+    # lands on its center, so step 301 has no direction; the followers pass
+    # 0.4 m off it.  A second post on drone 1's slot at row 200 links the
+    # drone on its center, an earlier fault that is raised instead.
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    spec = straight_spec(goal=Vec2(3.0, 0.0))
+    free = LeaderTrack(spec)
+    lx, ly = free.row(300)
+    post = Obstacle(Vec2(lx, ly), 0.001, 0.002, 0.002)
+    leader_faults = dataclasses.replace(spec, obstacles=(post,))
+    with pytest.raises(SingularityError) as err:
+        run(leader_faults, SWARMPATH)
+    assert str(err.value) == f"step 301: position coincides with obstacle center ({lx}, {ly})"
+    off = spec.formation_offsets[0]
+    sx, sy = free.row(200)[0] + off.x, free.row(200)[1] + off.y
+    slot = Obstacle(Vec2(sx, sy), 0.001, 0.002, 0.002)
+    with pytest.raises(SingularityError) as err:
+        run(dataclasses.replace(spec, obstacles=(post, slot)), SWARMPATH)
+    assert str(err.value) == (f"step 201: drone 1: 0 m from obstacle center ({sx}, {sy}), "
+                              "direction undefined")
 
 
 @pytest.mark.parametrize("settled", ["goal", "stall"])
