@@ -58,9 +58,15 @@ def pair_max_distances(trace: SimulationTrace) -> np.ndarray:
     out = np.zeros((trace.n_drones, trace.n_drones))
     for a in range(trace.n_drones - 1):
         # Drone a against every later drone at once.  sqrt is monotone, so its
-        # value at the largest square equals the largest np.linalg.norm.
-        dx, dy = (pos[:, a + 1:, k] - pos[:, a, None, k] for k in (0, 1))
-        out[a, a + 1:] = out[a + 1:, a] = np.sqrt(np.max(dx * dx + dy * dy, axis=0))
+        # value at the largest square equals the largest np.linalg.norm.  Only
+        # a pair whose square overflows takes the slower hypot, which cannot.
+        with np.errstate(over="ignore"):
+            dx, dy = (pos[:, a + 1:, k] - pos[:, a, None, k] for k in (0, 1))
+            far = np.sqrt(np.max(dx * dx + dy * dy, axis=0))
+        over = np.isinf(far)
+        if over.any():
+            far[over] = np.max(np.hypot(dx[:, over], dy[:, over]), axis=0)
+        out[a, a + 1:] = out[a + 1:, a] = far
     return out
 
 

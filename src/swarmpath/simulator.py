@@ -11,11 +11,13 @@ run composes each the same way, exactly as a loop over steps would meet its
 end: one track per drone, then the end and the first fault at or before it
 (_raise_first), then the columns (_columns).  Each baseline drone is a
 topology.LeaderTrack from its start slot toward its goal slot, grown alone
-by baseline_step.  Each swarm follower reads only its own state, the
-leader's rows and the obstacles, and topology.swarm_step advances it over a
-range of steps.  The leader reads no drone, so it is not stepped here: its
-rows come from a topology.LeaderTrack, which a sweep builds once and hands
-to every point, and its fault is the track's.
+by baseline_step.  The swarm's leader reads no drone, so it is not stepped
+here: its rows come from a topology.LeaderTrack, which a sweep builds once
+and hands to every point, and its fault is the track's.  Each swarm follower
+reads only its own state, the leader's rows and the obstacles, so once the
+leader's whole path is grown, topology.swarm_step runs each follower through
+it in one call and lists the steps at which it is within; the run completes
+on the least step that every drone lists.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .world import ScenarioSpec
 from .apf import SingularityError
 from .impedance import link_coefficients
 from .topology import (DEFLECTION_FAULT, LeaderTrack, initial_swarm_state, leader_inputs,
-                       swarm_step)
+                       list_within, swarm_step)
 from .baseline import baseline_step
 
 SWARMPATH = "swarmpath"
@@ -38,7 +40,9 @@ CONVENTIONAL_APF = "conventional-apf"
 CONTROLLERS = (SWARMPATH, CONVENTIONAL_APF)
 
 STALL_PATIENCE = 100  # consecutive stalled steps before the run is abandoned
-CHUNK = 128  # leader rows a swarm run grows ahead of its drones at a time
+# Rows a swarm run appends at a time past its leader's fixed point, while no
+# frame has completed; the path before that point is grown in one call.
+CHUNK = 128
 
 COMPLETED = "completed"
 MAX_STEPS = "max_steps"
@@ -83,13 +87,6 @@ def _trace(spec: ScenarioSpec, controller: str, outcome: str, positions: np.ndar
         if col is not None:
             col.flags.writeable = False
     return SimulationTrace(spec, controller, t, positions, leader, modes, outcome)
-
-
-def _within(spec: ScenarioSpec, drones) -> list[bool]:
-    """Whether each drone (x, y, ...) is within goal_threshold of its goal slot."""
-    gx, gy, threshold = spec.goal.x, spec.goal.y, spec.apf.goal_threshold
-    return [math.hypot(x - (gx + off.x), y - (gy + off.y)) <= threshold
-            for (x, y, *_), off in zip(drones, spec.formation_offsets)]
 
 
 def _first_within(track: LeaderTrack, threshold: float) -> float:
@@ -171,66 +168,52 @@ def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
 def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
     """The swarm run, composed from the leader's track and one track per follower.
 
-    A follower reads the leader's rows and no other drone, so each one runs
-    on alone through swarm_step.  The run ends on the earliest of: the first
-    frame at which every drone is within (found by raising a candidate frame
-    until each drone is within at it), the leader's stall_step plus
-    STALL_PATIENCE - 1, and max_steps.  The leader grows CHUNK rows ahead of
-    the drones at a time, and no drone runs past the end.  A leader fault is
-    its track.fault, with drone -1: the track holds no row for its step, so
-    no follower meets a fault at that step.
+    The leader reads no drone, so its whole path is grown first, through
+    max_steps or to its fixed point or fault; the fault is appended with
+    drone -1 (the track holds no row for its step).  Each follower then runs
+    once through the rows in swarm_step, on past another's fault, which only
+    a run that raises pays for.  The run ends on the earliest of: the least
+    frame in every drone's within-steps, the leader's stall_step plus
+    STALL_PATIENCE - 1, and max_steps.  Past a fixed point, while no frame
+    completes, CHUNK more rows of the rest are appended and every follower
+    runs on through them.
     """
     coefficients = link_coefficients(spec.impedance, spec.dt)
     offsets = [(off.x, off.y) for off in spec.formation_offsets]
     drones = initial_swarm_state(spec)
-    count = len(drones)
-    steps, within = [0] * count, _within(spec, drones)
     positions = [array("d", d[:2]) for d in drones]
     modes = [array("q", (d[4],)) for d in drones]
+    within: list[list[int]] = [[] for _ in drones]  # this round's within-steps
+    for xy, offset, steps in zip(positions, offsets, within):
+        list_within(np.frombuffer(xy).reshape(-1, 2), 0, offset, spec, steps)
     faults: list[tuple[int, int, int, str]] = []
-
-    def advance(i: int, settle: int, last: int) -> None:
-        """Run drone i on through at most step last, stopping at its first within-step >= settle."""
-        if steps[i] < last:
-            drones[i], steps[i], within[i], fault = swarm_step(
-                drones[i], steps[i], last, settle, track, offsets[i], spec, coefficients,
-                positions[i], modes[i])
-            if fault is not None:
-                faults.append((steps[i], fault[0], i, fault[1]))
-
-    frontier = 0  # the leader's rows exist through this step
-    frame = agreed = i = 0  # candidate frame, drones within at it, next drone to ask
-    fail = math.inf  # the earliest fault's step; frontier stops short of the leader's
+    track.grow(spec.max_steps)
+    if track.fault is not None:
+        faults.append((*track.fault[:2], -1, track.fault[2]))
+    stall = math.inf if track.stall_step is None else track.stall_step + STALL_PATIENCE - 1
+    last = min(spec.max_steps, stall)  # the end if no frame completes
+    frontier, target = 0, min(len(track.xy) // 2 - 1, last)  # followers run from, to
     while True:
-        stall = (math.inf if track.stall_step is None
-                 else track.stall_step + STALL_PATIENCE - 1)
-        last = min(spec.max_steps, stall)  # the end if no frame completes
-        bound = min(frontier, last, fail - 1)
-        while agreed < count and frame <= bound:
-            if steps[i] != frame or not within[i]:
-                advance(i, frame, bound)
-                if not within[i]:
-                    break
-                if steps[i] > frame:
-                    frame, agreed = steps[i], 0
-            agreed += 1
-            i = (i + 1) % count
-        if agreed == count:
-            end, outcome = frame, COMPLETED
+        for i, drone in enumerate(drones):
+            if drone is not None:  # None once it has faulted
+                drones[i], n, fault = swarm_step(drone, frontier, target, track, offsets[i],
+                                                 spec, coefficients, positions[i], modes[i],
+                                                 within[i])
+                if fault is not None:
+                    faults.append((n, fault[0], i, fault[1]))
+        frontier = target
+        complete = set(within[0]).intersection(*within[1:])
+        if complete:
+            end, outcome = min(complete), COMPLETED
             break
-        fail = min(faults)[0] if faults else math.inf  # a drone may have faulted above
-        if frontier >= min(last, fail - 1):
+        # A fault's step is at most frontier + 1, and no later frame can complete.
+        if faults or frontier == last:
             end, outcome = last, STALLED if last == stall else MAX_STEPS
             break
-        target = min(max(frontier + CHUNK, len(track.xy) // 2 - 1), spec.max_steps)
-        try:
-            track.row(target)
-        except SingularityError:
-            step, kind, text = track.fault
-            faults.append((step, kind, -1, text))
-        frontier = min(target, len(track.xy) // 2 - 1)
-    for j in range(count):
-        advance(j, end + 1, min(end, fail, frontier))
+        for steps in within:
+            steps.clear()
+        target = min(frontier + CHUNK, last)
+        track.row(target)  # the track is at rest: it repeats its fixed point
     _raise_first(faults, end)
     rows = end + 1
     leader = np.frombuffer(track.xy, count=2 * rows).reshape(rows, 2).copy()

@@ -18,9 +18,9 @@ max_steps); a LeaderTrack grows that path once through apf.descend, as far
 as runs ask for it, and every run with the same leader inputs reads its
 rows.  A baseline drone's path is a LeaderTrack too, built with the drone's
 own start and goal slots.  A follower reads its own state, the leader's rows
-and the obstacles, never another drone, so swarm_step runs one follower over
-a range of steps at a time, its state in locals, and simulator.run composes
-the swarm's outcome from the followers' tracks.
+and the obstacles, never another drone, so swarm_step runs one follower
+through the rows in one call, its state in locals, and lists the steps at
+which it is within; simulator.run composes the swarm's outcome from them.
 
 swarm_step is the hot loop, so it applies the link rule, the deflection and
 the link update itself (the leader-linked scan in _link_rule) rather than
@@ -29,17 +29,17 @@ deflection_offset and link_step.  Those helpers stay the reference: the
 tests check swarm_step against a run built from them, bit for bit.  The loop
 looks a leader-linked drone's link cell up only when the drone enters
 another cell, scans it only when it lists obstacles, and appends its rows to
-the drone's buffers once, on exit.
+the drone's buffers once, on exit, where numpy finds its within-steps.
 
 Until a follower first comes within an obstacle's r_imp it usually sits
 bit-exactly on its slot with a zero link state, which the zero-force update
-keeps zero; swarm_step then moves it over the whole stretch up to that step,
-its within-step or its last step at once, with numpy (see _ride), and steps
-on from there one step at a time.  Where that stretch ends and the drone's
-mean_speed along it read only the leader's rows, the offset, the obstacles
-and dt, never m, d or k, so a LeaderTrack works them out once per offset
-(its Approach) and every run that reads the track shares them: each point
-of a sweep after the first does only its own goal test and row appends.
+keeps zero; swarm_step then moves it over the whole stretch up to that step
+or its last step at once, with numpy (see _ride), and steps on from there
+one step at a time.  Where that stretch ends and the drone's mean_speed
+along it read only the leader's rows, the offset, the obstacles and dt,
+never m, d or k, so a LeaderTrack works them out once per offset (its
+Approach) and every run that reads the track shares them: each point of a
+sweep after the first does only its own goal test and row appends.
 """
 
 from __future__ import annotations
@@ -306,9 +306,9 @@ def _in_reach(x: float, y: float, cell_rows: tuple[tuple, ...]) -> bool:
     return False
 
 
-def _ride(drone: Drone, step: int, last: int, settle: int, track: LeaderTrack,
+def _ride(drone: Drone, step: int, last: int, track: LeaderTrack,
           offset: tuple[float, float], spec: ScenarioSpec, coefficients: Coefficients,
-          positions: array, modes: array) -> tuple[Drone, int, bool]:
+          positions: array, modes: array, within: list[int]) -> tuple[Drone, int]:
     """Move a follower at rest on its slot over a whole stretch at once.
 
     A leader-linked drone whose link state is dx = dy = +0.0 and a zero
@@ -318,11 +318,10 @@ def _ride(drone: Drone, step: int, last: int, settle: int, track: LeaderTrack,
     elementwise IEEE operations in swarm_step's order.  Where the stretch
     may go, and mean_speed along it, is the track's Approach for offset,
     which reads no m, d or k: a drone rides only while its mean_speed is the
-    approach's, and only up to the step before the approach's stop.  Here
-    the stretch also ends on the first step >= settle within goal_threshold
-    (included) and on last.  Appends the stretch's rows and returns (drone,
-    n, within) after its last step n; a drone not at rest comes back
-    unchanged with n = step.
+    approach's, and only up to the step before the approach's stop, or to
+    last.  Appends the stretch's rows and every step of it within
+    goal_threshold, and returns (drone, n) after its last step n; a drone
+    not at rest comes back unchanged with n = step.
     """
     x, y, vx, vy, mode, mean_speed = drone
     ox, oy = offset
@@ -336,33 +335,40 @@ def _ride(drone: Drone, step: int, last: int, settle: int, track: LeaderTrack,
             or copysign(1.0, dx) < 0.0 or copysign(1.0, dy) < 0.0
             or copysign(1.0, p10 * dx + p11 * vx + hold1) != copysign(1.0, vx)
             or copysign(1.0, p10 * dy + p11 * vy + hold1) != copysign(1.0, vy)):
-        return drone, step, False
+        return drone, step
     ema = track.approach(offset, last).ema
     end = min(last, len(ema) - 1)
     if step >= end or ema[step] != mean_speed:
-        return drone, step, False
+        return drone, step
     rode = (np.frombuffer(xy[2 * step + 2:2 * end + 2]).reshape(-1, 2) + (ox, oy)) + (c0, c1)
-    # |x - gx| and |y - gy| are <= threshold whenever the hypot is; the
-    # slack keeps that true through the hypot's rounding.
-    goal_x, goal_y = spec.goal.x + ox, spec.goal.y + oy
+    list_within(rode, step + 1, offset, spec, within)
+    positions.frombytes(rode.tobytes())
+    modes.extend([LEADER] * (end - step))
+    x, y = rode[-1].tolist()
+    return (x, y, vx, vy, LEADER, ema[end]), end
+
+
+def list_within(rows: np.ndarray, first: int, offset: tuple[float, float], spec: ScenarioSpec,
+                within: list[int]) -> None:
+    """Append first + i to within for each (x, y) rows[i] within goal_threshold of its goal slot.
+
+    |x - gx| and |y - gy| are <= the hypot, so only rows within the threshold
+    along both take the hypot; the slack keeps that true through its rounding.
+    """
+    gx, gy = spec.goal.x + offset[0], spec.goal.y + offset[1]
     threshold = spec.apf.goal_threshold
-    first = max(settle - step - 1, 0)  # rode[i] is the position after step + 1 + i
-    near = np.flatnonzero((np.abs(rode[first:] - (goal_x, goal_y))
-                           <= threshold * (1.0 + 1e-9)).all(axis=1)) + first
-    k, within = end - step, False
-    for i, (rx, ry) in zip(near.tolist(), rode[near].tolist()):
-        if math.hypot(rx - goal_x, ry - goal_y) <= threshold:
-            k, within = i + 1, True
-            break
-    positions.frombytes(rode[:k].tobytes())
-    modes.extend([LEADER] * k)
-    x, y = rode[k - 1].tolist()
-    return (x, y, vx, vy, LEADER, ema[step + k]), step + k, within
+    with np.errstate(over="ignore"):  # an inf difference is not near, as with floats
+        dx, dy = np.abs(rows[:, 0] - gx), np.abs(rows[:, 1] - gy)
+    bound = threshold * (1.0 + 1e-9)
+    near = np.flatnonzero((dx <= bound) & (dy <= bound))
+    within.extend(first + i for i, (x, y) in zip(near.tolist(), rows[near].tolist())
+                  if math.hypot(x - gx, y - gy) <= threshold)
 
 
-def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTrack,
+def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
                offset: tuple[float, float], spec: ScenarioSpec, coefficients: Coefficients,
-               positions: array, modes: array) -> tuple[Drone | None, int, bool, Fault | None]:
+               positions: array, modes: array,
+               within: list[int]) -> tuple[Drone | None, int, Fault | None]:
     """Advance one follower from its state after step through at most step last.
 
     track must hold the leader's rows through last, offset is the drone's
@@ -382,18 +388,16 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
     order, so every bit matches the helpers.
 
     Each step run appends the drone's new x, y to positions and its mode to
-    modes, the drone's own row buffers; the rows are collected in lists and
-    appended when the call returns.  The loop
-    stops after the first step n >= settle at which the drone is within
-    goal_threshold of its goal slot, and at the first step that faults: its
-    link has no direction, or its new state is not finite.  Returns (drone, n, within, fault): the state after the
-    last step n run, whether it is within, and None; or, when step n faulted,
-    None, n, False and the fault (kind, text), with nothing appended for n.
+    modes, the drone's own row buffers, and the step to within if the drone
+    is then within goal_threshold of its goal slot; the loop collects its
+    rows in lists, and appends and tests them when the call returns.  The
+    call stops at last, or at the first step that faults: its link has no
+    direction, or its new state is not finite.  Returns (drone, n, fault): the state after
+    the last step n run and None; or, when step n faulted, None, n and the
+    fault (kind, text), with nothing appended for n.
     """
-    drone, step, within = _ride(drone, step, last, settle, track, offset, spec, coefficients,
-                                positions, modes)
-    if within:
-        return drone, step, True, None
+    drone, step = _ride(drone, step, last, track, offset, spec, coefficients, positions, modes,
+                        within)
     x, y, vx, vy, mode, mean_speed = drone
     ox, oy = offset
     dt = spec.dt
@@ -406,11 +410,6 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
     # +0.0 turns a -0.0 sum into +0.0, so the terms stay.
     hold0, hold1 = g0 * 0.0, g1 * 0.0
     keep, alpha = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA
-    goal_x, goal_y = spec.goal.x + ox, spec.goal.y + oy
-    threshold = spec.apf.goal_threshold
-    # |x - goal_x| <= the hypot, so a drone farther than this along x is not
-    # within; the slack keeps that true through the hypot's rounding.
-    near = threshold * (1.0 + 1e-9)
     hypot, isfinite, link_rule = math.hypot, math.isfinite, _link_rule
     xy = track.xy
     # The slot the drone tracks at step n sits on the leader's row n - 1: the
@@ -445,8 +444,7 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
                 magnitude = k_impF * (1.0 + velocity_gain * mean_speed) * r_imp
                 scale = magnitude / dist if dist else math.inf
                 if not isfinite(scale):
-                    return None, n, False, (DEFLECTION_FAULT,
-                                            NO_DIRECTION.format(dist, cx, cy))
+                    return None, n, (DEFLECTION_FAULT, NO_DIRECTION.format(dist, cx, cy))
                 ex, ey = ex * scale, ey * scale
                 dx, dy = x - (slot_x + ex), y - (slot_y + ey)
                 new_x, new_y = next_slot_x + ex, next_slot_y + ey
@@ -458,17 +456,17 @@ def swarm_step(drone: Drone, step: int, last: int, settle: int, track: LeaderTra
             # A sum of finite numbers can overflow too: only then look at each.
             if not (isfinite(new_x + new_y + vx + vy + mean_speed)
                     or all(map(isfinite, (new_x, new_y, vx, vy, mean_speed)))):
-                return None, n, False, (OVERFLOW_FAULT, NON_FINITE)
+                return None, n, (OVERFLOW_FAULT, NON_FINITE)
             x, y, slot_x, slot_y = new_x, new_y, next_slot_x, next_slot_y
             put(x)
             put(y)
             put_mode(mode)
-            if (n >= settle and abs(x - goal_x) <= near
-                    and hypot(x - goal_x, y - goal_y) <= threshold):
-                return (x, y, vx, vy, mode, mean_speed), n, True, None
-        return (x, y, vx, vy, mode, mean_speed), n, False, None
+        return (x, y, vx, vy, mode, mean_speed), n, None
     finally:
         # extend grows the buffers as append does; fromlist's larger resizes
         # left a long-lived process holding more memory.
         positions.extend(out)
         modes.extend(out_modes)
+        start = 8 * (len(positions) - len(out))  # the byte offset of this call's rows
+        list_within(np.frombuffer(positions, offset=start).reshape(-1, 2), step + 1, offset, spec,
+                    within)

@@ -200,6 +200,22 @@ def test_far_obstacle_clearance_is_finite(tmp_path):
     assert math.isfinite(clearance) and clearance == pytest.approx(1e300, rel=1e-5)
 
 
+def test_far_pair_distance_is_finite(tmp_path):
+    # Squaring the 2e200 m gap between the drones overflows; metrics.json
+    # must hold the distance (valid JSON has no Infinity), without a warning.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"start": [0, 0], "goal": [1, 0],
+                                "formation_offsets": [[1e200, 0], [-1e200, 0]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert caught == []
+    text = (tmp_path / "out" / "metrics.json").read_text()
+    assert '"max_pairwise_distance_m": 2e+200,' in text
+    assert json.loads(text)["max_pairwise_distance_m"] == 2e200
+
+
 def test_compare_writes_reports(short_scenario, tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", str(short_scenario), "--output-dir", str(out)])

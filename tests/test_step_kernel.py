@@ -575,6 +575,57 @@ def test_a_completed_run_grows_its_track_at_most_one_chunk_past_its_end(name, sc
     assert 0 <= len(track.xy) // 2 - trace.n_frames <= CHUNK
 
 
+@pytest.mark.parametrize("name", ["case1_gate.json", "case2_forest.json"])
+def test_a_completed_run_steps_its_followers_at_most_one_chunk_past_its_end(name, scenario_dir,
+                                                                             monkeypatch):
+    spec = read_scenario(scenario_dir / name)
+    reached = []  # the last step of each swarm_step call
+
+    def recorded(*args):
+        result = swarm_step(*args)
+        reached.append(result[1])
+        return result
+
+    monkeypatch.setattr(simulator, "swarm_step", recorded)
+    trace = run(spec, SWARMPATH)
+    assert trace.outcome == COMPLETED
+    assert 0 <= max(reached) - (trace.n_frames - 1) <= CHUNK
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+def test_drones_that_leave_their_goal_zones_complete_when_all_are_back(chunk, monkeypatch):
+    # Drone 2 is first within at frame 212 and drone 1 at frame 321, but both
+    # posts' links carry them out of their zones again; the run completes on
+    # the first frame at which both are within at once, after the leader's
+    # fixed point, so in a later chunk.
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    spec = ScenarioSpec(
+        start=Vec2(0.0, 0.0), goal=Vec2(1.5, 0.0),
+        obstacles=(Obstacle(Vec2(1.2502090845511118, -0.5915068838377157), 0.05, 0.35,
+                            0.1915229240835461),
+                   Obstacle(Vec2(1.0174163404078795, 0.45472776818340255), 0.05, 0.35,
+                            0.34651672531009264)),
+        formation_offsets=(Vec2(0.0, 0.4), Vec2(0.0, -0.4)),
+        impedance=ImpedanceParams(d=1.5344245101712124),
+        apf=ApfParams(goal_threshold=0.05, leader_speed=1.0),
+        topology=TopologyParams(k_impF=0.6148911742410684), max_steps=2000)
+    validate_spec(spec)
+    track = LeaderTrack(spec)
+    trace = run(spec, SWARMPATH, track)
+    outcome, positions, modes = reference_run(spec, SWARMPATH)
+    assert trace.outcome == outcome == COMPLETED and trace.n_frames - 1 == 403
+    assert trace.positions.tobytes() == positions.tobytes()
+    assert np.array_equal(trace.modes, np.array(modes))
+    assert track.rest < 403 - chunk
+    slots = [(spec.goal.x + o.x, spec.goal.y + o.y) for o in spec.formation_offsets]
+    for drone, first in ((0, 321), (1, 212)):
+        gx, gy = slots[drone]
+        within = [math.hypot(x - gx, y - gy) <= spec.apf.goal_threshold
+                  for x, y in trace.positions[:, drone].tolist()]
+        assert within.index(True) == first
+        assert not all(within[first:])
+
+
 def reference_rows(spec, steps, drones=None, start=0):
     """Every drone's (x, y) after each step start..steps, from the helpers.
 
@@ -608,8 +659,8 @@ def shipped_reference(name):
 @pytest.mark.parametrize("chunk", [1, 7, 128])
 @pytest.mark.parametrize("name", ["case1_gate.json", "case2_forest.json"])
 def test_every_chunk_size_matches_the_helpers(name, chunk, monkeypatch):
-    # The leader grows chunk rows at a time, so while the leader is still
-    # moving, a swarm_step call, and a ride on a slot, covers at most chunk steps.
+    # Past the leader's fixed point its rows are repeated chunk rows at a
+    # time, and every follower runs on through each chunk in one call.
     monkeypatch.setattr(simulator, "CHUNK", chunk)
     spec, (outcome, positions, modes) = shipped_reference(name)
     trace = run(spec, SWARMPATH)
@@ -618,40 +669,58 @@ def test_every_chunk_size_matches_the_helpers(name, chunk, monkeypatch):
     assert np.array_equal(trace.modes, np.array(modes))
 
 
-def test_an_acquire_on_the_first_step_of_a_call(monkeypatch):
-    # With CHUNK one step short of drone 1's first acquire, the call that
-    # starts with the drone at rest on its slot acquires on its first step.
+def test_an_acquire_on_the_first_step_of_a_call():
+    # A call that ends one step short of drone 1's first acquire leaves the
+    # drone at rest on its slot; the next call acquires on its first step.
     spec = one_pole_spec()
-    _, _, modes = reference_run(spec, SWARMPATH)
-    acquire = next(n for n, row in enumerate(modes) if row[0] != LEADER)
-    assert acquire > 1
-    monkeypatch.setattr(simulator, "CHUNK", acquire - 1)
     trace = assert_matches_reference(spec)
-    assert trace.modes[acquire - 1, 0] == LEADER != trace.modes[acquire, 0]
-
-
-@pytest.mark.parametrize("shift", [-1, 0, 1])
-def test_a_ride_ends_on_its_first_within_step_at_or_after_settle(shift):
-    spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),))
-    last = 400
-    rows = reference_rows(spec, last)
-    goal_x, goal_y = spec.goal.x, spec.goal.y + 0.4
-    within = [math.hypot(x - goal_x, y - goal_y) <= spec.apf.goal_threshold
-              for x, y in rows[:, 0].tolist()]
-    first = within.index(True)
-    settle = first + shift
-    end = next(n for n in range(settle, last + 1) if within[n])
-    assert end == max(first, settle)
+    acquire = next(n for n, row in enumerate(trace.modes) if row[0] != LEADER)
+    assert acquire > 1
+    last = trace.n_frames - 1
     track = LeaderTrack(spec)
     track.row(last)
-    positions, modes = array("d"), array("q")
-    drone, n, inside, fault = swarm_step(
-        initial_swarm_state(spec)[0], 0, last, settle, track, (0.0, 0.4), spec,
-        link_coefficients(spec.impedance, spec.dt), positions, modes)
-    assert (n, inside, fault) == (end, True, None)
-    assert drone[:2] == tuple(rows[end, 0])
-    assert bytes(positions) == rows[1:end + 1, 0].tobytes()
-    assert list(modes) == [LEADER] * end
+    drone, n = initial_swarm_state(spec)[0], 0
+    positions, modes = array("d", drone[:2]), array("q", [LEADER])
+    for stop in (acquire - 1, last):
+        drone, n, fault = swarm_step(drone, n, stop, track, spec.formation_offsets[0].as_tuple(),
+                                     spec, link_coefficients(spec.impedance, spec.dt),
+                                     positions, modes, [])
+        assert (n, fault) == (stop, None)
+        if stop < last:
+            assert drone[2:5] == (0.0, 0.0, LEADER)
+    assert bytes(positions) == trace.positions[:, 0].tobytes()
+    assert modes.tolist() == trace.modes[:, 0].tolist()
+    assert modes[acquire - 1] == LEADER != modes[acquire]
+
+
+@pytest.mark.parametrize("vx, rides, to_within", [(0.0, True, False), (0.0, True, True),
+                                                  (-0.0, False, False)],
+                         ids=["ride", "ride_to_a_within_step", "loop"])
+def test_a_call_lists_every_within_step(vx, rides, to_within):
+    # At rest on its slot the drone rides the whole call; with vx = -0.0 the
+    # zero-force update turns the rate into +0.0, so the loop steps it.  A
+    # call that stops on a within-step lists it and none after it.
+    spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),))
+    last = 400
+    drone = (*initial_swarm_state(spec)[0][:2], vx, 0.0, LEADER, 0.0)
+    rows = reference_rows(spec, last, [drone])
+    goal_x, goal_y = spec.goal.x, spec.goal.y + 0.4
+    expected = [n for n, (x, y) in enumerate(rows[:, 0].tolist())
+                if n and math.hypot(x - goal_x, y - goal_y) <= spec.apf.goal_threshold]
+    assert 1 < len(expected) < last
+    track = LeaderTrack(spec)
+    track.row(last)
+    stop = expected[len(expected) // 2] if to_within else last
+    positions, modes, within = array("d"), array("q"), []
+    after, n, fault = swarm_step(drone, 0, stop, track, (0.0, 0.4), spec,
+                                 link_coefficients(spec.impedance, spec.dt), positions, modes,
+                                 within)
+    assert ((0.0, 0.4) in track.approaches) == rides
+    assert (n, fault) == (stop, None)
+    assert within == [n for n in expected if n <= stop]
+    assert after[:2] == tuple(rows[stop, 0])
+    assert bytes(positions) == rows[1:stop + 1, 0].tobytes()
+    assert list(modes) == [LEADER] * stop
 
 
 @pytest.mark.parametrize("linked", [False, True])
@@ -674,11 +743,11 @@ def test_a_drone_goal_threshold_away_along_x_at_a_subnormal_threshold_is_within(
     assert math.hypot(rows[1, 0, 0] - 5e-324, rows[1, 0, 1]) == spec.apf.goal_threshold
     track = LeaderTrack(spec)
     track.row(10)
-    positions, modes = array("d"), array("q")
-    after, n, inside, fault = swarm_step(drone, 0, 10, 1, track, (0.0, 0.0), spec,
-                                         link_coefficients(spec.impedance, spec.dt),
-                                         positions, modes)
-    assert (n, inside, fault) == (1, True, None)
+    positions, modes, within = array("d"), array("q"), []
+    after, n, fault = swarm_step(drone, 0, 1, track, (0.0, 0.0), spec,
+                                 link_coefficients(spec.impedance, spec.dt), positions, modes,
+                                 within)
+    assert (n, within, fault) == (1, [1], None)
     assert bytes(positions) == rows[1, 0].tobytes()
     assert list(modes) == [0 if linked else LEADER]
 
@@ -800,9 +869,9 @@ def test_a_fault_after_steps_of_one_call_keeps_only_the_earlier_rows(spec, kind)
     rows, modes, (step, text) = reference_rows_to_fault(spec, drone, last)
     assert step > 1
     positions, mode_rows = array("d", drone[:2]), array("q", [LEADER])
-    result = swarm_step(drone, 0, last, last + 1, track, offset, spec,
-                        link_coefficients(spec.impedance, spec.dt), positions, mode_rows)
-    assert result == (None, step, False, (kind, text))
+    result = swarm_step(drone, 0, last, track, offset, spec,
+                        link_coefficients(spec.impedance, spec.dt), positions, mode_rows, [])
+    assert result == (None, step, (kind, text))
     assert bytes(positions) == np.array([drone[:2], *rows]).tobytes()
     assert list(mode_rows) == [LEADER, *modes]
 
@@ -865,9 +934,9 @@ def test_a_negative_zero_rate_is_stepped_like_the_helpers():
     drone = (x + 0.0, y + 0.4, -0.0, 0.0, LEADER, 0.25)
     rows = reference_rows(spec, 60, [drone], start=20)
     positions = array("d")
-    after, n, _, _ = swarm_step(drone, 20, 60, 61, track, (0.0, 0.4), spec,
-                                link_coefficients(spec.impedance, spec.dt), positions,
-                                array("q"))
+    after, n, _ = swarm_step(drone, 20, 60, track, (0.0, 0.4), spec,
+                             link_coefficients(spec.impedance, spec.dt), positions,
+                             array("q"), [])
     assert n == 60
     assert bytes(positions) == rows[1:, 0].tobytes()
     assert math.copysign(1.0, after[2]) == 1.0
@@ -887,9 +956,9 @@ def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_he
     for n in range(21, 61):
         step(n)
     positions = array("d")
-    after, n, _, _ = swarm_step(drone, 20, 60, 61, track, (0.0, 0.4), spec,
-                                link_coefficients(spec.impedance, spec.dt), positions,
-                                array("q"))
+    after, n, _ = swarm_step(drone, 20, 60, track, (0.0, 0.4), spec,
+                             link_coefficients(spec.impedance, spec.dt), positions,
+                             array("q"), [])
     assert (n, after) == (60, state[0])
     assert after[5] != track.approaches[(0.0, 0.4)].ema[60]
 
