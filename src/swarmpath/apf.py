@@ -112,8 +112,8 @@ def leader_step(agent: Agent, gx: float, gy: float,
     return (x, y, math.hypot(x - gx, y - gy) <= threshold), False
 
 
-def descend(xy: array, gx: float, gy: float, last: int, spec: ScenarioSpec,
-            still: list[int]) -> tuple[int, str | None]:
+def descend(xy: array, gx: float, gy: float, last: int,
+            spec: ScenarioSpec) -> tuple[int, str | None]:
     """Grow a descent path toward (gx, gy) through row last, or to its fixed point.
 
     xy holds the path's rows flat, (x, y) after step n at xy[2n], xy[2n + 1];
@@ -125,8 +125,8 @@ def descend(xy: array, gx: float, gy: float, last: int, spec: ScenarioSpec,
     (and a slack): the hypot is never below |x - gx|, so the result is the same.
     A latched goal needs no flag: the goal test before moving latches it one
     step after the move that reached it, with the same result.  A step that
-    leaves x and y == but not bit for bit (a signed zero) did not move, but
-    the path goes on from the new bits; its step is appended to still.
+    leaves x and y == but not bit for bit (a signed zero) is no fixed point:
+    the path goes on from the new bits.
 
     Returns (status, text): DESCENDING on row last; LATCHED, NO_FIELD or
     FIXED at the fixed point, whose row is the last appended; or SINGULAR
@@ -142,11 +142,9 @@ def descend(xy: array, gx: float, gy: float, last: int, spec: ScenarioSpec,
     near = threshold * (1.0 + 1e-9)
     hypot, isfinite, copysign = math.hypot, math.isfinite, math.copysign
     append = xy.append
-    n = len(xy) // 2 - 1
     x, y = xy[-2], xy[-1]
     cell_x = cell_y = None  # the force cell last looked up; cell_rows lists it
-    while n < last:
-        n += 1
+    for _ in range(len(xy) // 2 - 1, last):  # the steps after the last row through last
         if abs(x - gx) <= near and hypot(x - gx, y - gy) <= threshold:
             append(x)
             append(y)
@@ -182,10 +180,9 @@ def descend(xy: array, gx: float, gy: float, last: int, spec: ScenarioSpec,
             return OVERFLOW, NON_FINITE
         append(new_x)
         append(new_y)
-        if new_x == x and new_y == y:  # == and the same sign: the same bits
-            if (copysign(1.0, new_x) == copysign(1.0, x)
-                    and copysign(1.0, new_y) == copysign(1.0, y)):
-                return FIXED, None
-            still.append(n)
+        if (new_x == x and new_y == y  # == and the same sign: the same bits
+                and copysign(1.0, new_x) == copysign(1.0, x)
+                and copysign(1.0, new_y) == copysign(1.0, y)):
+            return FIXED, None
         x, y = new_x, new_y
     return DESCENDING, None

@@ -16,8 +16,9 @@ here: its rows come from a topology.LeaderTrack, which a sweep builds once
 and hands to every point, and its fault is the track's.  Each swarm follower
 reads only its own state, the leader's rows and the obstacles, so once the
 leader's whole path is grown, topology.swarm_step runs each follower through
-it in one call and lists the steps at which it is within; the run completes
-on the least step that every drone lists.
+it in one call.  The kernels only write rows: the end is read from them here,
+by one completion rule for both controllers (_first_complete) and the
+baseline's stall rule (_first_stall).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .world import ScenarioSpec
 from .apf import SingularityError
 from .impedance import link_coefficients
 from .topology import (DEFLECTION_FAULT, LeaderTrack, initial_swarm_state, leader_inputs,
-                       list_within, swarm_step)
+                       swarm_step)
 from .baseline import baseline_step
 
 SWARMPATH = "swarmpath"
@@ -89,35 +90,34 @@ def _trace(spec: ScenarioSpec, controller: str, outcome: str, positions: np.ndar
     return SimulationTrace(spec, controller, t, positions, leader, modes, outcome)
 
 
-def _first_within(track: LeaderTrack, threshold: float) -> float:
-    """The first frame at which the track is within threshold of its goal, inf if none is.
+def _first_complete(columns: np.ndarray, goals: list[tuple[float, float]],
+                    threshold: float) -> float:
+    """The least row of columns (F, D, 2) at which every drone is within threshold
+    of its goal slot, inf if none is.
 
-    A track that latched its goal was within one step before its rest; one
-    still descending can be within on its last row, not yet tested.
+    |x - gx| and |y - gy| are <= the hypot, so only rows within the threshold
+    along both take the hypot; the slack keeps that true through its rounding.
     """
-    if track.reached:
-        return track.rest - 1
-    (x, y), (gx, gy) = track.xy[-2:], track.goal
-    return len(track.xy) // 2 - 1 if math.hypot(x - gx, y - gy) <= threshold else math.inf
+    with np.errstate(over="ignore"):  # an inf difference is not near, as with floats
+        near = (np.abs(columns - goals) <= threshold * (1.0 + 1e-9)).all(axis=(1, 2))
+    for n in np.flatnonzero(near).tolist():
+        if all(math.hypot(x - gx, y - gy) <= threshold
+               for (x, y), (gx, gy) in zip(columns[n].tolist(), goals)):
+            return n
+    return math.inf
 
 
-def _stall_end(tracks: list[LeaderTrack]) -> float:
-    """The last step of the first STALL_PATIENCE steps in a row at which no drone moves.
+def _first_stall(columns: np.ndarray) -> float:
+    """The last step of the first STALL_PATIENCE steps in a row at which no drone's
+    row of columns (F, D, 2) changes under ==, inf if there are none.
 
-    From the latest rest on nobody moves; before it, only at a step that is
-    still for every drone not yet at rest.
+    A signed zero that flips (-0.0 to 0.0) changes no row.
     """
-    rest = max(math.inf if t.rest is None else t.rest for t in tracks)
-    still = sorted({n for t in tracks for n in t.still
-                    if all(u.rest is not None and n >= u.rest or n in u.still for u in tracks)})
-    start = prev = None
-    for n in [*still, rest]:
-        if start is None or n != prev + 1:
-            start = n
-        if n - start + 1 >= STALL_PATIENCE:
-            break
-        prev = n
-    return start + STALL_PATIENCE - 1
+    # The steps through each that moved, step 0 counted as one: where two
+    # STALL_PATIENCE rows apart are equal, no step after the first moved.
+    moves = np.cumsum(np.r_[True, (columns[1:] != columns[:-1]).any(axis=(1, 2))])
+    runs = np.flatnonzero(moves[STALL_PATIENCE:] == moves[:-STALL_PATIENCE])
+    return int(runs[0]) + STALL_PATIENCE if len(runs) else math.inf
 
 
 def _raise_first(faults: list[tuple[int, int, int, str]], end: int) -> None:
@@ -133,10 +133,13 @@ def _raise_first(faults: list[tuple[int, int, int, str]], end: int) -> None:
         raise SingularityError(f"step {step}: {text}")
 
 
-def _columns(buffers: list[array], rows: int) -> np.ndarray:
-    """The (rows, D, 2) positions of D drones, read from each one's flat (x, y) rows."""
-    return np.stack([np.frombuffer(xy, count=2 * rows).reshape(rows, 2) for xy in buffers],
-                    axis=1)
+def _columns(buffers: list[array], rows: int | None = None, first: int = 0) -> np.ndarray:
+    """The (rows - first, D, 2) positions of D drones in rows first..rows - 1, read
+    from each one's flat (x, y) rows; rows defaults to those that every drone
+    holds (a faulted drone holds fewer)."""
+    rows = min(len(xy) for xy in buffers) // 2 if rows is None else rows
+    return np.stack([np.frombuffer(xy, offset=16 * first, count=2 * (rows - first)).reshape(-1, 2)
+                     for xy in buffers], axis=1)
 
 
 def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
@@ -144,10 +147,12 @@ def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
 
     Each track grows through max_steps, or through the earliest fault met so
     far (a later drone may fault at that step too), and stops early at its
-    fixed point.  The run ends on the earliest of: the first frame at which
-    every drone is within, the end of the first STALL_PATIENCE steps in a
-    row at which no drone moves (while one is not within), and max_steps.
-    Each drone's column is its track's rows, padded with its fixed point.
+    fixed point, whose row it repeats from there on: a track at rest is
+    padded through the latest rest plus STALL_PATIENCE - 1, so that a still
+    run that goes on to the end is in the rows, but not past max_steps or
+    the row before the earliest fault.  The run ends on the earliest of:
+    _first_complete, _first_stall (while a drone is not within) and
+    max_steps, all read from the rows that every drone holds.
     """
     tracks = []
     fail = math.inf
@@ -155,14 +160,18 @@ def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
         tracks.append(baseline_step(spec, offset, min(spec.max_steps, fail)))
         if tracks[-1].fault is not None:  # at or before the earliest so far
             fail = tracks[-1].fault[0]
-    complete = max(_first_within(t, spec.apf.goal_threshold) for t in tracks)
-    stall = _stall_end(tracks)
+    rest = max(math.inf if t.rest is None else t.rest for t in tracks)
+    pad = min(spec.max_steps, fail - 1, rest + STALL_PATIENCE - 1)
+    for t in tracks:
+        if t.rest is not None:
+            t.row(pad)
+    columns = _columns([t.xy for t in tracks])
+    complete = _first_complete(columns, [t.goal for t in tracks], spec.apf.goal_threshold)
+    stall = _first_stall(columns)
     end = min(complete, stall, spec.max_steps)
     _raise_first([(*t.fault[:2], i, t.fault[2]) for i, t in enumerate(tracks) if t.fault], end)
-    for t in tracks:
-        t.row(end)
     outcome = COMPLETED if end == complete else STALLED if end == stall else MAX_STEPS
-    return _trace(spec, CONVENTIONAL_APF, outcome, _columns([t.xy for t in tracks], end + 1))
+    return _trace(spec, CONVENTIONAL_APF, outcome, columns[:end + 1])
 
 
 def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
@@ -170,50 +179,48 @@ def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
 
     The leader reads no drone, so its whole path is grown first, through
     max_steps or to its fixed point or fault; the fault is appended with
-    drone -1 (the track holds no row for its step).  Each follower then runs
-    once through the rows in swarm_step, on past another's fault, which only
-    a run that raises pays for.  The run ends on the earliest of: the least
-    frame in every drone's within-steps, the leader's stall_step plus
-    STALL_PATIENCE - 1, and max_steps.  Past a fixed point, while no frame
-    completes, CHUNK more rows of the rest are appended and every follower
-    runs on through them.
+    drone -1 (the track holds no row for its step).  The first round is
+    frame 0 alone; the next runs each follower once through the leader's
+    rows in swarm_step, on past another's fault, which only a run that
+    raises pays for.  Past a fixed point, while no frame completes, each
+    round appends at least CHUNK more rows of the rest and every follower
+    runs on through them.  The run ends on the earliest of: _first_complete
+    over each round's new rows, the leader's stall_step plus
+    STALL_PATIENCE - 1, and max_steps.
     """
     coefficients = link_coefficients(spec.impedance, spec.dt)
     offsets = [(off.x, off.y) for off in spec.formation_offsets]
+    goals = [(spec.goal.x + ox, spec.goal.y + oy) for ox, oy in offsets]
     drones = initial_swarm_state(spec)
     positions = [array("d", d[:2]) for d in drones]
     modes = [array("q", (d[4],)) for d in drones]
-    within: list[list[int]] = [[] for _ in drones]  # this round's within-steps
-    for xy, offset, steps in zip(positions, offsets, within):
-        list_within(np.frombuffer(xy).reshape(-1, 2), 0, offset, spec, steps)
     faults: list[tuple[int, int, int, str]] = []
     track.grow(spec.max_steps)
     if track.fault is not None:
         faults.append((*track.fault[:2], -1, track.fault[2]))
     stall = math.inf if track.stall_step is None else track.stall_step + STALL_PATIENCE - 1
     last = min(spec.max_steps, stall)  # the end if no frame completes
-    frontier, target = 0, min(len(track.xy) // 2 - 1, last)  # followers run from, to
+    frontier = first = 0  # live followers hold rows through frontier; completion read < first
     while True:
+        block = _columns(positions, first=first)
+        end = first + _first_complete(block, goals, spec.apf.goal_threshold)
+        if end <= last:
+            outcome = COMPLETED
+            break
+        fail = min(faults)[0] if faults else math.inf
+        # No later frame completes once a fault is at most a step past the rows.
+        if fail <= frontier + 1 or frontier == last:
+            end, outcome = last, STALLED if last == stall else MAX_STEPS
+            break
+        target = min(max(len(track.xy) // 2 - 1, frontier + CHUNK), last, fail - 1)
+        track.row(target)  # past a fixed point the track repeats it
         for i, drone in enumerate(drones):
             if drone is not None:  # None once it has faulted
                 drones[i], n, fault = swarm_step(drone, frontier, target, track, offsets[i],
-                                                 spec, coefficients, positions[i], modes[i],
-                                                 within[i])
+                                                 spec, coefficients, positions[i], modes[i])
                 if fault is not None:
                     faults.append((n, fault[0], i, fault[1]))
-        frontier = target
-        complete = set(within[0]).intersection(*within[1:])
-        if complete:
-            end, outcome = min(complete), COMPLETED
-            break
-        # A fault's step is at most frontier + 1, and no later frame can complete.
-        if faults or frontier == last:
-            end, outcome = last, STALLED if last == stall else MAX_STEPS
-            break
-        for steps in within:
-            steps.clear()
-        target = min(frontier + CHUNK, last)
-        track.row(target)  # the track is at rest: it repeats its fixed point
+        first, frontier = first + len(block), target
     _raise_first(faults, end)
     rows = end + 1
     leader = np.frombuffer(track.xy, count=2 * rows).reshape(rows, 2).copy()

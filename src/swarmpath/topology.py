@@ -19,8 +19,8 @@ as runs ask for it, and every run with the same leader inputs reads its
 rows.  A baseline drone's path is a LeaderTrack too, built with the drone's
 own start and goal slots.  A follower reads its own state, the leader's rows
 and the obstacles, never another drone, so swarm_step runs one follower
-through the rows in one call, its state in locals, and lists the steps at
-which it is within; simulator.run composes the swarm's outcome from them.
+through the rows in one call, its state in locals, and only writes its rows;
+simulator.run reads a run's end from them.
 
 swarm_step is the hot loop, so it applies the link rule, the deflection and
 the link update itself (the leader-linked scan in _link_rule) rather than
@@ -29,7 +29,7 @@ deflection_offset and link_step.  Those helpers stay the reference: the
 tests check swarm_step against a run built from them, bit for bit.  The loop
 looks a leader-linked drone's link cell up only when the drone enters
 another cell, scans it only when it lists obstacles, and appends its rows to
-the drone's buffers once, on exit, where numpy finds its within-steps.
+the drone's buffers once, on exit.
 
 Until a follower first comes within an obstacle's r_imp it usually sits
 bit-exactly on its slot with a zero link state, which the zero-force update
@@ -98,7 +98,7 @@ def update_link_mode(x: float, y: float, mode: int, index: ObstacleIndex,
         # its r_imp <= R, so it is listed and is the global nearest.  Otherwise
         # the nearest listed one is the global nearest or at least R away,
         # which is >= its own r_imp, so nothing is acquired either way.  The
-        # list is in index order, so ties still go to the lowest index.
+        # list is in index order, so ties go to the lowest index here too.
         ids, candidates = index.candidates(x, y)
         near = nearest_obstacle(x, y, candidates)
         if near is not None and near[1] < candidates[near[0]][4]:
@@ -137,9 +137,8 @@ class LeaderTrack:
     row last, or to the path's fixed point: from step rest on, every row
     repeats the one before, because the path latched its goal (reached), the
     field vanished (stall_step, the step it did, is rest) or a step left x
-    and y bit for bit.  still lists the earlier steps whose row was == the
-    one before though a signed zero changed.  A step that faults is not
-    stored: fault is its (step, kind, text), and the track grows no further.
+    and y bit for bit.  A step that faults is not stored: fault is its
+    (step, kind, text), and the track grows no further.
     row(n) reads row n, growing the track and appending copies of the fixed
     point through n first, or raises the fault's SingularityError if the
     path cannot reach n.  Whoever builds a track chooses the runs that share
@@ -162,7 +161,6 @@ class LeaderTrack:
         self.rest: int | None = None
         self.reached = False
         self.stall_step: int | None = None
-        self.still: list[int] = []
         self.fault: tuple[int, int, str] | None = None
         self.approaches: dict[tuple[float, float], Approach] = {}
 
@@ -170,7 +168,7 @@ class LeaderTrack:
         """Grow xy through row last, stopping early at the fixed point or a fault."""
         xy = self.xy
         if self.rest is None and self.fault is None and 2 * last >= len(xy):
-            status, text = descend(xy, *self.goal, last, self._spec, self.still)
+            status, text = descend(xy, *self.goal, last, self._spec)
             if text is not None:
                 self.fault = (len(xy) // 2, status, text)
             elif status != DESCENDING:
@@ -307,8 +305,8 @@ def _in_reach(x: float, y: float, cell_rows: tuple[tuple, ...]) -> bool:
 
 
 def _ride(drone: Drone, step: int, last: int, track: LeaderTrack,
-          offset: tuple[float, float], spec: ScenarioSpec, coefficients: Coefficients,
-          positions: array, modes: array, within: list[int]) -> tuple[Drone, int]:
+          offset: tuple[float, float], coefficients: Coefficients,
+          positions: array, modes: array) -> tuple[Drone, int]:
     """Move a follower at rest on its slot over a whole stretch at once.
 
     A leader-linked drone whose link state is dx = dy = +0.0 and a zero
@@ -319,9 +317,8 @@ def _ride(drone: Drone, step: int, last: int, track: LeaderTrack,
     may go, and mean_speed along it, is the track's Approach for offset,
     which reads no m, d or k: a drone rides only while its mean_speed is the
     approach's, and only up to the step before the approach's stop, or to
-    last.  Appends the stretch's rows and every step of it within
-    goal_threshold, and returns (drone, n) after its last step n; a drone
-    not at rest comes back unchanged with n = step.
+    last.  Appends the stretch's rows and returns (drone, n) after its last
+    step n; a drone not at rest comes back unchanged with n = step.
     """
     x, y, vx, vy, mode, mean_speed = drone
     ox, oy = offset
@@ -341,34 +338,15 @@ def _ride(drone: Drone, step: int, last: int, track: LeaderTrack,
     if step >= end or ema[step] != mean_speed:
         return drone, step
     rode = (np.frombuffer(xy[2 * step + 2:2 * end + 2]).reshape(-1, 2) + (ox, oy)) + (c0, c1)
-    list_within(rode, step + 1, offset, spec, within)
     positions.frombytes(rode.tobytes())
     modes.extend([LEADER] * (end - step))
     x, y = rode[-1].tolist()
     return (x, y, vx, vy, LEADER, ema[end]), end
 
 
-def list_within(rows: np.ndarray, first: int, offset: tuple[float, float], spec: ScenarioSpec,
-                within: list[int]) -> None:
-    """Append first + i to within for each (x, y) rows[i] within goal_threshold of its goal slot.
-
-    |x - gx| and |y - gy| are <= the hypot, so only rows within the threshold
-    along both take the hypot; the slack keeps that true through its rounding.
-    """
-    gx, gy = spec.goal.x + offset[0], spec.goal.y + offset[1]
-    threshold = spec.apf.goal_threshold
-    with np.errstate(over="ignore"):  # an inf difference is not near, as with floats
-        dx, dy = np.abs(rows[:, 0] - gx), np.abs(rows[:, 1] - gy)
-    bound = threshold * (1.0 + 1e-9)
-    near = np.flatnonzero((dx <= bound) & (dy <= bound))
-    within.extend(first + i for i, (x, y) in zip(near.tolist(), rows[near].tolist())
-                  if math.hypot(x - gx, y - gy) <= threshold)
-
-
 def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
                offset: tuple[float, float], spec: ScenarioSpec, coefficients: Coefficients,
-               positions: array, modes: array,
-               within: list[int]) -> tuple[Drone | None, int, Fault | None]:
+               positions: array, modes: array) -> tuple[Drone | None, int, Fault | None]:
     """Advance one follower from its state after step through at most step last.
 
     track must hold the leader's rows through last, offset is the drone's
@@ -388,16 +366,14 @@ def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
     order, so every bit matches the helpers.
 
     Each step run appends the drone's new x, y to positions and its mode to
-    modes, the drone's own row buffers, and the step to within if the drone
-    is then within goal_threshold of its goal slot; the loop collects its
-    rows in lists, and appends and tests them when the call returns.  The
-    call stops at last, or at the first step that faults: its link has no
-    direction, or its new state is not finite.  Returns (drone, n, fault): the state after
-    the last step n run and None; or, when step n faulted, None, n and the
-    fault (kind, text), with nothing appended for n.
+    modes, the drone's own row buffers; the loop collects its rows in lists
+    and appends them when the call returns.  The call stops at last, or at
+    the first step that faults: its link has no direction, or its new state
+    is not finite.  Returns (drone, n, fault): the state after the last step
+    n run and None; or, when step n faulted, None, n and the fault (kind,
+    text), with nothing appended for n.
     """
-    drone, step = _ride(drone, step, last, track, offset, spec, coefficients, positions, modes,
-                        within)
+    drone, step = _ride(drone, step, last, track, offset, coefficients, positions, modes)
     x, y, vx, vy, mode, mean_speed = drone
     ox, oy = offset
     dt = spec.dt
@@ -467,6 +443,3 @@ def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
         # left a long-lived process holding more memory.
         positions.extend(out)
         modes.extend(out_modes)
-        start = 8 * (len(positions) - len(out))  # the byte offset of this call's rows
-        list_within(np.frombuffer(positions, offset=start).reshape(-1, 2), step + 1, offset, spec,
-                    within)

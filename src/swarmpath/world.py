@@ -295,6 +295,12 @@ def validate_spec(spec: ScenarioSpec, label: str | None = None) -> None:
         fail(f"{prefix}formation_offsets", "at least one drone is required")
     if len(set(o.as_tuple() for o in spec.formation_offsets)) != len(spec.formation_offsets):
         fail(f"{prefix}formation_offsets", "offsets must be pairwise distinct")
+    # The drones start about this far apart, and metrics reports their largest
+    # separation as a float.
+    xs, ys = zip(*(o.as_tuple() for o in spec.formation_offsets))
+    spread = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    if not math.isfinite(spread):
+        fail(f"{prefix}formation_offsets", f"the offsets' spread {spread} is not finite")
     # Every drone's path starts at start + offset and ends at goal + offset.
     for i, off in enumerate(spec.formation_offsets):
         for name, point in (("start", spec.start), ("goal", spec.goal)):

@@ -216,6 +216,17 @@ def test_far_pair_distance_is_finite(tmp_path):
     assert json.loads(text)["max_pairwise_distance_m"] == 2e200
 
 
+def test_offsets_whose_spread_overflows_are_rejected(tmp_path, capsys):
+    # The two drones are 2e308 m apart, beyond float range.
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"start": [0, 0], "goal": [1, 0],
+                                "formation_offsets": [[1e308, 0], [-1e308, 0]]}))
+    code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "formation_offsets: the offsets' spread inf is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_writes_reports(short_scenario, tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", str(short_scenario), "--output-dir", str(out)])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from swarmpath.simulator import (
 )
 from swarmpath.metrics import leader_path_length
 from swarmpath.sweep import SweepSpec
-from swarmpath.topology import LeaderTrack
+from swarmpath.topology import LeaderTrack, swarm_step
 from swarmpath.world import ImpedanceParams, Obstacle, TopologyParams, Vec2, read_scenario
 from conftest import SCENARIO_DIR, one_pole_spec, straight_spec, sweep_traces
 
@@ -236,6 +237,86 @@ def test_completion_counts_frame_zero():
     trace = run(spec, SWARMPATH)
     assert trace.outcome == COMPLETED
     assert trace.n_frames == 1
+
+
+def test_a_run_complete_at_frame_zero_steps_no_follower(monkeypatch):
+    # 1 m is below half an ulp of 1e200, so both drones start on their goal
+    # slots while the leader has a metre to fly.
+    spec = straight_spec(goal=Vec2(1.0, 0.0),
+                         formation_offsets=(Vec2(1e200, 0.0), Vec2(-1e200, 0.0)))
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[1:3])
+        return swarm_step(*args)
+
+    monkeypatch.setattr(simulator, "swarm_step", recorded)
+    track = LeaderTrack(spec)
+    trace = run(spec, SWARMPATH, track)
+    assert trace.outcome == COMPLETED and trace.n_frames == 1
+    assert track.reached
+    assert calls == []
+
+
+def columns(*drones):
+    """(F, D, 2) columns from each drone's list of (x, y) rows."""
+    return np.array(drones, dtype=float).transpose(1, 0, 2)
+
+
+STILL = [(0.0, 0.0)]
+
+
+@pytest.mark.parametrize("moved_at, stall", [(1, 1 + STALL_PATIENCE),
+                                             (40, 40 + STALL_PATIENCE),
+                                             (STALL_PATIENCE, math.inf)])
+def test_a_stall_starts_after_the_last_move(moved_at, stall):
+    # Of 2 * STALL_PATIENCE rows, drone 2 moves only at step moved_at: the
+    # first STALL_PATIENCE still steps in a row follow it, if the rows hold them.
+    rows = 2 * STALL_PATIENCE
+    moving = [(0.0, 0.0)] * moved_at + [(1.0, 0.0)] * (rows - moved_at)
+    assert simulator._first_stall(columns(STILL * rows, moving)) == stall
+
+
+def test_a_signed_zero_flip_is_a_still_step():
+    flip = [(-0.0, 1.0)] + [(0.0, 1.0)] * STALL_PATIENCE
+    assert simulator._first_stall(columns(flip)) == STALL_PATIENCE
+    assert simulator._first_stall(columns(flip, STILL * (STALL_PATIENCE + 1))) == STALL_PATIENCE
+
+
+@pytest.mark.parametrize("still, stall", [(STALL_PATIENCE, STALL_PATIENCE),
+                                          (STALL_PATIENCE - 1, math.inf)])
+def test_a_stall_needs_stall_patience_still_steps_in_a_row(still, stall):
+    # Steps 1..still leave the drone where it was; every other step moves it,
+    # and a still run that ends on the last row counts like any other.
+    head = [(-float(n), 0.0) for n in range(5, 0, -1)]
+    hold = [(0.0, 0.0)] * (still + 1)
+    for tail in ([], [(1.0, 0.0), (2.0, 0.0)]):
+        assert simulator._first_stall(columns(head + hold + tail)) == len(head) + stall
+
+
+def test_completion_waits_for_a_drone_that_left_its_zone_to_come_back():
+    # Drone 1 is within at frames 2 and 3, leaves, and is back from frame 6;
+    # drone 2 is within from frame 4.
+    goals = [(0.0, 0.0), (5.0, 5.0)]
+    first = [(3.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.01), (0.0, 0.5), (0.3, 0.0),
+             (0.0, 0.0), (0.0, 0.0)]
+    second = [(5.0, 9.0)] * 4 + [(5.0, 5.0)] * 4
+    assert simulator._first_complete(columns(first, second), goals, 0.05) == 6
+    assert simulator._first_complete(columns(first[:6], second[:6]), goals, 0.05) == math.inf
+    # A drone goal_threshold away along one axis is within; a hair more is not.
+    assert simulator._first_complete(columns([(0.05, 0.0)]), goals[:1], 0.05) == 0
+    assert simulator._first_complete(columns([(0.04, 0.04)]), goals[:1], 0.05) == math.inf
+
+
+def test_completion_reads_only_the_rows_that_every_drone_holds():
+    # Drone 1 faulted after row 3, so it holds rows 0..3; drone 2 holds 0..7.
+    goals = [(0.0, 0.0), (1.0, 0.0)]
+    short = array("d", [2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    for within_from, complete in ((3, 3), (4, math.inf)):
+        long = array("d", [9.0, 0.0] * within_from + [1.0, 0.0] * (8 - within_from))
+        held = simulator._columns([short, long])
+        assert held.shape == (4, 2, 2)
+        assert simulator._first_complete(held, goals, 0.05) == complete
 
 
 def test_same_spec_runs_are_identical():

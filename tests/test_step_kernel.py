@@ -561,7 +561,13 @@ def test_a_signed_zero_step_did_not_move_but_is_no_fixed_point():
     tracks = [LeaderTrack(spec, start, goal) for start, goal in descent_slots(spec)]
     for track in tracks:
         track.grow(spec.max_steps)
-    assert [(t.still, t.rest) for t in tracks] == [([1], 2), ([1], 2), ([], 1)]
+    assert [t.rest for t in tracks] == [2, 2, 1]
+    # The rows of the tracks that flip: step 1 is == step 0 though not bit for bit.
+    for track in tracks[:2]:
+        rows = np.frombuffer(track.xy).reshape(-1, 1, 2)
+        assert (rows[1] == rows[0]).all() and rows[1].tobytes() != rows[0].tobytes()
+        assert simulator._first_stall(np.repeat(rows[:2], [1, STALL_PATIENCE], axis=0)) == \
+            STALL_PATIENCE
     assert np.signbit(run(spec, CONVENTIONAL_APF).positions[:3, 0, 0]).tolist() == \
         [True, False, False]
 
@@ -659,8 +665,9 @@ def shipped_reference(name):
 @pytest.mark.parametrize("chunk", [1, 7, 128])
 @pytest.mark.parametrize("name", ["case1_gate.json", "case2_forest.json"])
 def test_every_chunk_size_matches_the_helpers(name, chunk, monkeypatch):
-    # Past the leader's fixed point its rows are repeated chunk rows at a
-    # time, and every follower runs on through each chunk in one call.
+    # Each follower runs through the leader's whole path in one call; past
+    # its fixed point the leader's rows are repeated at least chunk rows at
+    # a time.
     monkeypatch.setattr(simulator, "CHUNK", chunk)
     spec, (outcome, positions, modes) = shipped_reference(name)
     trace = run(spec, SWARMPATH)
@@ -684,7 +691,7 @@ def test_an_acquire_on_the_first_step_of_a_call():
     for stop in (acquire - 1, last):
         drone, n, fault = swarm_step(drone, n, stop, track, spec.formation_offsets[0].as_tuple(),
                                      spec, link_coefficients(spec.impedance, spec.dt),
-                                     positions, modes, [])
+                                     positions, modes)
         assert (n, fault) == (stop, None)
         if stop < last:
             assert drone[2:5] == (0.0, 0.0, LEADER)
@@ -693,13 +700,21 @@ def test_an_acquire_on_the_first_step_of_a_call():
     assert modes[acquire - 1] == LEADER != modes[acquire]
 
 
+def within_steps(rows, first, goal, threshold):
+    """The steps first + i at which the completion rule finds one drone's row rows[i]
+    within threshold of goal."""
+    return [first + i for i in range(len(rows))
+            if simulator._first_complete(rows[i:i + 1].reshape(1, 1, 2), [goal], threshold) == 0]
+
+
 @pytest.mark.parametrize("vx, rides, to_within", [(0.0, True, False), (0.0, True, True),
                                                   (-0.0, False, False)],
                          ids=["ride", "ride_to_a_within_step", "loop"])
 def test_a_call_lists_every_within_step(vx, rides, to_within):
     # At rest on its slot the drone rides the whole call; with vx = -0.0 the
-    # zero-force update turns the rate into +0.0, so the loop steps it.  A
-    # call that stops on a within-step lists it and none after it.
+    # zero-force update turns the rate into +0.0, so the loop steps it.  The
+    # call's rows hold every within-step, and a call that stops on one holds
+    # none after it.
     spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),))
     last = 400
     drone = (*initial_swarm_state(spec)[0][:2], vx, 0.0, LEADER, 0.0)
@@ -711,13 +726,13 @@ def test_a_call_lists_every_within_step(vx, rides, to_within):
     track = LeaderTrack(spec)
     track.row(last)
     stop = expected[len(expected) // 2] if to_within else last
-    positions, modes, within = array("d"), array("q"), []
+    positions, modes = array("d"), array("q")
     after, n, fault = swarm_step(drone, 0, stop, track, (0.0, 0.4), spec,
-                                 link_coefficients(spec.impedance, spec.dt), positions, modes,
-                                 within)
+                                 link_coefficients(spec.impedance, spec.dt), positions, modes)
     assert ((0.0, 0.4) in track.approaches) == rides
     assert (n, fault) == (stop, None)
-    assert within == [n for n in expected if n <= stop]
+    assert within_steps(np.frombuffer(positions).reshape(-1, 2), 1, (goal_x, goal_y),
+                        spec.apf.goal_threshold) == [n for n in expected if n <= stop]
     assert after[:2] == tuple(rows[stop, 0])
     assert bytes(positions) == rows[1:stop + 1, 0].tobytes()
     assert list(modes) == [LEADER] * stop
@@ -743,10 +758,11 @@ def test_a_drone_goal_threshold_away_along_x_at_a_subnormal_threshold_is_within(
     assert math.hypot(rows[1, 0, 0] - 5e-324, rows[1, 0, 1]) == spec.apf.goal_threshold
     track = LeaderTrack(spec)
     track.row(10)
-    positions, modes, within = array("d"), array("q"), []
+    positions, modes = array("d"), array("q")
     after, n, fault = swarm_step(drone, 0, 1, track, (0.0, 0.0), spec,
-                                 link_coefficients(spec.impedance, spec.dt), positions, modes,
-                                 within)
+                                 link_coefficients(spec.impedance, spec.dt), positions, modes)
+    within = within_steps(np.frombuffer(positions).reshape(-1, 2), 1, (5e-324, 0.0),
+                          spec.apf.goal_threshold)
     assert (n, within, fault) == (1, [1], None)
     assert bytes(positions) == rows[1, 0].tobytes()
     assert list(modes) == [0 if linked else LEADER]
@@ -870,7 +886,7 @@ def test_a_fault_after_steps_of_one_call_keeps_only_the_earlier_rows(spec, kind)
     assert step > 1
     positions, mode_rows = array("d", drone[:2]), array("q", [LEADER])
     result = swarm_step(drone, 0, last, track, offset, spec,
-                        link_coefficients(spec.impedance, spec.dt), positions, mode_rows, [])
+                        link_coefficients(spec.impedance, spec.dt), positions, mode_rows)
     assert result == (None, step, (kind, text))
     assert bytes(positions) == np.array([drone[:2], *rows]).tobytes()
     assert list(mode_rows) == [LEADER, *modes]
@@ -936,7 +952,7 @@ def test_a_negative_zero_rate_is_stepped_like_the_helpers():
     positions = array("d")
     after, n, _ = swarm_step(drone, 20, 60, track, (0.0, 0.4), spec,
                              link_coefficients(spec.impedance, spec.dt), positions,
-                             array("q"), [])
+                             array("q"))
     assert n == 60
     assert bytes(positions) == rows[1:, 0].tobytes()
     assert math.copysign(1.0, after[2]) == 1.0
@@ -958,7 +974,7 @@ def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_he
     positions = array("d")
     after, n, _ = swarm_step(drone, 20, 60, track, (0.0, 0.4), spec,
                              link_coefficients(spec.impedance, spec.dt), positions,
-                             array("q"), [])
+                             array("q"))
     assert (n, after) == (60, state[0])
     assert after[5] != track.approaches[(0.0, 0.4)].ema[60]
 

@@ -32,7 +32,7 @@ def stepper(spec):
     """A fresh LeaderTrack for spec, and step(drones, n) on it with spec's constants.
 
     step runs swarm_step over step n alone for each drone, with throwaway row
-    buffers and within-steps, and returns the new drones.
+    buffers, and returns the new drones.
     """
     track = LeaderTrack(spec)
     coefficients = link_coefficients(spec.impedance, spec.dt)
@@ -41,7 +41,7 @@ def stepper(spec):
     def step(drones, n):
         track.row(n)
         return [swarm_step(drone, n - 1, n, track, offset, spec, coefficients,
-                           array("d"), array("q"), [])[0]
+                           array("d"), array("q"))[0]
                 for drone, offset in zip(drones, offsets)]
 
     return track, step
@@ -100,7 +100,7 @@ def test_link_rule_at_exactly_each_threshold():
     def kernel_mode(x, mode):
         drone = (x, 0.0, 0.0, 0.0, mode, 0.0)
         new, *_ = swarm_step(drone, 0, 1, track, (0.0, 0.0), spec, coefficients,
-                             array("d"), array("q"), [])
+                             array("d"), array("q"))
         return new[4]
 
     cases = [(release_x, 0, 0), (math.nextafter(release_x, 2.0), 0, LEADER),
