@@ -4,7 +4,7 @@ Each drone runs the virtual leader's own constant-speed descent from its
 start slot start + formation_offset toward its goal slot goal +
 formation_offset, with no links and no coordination, and reads no other
 drone.  So each drone is a topology.LeaderTrack for a shifted start and goal,
-all sharing the scenario's obstacle index, grown alone by baseline_step; the
+all sharing the scenario's obstacle index, built alone by baseline_step; the
 simulator composes the run's end from the tracks.  This is the comparison
 controller for the adaptive-link swarm.
 """
@@ -19,12 +19,11 @@ from .apf import total_force  # noqa: F401
 
 
 def baseline_step(spec: ScenarioSpec, offset: Vec2, last: int) -> LeaderTrack:
-    """The track of the drone at offset, grown through step last.
+    """The track of the drone at offset, descended through step last.
 
     It stops early at the path's fixed point or its first fault; see
-    LeaderTrack.grow.
+    LeaderTrack.
     """
     sx, sy, gx, gy = spec.start.x, spec.start.y, spec.goal.x, spec.goal.y
-    track = LeaderTrack(spec, (sx + offset.x, sy + offset.y), (gx + offset.x, gy + offset.y))
-    track.grow(last)
-    return track
+    return LeaderTrack(spec, (sx + offset.x, sy + offset.y), (gx + offset.x, gy + offset.y),
+                       last)

@@ -23,7 +23,12 @@ def path_length(points: np.ndarray) -> float:
         raise ValueError(f"expected (N, 2) points, got shape {pts.shape}")
     if len(pts) < 2:
         return 0.0
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+    steps = np.diff(pts, axis=0)
+    with np.errstate(over="ignore"):
+        segments = np.linalg.norm(steps, axis=1)
+    over = np.isinf(segments)  # only a segment whose square overflows takes the hypot
+    segments[over] = np.hypot(steps[over, 0], steps[over, 1])
+    return float(np.sum(segments))
 
 
 def drone_path_length(trace: SimulationTrace, drone: int) -> float:
@@ -36,12 +41,16 @@ def drone_path_lengths(trace: SimulationTrace) -> list[float]:
     Each drone's segment lengths are summed as one C-contiguous row, which
     np.sum adds in the same pairwise order as path_length's 1-D sum; a
     segment's length is sqrt(dx * dx + dy * dy), as np.linalg.norm takes it.
+    Where a square overflows, each drone's path_length takes the hypot there.
     """
     steps = np.diff(trace.positions, axis=0)  # (F - 1, D, 2)
-    np.multiply(steps, steps, out=steps)
-    segments = np.empty((trace.n_drones, len(steps)))  # (D, F - 1), C-contiguous
-    np.add(steps[..., 0].T, steps[..., 1].T, out=segments)
+    with np.errstate(over="ignore"):
+        np.multiply(steps, steps, out=steps)
+        segments = np.empty((trace.n_drones, len(steps)))  # (D, F - 1), C-contiguous
+        np.add(steps[..., 0].T, steps[..., 1].T, out=segments)
     np.sqrt(segments, out=segments)
+    if np.isinf(segments).any():
+        return [drone_path_length(trace, i) for i in range(trace.n_drones)]
     return segments.sum(axis=1).tolist()
 
 

@@ -10,15 +10,16 @@ No drone of either controller reads another, so both run drone-major and
 run composes each the same way, exactly as a loop over steps would meet its
 end: one track per drone, then the end and the first fault at or before it
 (_raise_first), then the columns (_columns).  Each baseline drone is a
-topology.LeaderTrack from its start slot toward its goal slot, grown alone
+topology.LeaderTrack from its start slot toward its goal slot, built alone
 by baseline_step.  The swarm's leader reads no drone, so it is not stepped
-here: its rows come from a topology.LeaderTrack, which a sweep builds once
-and hands to every point, and its fault is the track's.  Each swarm follower
-reads only its own state, the leader's rows and the obstacles, so once the
-leader's whole path is grown, topology.swarm_step runs each follower through
-it in one call.  The kernels only write rows: the end is read from them here,
-by one completion rule for both controllers (_first_complete) and the
-baseline's stall rule (_first_stall).
+here: its rows come from a topology.LeaderTrack, which holds its whole path
+from construction and which a sweep builds once and hands to every point,
+and its fault is the track's.  Each swarm follower reads only its own
+state, the leader's rows and the obstacles, so topology.swarm_step runs
+each follower through the leader's whole path in one call.  The kernels
+only write rows: the end is read from them here, by one completion rule for
+both controllers (_first_complete) and the baseline's stall rule
+(_first_stall).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ CONTROLLERS = (SWARMPATH, CONVENTIONAL_APF)
 
 STALL_PATIENCE = 100  # consecutive stalled steps before the run is abandoned
 # Rows a swarm run appends at a time past its leader's fixed point, while no
-# frame has completed; the path before that point is grown in one call.
+# frame has completed; the path before that point is descended in one call.
 CHUNK = 128
 
 COMPLETED = "completed"
@@ -145,14 +146,14 @@ def _columns(buffers: list[array], rows: int | None = None, first: int = 0) -> n
 def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
     """The baseline run, composed from one descent track per drone.
 
-    Each track grows through max_steps, or through the earliest fault met so
-    far (a later drone may fault at that step too), and stops early at its
-    fixed point, whose row it repeats from there on: a track at rest is
-    padded through the latest rest plus STALL_PATIENCE - 1, so that a still
-    run that goes on to the end is in the rows, but not past max_steps or
-    the row before the earliest fault.  The run ends on the earliest of:
-    _first_complete, _first_stall (while a drone is not within) and
-    max_steps, all read from the rows that every drone holds.
+    Each track is descended through max_steps, or through the earliest
+    fault met so far (a later drone may fault at that step too), and stops
+    early at its fixed point, whose row it repeats from there on: a track at
+    rest is padded through the latest rest plus STALL_PATIENCE - 1, so that
+    a still run that goes on to the end is in the rows, but not past
+    max_steps or the row before the earliest fault.  The run ends on the
+    earliest of: _first_complete, _first_stall (while a drone is not within)
+    and max_steps, all read from the rows that every drone holds.
     """
     tracks = []
     fail = math.inf
@@ -177,7 +178,7 @@ def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
 def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
     """The swarm run, composed from the leader's track and one track per follower.
 
-    The leader reads no drone, so its whole path is grown first, through
+    The leader reads no drone, so the track holds its whole path, through
     max_steps or to its fixed point or fault; the fault is appended with
     drone -1 (the track holds no row for its step).  The first round is
     frame 0 alone; the next runs each follower once through the leader's
@@ -195,7 +196,6 @@ def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
     positions = [array("d", d[:2]) for d in drones]
     modes = [array("q", (d[4],)) for d in drones]
     faults: list[tuple[int, int, int, str]] = []
-    track.grow(spec.max_steps)
     if track.fault is not None:
         faults.append((*track.fault[:2], -1, track.fault[2]))
     stall = math.inf if track.stall_step is None else track.stall_step + STALL_PATIENCE - 1
@@ -241,7 +241,8 @@ def run(spec: ScenarioSpec, controller: str = SWARMPATH,
 
     track is the swarm leader's LeaderTrack; runs that share one step the
     leader once between them.  It must have been built for spec's leader
-    inputs (ValueError otherwise); when None, the run builds its own.
+    inputs, through max_steps (its constructor's default last), or
+    ValueError; when None, the run builds its own.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}, expected one of {CONTROLLERS}")
@@ -254,4 +255,6 @@ def run(spec: ScenarioSpec, controller: str = SWARMPATH,
     elif track.inputs != leader_inputs(spec):
         raise ValueError("the leader track was built for other leader inputs "
                          "(start, goal, obstacles, gates, apf, dt, max_steps)")
+    elif track.rest is None and track.fault is None and len(track.xy) // 2 <= spec.max_steps:
+        raise ValueError("the leader track ends before max_steps")
     return _swarm_run(spec, track)

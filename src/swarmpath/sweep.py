@@ -103,17 +103,16 @@ def run_sweep(sweep: SweepSpec) -> SweepResult:
     """Run the adaptive-link controller once per value.
 
     m, d and k reach neither the leader nor the obstacles, so every point
-    reads one LeaderTrack and the base scenario's obstacle index.  Nor do
-    they reach where a follower at rest on its slot rides, or its speed
-    there, so the points also share the track's approaches: the first point
-    works each one out, and the later ones only test their goals along it.
+    reads one LeaderTrack, with the obstacle index it carries.  Nor do they
+    reach where a follower at rest on its slot rides, or its speed there, so
+    the points also share the track's approaches: the first point builds
+    each one, searched once over the track's rows, and the later ones only
+    test their goals along it.
     """
     track = LeaderTrack(sweep.scenario)
-    index = sweep.scenario.obstacle_index
     runs = []
     for value in sweep.values:
         spec = sweep_point(sweep.scenario, sweep.parameter, value)
-        vars(spec)["obstacle_index"] = index  # fills the cached property's slot
         imp = spec.impedance
         crit = critical_damping(imp.m, imp.k)
         is_critical = abs(imp.d - crit) <= CRITICAL_REL_TOL * crit

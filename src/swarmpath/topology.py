@@ -14,13 +14,14 @@ speed.  Obstacles are ObstacleIndex rows (cx, cy, radius, r_apf, r_imp).
 
 The virtual leader is not a drone.  It reads no drone, so its path is fixed
 by the leader inputs of a spec (start, goal, obstacles, gates, apf, dt,
-max_steps); a LeaderTrack grows that path once through apf.descend, as far
-as runs ask for it, and every run with the same leader inputs reads its
-rows.  A baseline drone's path is a LeaderTrack too, built with the drone's
-own start and goal slots.  A follower reads its own state, the leader's rows
-and the obstacles, never another drone, so swarm_step runs one follower
-through the rows in one call, its state in locals, and only writes its rows;
-simulator.run reads a run's end from them.
+max_steps); a LeaderTrack descends that whole path once, through
+apf.descend in its constructor, and every run with the same leader inputs
+reads its rows and the obstacle index it carries.  A baseline drone's path
+is a LeaderTrack too, built with the drone's own start and goal slots.  A
+follower reads its own state, the leader's rows and the obstacles, never
+another drone, so swarm_step runs one follower through the rows in one call,
+its state in locals, and only writes its rows; simulator.run reads a run's
+end from them.
 
 swarm_step is the hot loop, so it applies the link rule, the deflection and
 the link update itself (the leader-linked scan in _link_rule) rather than
@@ -37,7 +38,7 @@ keeps zero; swarm_step then moves it over the whole stretch up to that step
 or its last step at once, with numpy (see _ride), and steps on from there
 one step at a time.  Where that stretch ends and the drone's mean_speed
 along it read only the leader's rows, the offset, the obstacles and dt,
-never m, d or k, so a LeaderTrack works them out once per offset (its
+never m, d or k, so a LeaderTrack searches them once per offset (its
 Approach) and every run that reads the track shares them: each point of a
 sweep after the first does only its own goal test and row appends.
 """
@@ -125,78 +126,74 @@ def leader_inputs(spec: ScenarioSpec, start: tuple[float, float] | None = None,
 
 
 class LeaderTrack:
-    """One descent path from start toward goal, grown on demand.
+    """One descent path from start toward goal, descended whole on construction.
 
     The virtual leader's path, from spec's start toward its goal, unless
     start and goal are given, as (x, y): a baseline drone's path runs from
     its start slot toward its goal slot.  inputs holds both, so a run can
-    tell the track it was built for.
+    tell the track it was built for; index and dt are spec's obstacle index
+    and step, which the followers that read the track read with it.
 
-    xy holds the rows grown so far, flat: (x, y) after step n is xy[2n],
-    xy[2n + 1], and row 0 is the start.  grow(last) runs apf.descend through
-    row last, or to the path's fixed point: from step rest on, every row
-    repeats the one before, because the path latched its goal (reached), the
-    field vanished (stall_step, the step it did, is rest) or a step left x
-    and y bit for bit.  A step that faults is not stored: fault is its
-    (step, kind, text), and the track grows no further.
-    row(n) reads row n, growing the track and appending copies of the fixed
-    point through n first, or raises the fault's SingularityError if the
-    path cannot reach n.  Whoever builds a track chooses the runs that share
-    it.
+    xy holds the rows, flat: (x, y) after step n is xy[2n], xy[2n + 1], and
+    row 0 is the start.  The constructor runs apf.descend once, through row
+    last (spec.max_steps unless given), or to the path's fixed point: from
+    step rest on, every row repeats the one before, because the path latched
+    its goal (reached), the field vanished (stall_step, the step it did, is
+    rest) or a step left x and y bit for bit.  A step that faults is not
+    stored: fault is its (step, kind, text).
+    row(n) reads row n, appending copies of the fixed point through n first;
+    it raises the fault's SingularityError past a faulted path's rows, and
+    IndexError past a moving path's.  Whoever builds a track chooses the runs
+    that share it.
 
     The runs that share a track also share its followers' approaches
-    (approach(offset, last)): where a follower at rest on its slot from step
-    0 may ride and its mean_speed there.  These follow from the rows, the
-    offset, the obstacles and dt, all fixed with the track, and the ride
-    moves the link by no more than a signed zero, so m, d and k, which a
-    sweep varies, cannot change them.
+    (approach(offset)): where a follower at rest on its slot from step 0 may
+    ride and its mean_speed there.  These follow from the rows, the offset,
+    the obstacles and dt, all fixed with the track, and the ride moves the
+    link by no more than a signed zero, so m, d and k, which a sweep varies,
+    cannot change them.
     """
 
     def __init__(self, spec: ScenarioSpec, start: tuple[float, float] | None = None,
-                 goal: tuple[float, float] | None = None):
+                 goal: tuple[float, float] | None = None, last: int | None = None):
         self.inputs = leader_inputs(spec, start, goal)
         start, self.goal = self.inputs[:2]
-        self._spec = spec
-        self.xy = array("d", start)
+        self.index, self.dt = spec.obstacle_index, spec.dt
+        self.xy = xy = array("d", start)
         self.rest: int | None = None
         self.reached = False
         self.stall_step: int | None = None
         self.fault: tuple[int, int, str] | None = None
         self.approaches: dict[tuple[float, float], Approach] = {}
-
-    def grow(self, last: int) -> None:
-        """Grow xy through row last, stopping early at the fixed point or a fault."""
-        xy = self.xy
-        if self.rest is None and self.fault is None and 2 * last >= len(xy):
-            status, text = descend(xy, *self.goal, last, self._spec)
-            if text is not None:
-                self.fault = (len(xy) // 2, status, text)
-            elif status != DESCENDING:
-                self.rest = len(xy) // 2 - 1
-                self.reached = status == LATCHED
-                if status == NO_FIELD:
-                    self.stall_step = self.rest
+        status, text = descend(xy, *self.goal, spec.max_steps if last is None else last, spec)
+        if text is not None:
+            self.fault = (len(xy) // 2, status, text)
+        elif status != DESCENDING:
+            self.rest = len(xy) // 2 - 1
+            self.reached = status == LATCHED
+            if status == NO_FIELD:
+                self.stall_step = self.rest
 
     def row(self, step: int) -> tuple[float, float]:
-        """The (x, y) after step, growing xy through it first."""
+        """The (x, y) after step, padding the fixed point through it first."""
         xy = self.xy
         if 2 * step >= len(xy):
-            self.grow(step)
             if self.fault is not None:
                 raise SingularityError(self.fault[2])
+            if self.rest is None:
+                raise IndexError(f"row {step} is past the track's last row {len(xy) // 2 - 1}")
             xy.extend(xy[-2:] * (step + 1 - len(xy) // 2))
         return xy[2 * step], xy[2 * step + 1]
 
-    def approach(self, offset: tuple[float, float], last: int) -> Approach:
-        """The Approach of the follower on offset, searched through step last.
+    def approach(self, offset: tuple[float, float]) -> Approach:
+        """The Approach of the follower on offset.
 
-        Built on the first request for offset and kept: every run that reads
-        this track shares it.  The track must hold row last.
+        Built on the first request for offset, over the rows the track holds
+        then, and kept: every run that reads this track shares it.
         """
         approach = self.approaches.get(offset)
         if approach is None:
-            approach = self.approaches[offset] = Approach(offset)
-        approach.search(self, last)
+            approach = self.approaches[offset] = Approach(self, offset)
         return approach
 
 
@@ -211,13 +208,14 @@ class Approach:
     offset alone, never on m, d or k, and every run on the track, such as
     each point of a sweep, reads one Approach per offset.
 
+    The constructor searches all of track's rows once.
     stop is the first step at which the ride must hand over to swarm_step's
     loop: the first step n whose slot n - 1 is within its own r_imp of an
     obstacle listed in its link cell, whose slot n is not finite, or whose
-    mean_speed is not finite; None while no step searched so far is one.
+    mean_speed is not finite; None if no step of the track's rows is one.
     ema[n] is the drone's mean_speed after step n, the exact sequential EMA
-    from 0.0 at step 0, through the step before stop, or through the last
-    step searched.
+    from 0.0 at step 0, through the step before stop, or through the
+    track's last row.
 
     The stop rule is wider than an acquire: with one r_imp in a scenario the
     two fall on the same step, and with mixed r_imp a drone within one
@@ -226,26 +224,16 @@ class Approach:
     the cell is looked up once, and scanned only if it lists obstacles.
     """
 
-    def __init__(self, offset: tuple[float, float]):
+    def __init__(self, track: LeaderTrack, offset: tuple[float, float]):
         self.offset = offset
-        self.ema = array("d", [0.0])
-        self.stop: int | None = None
-
-    def search(self, track: LeaderTrack, last: int) -> None:
-        """Search on along track through step last, or to the stop; track must hold row last."""
-        start = len(self.ema) - 1  # searched through this step
-        if self.stop is not None or last <= start:
-            return
-        spec = track._spec
-        index = spec.obstacle_index
+        index = track.index
         with np.errstate(over="ignore", invalid="ignore"):
-            slots = (np.frombuffer(track.xy[2 * start:2 * last + 2]).reshape(-1, 2)
-                     + self.offset)  # slots start..last
+            slots = np.frombuffer(track.xy).reshape(-1, 2) + offset  # slots 0..last
             finite = np.isfinite(slots[1:]).all(axis=1)
             k = len(finite) if finite.all() else int(finite.argmin())
             keys = np.floor_divide(slots[:k], index.link_cell)  # where each step looks
-        # Steps start + 1 .. start + k have finite slots, and step start + 1 + i
-        # looks from slots[i].  Steps in one cell in a row share a lookup.
+        # Steps 1 .. k have finite slots, and step 1 + i looks from slots[i].
+        # Steps in one cell in a row share a lookup.
         changes = (np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist()
         bounds = [0, *changes, k] if k else []
         for lo, hi, key in zip(bounds, bounds[1:], keys[bounds[:-1]].tolist()):
@@ -255,8 +243,8 @@ class Approach:
             if hit is not None:
                 k = hit
                 break
-        keep, alpha, dt = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA, spec.dt
-        mean_speed, speeds = self.ema[-1], []
+        keep, alpha, dt = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA, track.dt
+        mean_speed, speeds = 0.0, []
         put = speeds.append
         for distance in map(math.hypot, *(slots[1:k + 1] - slots[:k]).T.tolist()):
             mean_speed = keep * mean_speed + alpha * (distance / dt)
@@ -264,9 +252,8 @@ class Approach:
         if not math.isfinite(mean_speed):  # a term of inf stays inf from there on
             k = next(i for i, v in enumerate(speeds) if not math.isfinite(v))
             del speeds[k:]
-        self.ema.extend(speeds)
-        if k < len(finite):
-            self.stop = start + 1 + k
+        self.ema = array("d", [0.0, *speeds])
+        self.stop = 1 + k if k < len(finite) else None
 
 
 def initial_swarm_state(spec: ScenarioSpec) -> list[Drone]:
@@ -333,7 +320,7 @@ def _ride(drone: Drone, step: int, last: int, track: LeaderTrack,
             or copysign(1.0, p10 * dx + p11 * vx + hold1) != copysign(1.0, vx)
             or copysign(1.0, p10 * dy + p11 * vy + hold1) != copysign(1.0, vy)):
         return drone, step
-    ema = track.approach(offset, last).ema
+    ema = track.approach(offset).ema
     end = min(last, len(ema) - 1)
     if step >= end or ema[step] != mean_speed:
         return drone, step
@@ -349,14 +336,15 @@ def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
                positions: array, modes: array) -> tuple[Drone | None, int, Fault | None]:
     """Advance one follower from its state after step through at most step last.
 
-    track must hold the leader's rows through last, offset is the drone's
-    (x, y) formation offset and coefficients link_coefficients(spec.impedance,
-    spec.dt).  At each step n the drone refreshes its link mode, integrates its
-    link against the slot it was tracking (on the leader's row n - 1), and
-    re-anchors the integrated deviation onto the slot derived from row n.
-    Anchoring this way makes pure transport exact: a drone sitting on its slot
-    with no deviation translates with the leader instead of lagging it.  The
-    slot's deflection depends on the drone alone, so both slots share it.
+    track holds the leader's rows through last, the obstacles and dt; spec
+    the topology parameters; offset is the drone's (x, y) formation offset
+    and coefficients link_coefficients(spec.impedance, spec.dt).  At each
+    step n the drone refreshes its link mode, integrates its link against the
+    slot it was tracking (on the leader's row n - 1), and re-anchors the
+    integrated deviation onto the slot derived from row n.  Anchoring this
+    way makes pure transport exact: a drone sitting on its slot with no
+    deviation translates with the leader instead of lagging it.  The slot's
+    deflection depends on the drone alone, so both slots share it.
 
     The link rule is update_link_mode's (its leader-linked scan is
     _link_rule, run only on a link cell that lists obstacles), the deflection
@@ -376,8 +364,7 @@ def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
     drone, step = _ride(drone, step, last, track, offset, coefficients, positions, modes)
     x, y, vx, vy, mode, mean_speed = drone
     ox, oy = offset
-    dt = spec.dt
-    index, params = spec.obstacle_index, spec.topology
+    dt, index, params = track.dt, track.index, spec.topology
     rows, link_cells, link_cell = index.rows, index.link_cells, index.link_cell
     release = 1.0 + params.hysteresis
     k_impF, velocity_gain = params.k_impF, params.velocity_gain

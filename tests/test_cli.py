@@ -216,6 +216,33 @@ def test_far_pair_distance_is_finite(tmp_path):
     assert json.loads(text)["max_pairwise_distance_m"] == 2e200
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_overflowing_path_lengths_are_written_as_strict_json(tmp_path):
+    # Each step is about 1e158 m, whose square overflows; metrics.json and
+    # comparison.json must hold the lengths as strict JSON, without a warning.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"start": [0, 0], "goal": [1e161, 0],
+                                "apf": {"leader_speed": 1e160}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        codes = [main([command, str(path), "--output-dir", str(tmp_path / command)])
+                 for command in ("run", "compare")]
+    assert codes == [2, 2]  # max_steps: the goal is 1e161 m away
+    assert caught == []
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text(),
+                         parse_constant=reject_constant)
+    comparison = json.loads((tmp_path / "compare" / "comparison.json").read_text(),
+                            parse_constant=reject_constant)
+    lengths = [metrics["leader_path_length_m"], *metrics["drone_path_lengths_m"].values(),
+               *(d[key] for d in comparison["drones"]
+                 for key in ("swarmpath_path_m", "conventional_apf_path_m"))]
+    assert len(lengths) == 13
+    assert all(1e161 < v < math.inf for v in lengths)
+
+
 def test_offsets_whose_spread_overflows_are_rejected(tmp_path, capsys):
     # The two drones are 2e308 m apart, beyond float range.
     path = tmp_path / "overflow.json"

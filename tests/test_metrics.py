@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,29 @@ def test_drone_path_lengths_are_each_drone_path_length_to_the_last_bit(frames):
     trace = SimulationTrace(straight_spec(), CONVENTIONAL_APF, np.arange(frames) * 0.05,
                             positions, None, None, COMPLETED)
     assert drone_path_lengths(trace) == [drone_path_length(trace, i) for i in range(5)]
+
+
+def test_path_lengths_whose_squares_overflow_are_finite():
+    # Drone 2 jumps 1e160 m along x at three steps: those segments' squares
+    # overflow, so they take the hypot; every other segment keeps its bits.
+    rng = np.random.default_rng(7)
+    positions = np.cumsum(rng.normal(scale=0.05, size=(300, 3, 2)), axis=0)
+    for step in (10, 150, 299):
+        positions[step:, 1, 0] += 1e160
+    trace = SimulationTrace(straight_spec(), CONVENTIONAL_APF, np.arange(300) * 0.05,
+                            positions, None, None, COMPLETED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lengths = drone_path_lengths(trace)
+        assert lengths == [drone_path_length(trace, i) for i in range(3)]
+    assert all(map(math.isfinite, lengths)) and 3e160 <= lengths[1] < 3.1e160
+    steps = np.diff(positions, axis=0)
+    with np.errstate(over="ignore"):
+        segments = np.linalg.norm(steps, axis=2)  # (F - 1, D)
+    jumps = [9, 149, 298]
+    assert np.flatnonzero(np.isinf(segments)).tolist() == [3 * j + 1 for j in jumps]
+    segments[jumps, 1] = np.hypot(steps[jumps, 1, 0], steps[jumps, 1, 1])
+    assert lengths == [float(np.sum(np.ascontiguousarray(segments[:, i]))) for i in range(3)]
 
 
 @pytest.mark.parametrize("controller", CONTROLLERS)

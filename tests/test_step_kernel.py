@@ -20,6 +20,7 @@ its followers' approaches, must each equal a run on a track of its own.
 import dataclasses
 import functools
 import math
+import re
 from array import array
 
 import numpy as np
@@ -301,6 +302,65 @@ def test_descent_tracks_match_leader_step(spec):
         assert track.stall_step == reference.stall_step
 
 
+def reference_track(spec, last):
+    """(row bytes, rest, stall_step, reached, fault) of the leader's descent through
+    row last, from ReferenceLeader: rest is the first row that repeats the one
+    before bit for bit, and the rows stop there; fault is (step, text)."""
+    reference, fault = ReferenceLeader(spec), None
+    try:
+        reference.row(last)
+    except SingularityError as exc:
+        fault = (len(reference.rows), str(exc))
+    rows = np.array(reference.rows)
+    rest = next((n for n in range(1, len(rows)) if rows[n].tobytes() == rows[n - 1].tobytes()),
+                None)
+    reached = rest is not None and reference.agent[2]
+    return rows[:len(rows) if rest is None else rest + 1].tobytes(), rest, \
+        reference.stall_step, reached, fault
+
+
+def free_leader_post(row):
+    """straight_spec to (3, 0) with a tiny post on the free leader's row: the step after lands
+    on its center."""
+    spec = straight_spec(goal=Vec2(3.0, 0.0))
+    post = Obstacle(Vec2(*LeaderTrack(spec).row(row)), 0.001, 0.002, 0.002)
+    return dataclasses.replace(spec, obstacles=(post,))
+
+
+@pytest.mark.parametrize("last", [0, 1, 300, None])
+@pytest.mark.parametrize("name", ["latches", "stalls", "faults", "moves"])
+def test_a_track_descends_through_its_last_row_on_construction(name, last):
+    if name == "stalls":
+        obstacles = (Obstacle(Vec2(1.0, 0.0), 0.1, 0.4, 0.3),)
+        x = equilibrium_x(1.5, tuple(o.as_tuple() for o in obstacles), ApfParams())
+        spec = ScenarioSpec(start=Vec2(x, 0.0), goal=Vec2(1.5, 0.0), obstacles=obstacles,
+                            max_steps=600)
+    else:
+        spec = {"latches": lambda: straight_spec(goal=Vec2(1.0, 0.0)),
+                "faults": lambda: free_leader_post(200),
+                "moves": lambda: straight_spec(goal=Vec2(100.0, 0.0), max_steps=400)}[name]()
+    validate_spec(spec)
+    k = spec.max_steps if last is None else last
+    track = LeaderTrack(spec, last=last)
+    xy, rest, stall_step, reached, fault = reference_track(spec, k)
+    assert bytes(track.xy) == xy
+    assert (track.rest, track.stall_step, track.reached) == (rest, stall_step, reached)
+    assert (None if track.fault is None else (track.fault[0], track.fault[2])) == fault
+    if name == "faults" and k >= 201:
+        assert track.fault[0] == 201 < k
+    held = len(track.xy) // 2
+    if fault is not None:
+        with pytest.raises(SingularityError, match=re.escape(fault[1])):
+            track.row(held)
+    elif rest is None:
+        with pytest.raises(IndexError):
+            track.row(held)
+    else:
+        assert track.row(k + 5) == track.row(rest)
+        assert len(track.xy) == 2 * (k + 6)
+    assert bytes(track.xy)[:len(xy)] == xy
+
+
 def assert_descent_matches_reference(spec, start=None, goal=None):
     """The descent's LeaderTrack through max_steps, checked row by row against leader_step's."""
     track, reference = LeaderTrack(spec, start, goal), ReferenceLeader(spec, start, goal)
@@ -495,8 +555,6 @@ def test_a_baseline_stall_waits_for_every_drone_to_stop():
                         formation_offsets=(Vec2(0.0, 0.0), Vec2(0.0, 0.8)), max_steps=600)
     validate_spec(spec)
     trapped, flier = (LeaderTrack(spec, start, goal) for start, goal in descent_slots(spec)[1:])
-    trapped.grow(spec.max_steps)
-    flier.grow(spec.max_steps)
     assert trapped.stall_step == trapped.rest == 1 and not trapped.reached
     assert flier.reached and flier.rest > 100
     trace = run(spec, CONVENTIONAL_APF)
@@ -541,7 +599,6 @@ def test_a_step_below_half_an_ulp_leaves_the_drone_without_a_stall_flag():
                                        (MAX_STEPS, spec.max_steps + 1)])
     for start, goal in descent_slots(spec):
         track = LeaderTrack(spec, start, goal)
-        track.grow(spec.max_steps)
         assert (track.rest, track.stall_step, track.reached) == (1, None, False)
 
 
@@ -559,8 +616,6 @@ def test_a_signed_zero_step_did_not_move_but_is_no_fixed_point():
     assert_both_match_reference(spec, [(STALLED, STALL_PATIENCE + 1),
                                        (MAX_STEPS, spec.max_steps + 1)])
     tracks = [LeaderTrack(spec, start, goal) for start, goal in descent_slots(spec)]
-    for track in tracks:
-        track.grow(spec.max_steps)
     assert [t.rest for t in tracks] == [2, 2, 1]
     # The rows of the tracks that flip: step 1 is == step 0 though not bit for bit.
     for track in tracks[:2]:

@@ -160,39 +160,42 @@ def test_sweep_steps_the_leader_once(monkeypatch):
 
 def test_sweep_points_share_one_obstacle_index(monkeypatch):
     # m, d and k leave the obstacles alone: a whole sweep builds one index,
-    # the base scenario's, and every point reads it.
-    built = [0]
+    # the base scenario's, which the one leader track carries to every point.
+    built, tracks = [0], []
     init = world.ObstacleIndex.__init__
 
     def counted(index, obstacles):
         built[0] += 1
         init(index, obstacles)
 
+    def recorded(spec, controller, track):
+        tracks.append(track)
+        return run(spec, controller, track)
+
     sweep = read_sweep(SCENARIO_DIR / "sweep_k.json")
     monkeypatch.setattr(world.ObstacleIndex, "__init__", counted)
+    monkeypatch.setattr(sweep_module, "run", recorded)
     result, traces = sweep_traces(sweep, monkeypatch)
     assert built[0] == 1
-    assert len(traces) == len(result.runs) == len(sweep.values) > 1
-    assert all(t.spec.obstacle_index is sweep.scenario.obstacle_index for t in traces)
+    assert len(traces) == len(tracks) == len(result.runs) == len(sweep.values) > 1
+    assert all(t is tracks[0] for t in tracks)
+    assert tracks[0].index is sweep.scenario.obstacle_index
+    # A point's own index, built only when asked for, lists the same rows.
+    assert all(t.spec.obstacle_index.rows == tracks[0].index.rows for t in traces)
 
 
 @pytest.mark.parametrize("name", ["sweep_k.json", "sweep_d.json"])
 def test_sweep_points_search_each_offsets_approach_once(name, monkeypatch):
     # m, d and k leave each follower's approach alone: a sweep builds one
-    # Approach per formation offset, the first point searches it up to its
-    # stop, each step once, and the later points search nothing.
-    approaches, searches, point = [], [], [0]
-    init, search = topology.Approach.__init__, topology.Approach.search
+    # Approach per formation offset during the first point, whose
+    # constructor searches it from step 0 up to its stop, and the later
+    # points build none.
+    approaches, point = [], [0]
+    init = topology.Approach.__init__
 
-    def counted_init(approach, offset):
-        approaches.append(approach)
-        init(approach, offset)
-
-    def counted_search(approach, track, last):
-        start = len(approach.ema) - 1
-        if approach.stop is None and last > start:
-            searches.append((point[0], approach.offset, start, last))
-        search(approach, track, last)
+    def counted_init(approach, track, offset):
+        approaches.append((point[0], approach))
+        init(approach, track, offset)
 
     def counted_run(*args, **kwargs):
         try:
@@ -202,18 +205,15 @@ def test_sweep_points_search_each_offsets_approach_once(name, monkeypatch):
 
     sweep = read_sweep(SCENARIO_DIR / name)
     monkeypatch.setattr(topology.Approach, "__init__", counted_init)
-    monkeypatch.setattr(topology.Approach, "search", counted_search)
     monkeypatch.setattr(sweep_module, "run", counted_run)
     result, traces = sweep_traces(sweep, monkeypatch)
     assert point[0] == len(traces) == len(result.runs) == len(sweep.values) > 1
     offsets = [o.as_tuple() for o in sweep.scenario.formation_offsets]
-    assert [a.offset for a in approaches] == offsets
-    assert {p for p, *_ in searches} == {0}
-    for i, approach in enumerate(approaches):
-        ranges = [(start, last) for _, offset, start, last in searches
-                  if offset == approach.offset]
-        assert ranges[0][0] == 0 and ranges[-1][1] >= approach.stop
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert [a.offset for _, a in approaches] == offsets
+    assert {p for p, _ in approaches} == {0}
+    for i, (_, approach) in enumerate(approaches):
+        # ema holds the mean_speed of every step from 0 up to the stop.
+        assert approach.stop is not None and len(approach.ema) == approach.stop
         # The gate has one r_imp, so each ride stops on the drone's first
         # acquire, the same step at every point.
         for trace in traces:
