@@ -74,9 +74,9 @@ def cmd_compare(args) -> int:
         plotsvg.render_compare_svg(sp, base), encoding="utf-8")
     print(f"swarmpath: {report.sp_outcome}, conventional-apf: {report.base_outcome}")
     if report.time_ratio is not None:
-        print(f"completion time ratio (swarmpath / conventional): {report.time_ratio:.3f}")
+        print(f"completion time ratio (swarmpath / conventional): {report.time_ratio:.6g}")
     if report.pairwise_ratio is not None:
-        print(f"max pairwise distance ratio: {report.pairwise_ratio:.3f}")
+        print(f"max pairwise distance ratio: {report.pairwise_ratio:.6g}")
     print(f"wrote reports to {out}")
     both_done = report.sp_outcome == COMPLETED and report.base_outcome == COMPLETED
     return EXIT_OK if both_done else EXIT_INCOMPLETE

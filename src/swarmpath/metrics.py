@@ -1,7 +1,8 @@
 """Trajectory metrics and the controller comparison report.
 
 Everything here reads the recorded SimulationTrace columns; nothing
-re-integrates dynamics.
+re-integrates dynamics.  Every distance is one _lengths call: sqrt(dx * dx +
+dy * dy), as np.linalg.norm takes it, and the hypot where that square overflows.
 """
 
 from __future__ import annotations
@@ -16,6 +17,17 @@ from .world import Gate, effective_obstacles
 from .simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, SimulationTrace
 
 
+def _lengths(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise length of (dx, dy); the hypot only where the square overflows."""
+    with np.errstate(over="ignore"):
+        lengths = dx * dx
+        lengths += dy * dy
+    np.sqrt(lengths, out=lengths)
+    over = np.isinf(lengths)
+    lengths[over] = np.hypot(dx[over], dy[over])
+    return lengths
+
+
 def path_length(points: np.ndarray) -> float:
     """Sum of segment lengths of an (N, 2) polyline."""
     pts = np.asarray(points, dtype=float)
@@ -23,12 +35,7 @@ def path_length(points: np.ndarray) -> float:
         raise ValueError(f"expected (N, 2) points, got shape {pts.shape}")
     if len(pts) < 2:
         return 0.0
-    steps = np.diff(pts, axis=0)
-    with np.errstate(over="ignore"):
-        segments = np.linalg.norm(steps, axis=1)
-    over = np.isinf(segments)  # only a segment whose square overflows takes the hypot
-    segments[over] = np.hypot(steps[over, 0], steps[over, 1])
-    return float(np.sum(segments))
+    return float(np.sum(_lengths(*np.diff(pts, axis=0).T)))
 
 
 def drone_path_length(trace: SimulationTrace, drone: int) -> float:
@@ -39,19 +46,11 @@ def drone_path_lengths(trace: SimulationTrace) -> list[float]:
     """Every drone's path length in one pass, bit for bit each drone_path_length.
 
     Each drone's segment lengths are summed as one C-contiguous row, which
-    np.sum adds in the same pairwise order as path_length's 1-D sum; a
-    segment's length is sqrt(dx * dx + dy * dy), as np.linalg.norm takes it.
-    Where a square overflows, each drone's path_length takes the hypot there.
+    np.sum adds in the same pairwise order as path_length's 1-D sum.
     """
-    steps = np.diff(trace.positions, axis=0)  # (F - 1, D, 2)
-    with np.errstate(over="ignore"):
-        np.multiply(steps, steps, out=steps)
-        segments = np.empty((trace.n_drones, len(steps)))  # (D, F - 1), C-contiguous
-        np.add(steps[..., 0].T, steps[..., 1].T, out=segments)
-    np.sqrt(segments, out=segments)
-    if np.isinf(segments).any():
-        return [drone_path_length(trace, i) for i in range(trace.n_drones)]
-    return segments.sum(axis=1).tolist()
+    xs, ys = trace.positions.T  # (D, F) each
+    dx, dy = (np.subtract(v[:, 1:], v[:, :-1], order="C") for v in (xs, ys))
+    return _lengths(dx, dy).sum(axis=1).tolist()
 
 
 def leader_path_length(trace: SimulationTrace) -> float | None:
@@ -66,16 +65,9 @@ def pair_max_distances(trace: SimulationTrace) -> np.ndarray:
     pos = trace.positions
     out = np.zeros((trace.n_drones, trace.n_drones))
     for a in range(trace.n_drones - 1):
-        # Drone a against every later drone at once.  sqrt is monotone, so its
-        # value at the largest square equals the largest np.linalg.norm.  Only
-        # a pair whose square overflows takes the slower hypot, which cannot.
-        with np.errstate(over="ignore"):
-            dx, dy = (pos[:, a + 1:, k] - pos[:, a, None, k] for k in (0, 1))
-            far = np.sqrt(np.max(dx * dx + dy * dy, axis=0))
-        over = np.isinf(far)
-        if over.any():
-            far[over] = np.max(np.hypot(dx[:, over], dy[:, over]), axis=0)
-        out[a, a + 1:] = out[a + 1:, a] = far
+        # Drone a against every later drone at once.
+        dx, dy = (pos[:, a + 1:, k] - pos[:, a, None, k] for k in (0, 1))
+        out[a, a + 1:] = out[a + 1:, a] = np.max(_lengths(dx, dy), axis=0)
     return out
 
 
@@ -116,8 +108,13 @@ def ape(trace_a: SimulationTrace, trace_b: SimulationTrace, drone: int) -> float
     ref_length = path_length(pb)
     if ref_length == 0.0:
         raise ValueError(f"drone {drone}: reference path has zero length")
-    mean_err = float(np.mean(np.linalg.norm(pa - pb, axis=1)))
-    return 100.0 * mean_err / ref_length
+    errors = _lengths(*(pa - pb).T)
+    # Where np.mean's sum could overflow, average the errors over the largest.
+    peak = float(errors.max())
+    scale = peak if 2.0 * peak * len(errors) == math.inf else 1.0
+    mean_err = float(np.mean(errors / scale)) * scale
+    percent = 100.0 * mean_err / ref_length
+    return percent if percent < math.inf else mean_err / ref_length * 100.0
 
 
 @dataclass(frozen=True)
@@ -234,14 +231,7 @@ def min_obstacle_clearance(trace: SimulationTrace) -> float:
     for bound, obs in bounds:
         if bound >= best:
             break
-        # sqrt and the subtraction are monotone: applied to the smallest
-        # square they give the smallest surface distance.  Only a square that
-        # overflows takes the slower hypot, which cannot.
-        with np.errstate(over="ignore"):
-            dx, dy = xs - obs.center.x, ys - obs.center.y
-            dist = math.sqrt(float(np.min(dx * dx + dy * dy)))
-        if not math.isfinite(dist):
-            dist = float(np.min(np.hypot(dx, dy)))
+        dist = float(np.min(_lengths(xs - obs.center.x, ys - obs.center.y)))
         best = min(best, dist - obs.radius)
     return best
 

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swarmpath import cli, sweep, world
 from swarmpath.cli import main
@@ -241,6 +247,74 @@ def test_overflowing_path_lengths_are_written_as_strict_json(tmp_path):
                  for key in ("swarmpath_path_m", "conventional_apf_path_m"))]
     assert len(lengths) == 13
     assert all(1e161 < v < math.inf for v in lengths)
+
+
+POST = {"center": [1.0, 0.3], "radius": 0.1, "r_apf": 0.6, "r_imp": 0.4}
+# k_impF flings the swarm about 5e303 m off its track.
+FLUNG = {"start": [0, 0], "goal": [2, 0], "obstacles": [POST],
+         "topology": {"k_impF": 1e306}, "max_steps": 600}
+
+
+def test_a_flung_swarm_compares_as_strict_json(tmp_path, capsys):
+    path = tmp_path / "flung.json"
+    path.write_text(json.dumps(FLUNG))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["compare", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 2  # the swarm runs out of steps; the baseline completes
+    comparison = json.loads((tmp_path / "out" / "comparison.json").read_text(),
+                            parse_constant=reject_constant)
+    assert all(0.0 < d["ape_percent"] < math.inf for d in comparison["drones"])
+    assert capsys.readouterr().out.splitlines()[1] == "max pairwise distance ratio: 3.36535e+303"
+
+
+@st.composite
+def extreme_docs(draw):
+    """Valid FLUNG-like documents with magnitudes from 1e-2 to 1e307 on
+    k_impF, velocity_gain, leader_speed, the goal and one offset."""
+    big = st.none() | st.floats(-2.0, 307.0).map(lambda e: 10.0 ** e)
+    sign = st.sampled_from((1.0, -1.0))
+    doc = {"start": [0, 0], "goal": [2, 0], "obstacles": [POST], "max_steps": 600,
+           "topology": {}, "apf": {}}
+    for block, key in (("topology", "k_impF"), ("topology", "velocity_gain"),
+                       ("apf", "leader_speed")):
+        value = draw(big)
+        if value is not None:
+            doc[block][key] = value
+    goal = draw(big)
+    if goal is not None:
+        doc["goal"] = [draw(sign) * goal, draw(st.floats(-1.0, 1.0))]
+    offset = draw(big)
+    if offset is not None:
+        offsets = [[0.4, 0.4], [0.4, -0.4], [-0.4, 0.4], [-0.4, -0.4]]
+        offsets[draw(st.integers(0, 3))] = [draw(sign) * offset, draw(sign) * offset]
+        doc["formation_offsets"] = offsets
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=extreme_docs())
+@example(doc=FLUNG)
+def test_outputs_are_strict_at_any_magnitude(doc):
+    # Every JSON parses without Infinity or NaN, no SVG prints nan or inf,
+    # nothing warns, and a run that fails says at which step.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(doc))
+        for command in ("run", "compare"):
+            out, err = Path(tmp) / command, io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, str(path), "--output-dir", str(out)])
+            if code == 1:
+                assert re.fullmatch(r"error: step \d+: [^\n]*\n", err.getvalue())
+                continue
+            assert code in (0, 2)
+            for json_file in out.glob("*.json"):
+                json.loads(json_file.read_text(), parse_constant=reject_constant)
+            for svg in out.glob("*.svg"):
+                text = svg.read_text().lower()
+                assert "nan" not in text and "inf" not in text
 
 
 def test_offsets_whose_spread_overflows_are_rejected(tmp_path, capsys):

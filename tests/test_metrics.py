@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,16 +230,33 @@ def test_drone_path_lengths_are_each_drone_path_length_to_the_last_bit(frames):
 def test_path_lengths_whose_squares_overflow_are_finite():
     # Drone 2 jumps 1e160 m along x at three steps: those segments' squares
     # overflow, so they take the hypot; every other segment keeps its bits.
+    # The post lies 1e160 m from every drone, so each clearance square
+    # overflows too, as do drone 2's errors against its track without jumps.
     rng = np.random.default_rng(7)
-    positions = np.cumsum(rng.normal(scale=0.05, size=(300, 3, 2)), axis=0)
+    steady = np.cumsum(rng.normal(scale=0.05, size=(300, 3, 2)), axis=0)
+    positions = steady.copy()
     for step in (10, 150, 299):
         positions[step:, 1, 0] += 1e160
-    trace = SimulationTrace(straight_spec(), CONVENTIONAL_APF, np.arange(300) * 0.05,
-                            positions, None, None, COMPLETED)
+    spec = straight_spec(obstacles=(Obstacle(Vec2(-1e160, 0.0), 0.1, 0.4, 0.3),))
+    trace, ref = (SimulationTrace(spec, CONVENTIONAL_APF, np.arange(300) * 0.05,
+                                  p, None, None, COMPLETED) for p in (positions, steady))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lengths = drone_path_lengths(trace)
         assert lengths == [drone_path_length(trace, i) for i in range(3)]
+        pairs = pair_max_distances(trace)
+        widest = max_pairwise_distance(trace)
+        clearance = min_obstacle_clearance(trace)
+        error = ape(trace, ref, 1)
+    for a in (0, 2):
+        far = np.max(np.hypot(*(positions[:, 1] - positions[:, a]).T))
+        assert pairs[1, a] == pairs[a, 1] == far
+    assert widest == pairs.max() and 2e160 < widest < math.inf
+    hypot_clearance = np.min(np.hypot(positions[..., 0] + 1e160, positions[..., 1])) - 0.1
+    assert clearance == hypot_clearance and 9e159 < clearance < math.inf
+    hypot_ape = 100.0 * np.mean(np.hypot(*(positions[:, 1] - steady[:, 1]).T)) / path_length(
+        steady[:, 1])
+    assert error == hypot_ape and math.isfinite(error)
     assert all(map(math.isfinite, lengths)) and 3e160 <= lengths[1] < 3.1e160
     steps = np.diff(positions, axis=0)
     with np.errstate(over="ignore"):
@@ -256,3 +274,36 @@ def test_drone_path_lengths_of_the_shipped_runs(name, controller):
     lengths = drone_path_lengths(trace)
     assert lengths == [drone_path_length(trace, i) for i in range(trace.n_drones)]
     assert all(type(v) is float for v in lengths)
+
+
+def test_ape_whose_mean_and_percentage_overflow_is_finite():
+    # Errors near 1e308 sum past the float range, and 100 times their mean
+    # overflows too; the reference drone travels 1e7 m.
+    spec = straight_spec()
+    ref = np.zeros((5, 1, 2))
+    ref[1:, 0, 0] = 1e7
+    far = np.array([[1.0e308, 0.0], [1.2e308, 0.0], [1.5e308, 0.0], [1.1e308, 1.1e308],
+                    [1.7e308, -1e300]])[:, None]
+    trace, base = (SimulationTrace(spec, CONVENTIONAL_APF, np.arange(5) * 0.05, p,
+                                   None, None, COMPLETED) for p in (far, ref))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = ape(trace, base, 0)
+    errors = [Fraction(x) - Fraction(r) for x, r in zip(far[:, 0, 0], ref[:, 0, 0])]
+    errors[3] = Fraction(math.hypot(1.1e308 - 1e7, 1.1e308))
+    errors[4] = Fraction(math.hypot(1.7e308 - 1e7, 1e300))
+    exact = 100 * sum(errors) / len(errors) / Fraction(1e7)
+    assert math.isfinite(value) and abs(Fraction(value) / exact - 1) < 1e-12
+
+
+def test_a_finite_ape_keeps_its_bits():
+    # Where no square overflows, APE is 100 * np.mean of np.linalg.norm's
+    # errors / reference length, to the last bit.
+    spec = one_pole_spec()
+    sp, base = run(spec, SWARMPATH), run(spec, CONVENTIONAL_APF)
+    for i in range(sp.n_drones):
+        frames = max(sp.n_frames, base.n_frames)
+        pa, pb = (np.pad(t.drone_positions(i), ((0, frames - t.n_frames), (0, 0)), mode="edge")
+                  for t in (sp, base))
+        mean_err = float(np.mean(np.linalg.norm(pa - pb, axis=1)))
+        assert ape(sp, base, i) == 100.0 * mean_err / path_length(pb)
