@@ -36,9 +36,9 @@ def main() -> None:
     base = run(spec, CONVENTIONAL_APF)
     report = compare(sp, base)
 
-    print(f"completion: swarm {report.sp_completion_time:.2f} s, "
-          f"conventional {report.base_completion_time:.2f} s "
-          f"(ratio {report.time_ratio:.3f})")
+    print(f"completion: swarm {report['swarmpath']['completion_time_s']:.2f} s, "
+          f"conventional {report['conventional_apf']['completion_time_s']:.2f} s "
+          f"(ratio {report['time_ratio']:.3f})")
     print(f"min clearance (swarm): {min_obstacle_clearance(sp):.3f} m")
 
     gate = spec.gates[0]

@@ -33,22 +33,24 @@ def main() -> None:
     base = run(spec, CONVENTIONAL_APF)
     report = compare(sp, base)
 
-    print(f"completion: swarm {report.sp_completion_time:.2f} s, "
-          f"conventional {report.base_completion_time:.2f} s "
-          f"(ratio {report.time_ratio:.3f})")
+    print(f"completion: swarm {report['swarmpath']['completion_time_s']:.2f} s, "
+          f"conventional {report['conventional_apf']['completion_time_s']:.2f} s "
+          f"(ratio {report['time_ratio']:.3f})")
     print(f"min clearance (swarm): {min_obstacle_clearance(sp):.3f} m")
+    spread = report["max_pairwise_distance_m"]
     print("max pairwise spread: "
-          f"swarm {report.sp_max_pairwise:.2f} m, "
-          f"conventional {report.base_max_pairwise:.2f} m")
+          f"swarm {spread['swarmpath']:.2f} m, "
+          f"conventional {spread['conventional_apf']:.2f} m")
     print("per-pair spread ratio (swarm / conventional):")
-    for pair in report.pairs:
-        print(f"  drones ({pair.drone_a + 1},{pair.drone_b + 1}): "
-              f"{pair.sp_max_distance:.2f} / {pair.base_max_distance:.2f} "
-              f"= {pair.ratio:.3f}")
+    for pair in report["pairs"]:
+        a, b = pair["drones"]
+        print(f"  drones ({a},{b}): "
+              f"{pair['swarmpath_m']:.2f} / {pair['conventional_apf_m']:.2f} "
+              f"= {pair['ratio']:.3f}")
     print("per-drone path length and cross-track error vs conventional:")
-    for row in report.drones:
-        print(f"  drone {row.drone + 1}: {row.sp_path_length:.2f} m vs "
-              f"{row.base_path_length:.2f} m (ape {row.ape_percent:.1f}%)")
+    for row in report["drones"]:
+        print(f"  drone {row['drone']}: {row['swarmpath_path_m']:.2f} m vs "
+              f"{row['conventional_apf_path_m']:.2f} m (ape {row['ape_percent']:.1f}%)")
 
     args.out.mkdir(parents=True, exist_ok=True)
     svg = args.out / "forest_run.svg"

@@ -55,7 +55,6 @@ from .simulator import (
     run,
 )
 from .metrics import (
-    ComparisonReport,
     ape,
     compare,
     completion_time,

@@ -72,13 +72,16 @@ def cmd_compare(args) -> int:
         traceio.render_comparison_json(report), encoding="utf-8")
     (out / "compare.svg").write_text(
         plotsvg.render_compare_svg(sp, base), encoding="utf-8")
-    print(f"swarmpath: {report.sp_outcome}, conventional-apf: {report.base_outcome}")
-    if report.time_ratio is not None:
-        print(f"completion time ratio (swarmpath / conventional): {report.time_ratio:.6g}")
-    if report.pairwise_ratio is not None:
-        print(f"max pairwise distance ratio: {report.pairwise_ratio:.6g}")
+    sp_outcome = report["swarmpath"]["outcome"]
+    base_outcome = report["conventional_apf"]["outcome"]
+    time_ratio, pairwise_ratio = report["time_ratio"], report["max_pairwise_distance_m"]["ratio"]
+    print(f"swarmpath: {sp_outcome}, conventional-apf: {base_outcome}")
+    if time_ratio is not None:
+        print(f"completion time ratio (swarmpath / conventional): {time_ratio:.6g}")
+    if pairwise_ratio is not None:
+        print(f"max pairwise distance ratio: {pairwise_ratio:.6g}")
     print(f"wrote reports to {out}")
-    both_done = report.sp_outcome == COMPLETED and report.base_outcome == COMPLETED
+    both_done = sp_outcome == COMPLETED and base_outcome == COMPLETED
     return EXIT_OK if both_done else EXIT_INCOMPLETE
 
 

@@ -2,29 +2,33 @@
 
 Everything here reads the recorded SimulationTrace columns; nothing
 re-integrates dynamics.  Every distance is one _lengths call: sqrt(dx * dx +
-dy * dy), as np.linalg.norm takes it, and the hypot where that square overflows.
+dy * dy), as np.linalg.norm takes it, and the hypot where that square overflows
+or falls below the normal range.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
 from .world import Gate, effective_obstacles
 from .simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, SimulationTrace
 
+_TINY = sys.float_info.min  # the least normal float
+
 
 def _lengths(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Elementwise length of (dx, dy); the hypot only where the square overflows."""
-    with np.errstate(over="ignore"):
+    """Elementwise length of (dx, dy); the hypot only where the square is not a
+    finite normal float (it overflowed, or underflowed and lost digits)."""
+    with np.errstate(over="ignore", under="ignore"):
         lengths = dx * dx
         lengths += dy * dy
+    odd = (lengths < _TINY) | (lengths == math.inf)
     np.sqrt(lengths, out=lengths)
-    over = np.isinf(lengths)
-    lengths[over] = np.hypot(dx[over], dy[over])
+    lengths[odd] = np.hypot(dx[odd], dy[odd])
     return lengths
 
 
@@ -117,48 +121,14 @@ def ape(trace_a: SimulationTrace, trace_b: SimulationTrace, drone: int) -> float
     return percent if percent < math.inf else mean_err / ref_length * 100.0
 
 
-@dataclass(frozen=True)
-class DroneComparison:
-    """Per-drone numbers; ape_percent uses the baseline as reference."""
+def compare(sp: SimulationTrace, base: SimulationTrace) -> dict:
+    """The comparison report of two runs of the same scenario: comparison.json's
+    document, in its key order, at full precision.
 
-    drone: int
-    sp_path_length: float
-    base_path_length: float
-    ape_percent: float | None
-
-
-@dataclass(frozen=True)
-class PairComparison:
-    """Largest separation of one drone pair under each controller."""
-
-    drone_a: int
-    drone_b: int
-    sp_max_distance: float
-    base_max_distance: float
-    ratio: float | None  # sp / base, None when the baseline distance is zero
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Adaptive-link swarm vs conventional potential-field swarm."""
-
-    sp_outcome: str
-    base_outcome: str
-    sp_completion_time: float | None
-    base_completion_time: float | None
-    time_ratio: float | None  # sp / base, None unless both completed
-    sp_max_pairwise: float
-    base_max_pairwise: float
-    pairwise_ratio: float | None
-    drones: tuple[DroneComparison, ...]
-    pairs: tuple[PairComparison, ...]
-
-
-def compare(sp: SimulationTrace, base: SimulationTrace) -> ComparisonReport:
-    """Build the comparison report for two runs of the same scenario.
-
-    A run that did not complete keeps its outcome in the report and drops the
-    ratios that need it, rather than failing the whole comparison.
+    Drones are numbered from 1, as in files.  A run that did not complete
+    keeps its outcome in the report and drops the ratios that need it (None),
+    rather than failing the whole comparison; so does a drone whose APE has
+    no reference path.
     """
     if sp.controller != SWARMPATH:
         raise ValueError(f"first trace must be {SWARMPATH}, got {sp.controller}")
@@ -167,11 +137,14 @@ def compare(sp: SimulationTrace, base: SimulationTrace) -> ComparisonReport:
     if sp.spec != base.spec:
         raise ValueError("traces come from different scenarios")
 
-    t_sp = completion_time(sp)
-    t_base = completion_time(base)
+    t_sp, t_base = completion_time(sp), completion_time(base)
     d_sp, d_base = pair_max_distances(sp), pair_max_distances(base)
     sp_pairwise, base_pairwise = float(d_sp.max()), float(d_base.max())
-
+    pairs = []
+    for a, b in itertools.combinations(range(sp.n_drones), 2):
+        pair_sp, pair_base = float(d_sp[a, b]), float(d_base[a, b])
+        pairs.append({"drones": [a + 1, b + 1], "swarmpath_m": pair_sp,
+                      "conventional_apf_m": pair_base, "ratio": _ratio(pair_sp, pair_base)})
     sp_lengths, base_lengths = drone_path_lengths(sp), drone_path_lengths(base)
     drones = []
     for i in range(sp.n_drones):
@@ -179,25 +152,19 @@ def compare(sp: SimulationTrace, base: SimulationTrace) -> ComparisonReport:
             err = ape(sp, base, i)
         except ValueError:
             err = None
-        drones.append(DroneComparison(i, sp_lengths[i], base_lengths[i], err))
-
-    pairs = []
-    for a, b in itertools.combinations(range(sp.n_drones), 2):
-        pair_sp, pair_base = float(d_sp[a, b]), float(d_base[a, b])
-        pairs.append(PairComparison(a, b, pair_sp, pair_base, _ratio(pair_sp, pair_base)))
-
-    return ComparisonReport(
-        sp_outcome=sp.outcome,
-        base_outcome=base.outcome,
-        sp_completion_time=t_sp,
-        base_completion_time=t_base,
-        time_ratio=_ratio(t_sp, t_base),
-        sp_max_pairwise=sp_pairwise,
-        base_max_pairwise=base_pairwise,
-        pairwise_ratio=_ratio(sp_pairwise, base_pairwise),
-        drones=tuple(drones),
-        pairs=tuple(pairs),
-    )
+        drones.append({"drone": i + 1, "swarmpath_path_m": sp_lengths[i],
+                       "conventional_apf_path_m": base_lengths[i], "ape_percent": err})
+    return {
+        "swarmpath": {"outcome": sp.outcome, "completion_time_s": t_sp},
+        "conventional_apf": {"outcome": base.outcome, "completion_time_s": t_base},
+        "time_ratio": _ratio(t_sp, t_base),
+        "max_pairwise_distance_m": {"swarmpath": sp_pairwise, "conventional_apf": base_pairwise,
+                                    "ratio": _ratio(sp_pairwise, base_pairwise)},
+        "pairs": pairs,
+        "drones": drones,
+        "ape_definition": "100 * mean position error / reference path length, "
+                          "reference = conventional_apf",
+    }
 
 
 def _ratio(num: float | None, den: float | None) -> float | None:

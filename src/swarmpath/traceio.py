@@ -8,13 +8,15 @@ and no links, those cells stay empty.  Floats are written with repr so
 float(cell) recovers each value exactly; a block of frames formats each
 distinct float, by bit pattern, once.
 
-Report JSON uses fixed key order and rounds to 6 significant digits, which
-keeps report bytes stable across platforms.
+Report JSON keeps its document's key order and rounds every float to 6
+significant digits in one walk, which keeps report bytes stable across
+platforms.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -82,70 +84,38 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
         fh.write(render_trace_csv(trace))
 
 
+def _render_report(doc: dict) -> str:
+    """A report document as JSON text: every float at any depth rounded with sig6."""
+    def rounded(value):
+        if isinstance(value, float):
+            return sig6(value)
+        if isinstance(value, dict):
+            return {key: rounded(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [rounded(item) for item in value]
+        return value  # int, bool, None, str
+    return json.dumps(rounded(doc), indent=2) + "\n"
+
+
 def render_metrics_json(trace: SimulationTrace) -> str:
     """Single-run metrics report."""
-    doc = {
+    clearance = metrics.min_obstacle_clearance(trace)
+    return _render_report({
         "controller": trace.controller,
         "outcome": trace.outcome,
         "frames": trace.n_frames,
-        "duration_s": sig6(float(trace.t[-1])),
-        "completion_time_s": sig6(metrics.completion_time(trace)),
-        "leader_path_length_m": sig6(metrics.leader_path_length(trace)),
+        "duration_s": float(trace.t[-1]),
+        "completion_time_s": metrics.completion_time(trace),
+        "leader_path_length_m": metrics.leader_path_length(trace),
         "drone_path_lengths_m": {
-            f"drone{i + 1}": sig6(length)
+            f"drone{i + 1}": length
             for i, length in enumerate(metrics.drone_path_lengths(trace))
         },
-        "max_pairwise_distance_m": sig6(metrics.max_pairwise_distance(trace)),
-        "min_obstacle_clearance_m": _clearance(trace),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "max_pairwise_distance_m": metrics.max_pairwise_distance(trace),
+        "min_obstacle_clearance_m": None if clearance == math.inf else clearance,
+    })
 
 
-def _clearance(trace: SimulationTrace) -> float | None:
-    value = metrics.min_obstacle_clearance(trace)
-    return None if value == float("inf") else sig6(value)
-
-
-def render_comparison_json(report: metrics.ComparisonReport) -> str:
-    """Two-controller comparison report.
-
-    ape_percent is 100 * mean position error / reference path length with the
-    conventional controller as reference.
-    """
-    doc = {
-        "swarmpath": {
-            "outcome": report.sp_outcome,
-            "completion_time_s": sig6(report.sp_completion_time),
-        },
-        "conventional_apf": {
-            "outcome": report.base_outcome,
-            "completion_time_s": sig6(report.base_completion_time),
-        },
-        "time_ratio": sig6(report.time_ratio),
-        "max_pairwise_distance_m": {
-            "swarmpath": sig6(report.sp_max_pairwise),
-            "conventional_apf": sig6(report.base_max_pairwise),
-            "ratio": sig6(report.pairwise_ratio),
-        },
-        "pairs": [
-            {
-                "drones": [p.drone_a + 1, p.drone_b + 1],
-                "swarmpath_m": sig6(p.sp_max_distance),
-                "conventional_apf_m": sig6(p.base_max_distance),
-                "ratio": sig6(p.ratio),
-            }
-            for p in report.pairs
-        ],
-        "drones": [
-            {
-                "drone": d.drone + 1,
-                "swarmpath_path_m": sig6(d.sp_path_length),
-                "conventional_apf_path_m": sig6(d.base_path_length),
-                "ape_percent": sig6(d.ape_percent),
-            }
-            for d in report.drones
-        ],
-        "ape_definition": "100 * mean position error / reference path length, "
-                          "reference = conventional_apf",
-    }
-    return json.dumps(doc, indent=2) + "\n"
+def render_comparison_json(doc: dict) -> str:
+    """Two-controller comparison report: metrics.compare's document."""
+    return _render_report(doc)

@@ -4,8 +4,10 @@ import pathlib
 import pytest
 from hypothesis import settings, strategies as st
 
+from swarmpath.impedance import critical_damping
 from swarmpath.world import (
     ApfParams,
+    ImpedanceParams,
     Obstacle,
     ScenarioSpec,
     TopologyParams,
@@ -74,6 +76,19 @@ def one_pole_spec(**overrides) -> ScenarioSpec:
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
+
+
+def lagging_spec() -> ScenarioSpec:
+    """A swarm that completes 225 steps after its leader comes to rest.
+
+    The leader latches at step 191, 0.05 m short of its goal.  Near the end
+    of the way the post deflects drone 1, whose soft, critically damped link
+    brings it back within goal_threshold of its slot only at step 416.
+    """
+    return ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
+                        obstacles=(Obstacle(Vec2(1.1, 0.7), 0.05, 0.3, 0.3),),
+                        impedance=ImpedanceParams(k=2.0, d=critical_damping(1.9, 2.0)),
+                        apf=ApfParams(goal_threshold=0.0525))
 
 
 BIG_INT = "1" + "0" * 400  # a JSON integer beyond float range, within json's digit limit

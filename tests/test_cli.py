@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmpath import cli, sweep, world
+from swarmpath import cli, metrics, simulator, sweep, traceio, world
 from swarmpath.cli import main
 from swarmpath.world import Obstacle, Vec2, serialize_scenario
 from conftest import BIG_INT, SCENARIO_DIR, straight_spec
@@ -336,6 +336,26 @@ def test_compare_writes_reports(short_scenario, tmp_path):
         assert (out / name).is_file()
     doc = json.loads((out / "comparison.json").read_text())
     assert doc["swarmpath"]["outcome"] == "completed"
+
+
+def test_compare_returns_the_comparison_document(short_scenario, tmp_path):
+    # metrics.compare's dict is comparison.json's document at full precision:
+    # the same keys in the same order at every depth, the same values once
+    # rounded.
+    def key_tree(value):
+        if isinstance(value, dict):
+            return [(key, key_tree(item)) for key, item in value.items()]
+        return [key_tree(item) for item in value] if isinstance(value, list) else None
+
+    out = tmp_path / "cmp"
+    assert main(["compare", str(short_scenario), "--output-dir", str(out)]) == 0
+    written = json.loads((out / "comparison.json").read_text())
+    spec = world.read_scenario(short_scenario)
+    doc = metrics.compare(simulator.run(spec, simulator.SWARMPATH),
+                          simulator.run(spec, simulator.CONVENTIONAL_APF))
+    assert list(doc) == list(written)
+    assert key_tree(doc) == key_tree(written)
+    assert json.loads(traceio.render_comparison_json(doc)) == written
 
 
 def test_compare_incomplete_exits_2(unreachable_scenario, tmp_path):

@@ -128,17 +128,18 @@ def test_compare_full_report():
     sp = run(spec, SWARMPATH)
     base = run(spec, CONVENTIONAL_APF)
     report = compare(sp, base)
-    assert report.sp_outcome == report.base_outcome == COMPLETED
-    assert report.time_ratio == pytest.approx(
-        report.sp_completion_time / report.base_completion_time
+    assert report["swarmpath"]["outcome"] == report["conventional_apf"]["outcome"] == COMPLETED
+    assert report["time_ratio"] == pytest.approx(
+        report["swarmpath"]["completion_time_s"]
+        / report["conventional_apf"]["completion_time_s"]
     )
-    assert len(report.drones) == 4
-    assert len(report.pairs) == 6
-    for row in report.drones:
-        assert row.sp_path_length > 0.0
-        assert row.ape_percent is not None and row.ape_percent >= 0.0
-    for pair in report.pairs:
-        assert pair.ratio == pytest.approx(pair.sp_max_distance / pair.base_max_distance)
+    assert len(report["drones"]) == 4
+    assert len(report["pairs"]) == 6
+    for row in report["drones"]:
+        assert row["swarmpath_path_m"] > 0.0
+        assert row["ape_percent"] is not None and row["ape_percent"] >= 0.0
+    for pair in report["pairs"]:
+        assert pair["ratio"] == pytest.approx(pair["swarmpath_m"] / pair["conventional_apf_m"])
 
 
 def test_compare_requires_matching_specs():
@@ -158,8 +159,8 @@ def test_compare_requires_correct_controllers():
 def test_compare_drops_ratios_for_unfinished_runs():
     spec = straight_spec(goal=Vec2(50.0, 0.0), max_steps=15)
     report = compare(run(spec, SWARMPATH), run(spec, CONVENTIONAL_APF))
-    assert report.sp_completion_time is None
-    assert report.time_ratio is None
+    assert report["swarmpath"]["completion_time_s"] is None
+    assert report["time_ratio"] is None
 
 
 # Reference implementations for the full-precision checks below: one
@@ -265,6 +266,39 @@ def test_path_lengths_whose_squares_overflow_are_finite():
     assert np.flatnonzero(np.isinf(segments)).tolist() == [3 * j + 1 for j in jumps]
     segments[jumps, 1] = np.hypot(steps[jumps, 1, 0], steps[jumps, 1, 1])
     assert lengths == [float(np.sum(np.ascontiguousarray(segments[:, i]))) for i in range(3)]
+
+
+def test_lengths_whose_squares_underflow_keep_their_digits():
+    # Every step and separation is about 1e-300 m, so each square underflows
+    # to zero or a subnormal; every length takes the hypot and keeps its digits.
+    rng = np.random.default_rng(11)
+    positions = np.cumsum(rng.normal(scale=1e-300, size=(200, 3, 2)), axis=0)
+    steady = np.cumsum(rng.normal(scale=1e-300, size=(200, 3, 2)), axis=0)
+    center = Vec2(-5e-299, 2e-299)
+    spec = straight_spec(obstacles=(Obstacle(center, 1e-300, 4e-300, 3e-300),))
+    trace, ref = (SimulationTrace(spec, CONVENTIONAL_APF, np.arange(200) * 0.05,
+                                  p, None, None, COMPLETED) for p in (positions, steady))
+
+    def hypot_path(track):
+        return float(np.sum(np.hypot(*np.diff(track, axis=0).T)))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lengths = [path_length(positions[:, i]) for i in range(3)]
+        pairs = pair_max_distances(trace)
+        clearance = min_obstacle_clearance(trace)
+        error = ape(trace, ref, 1)
+    assert lengths == [hypot_path(positions[:, i]) for i in range(3)]
+    assert all(1e-299 < v < 1e-296 for v in lengths)
+    for a, b in itertools.combinations(range(3), 2):
+        far = np.max(np.hypot(*(positions[:, b] - positions[:, a]).T))
+        assert pairs[a, b] == pairs[b, a] == far > 0.0
+    hypot_clearance = np.min(np.hypot(positions[..., 0] - center.x,
+                                      positions[..., 1] - center.y)) - 1e-300
+    assert clearance == hypot_clearance > 0.0
+    hypot_ape = 100.0 * np.mean(np.hypot(*(positions[:, 1] - steady[:, 1]).T)) / hypot_path(
+        steady[:, 1])
+    assert error == hypot_ape and 0.0 < error < math.inf
 
 
 @pytest.mark.parametrize("controller", CONTROLLERS)

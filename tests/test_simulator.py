@@ -20,7 +20,7 @@ from swarmpath.metrics import leader_path_length
 from swarmpath.sweep import SweepSpec
 from swarmpath.topology import LeaderTrack, swarm_step
 from swarmpath.world import ImpedanceParams, Obstacle, TopologyParams, Vec2, read_scenario
-from conftest import SCENARIO_DIR, one_pole_spec, straight_spec, sweep_traces
+from conftest import SCENARIO_DIR, lagging_spec, one_pole_spec, straight_spec, sweep_traces
 
 
 def test_run_rejects_unknown_controller():
@@ -190,6 +190,29 @@ def test_a_leader_fault_after_several_chunks_is_raised_at_its_step(chunk, monkey
         run(dataclasses.replace(spec, obstacles=(post, slot)), SWARMPATH)
     assert str(err.value) == (f"step 201: drone 1: 0 m from obstacle center ({sx}, {sy}), "
                               "direction undefined")
+    # Drone 1 of the lagging swarm lands on a third post's center at row 350,
+    # long after its leader has come to rest, and faults at step 351.  Each
+    # round past the rest grows the run by chunk rows, so every chunk size
+    # takes its own number of swarm_step calls to reach that step.
+    lagging = lagging_spec()
+    rest = LeaderTrack(lagging).rest
+    fx, fy = run(lagging, SWARMPATH).positions[350, 0].tolist()
+    on_drone = Obstacle(Vec2(fx, fy), 1e-7, 2e-7, 2e-7)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return swarm_step(*args)
+
+    monkeypatch.setattr(simulator, "swarm_step", counted)
+    with pytest.raises(SingularityError) as err:
+        run(dataclasses.replace(lagging, obstacles=(*lagging.obstacles, on_drone)), SWARMPATH)
+    assert str(err.value) == (f"step 351: drone 1: 0 m from obstacle center ({fx}, {fy}), "
+                              "direction undefined")
+    assert 351 - rest > 128
+    rounds = {c: 1 + math.ceil((351 - rest) / c) for c in (1, 7, 128)}
+    assert len(set(rounds.values())) == 3
+    assert len(calls) == len(lagging.formation_offsets) * rounds[chunk]
 
 
 @pytest.mark.parametrize("settled", ["goal", "stall"])

@@ -37,7 +37,7 @@ from swarmpath.topology import (DEFLECTION_FAULT, LEADER, MEAN_SPEED_ALPHA, OVER
 from swarmpath.world import (ApfParams, ImpedanceParams, Obstacle, ScenarioSpec,
                              ScenarioValidationError, TopologyParams, Vec2, read_scenario,
                              validate_spec)
-from conftest import SCENARIO_DIR, one_pole_spec, straight_spec
+from conftest import SCENARIO_DIR, lagging_spec, one_pole_spec, straight_spec
 from reference import deflection_offset
 
 
@@ -717,6 +717,12 @@ def shipped_reference(name):
     return spec, reference_run(spec, SWARMPATH)
 
 
+@functools.cache
+def lagging_reference():
+    spec = lagging_spec()
+    return spec, reference_run(spec, SWARMPATH)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 128])
 @pytest.mark.parametrize("name", ["case1_gate.json", "case2_forest.json"])
 def test_every_chunk_size_matches_the_helpers(name, chunk, monkeypatch):
@@ -729,6 +735,26 @@ def test_every_chunk_size_matches_the_helpers(name, chunk, monkeypatch):
     assert trace.outcome == outcome == COMPLETED
     assert trace.positions.tobytes() == positions.tobytes()
     assert np.array_equal(trace.modes, np.array(modes))
+    # The lagging swarm completes more than 128 rows past its leader's rest,
+    # so every chunk size grows it over its own number of rounds, each one
+    # swarm_step call per follower.
+    spec, (outcome, positions, modes) = lagging_reference()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return swarm_step(*args)
+
+    monkeypatch.setattr(simulator, "swarm_step", counted)
+    track = LeaderTrack(spec)
+    trace = run(spec, SWARMPATH, track)
+    end = trace.n_frames - 1
+    assert trace.outcome == outcome == COMPLETED and end - track.rest > 128
+    assert trace.positions.tobytes() == positions.tobytes()
+    assert np.array_equal(trace.modes, np.array(modes))
+    rounds = {c: 1 + math.ceil((end - track.rest) / c) for c in (1, 7, 128)}
+    assert len(set(rounds.values())) == 3
+    assert len(calls) == trace.n_drones * rounds[chunk]
 
 
 def test_an_acquire_on_the_first_step_of_a_call():

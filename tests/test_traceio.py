@@ -135,13 +135,26 @@ def test_comparison_json_structure():
     assert doc["swarmpath"]["outcome"] == "completed"
     assert doc["conventional_apf"]["outcome"] == "completed"
     assert doc["time_ratio"] == sig6(
-        report.sp_completion_time / report.base_completion_time
+        report["swarmpath"]["completion_time_s"] / report["conventional_apf"]["completion_time_s"]
     )
     assert len(doc["pairs"]) == 6
     assert doc["pairs"][0]["drones"] == [1, 2]
     assert len(doc["drones"]) == 4
     assert doc["drones"][0]["drone"] == 1
     assert "ape_definition" in doc
+
+
+def test_reports_round_every_float_and_keep_everything_else():
+    # Floats are rounded at any depth, -0.0 keeping its sign; ints (even
+    # beyond sig6's digits), bools, None and strings pass through as they are.
+    doc = {"x": 1.23456789,
+           "nested": {"zero": -0.0, "rows": [[2.00000049, 10 ** 20], {"y": -1e-300 / 3}]},
+           "flags": [True, False], "none": None, "text": "1.23456789", "n": 7}
+    expected = {"x": 1.23457,
+                "nested": {"zero": -0.0, "rows": [[2.0, 10 ** 20], {"y": -3.33333e-301}]},
+                "flags": [True, False], "none": None, "text": "1.23456789", "n": 7}
+    assert render_comparison_json(doc) == json.dumps(expected, indent=2) + "\n"
+    assert '"zero": -0.0' in render_comparison_json(doc)
 
 
 @pytest.mark.parametrize("controller", [SWARMPATH, CONVENTIONAL_APF])
