@@ -18,12 +18,11 @@ from .world import effective_obstacles  # noqa: F401
 from .apf import total_force  # noqa: F401
 
 
-def baseline_step(spec: ScenarioSpec, offset: Vec2, last: int) -> LeaderTrack:
-    """The track of the drone at offset, descended through step last.
+def baseline_step(spec: ScenarioSpec, offset: Vec2) -> LeaderTrack:
+    """The track of the drone at offset, descended through step max_steps.
 
     It stops early at the path's fixed point or its first fault; see
     LeaderTrack.
     """
     sx, sy, gx, gy = spec.start.x, spec.start.y, spec.goal.x, spec.goal.y
-    return LeaderTrack(spec, (sx + offset.x, sy + offset.y), (gx + offset.x, gy + offset.y),
-                       last)
+    return LeaderTrack(spec, (sx + offset.x, sy + offset.y), (gx + offset.x, gy + offset.y))

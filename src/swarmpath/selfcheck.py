@@ -108,10 +108,10 @@ def check_rotational_equivariance() -> CheckResult:
     return CheckResult("rotational_equivariance", worst, SYMMETRY_TOL)
 
 
-def run_selfcheck(dt: float = 0.01) -> list[CheckResult]:
+def run_selfcheck() -> list[CheckResult]:
     return [
-        check_integrator(dt),
-        check_no_overshoot(dt),
+        check_integrator(),
+        check_no_overshoot(),
         check_repulsion_continuity(),
         check_rotational_equivariance(),
     ]

@@ -9,12 +9,13 @@ replaying the same spec gives identical columns.
 No drone of either controller reads another, so both run drone-major and
 run composes each the same way, exactly as a loop over steps would meet its
 end: one track per drone, then the end and the first fault at or before it
-(_raise_first), then the columns (_columns).  Each baseline drone is a
-topology.LeaderTrack from its start slot toward its goal slot, built alone
-by baseline_step.  The swarm's leader reads no drone, so it is not stepped
-here: its rows come from a topology.LeaderTrack, which holds its whole path
-from construction and which a sweep builds once and hands to every point,
-and its fault is the track's.  Each swarm follower reads only its own
+(_raise_first), then the columns (_columns).  Every track is a
+topology.LeaderTrack, built whole, through max_steps or to its fixed point
+or first fault.  Each baseline drone's runs from its start slot toward its
+goal slot, built alone by baseline_step.  The swarm's leader reads no
+drone, so it is not stepped here: its rows come from its track, which a
+sweep builds once and hands to every point, and its fault is the track's.
+Each swarm follower reads only its own
 state, the leader's rows and the obstacles, so topology.swarm_step runs
 each follower through the leader's whole path in one call.  The kernels
 only write rows: the end is read from them here, by one completion rule for
@@ -146,21 +147,16 @@ def _columns(buffers: list[array], rows: int | None = None, first: int = 0) -> n
 def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
     """The baseline run, composed from one descent track per drone.
 
-    Each track is descended through max_steps, or through the earliest
-    fault met so far (a later drone may fault at that step too), and stops
-    early at its fixed point, whose row it repeats from there on: a track at
-    rest is padded through the latest rest plus STALL_PATIENCE - 1, so that
-    a still run that goes on to the end is in the rows, but not past
-    max_steps or the row before the earliest fault.  The run ends on the
+    Each track is descended whole, through max_steps, or to its fixed
+    point, whose row it repeats from there on, or to its first fault: a
+    track at rest is padded through the latest rest plus STALL_PATIENCE - 1,
+    so that a still run that goes on to the end is in the rows, but not past
+    max_steps or the row before the least fault step.  The run ends on the
     earliest of: _first_complete, _first_stall (while a drone is not within)
     and max_steps, all read from the rows that every drone holds.
     """
-    tracks = []
-    fail = math.inf
-    for offset in spec.formation_offsets:
-        tracks.append(baseline_step(spec, offset, min(spec.max_steps, fail)))
-        if tracks[-1].fault is not None:  # at or before the earliest so far
-            fail = tracks[-1].fault[0]
+    tracks = [baseline_step(spec, offset) for offset in spec.formation_offsets]
+    fail = min((t.fault[0] for t in tracks if t.fault is not None), default=math.inf)
     rest = max(math.inf if t.rest is None else t.rest for t in tracks)
     pad = min(spec.max_steps, fail - 1, rest + STALL_PATIENCE - 1)
     for t in tracks:
@@ -241,8 +237,7 @@ def run(spec: ScenarioSpec, controller: str = SWARMPATH,
 
     track is the swarm leader's LeaderTrack; runs that share one step the
     leader once between them.  It must have been built for spec's leader
-    inputs, through max_steps (its constructor's default last), or
-    ValueError; when None, the run builds its own.
+    inputs, or ValueError; when None, the run builds its own.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}, expected one of {CONTROLLERS}")
@@ -255,6 +250,4 @@ def run(spec: ScenarioSpec, controller: str = SWARMPATH,
     elif track.inputs != leader_inputs(spec):
         raise ValueError("the leader track was built for other leader inputs "
                          "(start, goal, obstacles, gates, apf, dt, max_steps)")
-    elif track.rest is None and track.fault is None and len(track.xy) // 2 <= spec.max_steps:
-        raise ValueError("the leader track ends before max_steps")
     return _swarm_run(spec, track)

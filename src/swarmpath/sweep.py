@@ -105,7 +105,7 @@ def run_sweep(sweep: SweepSpec) -> SweepResult:
     m, d and k reach neither the leader nor the obstacles, so every point
     reads one LeaderTrack, with the obstacle index it carries.  Nor do they
     reach where a follower at rest on its slot rides, or its speed there, so
-    the points also share the track's approaches: the first point builds
+    the points also share the track's ride tables: the first point builds
     each one, searched once over the track's rows, and the later ones only
     test their goals along it.
     """

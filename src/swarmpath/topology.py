@@ -24,13 +24,13 @@ its state in locals, and only writes its rows; simulator.run reads a run's
 end from them.
 
 swarm_step is the hot loop, so it applies the link rule, the deflection and
-the link update itself (the leader-linked scan in _link_rule) rather than
-through update_link_mode, nearest_obstacle, tests/reference.py's
-deflection_offset and link_step.  Those helpers stay the reference: the
-tests check swarm_step against a run built from them, bit for bit.  The loop
-looks a leader-linked drone's link cell up only when the drone enters
-another cell, scans it only when it lists obstacles, and appends its rows to
-the drone's buffers once, on exit.
+the link update itself rather than through update_link_mode,
+tests/reference.py's deflection_offset and link_step; only its
+leader-linked acquire calls nearest_obstacle, as update_link_mode does.
+Those helpers stay the reference: the tests check swarm_step against a run
+built from them, bit for bit.  The loop looks a leader-linked drone's link
+cell up only when the drone enters another cell, scans it only when it lists
+obstacles, and appends its rows to the drone's buffers once, on exit.
 
 Until a follower first comes within an obstacle's r_imp it usually sits
 bit-exactly on its slot with a zero link state, which the zero-force update
@@ -38,8 +38,8 @@ keeps zero; swarm_step then moves it over the whole stretch up to that step
 or its last step at once, with numpy (see _ride), and steps on from there
 one step at a time.  Where that stretch ends and the drone's mean_speed
 along it read only the leader's rows, the offset, the obstacles and dt,
-never m, d or k, so a LeaderTrack searches them once per offset (its
-Approach) and every run that reads the track shares them: each point of a
+never m, d or k, so a LeaderTrack searches them once per offset (its ride
+table) and every run that reads the track shares them: each point of a
 sweep after the first does only its own goal test and row appends.
 """
 
@@ -136,26 +136,26 @@ class LeaderTrack:
 
     xy holds the rows, flat: (x, y) after step n is xy[2n], xy[2n + 1], and
     row 0 is the start.  The constructor runs apf.descend once, through row
-    last (spec.max_steps unless given), or to the path's fixed point: from
-    step rest on, every row repeats the one before, because the path latched
-    its goal (reached), the field vanished (stall_step, the step it did, is
-    rest) or a step left x and y bit for bit.  A step that faults is not
-    stored: fault is its (step, kind, text).
+    spec.max_steps, or to the path's fixed point: from step rest on, every
+    row repeats the one before, because the path latched its goal (reached),
+    the field vanished (stall_step, the step it did, is rest) or a step left
+    x and y bit for bit.  A step that faults is not stored: fault is its
+    (step, kind, text).
     row(n) reads row n, appending copies of the fixed point through n first;
     it raises the fault's SingularityError past a faulted path's rows, and
     IndexError past a moving path's.  Whoever builds a track chooses the runs
     that share it.
 
-    The runs that share a track also share its followers' approaches
-    (approach(offset)): where a follower at rest on its slot from step 0 may
-    ride and its mean_speed there.  These follow from the rows, the offset,
-    the obstacles and dt, all fixed with the track, and the ride moves the
-    link by no more than a signed zero, so m, d and k, which a sweep varies,
-    cannot change them.
+    The runs that share a track also share its followers' ride tables
+    (ride_table(offset)): where a follower at rest on its slot from step 0
+    may ride and its mean_speed there.  These follow from the rows, the
+    offset, the obstacles and dt, all fixed with the track, and the ride
+    moves the link by no more than a signed zero, so m, d and k, which a
+    sweep varies, cannot change them.
     """
 
     def __init__(self, spec: ScenarioSpec, start: tuple[float, float] | None = None,
-                 goal: tuple[float, float] | None = None, last: int | None = None):
+                 goal: tuple[float, float] | None = None):
         self.inputs = leader_inputs(spec, start, goal)
         start, self.goal = self.inputs[:2]
         self.index, self.dt = spec.obstacle_index, spec.dt
@@ -164,8 +164,8 @@ class LeaderTrack:
         self.reached = False
         self.stall_step: int | None = None
         self.fault: tuple[int, int, str] | None = None
-        self.approaches: dict[tuple[float, float], Approach] = {}
-        status, text = descend(xy, *self.goal, spec.max_steps if last is None else last, spec)
+        self.ride_tables: dict[tuple[float, float], array] = {}
+        status, text = descend(xy, *self.goal, spec.max_steps, spec)
         if text is not None:
             self.fault = (len(xy) // 2, status, text)
         elif status != DESCENDING:
@@ -185,50 +185,38 @@ class LeaderTrack:
             xy.extend(xy[-2:] * (step + 1 - len(xy) // 2))
         return xy[2 * step], xy[2 * step + 1]
 
-    def approach(self, offset: tuple[float, float]) -> Approach:
-        """The Approach of the follower on offset.
+    def ride_table(self, offset: tuple[float, float]) -> array:
+        """The mean_speed after each step n of the follower on offset while it rides.
 
-        Built on the first request for offset, over the rows the track holds
-        then, and kept: every run that reads this track shares it.
+        A drone starts on its slot (leader row 0 + offset) with a zero link,
+        and while nothing pushes on its link it stays on the slot: its
+        position after step n is slot n = leader row n + offset, up to the
+        sign of a zero, which the link coefficients choose and which neither
+        a link cell key (-0.0 == 0.0) nor a hypot reads.  So the ride depends
+        on the offset alone, never on m, d or k.
+
+        table[n] is the exact sequential EMA from 0.0 at step 0.  The table
+        ends where the ride must hand over to swarm_step's loop: its length
+        is the first step n whose slot n - 1 is within its own r_imp of an
+        obstacle listed in its link cell, whose slot n is not finite, or
+        whose mean_speed is not finite; or, if no step is one, the number of
+        rows the track holds.  Built on the first request for offset, over
+        the rows the track holds then, and kept: every run that reads this
+        track shares it.
+
+        The stop rule is wider than an acquire: with one r_imp in a scenario
+        the two fall on the same step, and with mixed r_imp a drone within
+        one obstacle's r_imp whose nearest obstacle is another stops riding
+        there although it acquires nothing.  Within each run of steps in one
+        link cell the cell is looked up once, and scanned only if it lists
+        obstacles.
         """
-        approach = self.approaches.get(offset)
-        if approach is None:
-            approach = self.approaches[offset] = Approach(self, offset)
-        return approach
-
-
-class Approach:
-    """Where a follower at rest on its slot from step 0 can ride, and its speed there.
-
-    A drone starts on its slot (leader row 0 + offset) with a zero link, and
-    while nothing pushes on its link it stays on the slot: its position after
-    step n is slot n = leader row n + offset, up to the sign of a zero, which
-    the link coefficients choose and which neither a link cell key (-0.0 ==
-    0.0) nor a hypot reads.  So along one LeaderTrack the ride depends on the
-    offset alone, never on m, d or k, and every run on the track, such as
-    each point of a sweep, reads one Approach per offset.
-
-    The constructor searches all of track's rows once.
-    stop is the first step at which the ride must hand over to swarm_step's
-    loop: the first step n whose slot n - 1 is within its own r_imp of an
-    obstacle listed in its link cell, whose slot n is not finite, or whose
-    mean_speed is not finite; None if no step of the track's rows is one.
-    ema[n] is the drone's mean_speed after step n, the exact sequential EMA
-    from 0.0 at step 0, through the step before stop, or through the
-    track's last row.
-
-    The stop rule is wider than an acquire: with one r_imp in a scenario the
-    two fall on the same step, and with mixed r_imp a drone within one
-    obstacle's r_imp whose nearest obstacle is another stops riding there
-    although it acquires nothing.  Within each run of steps in one link cell
-    the cell is looked up once, and scanned only if it lists obstacles.
-    """
-
-    def __init__(self, track: LeaderTrack, offset: tuple[float, float]):
-        self.offset = offset
-        index = track.index
+        table = self.ride_tables.get(offset)
+        if table is not None:
+            return table
+        index = self.index
         with np.errstate(over="ignore", invalid="ignore"):
-            slots = np.frombuffer(track.xy).reshape(-1, 2) + offset  # slots 0..last
+            slots = np.frombuffer(self.xy).reshape(-1, 2) + offset  # slots 0..last
             finite = np.isfinite(slots[1:]).all(axis=1)
             k = len(finite) if finite.all() else int(finite.argmin())
             keys = np.floor_divide(slots[:k], index.link_cell)  # where each step looks
@@ -243,17 +231,16 @@ class Approach:
             if hit is not None:
                 k = hit
                 break
-        keep, alpha, dt = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA, track.dt
+        keep, alpha, dt = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA, self.dt
         mean_speed, speeds = 0.0, []
         put = speeds.append
         for distance in map(math.hypot, *(slots[1:k + 1] - slots[:k]).T.tolist()):
             mean_speed = keep * mean_speed + alpha * (distance / dt)
             put(mean_speed)
         if not math.isfinite(mean_speed):  # a term of inf stays inf from there on
-            k = next(i for i, v in enumerate(speeds) if not math.isfinite(v))
-            del speeds[k:]
-        self.ema = array("d", [0.0, *speeds])
-        self.stop = 1 + k if k < len(finite) else None
+            del speeds[next(i for i, v in enumerate(speeds) if not math.isfinite(v)):]
+        table = self.ride_tables[offset] = array("d", [0.0, *speeds])
+        return table
 
 
 def initial_swarm_state(spec: ScenarioSpec) -> list[Drone]:
@@ -263,27 +250,10 @@ def initial_swarm_state(spec: ScenarioSpec) -> list[Drone]:
             for off in spec.formation_offsets]
 
 
-def _link_rule(x: float, y: float, ids: tuple[int, ...], cell_rows: tuple[tuple, ...]) -> int:
-    """The mode a leader-linked drone at (x, y) takes, given its link cell's (ids, rows).
-
-    nearest_obstacle over the cell, ties to the lower index, is acquired when
-    its surface is closer than its r_imp; otherwise LEADER.  A surface at inf
-    can acquire nothing, so starting the scan at inf acquires exactly what
-    starting it on the first row would.
-    """
-    best = reach = math.inf
-    near = LEADER
-    for j, (cx, cy, radius, _, r_imp) in zip(ids, cell_rows):
-        dist = math.hypot(x - cx, y - cy) - radius
-        if dist < best:
-            best, reach, near = dist, r_imp, j
-    return near if best < reach else LEADER
-
-
 def _in_reach(x: float, y: float, cell_rows: tuple[tuple, ...]) -> bool:
     """Whether (x, y) is within its own r_imp of any of a link cell's rows.
 
-    Wherever _link_rule acquires, its nearest row is one of these.
+    Wherever swarm_step acquires, its nearest row is one of these.
     """
     for cx, cy, radius, _, r_imp in cell_rows:
         if math.hypot(x - cx, y - cy) - radius < r_imp:
@@ -301,11 +271,11 @@ def _ride(drone: Drone, step: int, last: int, track: LeaderTrack,
     signed zero c = p00 * dx + p01 * vx + hold0 to its slot every step, so
     its positions are (leader row + offset) + c, computed here with numpy's
     elementwise IEEE operations in swarm_step's order.  Where the stretch
-    may go, and mean_speed along it, is the track's Approach for offset,
+    may go, and mean_speed along it, is the track's ride table for offset,
     which reads no m, d or k: a drone rides only while its mean_speed is the
-    approach's, and only up to the step before the approach's stop, or to
-    last.  Appends the stretch's rows and returns (drone, n) after its last
-    step n; a drone not at rest comes back unchanged with n = step.
+    table's, and only through the table's last step, or to last.  Appends
+    the stretch's rows and returns (drone, n) after its last step n; a drone
+    not at rest comes back unchanged with n = step.
     """
     x, y, vx, vy, mode, mean_speed = drone
     ox, oy = offset
@@ -320,7 +290,7 @@ def _ride(drone: Drone, step: int, last: int, track: LeaderTrack,
             or copysign(1.0, p10 * dx + p11 * vx + hold1) != copysign(1.0, vx)
             or copysign(1.0, p10 * dy + p11 * vy + hold1) != copysign(1.0, vy)):
         return drone, step
-    ema = track.approach(offset).ema
+    ema = track.ride_table(offset)
     end = min(last, len(ema) - 1)
     if step >= end or ema[step] != mean_speed:
         return drone, step
@@ -346,9 +316,10 @@ def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
     deviation translates with the leader instead of lagging it.  The slot's
     deflection depends on the drone alone, so both slots share it.
 
-    The link rule is update_link_mode's (its leader-linked scan is
-    _link_rule, run only on a link cell that lists obstacles), the deflection
-    is tests/reference.py's deflection_offset's, with the same
+    The link rule is update_link_mode's: on a link cell that lists
+    obstacles, a leader-linked drone acquires the row that nearest_obstacle
+    finds in the cell when its surface is closer than that row's r_imp.  The
+    deflection is tests/reference.py's deflection_offset's, with the same
     SingularityError text, and the link update is link_step's with no
     external force, all written out with the same operations in the same
     order, so every bit matches the helpers.
@@ -373,7 +344,7 @@ def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
     # +0.0 turns a -0.0 sum into +0.0, so the terms stay.
     hold0, hold1 = g0 * 0.0, g1 * 0.0
     keep, alpha = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA
-    hypot, isfinite, link_rule = math.hypot, math.isfinite, _link_rule
+    hypot, isfinite, nearest = math.hypot, math.isfinite, nearest_obstacle
     xy = track.xy
     # The slot the drone tracks at step n sits on the leader's row n - 1: the
     # slot of row n that step n - 1 made, before its deflection.
@@ -391,7 +362,9 @@ def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
                     cell_x, cell_y = kx, ky
                     ids, cell_rows = link_cells.get((kx, ky), NO_CANDIDATES)
                 if ids:
-                    mode = link_rule(x, y, ids, cell_rows)
+                    j, dist = nearest(x, y, cell_rows)
+                    if dist < cell_rows[j][4]:
+                        mode = ids[j]
             else:
                 cx, cy, radius, _, r_imp = rows[mode]
                 if hypot(x - cx, y - cy) - radius > r_imp * release:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from conftest import straight_spec
 
 
 def test_initial_state_puts_drones_on_slots():
-    spec = straight_spec()
+    spec = straight_spec(max_steps=0)
     for offset in spec.formation_offsets:
-        track = baseline_step(spec, offset, 0)
+        track = baseline_step(spec, offset)
         assert tuple(track.xy) == (spec.start.x + offset.x, spec.start.y + offset.y)
         assert track.goal == (spec.goal.x + offset.x, spec.goal.y + offset.y)
         assert not track.reached and track.rest is None
@@ -48,7 +50,7 @@ def test_drones_avoid_obstacles_independently():
         obstacles=(Obstacle(Vec2(2.0, 0.15), 0.15, 0.5, 0.3),),
     )
     post = spec.obstacles[0]
-    tracks = [baseline_step(spec, offset, 1200) for offset in spec.formation_offsets]
+    tracks = [baseline_step(spec, offset) for offset in spec.formation_offsets]
     for track in tracks:
         assert track.stall_step is None and track.fault is None
         assert track.reached
@@ -68,14 +70,14 @@ def test_drones_avoid_obstacles_independently():
 
 def test_baseline_step_reports_stall_only_when_nobody_moves():
     spec = straight_spec(goal=Vec2(1.0, 0.0))
-    track = baseline_step(spec, spec.formation_offsets[0], 1)
+    track = baseline_step(dataclasses.replace(spec, max_steps=1), spec.formation_offsets[0])
     assert track.stall_step is None and track.rest is None
     assert track.row(1) != track.row(0)
     # Everyone already on their slot goal: all latch, nobody moves, but that
     # is completion, not a stall.
     parked = straight_spec(goal=Vec2(0.0, 0.0))
     for offset in parked.formation_offsets:
-        track = baseline_step(parked, offset, 1)
+        track = baseline_step(dataclasses.replace(parked, max_steps=1), offset)
         assert track.stall_step is None
         assert track.reached and track.rest == 1
     trace = run(parked, CONVENTIONAL_APF)

@@ -229,7 +229,7 @@ def descent_step_points(spec):
     a latch appends a copy of its row, and every other step the row it made.
     """
     for offset in spec.formation_offsets:
-        track = baseline_step(spec, offset, spec.max_steps)
+        track = baseline_step(spec, offset)
         rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
         yield from rows[:-2] if track.reached else rows[:-1]
 

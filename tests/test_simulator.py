@@ -104,17 +104,6 @@ def test_run_rejects_a_track_for_other_leader_inputs():
         run(spec, CONVENTIONAL_APF, LeaderTrack(spec))
 
 
-def test_run_rejects_a_track_that_ends_before_max_steps():
-    # The leader still moves at row 100, so the track holds no row past it;
-    # a track at rest there holds every row the run may ask for.
-    spec = straight_spec(goal=Vec2(1.0, 0.0), max_steps=300)
-    with pytest.raises(ValueError, match="ends before max_steps"):
-        run(spec, SWARMPATH, LeaderTrack(spec, last=100))
-    rested = LeaderTrack(spec, last=299)
-    assert rested.rest is not None
-    assert run(spec, SWARMPATH, rested).leader.tobytes() == run(spec).leader.tobytes()
-
-
 def test_run_rejects_a_track_for_a_start_or_goal_of_another_signed_zero():
     # -0.0 == 0.0, so the specs compare equal, but the leader's rows keep the
     # sign: on its own track this run's leader column starts at -0.0.

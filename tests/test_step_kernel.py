@@ -14,7 +14,7 @@ that random posts almost never reach, the rows a swarm_step call keeps when
 it faults after stepping, the goal test's edge, where a follower's ride on
 its slot (many steps at once) must end, and descent steps that leave a drone
 where it was without a stall flag.  Runs that share one LeaderTrack, and so
-its followers' approaches, must each equal a run on a track of its own.
+its followers' ride tables, must each equal a run on a track of its own.
 """
 
 import dataclasses
@@ -267,7 +267,7 @@ def run_result(spec, track=None):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=small_specs(), data=st.data())
 def test_two_impedances_on_one_shared_track_match_fresh_runs(spec, data):
-    # A track shares its followers' approaches between the runs that read
+    # A track shares its followers' ride tables between the runs that read
     # it; whichever link runs first, each run equals one on its own track.
     other = dataclasses.replace(spec, impedance=data.draw(impedances(spec.dt)))
     fresh = [run_result(spec), run_result(other)]
@@ -341,7 +341,8 @@ def test_a_track_descends_through_its_last_row_on_construction(name, last):
                 "moves": lambda: straight_spec(goal=Vec2(100.0, 0.0), max_steps=400)}[name]()
     validate_spec(spec)
     k = spec.max_steps if last is None else last
-    track = LeaderTrack(spec, last=last)
+    spec = dataclasses.replace(spec, max_steps=k)
+    track = LeaderTrack(spec)
     xy, rest, stall_step, reached, fault = reference_track(spec, k)
     assert bytes(track.xy) == xy
     assert (track.rest, track.stall_step, track.reached) == (rest, stall_step, reached)
@@ -810,7 +811,7 @@ def test_a_call_lists_every_within_step(vx, rides, to_within):
     positions, modes = array("d"), array("q")
     after, n, fault = swarm_step(drone, 0, stop, track, (0.0, 0.4), spec,
                                  link_coefficients(spec.impedance, spec.dt), positions, modes)
-    assert ((0.0, 0.4) in track.approaches) == rides
+    assert ((0.0, 0.4) in track.ride_tables) == rides
     assert (n, fault) == (stop, None)
     assert within_steps(np.frombuffer(positions).reshape(-1, 2), 1, (goal_x, goal_y),
                         spec.apf.goal_threshold) == [n for n in expected if n <= stop]
@@ -870,7 +871,7 @@ def test_a_ride_stops_within_a_wide_r_imp_that_it_does_not_acquire():
     assert trace.positions[:, 0].tolist() == slots
     reach = [math.hypot(x - 1.5, y - 1.2) - 0.1 < 0.8 for x, y in slots]
     assert sum(reach) > 100
-    assert track.approaches[(0.0, 0.4)].stop == reach.index(True) + 1
+    assert len(track.ride_tables[(0.0, 0.4)]) == reach.index(True) + 1
 
 
 def test_a_zero_offset_on_a_leader_coordinate_of_zero():
@@ -1041,7 +1042,7 @@ def test_a_negative_zero_rate_is_stepped_like_the_helpers():
 
 def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_helpers():
     # A drone at rest on its slot at step 20, as after a link episode, with a
-    # mean_speed that is not the one its approach ran up from rest at step
+    # mean_speed that is not the one its ride table ran up from rest at step
     # 0: its EMA goes on from its own, so it does not ride.
     spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),), max_steps=400)
     track = LeaderTrack(spec)
@@ -1057,7 +1058,7 @@ def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_he
                              link_coefficients(spec.impedance, spec.dt), positions,
                              array("q"))
     assert (n, after) == (60, state[0])
-    assert after[5] != track.approaches[(0.0, 0.4)].ema[60]
+    assert after[5] != track.ride_tables[(0.0, 0.4)][60]
 
 
 def test_numpy_floor_division_is_pythons():

@@ -186,16 +186,18 @@ def test_sweep_points_share_one_obstacle_index(monkeypatch):
 
 @pytest.mark.parametrize("name", ["sweep_k.json", "sweep_d.json"])
 def test_sweep_points_search_each_offsets_approach_once(name, monkeypatch):
-    # m, d and k leave each follower's approach alone: a sweep builds one
-    # Approach per formation offset during the first point, whose
-    # constructor searches it from step 0 up to its stop, and the later
-    # points build none.
-    approaches, point = [], [0]
-    init = topology.Approach.__init__
+    # m, d and k leave each follower's ride table alone: a sweep builds one
+    # table per formation offset during the first point, searched from step
+    # 0 up to where its ride stops, and the later points build none.
+    builds, point = [], [0]
+    ride_table = topology.LeaderTrack.ride_table
 
-    def counted_init(approach, track, offset):
-        approaches.append((point[0], approach))
-        init(approach, track, offset)
+    def counted_ride_table(track, offset):
+        built = offset not in track.ride_tables
+        table = ride_table(track, offset)
+        if built:
+            builds.append((point[0], offset, table, len(track.xy) // 2))
+        return table
 
     def counted_run(*args, **kwargs):
         try:
@@ -204,20 +206,21 @@ def test_sweep_points_search_each_offsets_approach_once(name, monkeypatch):
             point[0] += 1
 
     sweep = read_sweep(SCENARIO_DIR / name)
-    monkeypatch.setattr(topology.Approach, "__init__", counted_init)
+    monkeypatch.setattr(topology.LeaderTrack, "ride_table", counted_ride_table)
     monkeypatch.setattr(sweep_module, "run", counted_run)
     result, traces = sweep_traces(sweep, monkeypatch)
     assert point[0] == len(traces) == len(result.runs) == len(sweep.values) > 1
     offsets = [o.as_tuple() for o in sweep.scenario.formation_offsets]
-    assert [a.offset for _, a in approaches] == offsets
-    assert {p for p, _ in approaches} == {0}
-    for i, (_, approach) in enumerate(approaches):
-        # ema holds the mean_speed of every step from 0 up to the stop.
-        assert approach.stop is not None and len(approach.ema) == approach.stop
+    assert [offset for _, offset, _, _ in builds] == offsets
+    assert {p for p, _, _, _ in builds} == {0}
+    for i, (_, _, table, rows) in enumerate(builds):
+        # The table holds the mean_speed of every step from 0 up to where
+        # the ride stops, which comes before the track's last row.
+        assert len(table) < rows
         # The gate has one r_imp, so each ride stops on the drone's first
         # acquire, the same step at every point.
         for trace in traces:
-            assert int(np.argmax(trace.modes[:, i] != topology.LEADER)) == approach.stop
+            assert int(np.argmax(trace.modes[:, i] != topology.LEADER)) == len(table)
 
 
 def test_sweep_json_and_csv_shapes():

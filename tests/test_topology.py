@@ -3,6 +3,7 @@ from array import array
 
 import pytest
 
+from swarmpath import topology
 from swarmpath.apf import SingularityError
 from swarmpath.impedance import link_coefficients
 from swarmpath.simulator import SWARMPATH, run
@@ -15,8 +16,8 @@ from swarmpath.topology import (
     update_link_mode,
 )
 from swarmpath.traceio import mode_cell
-from swarmpath.world import Obstacle, ObstacleIndex, TopologyParams, Vec2
-from conftest import one_pole_spec, straight_spec
+from swarmpath.world import Obstacle, ObstacleIndex, TopologyParams, Vec2, read_scenario
+from conftest import SCENARIO_DIR, one_pole_spec, straight_spec
 from reference import deflection_offset
 
 OB = (
@@ -216,3 +217,25 @@ def test_obstacle_episode_acquires_and_releases():
     for i in linked:
         assert modes[i][-1] == "L"
         assert all(m in ("L", "O0") for m in modes[i])
+
+
+def test_the_kernel_acquires_through_nearest_obstacle(monkeypatch):
+    # swarm_step's leader-linked acquire is update_link_mode's rule: it asks
+    # nearest_obstacle for the nearest row of the drone's link cell, so a
+    # counting wrapper sees every acquire on the gate and moves no byte.
+    spec = read_scenario(SCENARIO_DIR / "case1_gate.json")
+    plain = run(spec, SWARMPATH)
+    acquires = []
+
+    def counted(x, y, obstacles):
+        near = nearest_obstacle(x, y, obstacles)
+        acquires.append(near[1] < obstacles[near[0]][4])
+        return near
+
+    monkeypatch.setattr(topology, "nearest_obstacle", counted)
+    trace = run(spec, SWARMPATH)
+    for column in ("positions", "modes", "leader"):
+        assert getattr(trace, column).tobytes() == getattr(plain, column).tobytes()
+    entered = (trace.modes[1:] != LEADER) & (trace.modes[:-1] == LEADER)
+    assert sum(acquires) == entered.sum() > 0
+    assert len(acquires) > sum(acquires)
