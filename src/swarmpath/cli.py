@@ -36,6 +36,11 @@ def _output_dir(arg: str | None) -> Path:
     return path
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one output file as UTF-8 with LF line ends, the same bytes on every platform."""
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def _load_spec(path: str, dt: float | None, max_steps: int | None):
     spec = read_scenario(path)
     overrides = {name: value for name, value in (("dt", dt), ("max_steps", max_steps))
@@ -51,9 +56,9 @@ def cmd_run(args) -> int:
     controller = _CONTROLLER_FLAGS[args.controller]
     trace = run(spec, controller)
     out = _output_dir(args.output_dir)
-    traceio.write_trace_csv(trace, out / "trace.csv")
-    (out / "metrics.json").write_text(traceio.render_metrics_json(trace), encoding="utf-8")
-    (out / "trace.svg").write_text(plotsvg.render_trace_svg(trace), encoding="utf-8")
+    _write(out / "trace.csv", traceio.render_trace_csv(trace))
+    _write(out / "metrics.json", traceio.render_metrics_json(trace))
+    _write(out / "trace.svg", plotsvg.render_trace_svg(trace))
     print(f"{controller}: {trace.outcome} after {trace.n_frames - 1} steps "
           f"(t={trace.t[-1]:.6g} s)")
     print(f"wrote {out / 'trace.csv'}, {out / 'metrics.json'}, {out / 'trace.svg'}")
@@ -66,12 +71,10 @@ def cmd_compare(args) -> int:
     base = run(spec, CONVENTIONAL_APF)
     report = metrics.compare(sp, base)
     out = _output_dir(args.output_dir)
-    traceio.write_trace_csv(sp, out / "trace_swarmpath.csv")
-    traceio.write_trace_csv(base, out / "trace_apf.csv")
-    (out / "comparison.json").write_text(
-        traceio.render_comparison_json(report), encoding="utf-8")
-    (out / "compare.svg").write_text(
-        plotsvg.render_compare_svg(sp, base), encoding="utf-8")
+    _write(out / "trace_swarmpath.csv", traceio.render_trace_csv(sp))
+    _write(out / "trace_apf.csv", traceio.render_trace_csv(base))
+    _write(out / "comparison.json", traceio.render_comparison_json(report))
+    _write(out / "compare.svg", plotsvg.render_compare_svg(sp, base))
     sp_outcome = report["swarmpath"]["outcome"]
     base_outcome = report["conventional_apf"]["outcome"]
     time_ratio, pairwise_ratio = report["time_ratio"], report["max_pairwise_distance_m"]["ratio"]
@@ -89,8 +92,8 @@ def cmd_sweep(args) -> int:
     spec = sweep.read_sweep(args.sweep)
     result = sweep.run_sweep(spec)
     out = _output_dir(args.output_dir)
-    (out / "sweep.json").write_text(sweep.render_sweep_json(result), encoding="utf-8")
-    (out / "sweep.csv").write_text(sweep.render_sweep_csv(result), encoding="utf-8")
+    _write(out / "sweep.json", sweep.render_sweep_json(result))
+    _write(out / "sweep.csv", sweep.render_sweep_csv(result))
     for point in result.runs:
         note = f"  [{point.note}]" if point.note else ""
         print(f"{result.parameter}={sweep.value_label(point.value)}: {point.outcome}{note}")

@@ -39,7 +39,8 @@ def path_length(points: np.ndarray) -> float:
         raise ValueError(f"expected (N, 2) points, got shape {pts.shape}")
     if len(pts) < 2:
         return 0.0
-    return float(np.sum(_lengths(*np.diff(pts, axis=0).T)))
+    with np.errstate(over="ignore"):  # a sum past float range is inf
+        return float(np.sum(_lengths(*np.diff(pts, axis=0).T)))
 
 
 def drone_path_length(trace: SimulationTrace, drone: int) -> float:
@@ -54,7 +55,8 @@ def drone_path_lengths(trace: SimulationTrace) -> list[float]:
     """
     xs, ys = trace.positions.T  # (D, F) each
     dx, dy = (np.subtract(v[:, 1:], v[:, :-1], order="C") for v in (xs, ys))
-    return _lengths(dx, dy).sum(axis=1).tolist()
+    with np.errstate(over="ignore"):
+        return _lengths(dx, dy).sum(axis=1).tolist()
 
 
 def leader_path_length(trace: SimulationTrace) -> float | None:

@@ -16,8 +16,9 @@ goal slot, built alone by baseline_step.  The swarm's leader reads no
 drone, so it is not stepped here: its rows come from its track, which a
 sweep builds once and hands to every point, and its fault is the track's.
 Each swarm follower reads only its own
-state, the leader's rows and the obstacles, so topology.swarm_step runs
-each follower through the leader's whole path in one call.  The kernels
+state, the leader's rows and the obstacles, so it rides from frame 0 at
+rest on its slot (LeaderTrack.ride), and topology.swarm_step runs it on
+through the leader's whole path in one call.  The kernels
 only write rows: the end is read from them here, by one completion rule for
 both controllers (_first_complete) and the baseline's stall rule
 (_first_stall).
@@ -85,7 +86,8 @@ class SimulationTrace:
 def _trace(spec: ScenarioSpec, controller: str, outcome: str, positions: np.ndarray,
            leader: np.ndarray | None = None, modes: np.ndarray | None = None) -> SimulationTrace:
     """The finished run, its columns made read-only."""
-    t = np.arange(len(positions)) * spec.dt  # bit for bit the step * dt of each row
+    with np.errstate(over="ignore"):  # a t past float range is inf
+        t = np.arange(len(positions)) * spec.dt  # bit for bit the step * dt of each row
     for col in (t, positions, leader, modes):
         if col is not None:
             col.flags.writeable = False
@@ -177,13 +179,13 @@ def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
     The leader reads no drone, so the track holds its whole path, through
     max_steps or to its fixed point or fault; the fault is appended with
     drone -1 (the track holds no row for its step).  The first round is
-    frame 0 alone; the next runs each follower once through the leader's
-    rows in swarm_step, on past another's fault, which only a run that
-    raises pays for.  Past a fixed point, while no frame completes, each
-    round appends at least CHUNK more rows of the rest and every follower
-    runs on through them.  The run ends on the earliest of: _first_complete
-    over each round's new rows, the leader's stall_step plus
-    STALL_PATIENCE - 1, and max_steps.
+    frame 0 alone; the next rides each follower from frame 0 (the track's
+    ride) and runs it on through the leader's rows in swarm_step, on past
+    another's fault, which only a run that raises pays for.  Past a fixed
+    point, while no frame completes, each round appends at least CHUNK more
+    rows of the rest and every follower runs on through them.  The run ends
+    on the earliest of: _first_complete over each round's new rows, the
+    leader's stall_step plus STALL_PATIENCE - 1, and max_steps.
     """
     coefficients = link_coefficients(spec.impedance, spec.dt)
     offsets = [(off.x, off.y) for off in spec.formation_offsets]
@@ -212,7 +214,10 @@ def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
         track.row(target)  # past a fixed point the track repeats it
         for i, drone in enumerate(drones):
             if drone is not None:  # None once it has faulted
-                drones[i], n, fault = swarm_step(drone, frontier, target, track, offsets[i],
+                n = frontier
+                if not frontier:  # each follower starts at rest on its slot
+                    drone, n = track.ride(offsets[i], target, coefficients, positions[i], modes[i])
+                drones[i], n, fault = swarm_step(drone, n, target, track, offsets[i],
                                                  spec, coefficients, positions[i], modes[i])
                 if fault is not None:
                     faults.append((n, fault[0], i, fault[1]))

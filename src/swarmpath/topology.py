@@ -32,15 +32,13 @@ built from them, bit for bit.  The loop looks a leader-linked drone's link
 cell up only when the drone enters another cell, scans it only when it lists
 obstacles, and appends its rows to the drone's buffers once, on exit.
 
-Until a follower first comes within an obstacle's r_imp it usually sits
-bit-exactly on its slot with a zero link state, which the zero-force update
-keeps zero; swarm_step then moves it over the whole stretch up to that step
-or its last step at once, with numpy (see _ride), and steps on from there
-one step at a time.  Where that stretch ends and the drone's mean_speed
-along it read only the leader's rows, the offset, the obstacles and dt,
-never m, d or k, so a LeaderTrack searches them once per offset (its ride
-table) and every run that reads the track shares them: each point of a
-sweep after the first does only its own goal test and row appends.
+Every follower starts at rest on its slot, and the zero-force update keeps
+its zero link state until it first comes within an obstacle's r_imp.
+LeaderTrack.ride moves it over that stretch from frame 0 at once, with
+numpy, and swarm_step's loop steps on from there.  Where the stretch ends
+and the drone's mean_speed along it read only the leader's rows, the
+offset, the obstacles and dt, never m, d or k, so a track searches them once
+per offset (its ride table) and every run that reads it shares them.
 """
 
 from __future__ import annotations
@@ -147,11 +145,10 @@ class LeaderTrack:
     that share it.
 
     The runs that share a track also share its followers' ride tables
-    (ride_table(offset)): where a follower at rest on its slot from step 0
-    may ride and its mean_speed there.  These follow from the rows, the
-    offset, the obstacles and dt, all fixed with the track, and the ride
-    moves the link by no more than a signed zero, so m, d and k, which a
-    sweep varies, cannot change them.
+    (ride_table(offset)): how far a follower at rest on its slot from frame
+    0 rides (ride) and its mean_speed there.  These follow from the rows,
+    the offset, the obstacles and dt, all fixed with the track, never from
+    m, d or k, which a sweep varies.
     """
 
     def __init__(self, spec: ScenarioSpec, start: tuple[float, float] | None = None,
@@ -190,10 +187,8 @@ class LeaderTrack:
 
         A drone starts on its slot (leader row 0 + offset) with a zero link,
         and while nothing pushes on its link it stays on the slot: its
-        position after step n is slot n = leader row n + offset, up to the
-        sign of a zero, which the link coefficients choose and which neither
-        a link cell key (-0.0 == 0.0) nor a hypot reads.  So the ride depends
-        on the offset alone, never on m, d or k.
+        position after step n is slot n = leader row n + offset, plus +0.0,
+        which neither a link cell key (-0.0 == 0.0) nor a hypot reads.
 
         table[n] is the exact sequential EMA from 0.0 at step 0.  The table
         ends where the ride must hand over to swarm_step's loop: its length
@@ -242,6 +237,34 @@ class LeaderTrack:
         table = self.ride_tables[offset] = array("d", [0.0, *speeds])
         return table
 
+    def ride(self, offset: tuple[float, float], last: int, coefficients: Coefficients,
+             positions: array, modes: array) -> tuple[Drone, int]:
+        """Move the follower on offset from frame 0 through its ride table, or to last.
+
+        At frame 0 the drone rests on its slot: dx = dy = vx = vy = +0.0.
+        Where the zero-force update keeps that, p00 * 0.0 + p01 * 0.0 + g0 *
+        0.0 and p10 * 0.0 + p11 * 0.0 + g1 * 0.0 both +0.0, its rows are
+        (leader row + offset) + 0.0, computed with numpy's elementwise IEEE
+        operations in swarm_step's order.  Infinite gains make them nan, and
+        then the drone stays at frame 0 for swarm_step's loop.  Appends the
+        ride's rows and returns (drone, n) after its last step n.
+        """
+        xy = self.xy
+        drone = (xy[0] + offset[0], xy[1] + offset[1], 0.0, 0.0, LEADER, 0.0)
+        p00, p01, p10, p11, g0, g1 = coefficients
+        # +0.0 is the one double whose bytes are all zero.
+        if struct.pack("2d", p00 * 0.0 + p01 * 0.0 + g0 * 0.0,
+                       p10 * 0.0 + p11 * 0.0 + g1 * 0.0) != bytes(16):
+            return drone, 0
+        ema = self.ride_table(offset)
+        end = min(last, len(ema) - 1)
+        if end == 0:
+            return drone, 0
+        rode = (np.frombuffer(xy[2:2 * end + 2]).reshape(-1, 2) + offset) + 0.0
+        positions.frombytes(rode.tobytes())
+        modes.extend([LEADER] * end)
+        return (*rode[-1].tolist(), 0.0, 0.0, LEADER, ema[end]), end
+
 
 def initial_swarm_state(spec: ScenarioSpec) -> list[Drone]:
     """Drones at rest on the start formation, every link on the leader."""
@@ -259,46 +282,6 @@ def _in_reach(x: float, y: float, cell_rows: tuple[tuple, ...]) -> bool:
         if math.hypot(x - cx, y - cy) - radius < r_imp:
             return True
     return False
-
-
-def _ride(drone: Drone, step: int, last: int, track: LeaderTrack,
-          offset: tuple[float, float], coefficients: Coefficients,
-          positions: array, modes: array) -> tuple[Drone, int]:
-    """Move a follower at rest on its slot over a whole stretch at once.
-
-    A leader-linked drone whose link state is dx = dy = +0.0 and a zero
-    (vx, vy) that the zero-force update keeps bit for bit adds the same
-    signed zero c = p00 * dx + p01 * vx + hold0 to its slot every step, so
-    its positions are (leader row + offset) + c, computed here with numpy's
-    elementwise IEEE operations in swarm_step's order.  Where the stretch
-    may go, and mean_speed along it, is the track's ride table for offset,
-    which reads no m, d or k: a drone rides only while its mean_speed is the
-    table's, and only through the table's last step, or to last.  Appends
-    the stretch's rows and returns (drone, n) after its last step n; a drone
-    not at rest comes back unchanged with n = step.
-    """
-    x, y, vx, vy, mode, mean_speed = drone
-    ox, oy = offset
-    p00, p01, p10, p11, g0, g1 = coefficients
-    hold0, hold1 = g0 * 0.0, g1 * 0.0
-    copysign = math.copysign
-    xy = track.xy
-    dx, dy = x - (xy[2 * step] + ox), y - (xy[2 * step + 1] + oy)
-    c0, c1 = p00 * dx + p01 * vx + hold0, p00 * dy + p01 * vy + hold0
-    if (mode != LEADER or dx or dy or vx or vy or c0 or c1
-            or copysign(1.0, dx) < 0.0 or copysign(1.0, dy) < 0.0
-            or copysign(1.0, p10 * dx + p11 * vx + hold1) != copysign(1.0, vx)
-            or copysign(1.0, p10 * dy + p11 * vy + hold1) != copysign(1.0, vy)):
-        return drone, step
-    ema = track.ride_table(offset)
-    end = min(last, len(ema) - 1)
-    if step >= end or ema[step] != mean_speed:
-        return drone, step
-    rode = (np.frombuffer(xy[2 * step + 2:2 * end + 2]).reshape(-1, 2) + (ox, oy)) + (c0, c1)
-    positions.frombytes(rode.tobytes())
-    modes.extend([LEADER] * (end - step))
-    x, y = rode[-1].tolist()
-    return (x, y, vx, vy, LEADER, ema[end]), end
 
 
 def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
@@ -332,7 +315,6 @@ def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
     n run and None; or, when step n faulted, None, n and the fault (kind,
     text), with nothing appended for n.
     """
-    drone, step = _ride(drone, step, last, track, offset, coefficients, positions, modes)
     x, y, vx, vy, mode, mean_speed = drone
     ox, oy = offset
     dt, index, params = track.dt, track.index, spec.topology

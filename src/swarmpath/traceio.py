@@ -33,8 +33,9 @@ def mode_cell(code: int) -> str:
 
 
 def sig6(value: float | None) -> float | None:
-    """Round to 6 significant digits for report output."""
-    if value is None:
+    """Round to 6 significant digits for report output; +inf, which strict JSON
+    cannot hold, is None (null)."""
+    if value is None or value == math.inf:
         return None
     return float(f"{value:.6g}")
 
@@ -79,11 +80,6 @@ def render_trace_csv(trace: SimulationTrace) -> str:
     return "\n".join(parts)
 
 
-def write_trace_csv(trace: SimulationTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_trace_csv(trace))
-
-
 def _render_report(doc: dict) -> str:
     """A report document as JSON text: every float at any depth rounded with sig6."""
     def rounded(value):
@@ -99,7 +95,6 @@ def _render_report(doc: dict) -> str:
 
 def render_metrics_json(trace: SimulationTrace) -> str:
     """Single-run metrics report."""
-    clearance = metrics.min_obstacle_clearance(trace)
     return _render_report({
         "controller": trace.controller,
         "outcome": trace.outcome,
@@ -112,7 +107,7 @@ def render_metrics_json(trace: SimulationTrace) -> str:
             for i, length in enumerate(metrics.drone_path_lengths(trace))
         },
         "max_pairwise_distance_m": metrics.max_pairwise_distance(trace),
-        "min_obstacle_clearance_m": None if clearance == math.inf else clearance,
+        "min_obstacle_clearance_m": metrics.min_obstacle_clearance(trace),
     })
 
 

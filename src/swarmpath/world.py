@@ -383,8 +383,8 @@ def _decode(tp, value, label: str | None):
 
     Vec2 is [x, y], tuple[X, ...] an array, float and int a number and an
     integer, Literal[...] one of its arguments, and any other dataclass an
-    object (or an instance, taken as it is).  An object needs a key for each
-    field without a default, may have one for each field with one, and no other.
+    object.  An object needs a key for each field without a default, may have
+    one for each field with one, and no other.
     """
     if tp is float:
         return _number(value, label)
@@ -403,8 +403,6 @@ def _decode(tp, value, label: str | None):
         choices = typing.get_args(tp)
         if value not in choices:
             raise ScenarioParseError(f"{label} must be one of {choices}, got {_show(value)}")
-        return value
-    if isinstance(value, tp):
         return value
     if not isinstance(value, dict):
         raise ScenarioParseError(f"{label or 'top level'} must be an object, got {_show(value)}")

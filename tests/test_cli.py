@@ -253,6 +253,10 @@ POST = {"center": [1.0, 0.3], "radius": 0.1, "r_apf": 0.6, "r_imp": 0.4}
 # k_impF flings the swarm about 5e303 m off its track.
 FLUNG = {"start": [0, 0], "goal": [2, 0], "obstacles": [POST],
          "topology": {"k_impF": 1e306}, "max_steps": 600}
+# The leader oscillates 2e306 m a step across its goal, so every path length
+# sums past float range.
+OSCILLATING = {"start": [0, 0], "goal": [3e306, 0], "apf": {"leader_speed": 2e306},
+               "dt": 1.0, "max_steps": 200, "formation_offsets": [[0, 0.4], [0, -0.4]]}
 
 
 def test_a_flung_swarm_compares_as_strict_json(tmp_path, capsys):
@@ -271,7 +275,7 @@ def test_a_flung_swarm_compares_as_strict_json(tmp_path, capsys):
 @st.composite
 def extreme_docs(draw):
     """Valid FLUNG-like documents with magnitudes from 1e-2 to 1e307 on
-    k_impF, velocity_gain, leader_speed, the goal and one offset."""
+    k_impF, velocity_gain, leader_speed, dt, the goal and one offset."""
     big = st.none() | st.floats(-2.0, 307.0).map(lambda e: 10.0 ** e)
     sign = st.sampled_from((1.0, -1.0))
     doc = {"start": [0, 0], "goal": [2, 0], "obstacles": [POST], "max_steps": 600,
@@ -281,6 +285,9 @@ def extreme_docs(draw):
         value = draw(big)
         if value is not None:
             doc[block][key] = value
+    dt = draw(big)
+    if dt is not None:
+        doc["dt"] = dt
     goal = draw(big)
     if goal is not None:
         doc["goal"] = [draw(sign) * goal, draw(st.floats(-1.0, 1.0))]
@@ -295,17 +302,20 @@ def extreme_docs(draw):
 @settings(max_examples=100, deadline=None)
 @given(doc=extreme_docs())
 @example(doc=FLUNG)
+@example(doc=OSCILLATING)
 def test_outputs_are_strict_at_any_magnitude(doc):
     # Every JSON parses without Infinity or NaN, no SVG prints nan or inf,
     # nothing warns, and a run that fails says at which step.
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
-        path = Path(tmp) / "spec.json"
+        path, sweep_path = Path(tmp) / "spec.json", Path(tmp) / "sweep.json"
         path.write_text(json.dumps(doc))
-        for command in ("run", "compare"):
+        sweep_path.write_text(json.dumps({"parameter": "k", "values": [20.88],
+                                          "scenario": "spec.json"}))
+        for command, source in (("run", path), ("compare", path), ("sweep", sweep_path)):
             out, err = Path(tmp) / command, io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([command, str(path), "--output-dir", str(out)])
+                code = main([command, str(source), "--output-dir", str(out)])
             if code == 1:
                 assert re.fullmatch(r"error: step \d+: [^\n]*\n", err.getvalue())
                 continue
@@ -380,6 +390,31 @@ def test_sweep_writes_tables(tmp_path):
     assert (out / "sweep.csv").is_file()
     doc = json.loads((out / "sweep.json").read_text())
     assert [r["value"] for r in doc["runs"]] == [12.0, 12.6]
+
+
+def test_every_cli_output_is_written_with_unix_newlines(short_scenario, tmp_path, monkeypatch):
+    # Each file that run, compare and sweep write goes through cli._write,
+    # which pins LF line ends, so the bytes are the same on every platform.
+    write, written = cli._write, []
+
+    def recorded(path, text):
+        written.append(path)
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_write", recorded)
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps({"parameter": "d", "values": [12.6],
+                                      "scenario": short_scenario.name}))
+    for command, source in (("run", short_scenario), ("compare", short_scenario),
+                            ("sweep", sweep_path)):
+        out = tmp_path / command
+        written.clear()
+        assert main([command, str(source), "--output-dir", str(out)]) == 0
+        assert sorted(written) == sorted(out.iterdir())
+        assert all(b"\r" not in path.read_bytes() for path in written)
+    trace = simulator.run(world.read_scenario(short_scenario))
+    assert (tmp_path / "run" / "trace.csv").read_bytes().decode("utf-8") == \
+        traceio.render_trace_csv(trace)
 
 
 def test_sweep_labels_distinct_values_apart(tmp_path, capsys):

@@ -793,10 +793,10 @@ def within_steps(rows, first, goal, threshold):
                                                   (-0.0, False, False)],
                          ids=["ride", "ride_to_a_within_step", "loop"])
 def test_a_call_lists_every_within_step(vx, rides, to_within):
-    # At rest on its slot the drone rides the whole call; with vx = -0.0 the
-    # zero-force update turns the rate into +0.0, so the loop steps it.  The
-    # call's rows hold every within-step, and a call that stops on one holds
-    # none after it.
+    # At rest on its slot from frame 0 the drone rides all the way to stop,
+    # and swarm_step runs no step; with vx = -0.0 the zero-force update turns
+    # the rate into +0.0, so the loop steps it.  The rows hold every
+    # within-step, and a call that stops on one holds none after it.
     spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),))
     last = 400
     drone = (*initial_swarm_state(spec)[0][:2], vx, 0.0, LEADER, 0.0)
@@ -809,8 +809,13 @@ def test_a_call_lists_every_within_step(vx, rides, to_within):
     track.row(last)
     stop = expected[len(expected) // 2] if to_within else last
     positions, modes = array("d"), array("q")
-    after, n, fault = swarm_step(drone, 0, stop, track, (0.0, 0.4), spec,
-                                 link_coefficients(spec.impedance, spec.dt), positions, modes)
+    coefficients = link_coefficients(spec.impedance, spec.dt)
+    n = 0
+    if rides:
+        drone, n = track.ride((0.0, 0.4), stop, coefficients, positions, modes)
+        assert n == stop
+    after, n, fault = swarm_step(drone, n, stop, track, (0.0, 0.4), spec, coefficients,
+                                 positions, modes)
     assert ((0.0, 0.4) in track.ride_tables) == rides
     assert (n, fault) == (stop, None)
     assert within_steps(np.frombuffer(positions).reshape(-1, 2), 1, (goal_x, goal_y),
@@ -826,8 +831,8 @@ def test_a_drone_goal_threshold_away_along_x_at_a_subnormal_threshold_is_within(
     # a drone on offset (0, 0) stays at x = 0.0, its goal slot 5e-324 away.
     # A subnormal threshold times 1 + 1e-9 rounds to itself, so there the
     # goal prefilter's bound is the threshold and only <= passes it.  At
-    # rest the drone rides; linked to a post with no deflection, swarm_step's
-    # loop steps it.
+    # rest from frame 0 the drone rides; linked to a post with no
+    # deflection, swarm_step's loop steps it.
     post = dict(radius=0.1, r_apf=4.0, r_imp=4.0)
     spec = straight_spec(goal=Vec2(5e-324, 0.0), apf=ApfParams(goal_threshold=5e-324),
                          obstacles=(Obstacle(Vec2(0.0, 3.0), **post),
@@ -841,8 +846,13 @@ def test_a_drone_goal_threshold_away_along_x_at_a_subnormal_threshold_is_within(
     track = LeaderTrack(spec)
     track.row(10)
     positions, modes = array("d"), array("q")
-    after, n, fault = swarm_step(drone, 0, 1, track, (0.0, 0.0), spec,
-                                 link_coefficients(spec.impedance, spec.dt), positions, modes)
+    coefficients = link_coefficients(spec.impedance, spec.dt)
+    n = 0
+    if not linked:
+        drone, n = track.ride((0.0, 0.0), 1, coefficients, positions, modes)
+        assert n == 1
+    after, n, fault = swarm_step(drone, n, 1, track, (0.0, 0.0), spec, coefficients,
+                                 positions, modes)
     within = within_steps(np.frombuffer(positions).reshape(-1, 2), 1, (5e-324, 0.0),
                           spec.apf.goal_threshold)
     assert (n, within, fault) == (1, [1], None)
@@ -1042,8 +1052,8 @@ def test_a_negative_zero_rate_is_stepped_like_the_helpers():
 
 def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_helpers():
     # A drone at rest on its slot at step 20, as after a link episode, with a
-    # mean_speed that is not the one its ride table ran up from rest at step
-    # 0: its EMA goes on from its own, so it does not ride.
+    # mean_speed that is not the one its ride table ran up from rest at frame
+    # 0: swarm_step never rides, and its EMA goes on from its own.
     spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),), max_steps=400)
     track = LeaderTrack(spec)
     track.row(60)
@@ -1058,7 +1068,52 @@ def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_he
                              link_coefficients(spec.impedance, spec.dt), positions,
                              array("q"))
     assert (n, after) == (60, state[0])
-    assert after[5] != track.ride_tables[(0.0, 0.4)][60]
+    assert track.ride_tables == {}
+    assert after[5] != track.ride_table((0.0, 0.4))[60]
+
+
+@pytest.mark.parametrize("chunk", [1, 128])
+def test_each_follower_rides_once_from_frame_0_and_swarm_step_builds_no_ride_table(
+        chunk, monkeypatch):
+    # The lagging swarm runs over many rounds with chunk 1 and over two with
+    # chunk 128; only the round from frame 0 rides, once per follower, and no
+    # swarm_step call builds or changes a ride table.
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    spec = lagging_spec()
+    rides, calls = [], []
+    ride = LeaderTrack.ride
+
+    def recorded_ride(track, offset, last, coefficients, positions, modes):
+        rides.append((offset, len(positions), len(modes)))
+        return ride(track, offset, last, coefficients, positions, modes)
+
+    def recorded_step(*args):
+        tables = dict(args[3].ride_tables)
+        result = swarm_step(*args)
+        assert args[3].ride_tables == tables
+        calls.append(args[1])
+        return result
+
+    monkeypatch.setattr(LeaderTrack, "ride", recorded_ride)
+    monkeypatch.setattr(simulator, "swarm_step", recorded_step)
+    trace = run(spec, SWARMPATH)
+    assert trace.outcome == COMPLETED
+    offsets = [o.as_tuple() for o in spec.formation_offsets]
+    assert rides == [(offset, 2, 1) for offset in offsets]  # frame 0's row alone
+    assert len(calls) > 2 * len(offsets)  # the rounds after the first rode none
+
+
+def test_infinite_link_gains_are_stepped_to_their_overflow():
+    # m = d = k = 5e-324 make gamma0 = gamma1 = inf, so the zero-force term
+    # g * 0.0 is nan: the drone cannot rest on its slot, and its first step
+    # overflows.
+    spec = straight_spec(impedance=ImpedanceParams(m=5e-324, d=5e-324, k=5e-324))
+    validate_spec(spec)
+    assert link_coefficients(spec.impedance, spec.dt)[4:] == (math.inf, math.inf)
+    with pytest.raises(SingularityError) as err:
+        run(spec, SWARMPATH)
+    assert str(err.value) == reference_run(spec, SWARMPATH)
+    assert str(err.value) == "step 1: the state overflowed to a non-finite value"
 
 
 def test_numpy_floor_division_is_pythons():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from swarmpath.traceio import (
     render_metrics_json,
     render_trace_csv,
     sig6,
-    write_trace_csv,
 )
 from swarmpath.world import Vec2
 from conftest import one_pole_spec, straight_spec
@@ -72,15 +72,6 @@ def test_csv_floats_survive_exactly():
     assert Vec2(float(last[3]), float(last[4])) == Vec2(*trace.positions[-1, 0])
 
 
-def test_write_trace_csv_uses_unix_newlines(tmp_path):
-    trace = run(straight_spec(goal=Vec2(0.5, 0.0)), SWARMPATH)
-    out = tmp_path / "trace.csv"
-    write_trace_csv(trace, out)
-    data = out.read_bytes()
-    assert b"\r" not in data
-    assert data.decode("utf-8") == render_trace_csv(trace)
-
-
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_repr_floats_round_trip(value):
     spec = straight_spec(formation_offsets=(Vec2(0.0, 0.0),))
@@ -95,6 +86,8 @@ def test_repr_floats_round_trip(value):
 
 def test_sig6():
     assert sig6(None) is None
+    assert sig6(math.inf) is None  # strict JSON has no Infinity
+    assert math.isnan(sig6(math.nan))
     assert sig6(1.23456789) == 1.23457
     assert sig6(0.0001234567) == 0.000123457
     assert sig6(25.0) == 25.0
