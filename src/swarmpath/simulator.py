@@ -15,13 +15,12 @@ or first fault.  Each baseline drone's runs from its start slot toward its
 goal slot, built alone by baseline_step.  The swarm's leader reads no
 drone, so it is not stepped here: its rows come from its track, which a
 sweep builds once and hands to every point, and its fault is the track's.
-Each swarm follower reads only its own
-state, the leader's rows and the obstacles, so it rides from frame 0 at
-rest on its slot (LeaderTrack.ride), and topology.swarm_step runs it on
-through the leader's whole path in one call.  The kernels
-only write rows: the end is read from them here, by one completion rule for
-both controllers (_first_complete) and the baseline's stall rule
-(_first_stall).
+Each swarm follower reads only its own rows and link, the leader's rows and
+the obstacles, so it rides from frame 0 at rest on its slot
+(LeaderTrack.ride), and topology.swarm_step runs it on through the leader's
+whole path in one call.  The kernels only append rows: the end is read from
+them here, by one completion rule for both controllers (_first_complete) and
+the baseline's stall rule (_first_stall).
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ import numpy as np
 from .world import ScenarioSpec
 from .apf import SingularityError
 from .impedance import link_coefficients
-from .topology import (DEFLECTION_FAULT, LeaderTrack, initial_swarm_state, leader_inputs,
-                       swarm_step)
+from .topology import DEFLECTION_FAULT, LEADER, LeaderTrack, leader_inputs, swarm_step
 from .baseline import baseline_step
 
 SWARMPATH = "swarmpath"
@@ -137,13 +135,12 @@ def _raise_first(faults: list[tuple[int, int, int, str]], end: int) -> None:
         raise SingularityError(f"step {step}: {text}")
 
 
-def _columns(buffers: list[array], rows: int | None = None, first: int = 0) -> np.ndarray:
-    """The (rows - first, D, 2) positions of D drones in rows first..rows - 1, read
-    from each one's flat (x, y) rows; rows defaults to those that every drone
-    holds (a faulted drone holds fewer)."""
+def _columns(buffers: list[array], rows: int | None = None) -> np.ndarray:
+    """The (rows, D, 2) positions of D drones, read from each one's flat (x, y)
+    rows; rows defaults to those that every drone holds (a faulted drone holds
+    fewer)."""
     rows = min(len(xy) for xy in buffers) // 2 if rows is None else rows
-    return np.stack([np.frombuffer(xy, offset=16 * first, count=2 * (rows - first)).reshape(-1, 2)
-                     for xy in buffers], axis=1)
+    return np.stack([np.frombuffer(xy, count=2 * rows).reshape(-1, 2) for xy in buffers], axis=1)
 
 
 def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
@@ -174,34 +171,38 @@ def _baseline_run(spec: ScenarioSpec) -> SimulationTrace:
 
 
 def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
-    """The swarm run, composed from the leader's track and one track per follower.
+    """The swarm run, composed from the leader's track and each follower's rows.
 
     The leader reads no drone, so the track holds its whole path, through
     max_steps or to its fixed point or fault; the fault is appended with
-    drone -1 (the track holds no row for its step).  The first round is
-    frame 0 alone; the next rides each follower from frame 0 (the track's
-    ride) and runs it on through the leader's rows in swarm_step, on past
-    another's fault, which only a run that raises pays for.  Past a fixed
-    point, while no frame completes, each round appends at least CHUNK more
-    rows of the rest and every follower runs on through them.  The run ends
-    on the earliest of: _first_complete over each round's new rows, the
-    leader's stall_step plus STALL_PATIENCE - 1, and max_steps.
+    drone -1 (the track holds no row for its step).  Each follower's row
+    buffers start with frame 0, on its slot at start + offset, and are the
+    only record of where it stands; only its link (vx, vy, mean_speed)
+    passes from one round to the next.  The first round is frame 0 alone;
+    the next rides each follower from frame 0 (the track's ride) and runs it
+    on through the leader's rows in swarm_step, on past another's fault,
+    which only a run that raises pays for.  Past a fixed point, while no
+    frame completes, each round appends at least CHUNK more rows of the rest
+    and every follower runs on through them.  The run ends on the earliest
+    of: _first_complete over the rows that every drone holds, the leader's
+    stall_step plus STALL_PATIENCE - 1, and max_steps.  A round ends short
+    of that last step only while no held row completes, so each round's
+    completion test finds what a test of its new rows alone would.
     """
     coefficients = link_coefficients(spec.impedance, spec.dt)
     offsets = [(off.x, off.y) for off in spec.formation_offsets]
     goals = [(spec.goal.x + ox, spec.goal.y + oy) for ox, oy in offsets]
-    drones = initial_swarm_state(spec)
-    positions = [array("d", d[:2]) for d in drones]
-    modes = [array("q", (d[4],)) for d in drones]
+    positions = [array("d", (spec.start.x + ox, spec.start.y + oy)) for ox, oy in offsets]
+    modes = [array("q", (LEADER,)) for _ in offsets]
+    links = [(0.0, 0.0, 0.0)] * len(offsets)  # at rest; None once a follower has faulted
     faults: list[tuple[int, int, int, str]] = []
     if track.fault is not None:
         faults.append((*track.fault[:2], -1, track.fault[2]))
     stall = math.inf if track.stall_step is None else track.stall_step + STALL_PATIENCE - 1
     last = min(spec.max_steps, stall)  # the end if no frame completes
-    frontier = first = 0  # live followers hold rows through frontier; completion read < first
+    frontier = 0  # live followers hold rows through frontier
     while True:
-        block = _columns(positions, first=first)
-        end = first + _first_complete(block, goals, spec.apf.goal_threshold)
+        end = _first_complete(_columns(positions), goals, spec.apf.goal_threshold)
         if end <= last:
             outcome = COMPLETED
             break
@@ -212,16 +213,15 @@ def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
             break
         target = min(max(len(track.xy) // 2 - 1, frontier + CHUNK), last, fail - 1)
         track.row(target)  # past a fixed point the track repeats it
-        for i, drone in enumerate(drones):
-            if drone is not None:  # None once it has faulted
-                n = frontier
+        for i, link in enumerate(links):
+            if link is not None:
                 if not frontier:  # each follower starts at rest on its slot
-                    drone, n = track.ride(offsets[i], target, coefficients, positions[i], modes[i])
-                drones[i], n, fault = swarm_step(drone, n, target, track, offsets[i],
-                                                 spec, coefficients, positions[i], modes[i])
+                    link = track.ride(offsets[i], target, coefficients, positions[i], modes[i])
+                links[i], fault = swarm_step(link, target, track, offsets[i], spec,
+                                             coefficients, positions[i], modes[i])
                 if fault is not None:
-                    faults.append((n, fault[0], i, fault[1]))
-        first, frontier = first + len(block), target
+                    faults.append((len(modes[i]), fault[0], i, fault[1]))
+        frontier = target
     _raise_first(faults, end)
     rows = end + 1
     leader = np.frombuffer(track.xy, count=2 * rows).reshape(rows, 2).copy()

@@ -7,10 +7,13 @@ term, which carries it around the body.  The link releases back to the leader
 once the surface distance exceeds r_imp * (1 + hysteresis); a drone never hands
 over directly from one obstacle to another, it must release first.
 
-A drone is a tuple of plain floats and ints (x, y, vx, vy, mode, mean_speed):
-its position, its link velocity, its link mode (LEADER or the index of the
-obstacle it is linked to, the trace's mode code) and its smoothed ground
-speed.  Obstacles are ObstacleIndex rows (cx, cy, radius, r_apf, r_imp).
+A follower is its rows and its link.  Its rows, in two buffers, hold where
+it stands after each step: (x, y) in a flat array("d") and its link mode
+(LEADER or the index of the obstacle it is linked to, the trace's mode code)
+in an array("q"); the last row is its current position and mode.  Its link
+is (vx, vy, mean_speed): its link velocity and its smoothed ground speed,
+which no row records.  Obstacles are ObstacleIndex rows (cx, cy, radius,
+r_apf, r_imp).
 
 The virtual leader is not a drone.  It reads no drone, so its path is fixed
 by the leader inputs of a spec (start, goal, obstacles, gates, apf, dt,
@@ -20,7 +23,7 @@ reads its rows and the obstacle index it carries.  A baseline drone's path
 is a LeaderTrack too, built with the drone's own start and goal slots.  A
 follower reads its own state, the leader's rows and the obstacles, never
 another drone, so swarm_step runs one follower through the rows in one call,
-its state in locals, and only writes its rows; simulator.run reads a run's
+its state in locals, and only appends its rows; simulator.run reads a run's
 end from them.
 
 swarm_step is the hot loop, so it applies the link rule, the deflection and
@@ -30,7 +33,7 @@ leader-linked acquire calls nearest_obstacle, as update_link_mode does.
 Those helpers stay the reference: the tests check swarm_step against a run
 built from them, bit for bit.  The loop looks a leader-linked drone's link
 cell up only when the drone enters another cell, scans it only when it lists
-obstacles, and appends its rows to the drone's buffers once, on exit.
+obstacles, and appends each row to the drone's buffers as it makes it.
 
 Every follower starts at rest on its slot, and the zero-force update keeps
 its zero link state until it first comes within an obstacle's r_imp.
@@ -50,7 +53,7 @@ from array import array
 import numpy as np
 
 from .world import NO_CANDIDATES, ObstacleIndex, TopologyParams, ScenarioSpec
-from .apf import DESCENDING, LATCHED, NO_FIELD, NON_FINITE, SingularityError, descend
+from .apf import DESCENDING, NO_FIELD, NON_FINITE, SingularityError, descend
 from .impedance import Coefficients
 # Unused here, but bench/bench.py's traced mode rebinds these module names.
 from .world import effective_obstacles  # noqa: F401
@@ -64,7 +67,6 @@ LEADER = -1  # mode of a drone linked to the leader; otherwise an obstacle index
 DEFLECTION_FAULT, OVERFLOW_FAULT = 1, 2
 NO_DIRECTION = "{:g} m from obstacle center ({}, {}), direction undefined"
 
-Drone = tuple[float, float, float, float, int, float]  # x, y, vx, vy, mode, mean_speed
 Fault = tuple[int, str]  # (kind, text)
 
 
@@ -135,9 +137,9 @@ class LeaderTrack:
     xy holds the rows, flat: (x, y) after step n is xy[2n], xy[2n + 1], and
     row 0 is the start.  The constructor runs apf.descend once, through row
     spec.max_steps, or to the path's fixed point: from step rest on, every
-    row repeats the one before, because the path latched its goal (reached),
-    the field vanished (stall_step, the step it did, is rest) or a step left
-    x and y bit for bit.  A step that faults is not stored: fault is its
+    row repeats the one before, because the path latched its goal, the field
+    vanished (stall_step, the step it did, is rest) or a step left x and y
+    bit for bit.  A step that faults is not stored: fault is its
     (step, kind, text).
     row(n) reads row n, appending copies of the fixed point through n first;
     it raises the fault's SingularityError past a faulted path's rows, and
@@ -158,7 +160,6 @@ class LeaderTrack:
         self.index, self.dt = spec.obstacle_index, spec.dt
         self.xy = xy = array("d", start)
         self.rest: int | None = None
-        self.reached = False
         self.stall_step: int | None = None
         self.fault: tuple[int, int, str] | None = None
         self.ride_tables: dict[tuple[float, float], array] = {}
@@ -167,7 +168,6 @@ class LeaderTrack:
             self.fault = (len(xy) // 2, status, text)
         elif status != DESCENDING:
             self.rest = len(xy) // 2 - 1
-            self.reached = status == LATCHED
             if status == NO_FIELD:
                 self.stall_step = self.rest
 
@@ -238,39 +238,29 @@ class LeaderTrack:
         return table
 
     def ride(self, offset: tuple[float, float], last: int, coefficients: Coefficients,
-             positions: array, modes: array) -> tuple[Drone, int]:
+             positions: array, modes: array) -> tuple[float, float, float]:
         """Move the follower on offset from frame 0 through its ride table, or to last.
 
-        At frame 0 the drone rests on its slot: dx = dy = vx = vy = +0.0.
-        Where the zero-force update keeps that, p00 * 0.0 + p01 * 0.0 + g0 *
-        0.0 and p10 * 0.0 + p11 * 0.0 + g1 * 0.0 both +0.0, its rows are
-        (leader row + offset) + 0.0, computed with numpy's elementwise IEEE
-        operations in swarm_step's order.  Infinite gains make them nan, and
-        then the drone stays at frame 0 for swarm_step's loop.  Appends the
-        ride's rows and returns (drone, n) after its last step n.
+        Its buffers hold frame 0 alone, where the drone rests on its slot:
+        dx = dy = vx = vy = +0.0.  Where the zero-force update keeps that,
+        p00 * 0.0 + p01 * 0.0 + g0 * 0.0 and p10 * 0.0 + p11 * 0.0 + g1 *
+        0.0 both +0.0, its rows are (leader row + offset) + 0.0, computed
+        with numpy's elementwise IEEE operations in swarm_step's order.
+        Infinite gains make them nan, and then the drone stays at frame 0 for
+        swarm_step's loop.  Appends the ride's rows and returns the drone's
+        link (vx, vy, mean_speed) after its last row.
         """
-        xy = self.xy
-        drone = (xy[0] + offset[0], xy[1] + offset[1], 0.0, 0.0, LEADER, 0.0)
         p00, p01, p10, p11, g0, g1 = coefficients
         # +0.0 is the one double whose bytes are all zero.
         if struct.pack("2d", p00 * 0.0 + p01 * 0.0 + g0 * 0.0,
                        p10 * 0.0 + p11 * 0.0 + g1 * 0.0) != bytes(16):
-            return drone, 0
+            return 0.0, 0.0, 0.0
         ema = self.ride_table(offset)
         end = min(last, len(ema) - 1)
-        if end == 0:
-            return drone, 0
-        rode = (np.frombuffer(xy[2:2 * end + 2]).reshape(-1, 2) + offset) + 0.0
+        rode = (np.frombuffer(self.xy[2:2 * end + 2]).reshape(-1, 2) + offset) + 0.0
         positions.frombytes(rode.tobytes())
         modes.extend([LEADER] * end)
-        return (*rode[-1].tolist(), 0.0, 0.0, LEADER, ema[end]), end
-
-
-def initial_swarm_state(spec: ScenarioSpec) -> list[Drone]:
-    """Drones at rest on the start formation, every link on the leader."""
-    sx, sy = spec.start.x, spec.start.y
-    return [(sx + off.x, sy + off.y, 0.0, 0.0, LEADER, 0.0)
-            for off in spec.formation_offsets]
+        return 0.0, 0.0, ema[end]
 
 
 def _in_reach(x: float, y: float, cell_rows: tuple[tuple, ...]) -> bool:
@@ -284,20 +274,22 @@ def _in_reach(x: float, y: float, cell_rows: tuple[tuple, ...]) -> bool:
     return False
 
 
-def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
+def swarm_step(link: tuple[float, float, float], last: int, track: LeaderTrack,
                offset: tuple[float, float], spec: ScenarioSpec, coefficients: Coefficients,
-               positions: array, modes: array) -> tuple[Drone | None, int, Fault | None]:
-    """Advance one follower from its state after step through at most step last.
+               positions: array, modes: array) -> tuple[tuple | None, Fault | None]:
+    """Advance one follower from the last row of its buffers through step last.
 
-    track holds the leader's rows through last, the obstacles and dt; spec
-    the topology parameters; offset is the drone's (x, y) formation offset
-    and coefficients link_coefficients(spec.impedance, spec.dt).  At each
-    step n the drone refreshes its link mode, integrates its link against the
-    slot it was tracking (on the leader's row n - 1), and re-anchors the
-    integrated deviation onto the slot derived from row n.  Anchoring this
-    way makes pure transport exact: a drone sitting on its slot with no
-    deviation translates with the leader instead of lagging it.  The slot's
-    deflection depends on the drone alone, so both slots share it.
+    positions and modes are the drone's own row buffers; their last row is
+    its (x, y) and mode after step len(modes) - 1, and link is its (vx, vy,
+    mean_speed) there.  track holds the leader's rows through last, the
+    obstacles and dt; spec the topology parameters; offset is the drone's
+    (x, y) formation offset and coefficients link_coefficients(spec.impedance,
+    spec.dt).  At each step n the drone refreshes its link mode, integrates
+    its link against the slot it was tracking (on the leader's row n - 1),
+    and re-anchors the integrated deviation onto the slot derived from row
+    n.  Anchoring this way makes pure transport exact: a drone sitting on its
+    slot with no deviation translates with the leader instead of lagging it.
+    The slot's deflection depends on the drone alone, so both slots share it.
 
     The link rule is update_link_mode's: on a link cell that lists
     obstacles, a leader-linked drone acquires the row that nearest_obstacle
@@ -305,17 +297,20 @@ def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
     deflection is tests/reference.py's deflection_offset's, with the same
     SingularityError text, and the link update is link_step's with no
     external force, all written out with the same operations in the same
-    order, so every bit matches the helpers.
+    order, so every bit matches the helpers.  A linked step takes its
+    obstacle's center distance once, for the release test and the
+    deflection alike, and an acquire step once for the row it acquires.
 
-    Each step run appends the drone's new x, y to positions and its mode to
-    modes, the drone's own row buffers; the loop collects its rows in lists
-    and appends them when the call returns.  The call stops at last, or at
-    the first step that faults: its link has no direction, or its new state
-    is not finite.  Returns (drone, n, fault): the state after the last step
-    n run and None; or, when step n faulted, None, n and the fault (kind,
-    text), with nothing appended for n.
+    Each step appends the drone's new x, y to positions and its mode to
+    modes as it makes them.  The call stops at last, or at the first step
+    that faults: its link has no direction, or its new state is not finite.
+    Returns (link, None) after step last; or None and the fault (kind,
+    text), with nothing appended for the step that faulted, which is
+    len(modes).
     """
-    x, y, vx, vy, mode, mean_speed = drone
+    vx, vy, mean_speed = link
+    x, y, mode = positions[-2], positions[-1], modes[-1]
+    step = len(modes) - 1
     ox, oy = offset
     dt, index, params = track.dt, track.index, spec.topology
     rows, link_cells, link_cell = index.rows, index.link_cells, index.link_cell
@@ -332,56 +327,49 @@ def swarm_step(drone: Drone, step: int, last: int, track: LeaderTrack,
     # slot of row n that step n - 1 made, before its deflection.
     slot_x, slot_y = xy[2 * step] + ox, xy[2 * step + 1] + oy
     cell_x = cell_y = None  # the link cell last looked up; ids, cell_rows list it
-    out, out_modes = [], []  # this call's rows, appended to the buffers on every exit
-    put, put_mode = out.append, out_modes.append
-    n = step
-    try:
-        for n, nlx, nly in zip(range(step + 1, last + 1), xy[2 * step + 2:2 * last + 2:2],
-                               xy[2 * step + 3:2 * last + 3:2]):
-            if mode == LEADER:
-                kx, ky = x // link_cell, y // link_cell
-                if kx != cell_x or ky != cell_y:
-                    cell_x, cell_y = kx, ky
-                    ids, cell_rows = link_cells.get((kx, ky), NO_CANDIDATES)
-                if ids:
-                    j, dist = nearest(x, y, cell_rows)
-                    if dist < cell_rows[j][4]:
-                        mode = ids[j]
-            else:
-                cx, cy, radius, _, r_imp = rows[mode]
-                if hypot(x - cx, y - cy) - radius > r_imp * release:
-                    mode = LEADER
-            next_slot_x, next_slot_y = nlx + ox, nly + oy
-            if mode == LEADER:
-                dx, dy = x - slot_x, y - slot_y
-                new_x, new_y = next_slot_x, next_slot_y
-            else:  # the deflection
-                cx, cy, _, _, r_imp = rows[mode]
-                ex, ey = x - cx, y - cy
-                dist = hypot(ex, ey)
-                magnitude = k_impF * (1.0 + velocity_gain * mean_speed) * r_imp
-                scale = magnitude / dist if dist else math.inf
-                if not isfinite(scale):
-                    return None, n, (DEFLECTION_FAULT, NO_DIRECTION.format(dist, cx, cy))
-                ex, ey = ex * scale, ey * scale
-                dx, dy = x - (slot_x + ex), y - (slot_y + ey)
-                new_x, new_y = next_slot_x + ex, next_slot_y + ey
-            new_x += p00 * dx + p01 * vx + hold0
-            new_y += p00 * dy + p01 * vy + hold0
-            vx, vy = p10 * dx + p11 * vx + hold1, p10 * dy + p11 * vy + hold1
-            speed = hypot(new_x - x, new_y - y) / dt
-            mean_speed = keep * mean_speed + alpha * speed
-            # A sum of finite numbers can overflow too: only then look at each.
-            if not (isfinite(new_x + new_y + vx + vy + mean_speed)
-                    or all(map(isfinite, (new_x, new_y, vx, vy, mean_speed)))):
-                return None, n, (OVERFLOW_FAULT, NON_FINITE)
-            x, y, slot_x, slot_y = new_x, new_y, next_slot_x, next_slot_y
-            put(x)
-            put(y)
-            put_mode(mode)
-        return (x, y, vx, vy, mode, mean_speed), n, None
-    finally:
-        # extend grows the buffers as append does; fromlist's larger resizes
-        # left a long-lived process holding more memory.
-        positions.extend(out)
-        modes.extend(out_modes)
+    put, put_mode = positions.append, modes.append
+    for nlx, nly in zip(xy[2 * step + 2:2 * last + 2:2], xy[2 * step + 3:2 * last + 3:2]):
+        if mode == LEADER:
+            kx, ky = x // link_cell, y // link_cell
+            if kx != cell_x or ky != cell_y:
+                cell_x, cell_y = kx, ky
+                ids, cell_rows = link_cells.get((kx, ky), NO_CANDIDATES)
+            if ids:
+                j, gap = nearest(x, y, cell_rows)
+                if gap < cell_rows[j][4]:
+                    mode = ids[j]
+                    cx, cy, _, _, r_imp = cell_rows[j]
+                    ex, ey = x - cx, y - cy
+                    dist = hypot(ex, ey)
+        else:
+            cx, cy, radius, _, r_imp = rows[mode]
+            ex, ey = x - cx, y - cy
+            dist = hypot(ex, ey)
+            if dist - radius > r_imp * release:
+                mode = LEADER
+        next_slot_x, next_slot_y = nlx + ox, nly + oy
+        if mode == LEADER:
+            dx, dy = x - slot_x, y - slot_y
+            new_x, new_y = next_slot_x, next_slot_y
+        else:  # the deflection
+            magnitude = k_impF * (1.0 + velocity_gain * mean_speed) * r_imp
+            scale = magnitude / dist if dist else math.inf
+            if not isfinite(scale):
+                return None, (DEFLECTION_FAULT, NO_DIRECTION.format(dist, cx, cy))
+            ex, ey = ex * scale, ey * scale
+            dx, dy = x - (slot_x + ex), y - (slot_y + ey)
+            new_x, new_y = next_slot_x + ex, next_slot_y + ey
+        new_x += p00 * dx + p01 * vx + hold0
+        new_y += p00 * dy + p01 * vy + hold0
+        vx, vy = p10 * dx + p11 * vx + hold1, p10 * dy + p11 * vy + hold1
+        speed = hypot(new_x - x, new_y - y) / dt
+        mean_speed = keep * mean_speed + alpha * speed
+        # A sum of finite numbers can overflow too: only then look at each.
+        if not (isfinite(new_x + new_y + vx + vy + mean_speed)
+                or all(map(isfinite, (new_x, new_y, vx, vy, mean_speed)))):
+            return None, (OVERFLOW_FAULT, NON_FINITE)
+        x, y, slot_x, slot_y = new_x, new_y, next_slot_x, next_slot_y
+        put(x)
+        put(y)
+        put_mode(mode)
+    return (vx, vy, mean_speed), None

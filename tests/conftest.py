@@ -1,10 +1,12 @@
 import json
 import pathlib
+from array import array
 
 import pytest
 from hypothesis import settings, strategies as st
 
 from swarmpath.impedance import critical_damping
+from swarmpath.topology import LEADER
 from swarmpath.world import (
     ApfParams,
     ImpedanceParams,
@@ -45,6 +47,33 @@ def straight_spec(**overrides) -> ScenarioSpec:
     defaults = dict(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0))
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
+
+
+def rest_state(spec: ScenarioSpec) -> list[tuple]:
+    """Every follower at rest on its start slot, linked to the leader, as
+    (x, y, vx, vy, mode, mean_speed)."""
+    return [(spec.start.x + off.x, spec.start.y + off.y, 0.0, 0.0, LEADER, 0.0)
+            for off in spec.formation_offsets]
+
+
+def follower_at(drone: tuple, step: int) -> tuple:
+    """The (link, positions, modes) that swarm_step reads for a drone in state
+    (x, y, vx, vy, mode, mean_speed) after step.
+
+    The buffers hold step + 1 rows, the drone's own last; swarm_step reads
+    only that one, so the rows before it are zeros.
+    """
+    x, y, vx, vy, mode, mean_speed = drone
+    positions, modes = array("d", bytes(16 * step)), array("q", bytes(8 * step))
+    positions.extend((x, y))
+    modes.append(mode)
+    return (vx, vy, mean_speed), positions, modes
+
+
+def drone_state(link: tuple, positions: array, modes: array) -> tuple:
+    """A follower's (x, y, vx, vy, mode, mean_speed) after the last row of its buffers."""
+    vx, vy, mean_speed = link
+    return (positions[-2], positions[-1], vx, vy, modes[-1], mean_speed)
 
 
 def sweep_traces(sweep, monkeypatch) -> list:

@@ -16,7 +16,7 @@ def test_initial_state_puts_drones_on_slots():
         track = baseline_step(spec, offset)
         assert tuple(track.xy) == (spec.start.x + offset.x, spec.start.y + offset.y)
         assert track.goal == (spec.goal.x + offset.x, spec.goal.y + offset.y)
-        assert not track.reached and track.rest is None
+        assert track.rest is None
 
 
 def test_drone_step_descends_toward_own_slot():
@@ -52,8 +52,7 @@ def test_drones_avoid_obstacles_independently():
     post = spec.obstacles[0]
     tracks = [baseline_step(spec, offset) for offset in spec.formation_offsets]
     for track in tracks:
-        assert track.stall_step is None and track.fault is None
-        assert track.reached
+        assert track.stall_step is None and track.fault is None and track.rest is not None
         rows = np.frombuffer(track.xy).reshape(-1, 2)
         assert np.all(np.hypot(*(rows - post.center.as_tuple()).T) - post.radius > 0.0)
     # The run's columns are the tracks' rows, each padded with its last; it
@@ -78,8 +77,7 @@ def test_baseline_step_reports_stall_only_when_nobody_moves():
     parked = straight_spec(goal=Vec2(0.0, 0.0))
     for offset in parked.formation_offsets:
         track = baseline_step(dataclasses.replace(parked, max_steps=1), offset)
-        assert track.stall_step is None
-        assert track.reached and track.rest == 1
+        assert track.stall_step is None and track.rest == 1
     trace = run(parked, CONVENTIONAL_APF)
     assert trace.outcome == COMPLETED and trace.n_frames == 1
 

@@ -227,11 +227,16 @@ def descent_step_points(spec):
 
     A step from a row evaluates the force there unless it latches the goal;
     a latch appends a copy of its row, and every other step the row it made.
+    A track latched if it rests within goal_threshold of its goal: a row
+    within would have latched before any other step from it.
     """
     for offset in spec.formation_offsets:
         track = baseline_step(spec, offset)
         rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
-        yield from rows[:-2] if track.reached else rows[:-1]
+        (x, y), (gx, gy) = rows[-1], track.goal
+        latched = track.rest is not None and \
+            math.hypot(x - gx, y - gy) <= spec.apf.goal_threshold
+        yield from rows[:-2] if latched else rows[:-1]
 
 
 def test_far_decoys_change_no_byte_and_no_force_evaluation(monkeypatch):

@@ -18,7 +18,7 @@ from swarmpath.simulator import (
 )
 from swarmpath.metrics import leader_path_length
 from swarmpath.sweep import SweepSpec
-from swarmpath.topology import LeaderTrack, swarm_step
+from swarmpath.topology import DEFLECTION_FAULT, OVERFLOW_FAULT, LeaderTrack, swarm_step
 from swarmpath.world import ImpedanceParams, Obstacle, TopologyParams, Vec2, read_scenario
 from conftest import SCENARIO_DIR, lagging_spec, one_pole_spec, straight_spec, sweep_traces
 
@@ -204,6 +204,48 @@ def test_a_leader_fault_after_several_chunks_is_raised_at_its_step(chunk, monkey
     assert len(calls) == len(lagging.formation_offsets) * rounds[chunk]
 
 
+@pytest.mark.parametrize("kind", [DEFLECTION_FAULT, OVERFLOW_FAULT])
+def test_a_fault_past_the_leaders_rest_keeps_the_rows_before_its_step(kind, monkeypatch):
+    # Under CHUNK 7 the lagging swarm runs on in rounds of 7 rows past its
+    # leader's rest.  Drone 1 faults in one of them: on a post placed on its
+    # row-350 center, whose link has no direction at step 351; or, handed an
+    # infinite link rate at the start of the round from step 303, at step 304.
+    # swarm_step returns no link, the drone's buffers hold its rows before
+    # the fault's step, and the run raises that step.
+    monkeypatch.setattr(simulator, "CHUNK", 7)
+    spec = lagging_spec()
+    rest = LeaderTrack(spec).rest
+    fx, fy = run(spec, SWARMPATH).positions[350, 0].tolist()
+    if kind == DEFLECTION_FAULT:
+        post = Obstacle(Vec2(fx, fy), 1e-7, 2e-7, 2e-7)
+        spec = dataclasses.replace(spec, obstacles=(*spec.obstacles, post))
+    first = spec.formation_offsets[0].as_tuple()
+    faults = []
+
+    def recorded(link, last, track, offset, *args):
+        positions, modes = args[-2:]
+        start = len(modes) - 1
+        if kind == OVERFLOW_FAULT and offset == first and start == 303:
+            link = (math.inf, *link[1:])
+        result = swarm_step(link, last, track, offset, *args)
+        if result[1] is not None:
+            faults.append((offset, start, result, len(positions), len(modes)))
+        return result
+
+    monkeypatch.setattr(simulator, "swarm_step", recorded)
+    with pytest.raises(SingularityError) as err:
+        run(spec, SWARMPATH)
+    [(offset, start, result, held_xy, held)] = faults
+    step = {DEFLECTION_FAULT: 351, OVERFLOW_FAULT: 304}[kind]
+    text = {DEFLECTION_FAULT: f"0 m from obstacle center ({fx}, {fy}), direction undefined",
+            OVERFLOW_FAULT: "the state overflowed to a non-finite value"}[kind]
+    assert offset == first and rest < start < step
+    assert result == (None, (kind, text))
+    assert held == step and held_xy == 2 * held
+    prefix = "drone 1: " if kind == DEFLECTION_FAULT else ""
+    assert str(err.value) == f"step {step}: {prefix}{text}"
+
+
 @pytest.mark.parametrize("settled", ["goal", "stall"])
 def test_a_settled_leader_grows_its_rows_in_one_call(settled):
     # Past its fixed point the track appends every row a call asks for at
@@ -277,7 +319,7 @@ def test_a_run_complete_at_frame_zero_steps_no_follower(monkeypatch):
     track = LeaderTrack(spec)
     trace = run(spec, SWARMPATH, track)
     assert trace.outcome == COMPLETED and trace.n_frames == 1
-    assert track.reached
+    assert track.rest is not None and track.stall_step is None
     assert calls == []
 
 

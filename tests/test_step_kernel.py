@@ -21,7 +21,6 @@ import dataclasses
 import functools
 import math
 import re
-from array import array
 
 import numpy as np
 import pytest
@@ -33,11 +32,12 @@ from swarmpath import simulator
 from swarmpath.simulator import (CHUNK, COMPLETED, CONTROLLERS, CONVENTIONAL_APF, MAX_STEPS,
                                  STALL_PATIENCE, STALLED, SWARMPATH, run)
 from swarmpath.topology import (DEFLECTION_FAULT, LEADER, MEAN_SPEED_ALPHA, OVERFLOW_FAULT,
-                                LeaderTrack, initial_swarm_state, swarm_step, update_link_mode)
+                                LeaderTrack, swarm_step, update_link_mode)
 from swarmpath.world import (ApfParams, ImpedanceParams, Obstacle, ScenarioSpec,
                              ScenarioValidationError, TopologyParams, Vec2, read_scenario,
                              validate_spec)
-from conftest import SCENARIO_DIR, lagging_spec, one_pole_spec, straight_spec
+from conftest import (SCENARIO_DIR, drone_state, follower_at, lagging_spec, one_pole_spec,
+                      rest_state, straight_spec)
 from reference import deflection_offset
 
 
@@ -303,8 +303,8 @@ def test_descent_tracks_match_leader_step(spec):
 
 
 def reference_track(spec, last):
-    """(row bytes, rest, stall_step, reached, fault) of the leader's descent through
-    row last, from ReferenceLeader: rest is the first row that repeats the one
+    """(row bytes, rest, stall_step, fault) of the leader's descent through row
+    last, from ReferenceLeader: rest is the first row that repeats the one
     before bit for bit, and the rows stop there; fault is (step, text)."""
     reference, fault = ReferenceLeader(spec), None
     try:
@@ -314,9 +314,8 @@ def reference_track(spec, last):
     rows = np.array(reference.rows)
     rest = next((n for n in range(1, len(rows)) if rows[n].tobytes() == rows[n - 1].tobytes()),
                 None)
-    reached = rest is not None and reference.agent[2]
     return rows[:len(rows) if rest is None else rest + 1].tobytes(), rest, \
-        reference.stall_step, reached, fault
+        reference.stall_step, fault
 
 
 def free_leader_post(row):
@@ -343,9 +342,9 @@ def test_a_track_descends_through_its_last_row_on_construction(name, last):
     k = spec.max_steps if last is None else last
     spec = dataclasses.replace(spec, max_steps=k)
     track = LeaderTrack(spec)
-    xy, rest, stall_step, reached, fault = reference_track(spec, k)
+    xy, rest, stall_step, fault = reference_track(spec, k)
     assert bytes(track.xy) == xy
-    assert (track.rest, track.stall_step, track.reached) == (rest, stall_step, reached)
+    assert (track.rest, track.stall_step) == (rest, stall_step)
     assert (None if track.fault is None else (track.fault[0], track.fault[2])) == fault
     if name == "faults" and k >= 201:
         assert track.fault[0] == 201 < k
@@ -385,7 +384,7 @@ def test_a_descent_goal_threshold_away_along_x_latches(goal_x, n):
     validate_spec(spec)
     assert math.hypot(x - goal_x, 0.0) == spec.apf.goal_threshold
     track = assert_descent_matches_reference(spec)
-    assert track.reached and track.rest == n + 1
+    assert track.rest == n + 1 and track.stall_step is None
     assert track.row(n + 1) == track.row(n) == (x, 0.0)
 
 
@@ -400,7 +399,7 @@ def test_a_descent_within_goal_threshold_along_x_only_does_not_latch():
     assert abs(x - 1.0) <= spec.apf.goal_threshold < math.hypot(x - 1.0, y - 0.5)
     track = assert_descent_matches_reference(spec)
     assert track.row(n) == (x, y) and track.row(n + 1) != (x, y)
-    assert track.reached and track.rest > n + 1
+    assert track.rest > n + 1 and track.stall_step is None
 
 
 def test_a_descent_entering_a_force_cell_along_y_alone_gets_its_force():
@@ -416,7 +415,8 @@ def test_a_descent_entering_a_force_cell_along_y_alone_gets_its_force():
     rows = np.frombuffer(track.xy).reshape(-1, 2)
     first = int(np.argmax(rows[:, 0] != 0.0))
     assert first > 0 and 0.3 < rows[first - 1, 1] < 0.6
-    assert track.reached
+    assert track.rest is not None and track.stall_step is None
+    assert math.hypot(*(rows[-1] - (0.0, 2.0))) <= spec.apf.goal_threshold
 
 
 @pytest.mark.parametrize("first_y", [0.3, -0.3])
@@ -556,8 +556,8 @@ def test_a_baseline_stall_waits_for_every_drone_to_stop():
                         formation_offsets=(Vec2(0.0, 0.0), Vec2(0.0, 0.8)), max_steps=600)
     validate_spec(spec)
     trapped, flier = (LeaderTrack(spec, start, goal) for start, goal in descent_slots(spec)[1:])
-    assert trapped.stall_step == trapped.rest == 1 and not trapped.reached
-    assert flier.reached and flier.rest > 100
+    assert trapped.stall_step == trapped.rest == 1
+    assert flier.stall_step is None and flier.rest > 100
     trace = run(spec, CONVENTIONAL_APF)
     outcome, positions, _ = reference_run(spec, CONVENTIONAL_APF)
     assert trace.outcome == outcome == STALLED
@@ -600,7 +600,9 @@ def test_a_step_below_half_an_ulp_leaves_the_drone_without_a_stall_flag():
                                        (MAX_STEPS, spec.max_steps + 1)])
     for start, goal in descent_slots(spec):
         track = LeaderTrack(spec, start, goal)
-        assert (track.rest, track.stall_step, track.reached) == (1, None, False)
+        assert (track.rest, track.stall_step) == (1, None)
+        x, y = track.row(1)
+        assert math.hypot(x - track.goal[0], y - track.goal[1]) > spec.apf.goal_threshold
 
 
 def test_a_signed_zero_step_did_not_move_but_is_no_fixed_point():
@@ -645,7 +647,7 @@ def test_a_completed_run_steps_its_followers_at_most_one_chunk_past_its_end(name
 
     def recorded(*args):
         result = swarm_step(*args)
-        reached.append(result[1])
+        reached.append(len(args[-1]) - 1)
         return result
 
     monkeypatch.setattr(simulator, "swarm_step", recorded)
@@ -768,15 +770,13 @@ def test_an_acquire_on_the_first_step_of_a_call():
     last = trace.n_frames - 1
     track = LeaderTrack(spec)
     track.row(last)
-    drone, n = initial_swarm_state(spec)[0], 0
-    positions, modes = array("d", drone[:2]), array("q", [LEADER])
+    link, positions, modes = follower_at(rest_state(spec)[0], 0)
     for stop in (acquire - 1, last):
-        drone, n, fault = swarm_step(drone, n, stop, track, spec.formation_offsets[0].as_tuple(),
-                                     spec, link_coefficients(spec.impedance, spec.dt),
-                                     positions, modes)
-        assert (n, fault) == (stop, None)
+        link, fault = swarm_step(link, stop, track, spec.formation_offsets[0].as_tuple(), spec,
+                                 link_coefficients(spec.impedance, spec.dt), positions, modes)
+        assert (len(modes) - 1, fault) == (stop, None)
         if stop < last:
-            assert drone[2:5] == (0.0, 0.0, LEADER)
+            assert drone_state(link, positions, modes)[2:5] == (0.0, 0.0, LEADER)
     assert bytes(positions) == trace.positions[:, 0].tobytes()
     assert modes.tolist() == trace.modes[:, 0].tolist()
     assert modes[acquire - 1] == LEADER != modes[acquire]
@@ -799,7 +799,7 @@ def test_a_call_lists_every_within_step(vx, rides, to_within):
     # within-step, and a call that stops on one holds none after it.
     spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),))
     last = 400
-    drone = (*initial_swarm_state(spec)[0][:2], vx, 0.0, LEADER, 0.0)
+    drone = (*rest_state(spec)[0][:2], vx, 0.0, LEADER, 0.0)
     rows = reference_rows(spec, last, [drone])
     goal_x, goal_y = spec.goal.x, spec.goal.y + 0.4
     expected = [n for n, (x, y) in enumerate(rows[:, 0].tolist())
@@ -808,21 +808,20 @@ def test_a_call_lists_every_within_step(vx, rides, to_within):
     track = LeaderTrack(spec)
     track.row(last)
     stop = expected[len(expected) // 2] if to_within else last
-    positions, modes = array("d"), array("q")
+    link, positions, modes = follower_at(drone, 0)
     coefficients = link_coefficients(spec.impedance, spec.dt)
-    n = 0
     if rides:
-        drone, n = track.ride((0.0, 0.4), stop, coefficients, positions, modes)
-        assert n == stop
-    after, n, fault = swarm_step(drone, n, stop, track, (0.0, 0.4), spec, coefficients,
-                                 positions, modes)
+        link = track.ride((0.0, 0.4), stop, coefficients, positions, modes)
+        assert len(modes) - 1 == stop
+    link, fault = swarm_step(link, stop, track, (0.0, 0.4), spec, coefficients,
+                             positions, modes)
     assert ((0.0, 0.4) in track.ride_tables) == rides
-    assert (n, fault) == (stop, None)
-    assert within_steps(np.frombuffer(positions).reshape(-1, 2), 1, (goal_x, goal_y),
+    assert (len(modes) - 1, fault) == (stop, None)
+    assert within_steps(np.frombuffer(positions).reshape(-1, 2)[1:], 1, (goal_x, goal_y),
                         spec.apf.goal_threshold) == [n for n in expected if n <= stop]
-    assert after[:2] == tuple(rows[stop, 0])
-    assert bytes(positions) == rows[1:stop + 1, 0].tobytes()
-    assert list(modes) == [LEADER] * stop
+    assert tuple(positions[-2:]) == tuple(rows[stop, 0])
+    assert bytes(positions) == rows[:stop + 1, 0].tobytes()
+    assert list(modes) == [LEADER] * (stop + 1)
 
 
 @pytest.mark.parametrize("linked", [False, True])
@@ -845,19 +844,17 @@ def test_a_drone_goal_threshold_away_along_x_at_a_subnormal_threshold_is_within(
     assert math.hypot(rows[1, 0, 0] - 5e-324, rows[1, 0, 1]) == spec.apf.goal_threshold
     track = LeaderTrack(spec)
     track.row(10)
-    positions, modes = array("d"), array("q")
+    link, positions, modes = follower_at(drone, 0)
     coefficients = link_coefficients(spec.impedance, spec.dt)
-    n = 0
     if not linked:
-        drone, n = track.ride((0.0, 0.0), 1, coefficients, positions, modes)
-        assert n == 1
-    after, n, fault = swarm_step(drone, n, 1, track, (0.0, 0.0), spec, coefficients,
-                                 positions, modes)
-    within = within_steps(np.frombuffer(positions).reshape(-1, 2), 1, (5e-324, 0.0),
+        link = track.ride((0.0, 0.0), 1, coefficients, positions, modes)
+        assert len(modes) - 1 == 1
+    link, fault = swarm_step(link, 1, track, (0.0, 0.0), spec, coefficients, positions, modes)
+    within = within_steps(np.frombuffer(positions).reshape(-1, 2)[1:], 1, (5e-324, 0.0),
                           spec.apf.goal_threshold)
-    assert (n, within, fault) == (1, [1], None)
-    assert bytes(positions) == rows[1, 0].tobytes()
-    assert list(modes) == [0 if linked else LEADER]
+    assert (len(modes) - 1, within, fault) == (1, [1], None)
+    assert bytes(positions)[16:] == rows[1, 0].tobytes()
+    assert list(modes)[1:] == [0 if linked else LEADER]
 
 
 def test_a_ride_stops_within_a_wide_r_imp_that_it_does_not_acquire():
@@ -976,10 +973,10 @@ def test_a_fault_after_steps_of_one_call_keeps_only_the_earlier_rows(spec, kind)
     drone = (x + offset[0], y + offset[1], 0.01, 0.0, LEADER, 0.0)
     rows, modes, (step, text) = reference_rows_to_fault(spec, drone, last)
     assert step > 1
-    positions, mode_rows = array("d", drone[:2]), array("q", [LEADER])
-    result = swarm_step(drone, 0, last, track, offset, spec,
+    link, positions, mode_rows = follower_at(drone, 0)
+    result = swarm_step(link, last, track, offset, spec,
                         link_coefficients(spec.impedance, spec.dt), positions, mode_rows)
-    assert result == (None, step, (kind, text))
+    assert (result, len(mode_rows)) == ((None, (kind, text)), step)
     assert bytes(positions) == np.array([drone[:2], *rows]).tobytes()
     assert list(mode_rows) == [LEADER, *modes]
 
@@ -1041,13 +1038,12 @@ def test_a_negative_zero_rate_is_stepped_like_the_helpers():
     x, y = track.row(20)
     drone = (x + 0.0, y + 0.4, -0.0, 0.0, LEADER, 0.25)
     rows = reference_rows(spec, 60, [drone], start=20)
-    positions = array("d")
-    after, n, _ = swarm_step(drone, 20, 60, track, (0.0, 0.4), spec,
-                             link_coefficients(spec.impedance, spec.dt), positions,
-                             array("q"))
-    assert n == 60
-    assert bytes(positions) == rows[1:, 0].tobytes()
-    assert math.copysign(1.0, after[2]) == 1.0
+    link, positions, modes = follower_at(drone, 20)
+    link, _ = swarm_step(link, 60, track, (0.0, 0.4), spec,
+                         link_coefficients(spec.impedance, spec.dt), positions, modes)
+    assert len(modes) - 1 == 60
+    assert bytes(positions)[16 * 21:] == rows[1:, 0].tobytes()
+    assert math.copysign(1.0, link[0]) == 1.0
 
 
 def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_helpers():
@@ -1063,13 +1059,12 @@ def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_he
     state[:] = [drone]
     for n in range(21, 61):
         step(n)
-    positions = array("d")
-    after, n, _ = swarm_step(drone, 20, 60, track, (0.0, 0.4), spec,
-                             link_coefficients(spec.impedance, spec.dt), positions,
-                             array("q"))
-    assert (n, after) == (60, state[0])
+    link, positions, modes = follower_at(drone, 20)
+    link, _ = swarm_step(link, 60, track, (0.0, 0.4), spec,
+                         link_coefficients(spec.impedance, spec.dt), positions, modes)
+    assert (len(modes) - 1, drone_state(link, positions, modes)) == (60, state[0])
     assert track.ride_tables == {}
-    assert after[5] != track.ride_table((0.0, 0.4))[60]
+    assert link[2] != track.ride_table((0.0, 0.4))[60]
 
 
 @pytest.mark.parametrize("chunk", [1, 128])
@@ -1088,9 +1083,9 @@ def test_each_follower_rides_once_from_frame_0_and_swarm_step_builds_no_ride_tab
         return ride(track, offset, last, coefficients, positions, modes)
 
     def recorded_step(*args):
-        tables = dict(args[3].ride_tables)
+        tables = dict(args[2].ride_tables)
         result = swarm_step(*args)
-        assert args[3].ride_tables == tables
+        assert args[2].ride_tables == tables
         calls.append(args[1])
         return result
 

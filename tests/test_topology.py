@@ -1,5 +1,4 @@
 import math
-from array import array
 
 import pytest
 
@@ -10,14 +9,14 @@ from swarmpath.simulator import SWARMPATH, run
 from swarmpath.topology import (
     LEADER,
     LeaderTrack,
-    initial_swarm_state,
     nearest_obstacle,
     swarm_step,
     update_link_mode,
 )
 from swarmpath.traceio import mode_cell
 from swarmpath.world import Obstacle, ObstacleIndex, TopologyParams, Vec2, read_scenario
-from conftest import SCENARIO_DIR, one_pole_spec, straight_spec
+from conftest import (SCENARIO_DIR, drone_state, follower_at, one_pole_spec, rest_state,
+                      straight_spec)
 from reference import deflection_offset
 
 OB = (
@@ -41,9 +40,12 @@ def stepper(spec):
 
     def step(drones, n):
         track.row(n)
-        return [swarm_step(drone, n - 1, n, track, offset, spec, coefficients,
-                           array("d"), array("q"))[0]
-                for drone, offset in zip(drones, offsets)]
+        new = []
+        for drone, offset in zip(drones, offsets):
+            link, positions, modes = follower_at(drone, n - 1)
+            link, _ = swarm_step(link, n, track, offset, spec, coefficients, positions, modes)
+            new.append(drone_state(link, positions, modes))
+        return new
 
     return track, step
 
@@ -99,10 +101,9 @@ def test_link_rule_at_exactly_each_threshold():
     coefficients = link_coefficients(spec.impedance, spec.dt)
 
     def kernel_mode(x, mode):
-        drone = (x, 0.0, 0.0, 0.0, mode, 0.0)
-        new, *_ = swarm_step(drone, 0, 1, track, (0.0, 0.0), spec, coefficients,
-                             array("d"), array("q"))
-        return new[4]
+        link, positions, modes = follower_at((x, 0.0, 0.0, 0.0, mode, 0.0), 0)
+        swarm_step(link, 1, track, (0.0, 0.0), spec, coefficients, positions, modes)
+        return modes[-1]
 
     cases = [(release_x, 0, 0), (math.nextafter(release_x, 2.0), 0, LEADER),
              (acquire_x, LEADER, LEADER), (math.nextafter(acquire_x, 0.0), LEADER, 0)]
@@ -149,7 +150,7 @@ def test_desired_position_leader_linked_is_formation_slot():
     # slot is the leader plus its offset, with no deflection term.
     spec = straight_spec()
     track, step = stepper(spec)
-    drones = step(initial_swarm_state(spec), 1)
+    drones = step(rest_state(spec), 1)
     lx, ly = track.row(1)
     x, y, _, _, mode, _ = drones[2]
     assert mode == LEADER
@@ -162,7 +163,7 @@ def test_pure_transport_keeps_deviations_exactly_zero():
     # deviation never becomes nonzero and followers track exactly.
     spec = straight_spec(goal=Vec2(2.0, 0.0), max_steps=500)
     track, step = stepper(spec)
-    drones = initial_swarm_state(spec)
+    drones = rest_state(spec)
     for n in range(1, 301):
         drones = step(drones, n)
     lx, ly = track.row(300)
@@ -175,7 +176,7 @@ def test_swarm_step_advances_clock():
     # The state carries no clock; the trace's row n is step n at t = n * dt.
     spec = straight_spec(max_steps=1)
     track, step = stepper(spec)
-    step(initial_swarm_state(spec), 1)
+    step(rest_state(spec), 1)
     assert track.stall_step is None or track.stall_step > 1
     trace = run(spec, SWARMPATH)
     assert trace.n_frames == 2
@@ -187,7 +188,7 @@ def test_formation_recovery_decays_monotonically():
     # the link must pull it back without oscillation growth.
     spec = straight_spec(start=Vec2(0.0, 0.0), goal=Vec2(0.0, 0.0))
     _, step = stepper(spec)
-    drones = initial_swarm_state(spec)
+    drones = rest_state(spec)
     x, y, vx, vy, mode, mean_speed = drones[0]
     drones = [(x + 0.5, y - 0.2, vx, vy, mode, mean_speed)] + drones[1:]
     slot = spec.formation_offsets[0]  # the goal is the origin
