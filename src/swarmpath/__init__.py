@@ -25,24 +25,17 @@ from .world import (
     serialize_scenario,
     validate_spec,
 )
-from .apf import (
-    SingularityError,
-    leader_step,
-    repulsion_force,
-    total_force,
-)
+from .apf import SingularityError
 from .impedance import (
     analytic_response,
     critical_damping,
     link_coefficients,
-    link_step,
 )
 from .topology import (
     LEADER,
     LeaderTrack,
     nearest_obstacle,
     swarm_step,
-    update_link_mode,
 )
 from .baseline import baseline_step
 from .simulator import (

@@ -5,7 +5,7 @@ callers look them up, and its observers read what the wrapped calls take and
 return.  A refactor that drops or moves one of those names, or changes what an
 observer reads, breaks the traced run, not this suite, so these tests run the
 harness's `instrument()` against a recorder that checks each name, and with
-the real tracer through one run, one compare and one sweep.
+the real tracer through one run, one compare, one sweep and `validate`.
 """
 
 import importlib
@@ -100,3 +100,17 @@ def test_the_traced_harness_observes_a_run_a_compare_and_a_sweep(bench, tmp_path
     spans = tracer.summarise(0, tracer.n_spans)
     assert spans["simulator.run"]["calls"] == 1 + 2 + 2
     assert spans["topology.swarm_step"]["calls"] > 0
+
+
+def test_the_traced_harness_runs_validate(bench, capsys):
+    # validate drives the kernels that runs call, so no observer of a
+    # reference is reached and every check passes under the real tracer.
+    tracer = bench.Tracer()
+    bench.instrument(tracer)
+    try:
+        code = cli.main(["validate"])
+    finally:
+        tracer.restore()
+    assert code == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.endswith(" PASS") for line in lines)
