@@ -16,10 +16,10 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 def show(name: str) -> None:
     result = run_sweep(read_sweep(SCENARIOS / name))
     print(f"== {name}")
-    for run in result.runs:
-        mark = "  <- critical" if run.critical else ""
-        lengths = " ".join(f"{v:.4f}" for v in run.drone_path_lengths)
-        print(f"  {result.parameter}={run.value:<6g} {run.outcome:<10} [{lengths}]{mark}")
+    for point in result.runs:  # each point is its sweep.json entry, unrounded
+        mark = "  <- critical" if point["critical"] else ""
+        lengths = " ".join(f"{v:.4f}" for v in point["drone_path_lengths_m"])
+        print(f"  {result.parameter}={point['value']:<6g} {point['outcome']:<10} [{lengths}]{mark}")
     print()
     print(render_sweep_csv(result))
 

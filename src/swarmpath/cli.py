@@ -95,10 +95,10 @@ def cmd_sweep(args) -> int:
     _write(out / "sweep.json", sweep.render_sweep_json(result))
     _write(out / "sweep.csv", sweep.render_sweep_csv(result))
     for point in result.runs:
-        note = f"  [{point.note}]" if point.note else ""
-        print(f"{result.parameter}={sweep.value_label(point.value)}: {point.outcome}{note}")
+        note = f"  [{point['note']}]" if point["note"] else ""
+        print(f"{result.parameter}={sweep.value_label(point['value'])}: {point['outcome']}{note}")
     print(f"wrote {out / 'sweep.json'}, {out / 'sweep.csv'}")
-    all_done = all(p.outcome == COMPLETED for p in result.runs)
+    all_done = all(p["outcome"] == COMPLETED for p in result.runs)
     return EXIT_OK if all_done else EXIT_INCOMPLETE
 
 

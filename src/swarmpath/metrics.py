@@ -68,12 +68,12 @@ def pair_max_distances(trace: SimulationTrace) -> np.ndarray:
 
     Symmetric, with a zero diagonal.
     """
-    pos = trace.positions
+    xs, ys = np.ascontiguousarray(trace.positions.T)  # (D, F) rows, copied once
     out = np.zeros((trace.n_drones, trace.n_drones))
     for a in range(trace.n_drones - 1):
         # Drone a against every later drone at once.
-        dx, dy = (pos[:, a + 1:, k] - pos[:, a, None, k] for k in (0, 1))
-        out[a, a + 1:] = out[a + 1:, a] = np.max(_lengths(dx, dy), axis=0)
+        lengths = _lengths(xs[a + 1:] - xs[a], ys[a + 1:] - ys[a])
+        out[a, a + 1:] = out[a + 1:, a] = lengths.max(axis=1)
     return out
 
 

@@ -11,10 +11,12 @@ A sweep spec is a small JSON document:
 Its keys are the SweepSpec fields, all required: parameter is m, d or k,
 values a non-empty array of numbers, and scenario a path (relative to the
 sweep file) or an inline scenario object.  Every point is validated before any
-run, and an error names its key, such as scenario.start or values[1].  Each
-run reports per-drone path lengths, and values within 0.5% of the critical
-damping of the resulting (m, d, k) triple are flagged, since behavior changes
-character on either side of that point.
+run, and an error names its key, such as scenario.start or values[1].
+
+Each point is the dict that sweep.json holds under "runs", at full precision:
+value, outcome, critical, note and drone_path_lengths_m.  Values within 0.5%
+of the critical damping of the resulting (m, d, k) triple are flagged
+critical, since behavior changes character on either side of that point.
 """
 
 from __future__ import annotations
@@ -63,20 +65,9 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRun:
-    """Result of one sweep point."""
-
-    value: float
-    outcome: str
-    critical: bool
-    note: str | None
-    drone_path_lengths: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class SweepResult:
     parameter: str
-    runs: tuple[SweepRun, ...]
+    runs: tuple[dict, ...]  # sweep.json's "runs" entries, unrounded
 
 
 def load_sweep(text: str, base_dir: Path | None = None) -> SweepSpec:
@@ -118,32 +109,15 @@ def run_sweep(sweep: SweepSpec) -> SweepResult:
         is_critical = abs(imp.d - crit) <= CRITICAL_REL_TOL * crit
         note = f"critically damped (2*sqrt(m*k)={crit:.3f})" if is_critical else None
         trace = run(spec, SWARMPATH, track)
-        lengths = tuple(drone_path_lengths(trace))
-        runs.append(SweepRun(
-            value=value,
-            outcome=trace.outcome,
-            critical=is_critical,
-            note=note,
-            drone_path_lengths=lengths,
-        ))
+        runs.append({"value": value, "outcome": trace.outcome, "critical": is_critical,
+                     "note": note, "drone_path_lengths_m": drone_path_lengths(trace)})
     return SweepResult(parameter=sweep.parameter, runs=tuple(runs))
 
 
 def render_sweep_json(result: SweepResult) -> str:
-    doc = {
-        "parameter": result.parameter,
-        "runs": [
-            {
-                "value": r.value,
-                "outcome": r.outcome,
-                "critical": r.critical,
-                "note": r.note,
-                "drone_path_lengths_m": [sig6(v) for v in r.drone_path_lengths],
-            }
-            for r in result.runs
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    runs = [{**r, "drone_path_lengths_m": [sig6(v) for v in r["drone_path_lengths_m"]]}
+            for r in result.runs]
+    return json.dumps({"parameter": result.parameter, "runs": runs}, indent=2) + "\n"
 
 
 def value_label(value: float) -> str:
@@ -157,12 +131,12 @@ def value_label(value: float) -> str:
 
 def render_sweep_csv(result: SweepResult) -> str:
     """Table with one row per drone and one column per swept value."""
-    n_drones = len(result.runs[0].drone_path_lengths)
-    header = ["drone"] + [f"{result.parameter}={value_label(r.value)}" for r in result.runs]
+    n_drones = len(result.runs[0]["drone_path_lengths_m"])
+    header = ["drone"] + [f"{result.parameter}={value_label(r['value'])}" for r in result.runs]
     lines = [",".join(header)]
     for i in range(n_drones):
-        row = [f"drone{i + 1}"] + [f"{r.drone_path_lengths[i]:.6g}" for r in result.runs]
+        row = [f"drone{i + 1}"] + [f"{r['drone_path_lengths_m'][i]:.6g}" for r in result.runs]
         lines.append(",".join(row))
-    outcome_row = ["outcome"] + [r.outcome for r in result.runs]
+    outcome_row = ["outcome"] + [r["outcome"] for r in result.runs]
     lines.append(",".join(outcome_row))
     return "\n".join(lines) + "\n"

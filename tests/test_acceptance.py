@@ -178,14 +178,14 @@ def test_c09_free_space_matches_baseline():
 
 def test_c10_sweeps_flag_damping_and_order_stiffness():
     d_result = run_sweep(read_sweep(SCENARIO_DIR / "sweep_d.json"))
-    flags = [r.critical for r in d_result.runs]
+    flags = [r["critical"] for r in d_result.runs]
     d_ok = flags == [v == 12.6 for v in (12.5, 12.6, 12.7, 12.8)]
 
     k_result = run_sweep(read_sweep(SCENARIO_DIR / "sweep_k.json"))
-    k_ok = all(r.outcome == COMPLETED for r in k_result.runs)
-    n_drones = len(k_result.runs[0].drone_path_lengths)
+    k_ok = all(r["outcome"] == COMPLETED for r in k_result.runs)
+    n_drones = len(k_result.runs[0]["drone_path_lengths_m"])
     for i in range(n_drones):
-        lengths = [r.drone_path_lengths[i] for r in k_result.runs]
+        lengths = [r["drone_path_lengths_m"][i] for r in k_result.runs]
         k_ok = k_ok and all(b >= a for a, b in zip(lengths, lengths[1:]))
     report(10, d_ok and k_ok,
            f"d-sweep critical flags {flags} (only 12.6); "

@@ -164,7 +164,7 @@ GOLDEN_SWEEP_POINTS = {
 @pytest.mark.parametrize("name", ["sweep_k.json", "sweep_d.json"])
 def test_sweep_point_columns_match_golden_digests(name, monkeypatch):
     result, traces = sweep_traces(read_sweep(SCENARIO_DIR / name), monkeypatch)
-    digests = {(name, r.value): (hashlib.sha256(t.positions.tobytes()).hexdigest(),
+    digests = {(name, r["value"]): (hashlib.sha256(t.positions.tobytes()).hexdigest(),
                                  hashlib.sha256(t.modes.tobytes()).hexdigest())
                for r, t in zip(result.runs, traces)}
     assert digests == {key: pin for key, pin in GOLDEN_SWEEP_POINTS.items() if key[0] == name}

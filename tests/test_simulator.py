@@ -90,7 +90,7 @@ def test_stalled_outcome_at_field_equilibrium(monkeypatch):
     assert np.array_equal(trace.leader, np.tile(spec.start.as_tuple(), (trace.n_frames, 1)))
     # Every point of a sweep reads the same stall off the shared leader track.
     result, traces = sweep_traces(SweepSpec("d", (12.0, 14.0), spec), monkeypatch)
-    assert [r.outcome for r in result.runs] == [STALLED, STALLED]
+    assert [r["outcome"] for r in result.runs] == [STALLED, STALLED]
     assert [t.n_frames for t in traces] == [STALL_PATIENCE + 1] * 2
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
-from swarmpath import sweep as sweep_module, topology, world
+from swarmpath import metrics, sweep as sweep_module, topology, world
 from swarmpath.simulator import run
 from swarmpath.sweep import (
     SweepSpec,
@@ -17,6 +17,7 @@ from swarmpath.sweep import (
     run_sweep,
     sweep_point,
 )
+from swarmpath.traceio import sig6
 from swarmpath.world import (
     ScenarioError,
     ScenarioParseError,
@@ -122,10 +123,10 @@ def test_sweep_point_replaces_one_impedance_field():
 def test_run_sweep_flags_critical_damping():
     sweep = load_sweep(inline_sweep(parameter="d", values=(11.0, 12.6, 14.0)))
     result = run_sweep(sweep)
-    flags = [run.critical for run in result.runs]
+    flags = [run["critical"] for run in result.runs]
     assert flags == [False, True, False]
-    assert "12.597" in result.runs[1].note
-    assert all(run.outcome == "completed" for run in result.runs)
+    assert "12.597" in result.runs[1]["note"]
+    assert all(run["outcome"] == "completed" for run in result.runs)
 
 
 def test_sweep_steps_the_leader_once(monkeypatch):
@@ -235,6 +236,18 @@ def test_sweep_json_and_csv_shapes():
     assert lines[0].split(",") == ["drone", "k=20.88", "k=29"]
     assert lines[1].startswith("drone1,")
     assert lines[-1].startswith("outcome,")
+
+
+def test_a_sweep_point_is_its_sweep_json_entry(monkeypatch):
+    result, traces = sweep_traces(load_sweep(inline_sweep()), monkeypatch)
+    written = json.loads(render_sweep_json(result))["runs"]
+    assert len(result.runs) == len(written) == len(traces) == 2
+    for point, entry, trace in zip(result.runs, written, traces):
+        assert list(point) == ["value", "outcome", "critical", "note", "drone_path_lengths_m"]
+        lengths = point["drone_path_lengths_m"]
+        assert entry == {**point, "drone_path_lengths_m": [sig6(v) for v in lengths]}
+        # Unrounded: the file alone rounds.
+        assert lengths == metrics.drone_path_lengths(trace)
 
 
 @settings(max_examples=300, deadline=None)
