@@ -4,9 +4,12 @@ The trace CSV is the SimulationTrace columns side by side, one row per frame:
 t, leader_x, leader_y, then drone<i>_x, drone<i>_y, drone<i>_mode per drone
 (drones numbered from 1 in files and reports).  Mode cells hold L for
 leader-linked or O<k> with k the obstacle index; baseline runs have no leader
-and no links, those cells stay empty.  Floats are written with repr so
-float(cell) recovers each value exactly; a block of frames formats each
-distinct float, by bit pattern, once.
+and no links, those cells stay empty.  Every float cell is repr's text, so
+float(cell) recovers each value exactly.  orjson writes most of them: its
+shortest round-trip digits are repr's for zeros and for 1e-4 <= |v| < 1e16.
+Outside that range repr writes an exponent or digits orjson does not (1e+16
+against 1e16, 1e-05 against 0.00001), and orjson writes inf and nan as
+null, so those cells hold repr's text.
 
 Report JSON keeps its document's key order and rounds every float to 6
 significant digits in one walk, which keeps report bytes stable across
@@ -17,9 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 
 import numpy as np
+import orjson
 
 from .simulator import SimulationTrace
 from . import metrics
@@ -46,36 +49,37 @@ def _header(n_drones: int) -> str:
 
 
 def render_trace_csv(trace: SimulationTrace) -> str:
-    """Serialize a recorded run to CSV text, built column by column.
+    """Serialize a recorded run to CSV text, CSV_BLOCK frames at a time.
 
-    A run repeats many floats (drones riding slots a shared offset apart, a
-    settled leader), so the frames are formatted CSV_BLOCK at a time and each
-    distinct float of a block once: its float columns are keyed by their bit
-    patterns, which keeps -0.0 apart from 0.0, and every cell takes its
-    key's text.  Each block is joined into one text before the next starts,
-    so its cells and rows are freed as it ends.
+    Each block becomes one table of cells in file order, which orjson writes
+    as one JSON array of rows; dropping its brackets and quotes leaves the
+    CSV rows.  A float cell outside orjson's repr-equal range is its repr
+    text.  Each block is joined into one text before the next starts, so its
+    cells are freed as it ends.
     """
-    frames = trace.n_frames
-    floats = [trace.t[:, None], trace.positions.reshape(frames, -1)]
-    if trace.leader is None:
-        modes = [[""] * frames] * trace.n_drones
-    else:
-        floats.insert(1, trace.leader)
-        # A run uses few distinct codes, so each cell text is made once.
-        modes = [list(map({c: mode_cell(c) for c in set(codes)}.__getitem__, codes))
-                 for codes in trace.modes.T.tolist()]
-    table = np.concatenate(floats, axis=1)
-    parts = [_header(trace.n_drones)]
+    frames, n = trace.n_frames, trace.n_drones
+    if trace.leader is not None:
+        # Each code's cell text is made once; code c is at texts[c + 1].
+        codes = range(-1, int(trace.modes.max(initial=-1)) + 1)
+        texts = np.array([mode_cell(c) for c in codes], dtype=object)
+    parts = [_header(n)]
     for lo in range(0, frames, CSV_BLOCK):
-        block = table[lo:lo + CSV_BLOCK]
-        bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-        t, *columns = texts[inverse].reshape(block.shape).T.tolist()
+        block = slice(lo, lo + CSV_BLOCK)
+        values = np.zeros((len(trace.t[block]), n + 1, 3))  # t, leader, then x, y, mode per drone
+        values[:, 0, 0] = trace.t[block]
+        values[:, 1:, :2] = trace.positions[block]
+        if trace.leader is not None:
+            values[:, 0, 1:] = trace.leader[block]
+        cells = values.astype(object)
+        magnitude = np.abs(values)
+        odd = (values != 0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))
+        cells[odd] = [repr(v) for v in values[odd].tolist()]
         if trace.leader is None:
-            columns[:0] = [[""] * len(t)] * 2
-        cells = [codes[lo:lo + CSV_BLOCK] for codes in modes]
-        tracks = chain.from_iterable(zip(columns[2::2], columns[3::2], cells))
-        parts.append("\n".join(map(",".join, zip(t, *columns[:2], *tracks))))
+            cells[:, 0, 1:] = cells[:, 1:, 2] = ""
+        else:
+            cells[:, 1:, 2] = texts[trace.modes[block] + 1]
+        text = orjson.dumps(cells.reshape(len(values), -1).tolist()).decode()
+        parts.append(text[2:-2].replace('"', "").replace("],[", "\n"))
     parts.append("")
     return "\n".join(parts)
 

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from swarmpath.metrics import compare
 from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, SimulationTrace, run
 from swarmpath.traceio import (
+    CSV_BLOCK,
     mode_cell,
     render_comparison_json,
     render_metrics_json,
@@ -73,6 +74,14 @@ def test_csv_floats_survive_exactly():
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
+# The edges of the range where orjson's text is repr's, and the extremes.
+@example(1e-4)
+@example(math.nextafter(1e-4, 0))
+@example(1e16)
+@example(math.nextafter(1e16, 0))
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
 def test_repr_floats_round_trip(value):
     spec = straight_spec(formation_offsets=(Vec2(0.0, 0.0),))
     trace = SimulationTrace(spec, SWARMPATH, t=np.zeros(1),
@@ -82,6 +91,34 @@ def test_repr_floats_round_trip(value):
     (cells,) = data_rows(render_trace_csv(trace))
     assert_row_is_frame(cells, trace, 0)
     assert (float(cells[3]), float(cells[1]), float(cells[2])) == (value, value, -value)
+    assert cells == ["0.0", repr(value), repr(-value), repr(value), "0.0", "L"]
+
+
+@pytest.mark.parametrize("controller", [SWARMPATH, CONVENTIONAL_APF])
+def test_csv_writes_repr_text_in_every_block(controller):
+    # Two blocks, each holding cells whose orjson text differs from repr's: a
+    # subnormal, 1e16, -0.0 and inf in t.  The reference joins repr row by row.
+    frames = CSV_BLOCK + 2
+    spec = straight_spec(formation_offsets=(Vec2(0.0, 0.0), Vec2(0.0, 1.0)))
+    t = np.arange(frames) * 0.01
+    positions = np.linspace(-3.0, 3.0, frames * 4).reshape(frames, 2, 2)
+    leader = np.linspace(5e-5, 2e16, frames * 2).reshape(frames, 2)
+    modes = np.arange(frames * 2).reshape(frames, 2) % 5 - 1
+    for n in (3, CSV_BLOCK + 1):
+        t[n] = math.inf
+        positions[n] = [[5e-324, 1e16], [-0.0, -1e-5]]
+        leader[n] = [-0.0, -1e300]
+    swarm = controller == SWARMPATH
+    trace = SimulationTrace(spec, controller, t, positions, leader if swarm else None,
+                            modes if swarm else None, COMPLETED)
+    lines = ["t,leader_x,leader_y,drone1_x,drone1_y,drone1_mode,drone2_x,drone2_y,drone2_mode"]
+    for n in range(frames):
+        cells = [repr(t[n].item()), *(map(repr, leader[n].tolist()) if swarm else ["", ""])]
+        for d in range(2):
+            mode = mode_cell(modes[n, d].item()) if swarm else ""
+            cells += [*map(repr, positions[n, d].tolist()), mode]
+        lines.append(",".join(cells))
+    assert render_trace_csv(trace) == "\n".join(lines) + "\n"
 
 
 def test_sig6():
@@ -152,8 +189,7 @@ def test_reports_round_every_float_and_keep_everything_else():
 
 @pytest.mark.parametrize("controller", [SWARMPATH, CONVENTIONAL_APF])
 def test_csv_keeps_negative_zero_apart_from_zero(controller):
-    # Each distinct float is formatted once, keyed by its bits: -0.0 == 0.0
-    # as values, but their cells must stay -0.0 and 0.0.
+    # -0.0 == 0.0 as values, but their cells must stay -0.0 and 0.0.
     spec = straight_spec()
     xs = np.array([0.0, -0.0, 0.0, -0.0, 1.5])
     positions = np.stack([xs, -xs], axis=1)[:, None, :]
