@@ -66,14 +66,22 @@ def leader_path_length(trace: SimulationTrace) -> float | None:
 def pair_max_distances(trace: SimulationTrace) -> np.ndarray:
     """Largest separation of each drone pair over the whole run, (D, D) metres.
 
-    Symmetric, with a zero diagonal.
+    Symmetric, with a zero diagonal.  sqrt is monotone and correctly rounded,
+    so a pair's largest length is the sqrt of its largest square.  A pair
+    whose largest square is below 2 * _TINY (where a patched length could
+    top it), infinite or nan takes the largest of its _lengths instead.
     """
     xs, ys = np.ascontiguousarray(trace.positions.T)  # (D, F) rows, copied once
     out = np.zeros((trace.n_drones, trace.n_drones))
     for a in range(trace.n_drones - 1):
         # Drone a against every later drone at once.
-        lengths = _lengths(xs[a + 1:] - xs[a], ys[a + 1:] - ys[a])
-        out[a, a + 1:] = out[a + 1:, a] = lengths.max(axis=1)
+        dx, dy = xs[a + 1:] - xs[a], ys[a + 1:] - ys[a]
+        with np.errstate(over="ignore", under="ignore"):
+            largest = (dx * dx + dy * dy).max(axis=1)
+        lengths = np.sqrt(largest)
+        for b in np.flatnonzero(~((largest >= 2 * _TINY) & (largest < math.inf))):
+            lengths[b] = _lengths(dx[b], dy[b]).max()
+        out[a, a + 1:] = out[a + 1:, a] = lengths
     return out
 
 

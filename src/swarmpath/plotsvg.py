@@ -1,9 +1,10 @@
 """Static SVG rendering of recorded runs.
 
-Hand-written SVG with fixed coordinate formatting, so the same trace always
-produces the same bytes on every platform.  Obstacle bodies are dark, the
-repulsion onset radius is drawn blue and the link handover radius green;
-stretches where a drone is obstacle-linked are overdrawn in green.
+Hand-written SVG whose every coordinate is "%.2f"'s text (a panel's polyline
+pixels in one numpy pass), so the same trace always produces the same bytes
+on every platform.  Obstacle bodies are dark, the repulsion onset radius is
+drawn blue and the link handover radius green; stretches where a drone is
+obstacle-linked are overdrawn in green.
 """
 
 from __future__ import annotations
@@ -51,16 +52,57 @@ class _Frame:
                 MARGIN + (self.y1 - y) * self.scale)
 
 
+# Digit pairs b"00" .. b"99"; a pixel's cents and separator b".00," .. b".99 ".
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), "u2")
+_CENTS = np.frombuffer(b"".join(b".%02d%c" % (i, sep) for sep in b", " for i in range(100)), "u4")
+
+
 def _polyline(frame: _Frame, points: np.ndarray, style: str) -> str:
-    step = max(1, len(points) // MAX_POLYLINE)
-    kept = points[::step]
-    if (len(points) - 1) % step:
-        kept = np.concatenate([kept, points[-1:]])
-    px, py = frame.px(kept[:, 0], kept[:, 1])
-    # One % call formats every point; "%.2f" gives "{:.2f}"'s text, -0.00 included.
-    xy = np.column_stack((px, py)).ravel().tolist()
-    coords = " ".join(["%.2f,%.2f"] * len(kept)) % tuple(xy)
-    return f'<polyline points="{coords}" fill="none" {style}/>'
+    return _polylines(frame, [(points, style)])[0]
+
+
+def _polylines(frame: _Frame, lines: list[tuple[np.ndarray, str]]) -> list[str]:
+    """Each (points, style) as a polyline element, every pixel as "%.2f" gives it.
+
+    A line past MAX_POLYLINE points is strided, keeping its last point.  A
+    pixel v with a clear sign bit, 100 * v below 999999 and more than 1e-6
+    (far above its rounding) from a half is rint(100 * v), written from the
+    tables into 8 bytes with leading zeros as NUL, which one translate drops.
+    "%.2f" % v writes the others: -0.0, negative, large, non-finite, near ties.
+    """
+    kept = []
+    for points, _ in lines:
+        step = max(1, len(points) // MAX_POLYLINE)
+        kept.append(points[::step])
+        if (len(points) - 1) % step:
+            kept[-1] = np.concatenate([kept[-1], points[-1:]])
+    px, py = frame.px(*np.concatenate(kept).T)
+    values = np.column_stack((px, py)).ravel()  # x, y of each point in turn
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 100.0
+        rounded = np.rint(scaled)
+        exact = (~np.signbit(values) & (scaled < 999999.0)
+                 & (np.abs(scaled - rounded) < 0.5 - 1e-6))
+    rounded = np.where(exact, rounded, 0.0)
+    # Digit pairs of rint(100 * v) = 10000 * high + 100 * low + cents, in exact float steps.
+    whole = np.floor(rounded / 100.0)
+    high = np.floor(rounded / 10000.0)
+    cents = rounded - 100.0 * whole
+    cents[1::2] += 100.0  # a y pixel is followed by " "
+    cells = np.empty((len(values), 8), np.uint8)
+    cells.view("u2")[:, 0] = _PAIRS[high.astype(np.intp)]
+    cells.view("u2")[:, 1] = _PAIRS[(whole - 100.0 * high).astype(np.intp)]
+    cells.view("u4")[:, 1] = _CENTS[cents.astype(np.intp)]
+    for column, least in enumerate((1000.0, 100.0, 10.0)):  # leading zeros to NUL
+        cells[:, column] *= whole >= least
+    odd = np.flatnonzero(~exact)
+    cells[odd, :7] = (2, 0, 0, 0, 0, 0, 0)  # \2 marks where "%.2f" writes the pixel
+    cells[2 * np.cumsum([len(points) for points in kept]) - 1, 7] = 1  # a line's end
+    text = cells.tobytes().translate(None, b"\0").decode("ascii")
+    if len(odd):
+        text = text.replace("\2", "%s") % tuple("%.2f" % v for v in values[odd].tolist())
+    return [f'<polyline points="{coords}" fill="none" {style}/>'
+            for coords, (_, style) in zip(text.split("\1"), lines)]
 
 
 def _circle(frame: _Frame, cx: float, cy: float, r: float, style: str) -> str:
@@ -83,16 +125,16 @@ def _panel(frame: _Frame, spec: ScenarioSpec, trace: SimulationTrace, title: str
                               for pole in (gate.pole_a, gate.pole_b))
         parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
                      f'stroke="#bbbbbb" stroke-dasharray="2 4"/>')
+    lines = []
     if trace.leader is not None:
-        parts.append(_polyline(frame, trace.leader,
-                               f'stroke="{LEADER_COLOR}" stroke-dasharray="7 4"'))
+        lines.append((trace.leader, f'stroke="{LEADER_COLOR}" stroke-dasharray="7 4"'))
     for i in range(trace.n_drones):
         color = DRONE_COLORS[i % len(DRONE_COLORS)]
         pts = trace.drone_positions(i)
-        parts.append(_polyline(frame, pts, f'stroke="{color}" stroke-width="1.4"'))
-        for lo, hi in _linked_spans(trace, i):
-            parts.append(_polyline(frame, pts[lo:hi + 1],
-                                   f'stroke="{LINKED_COLOR}" stroke-width="3" opacity="0.75"'))
+        lines.append((pts, f'stroke="{color}" stroke-width="1.4"'))
+        lines += [(pts[lo:hi + 1], f'stroke="{LINKED_COLOR}" stroke-width="3" opacity="0.75"')
+                  for lo, hi in _linked_spans(trace, i)]
+    parts += _polylines(frame, lines)
     parts.append(_circle(frame, spec.start.x, spec.start.y, 0.06, 'fill="#111111"'))
     parts.append(_circle(frame, spec.goal.x, spec.goal.y, 0.06,
                          'fill="none" stroke="#111111" stroke-width="2"'))

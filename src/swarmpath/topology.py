@@ -40,8 +40,10 @@ its zero link state until it first comes within an obstacle's r_imp.
 LeaderTrack.ride moves it over that stretch from frame 0 at once, with
 numpy, and swarm_step's loop steps on from there.  Where the stretch ends
 and the drone's mean_speed along it read only the leader's rows, the
-offset, the obstacles and dt, never m, d or k, so a track searches them once
-per offset (its ride table) and every run that reads it shares them.
+offset, the obstacles and dt, never m, d or k, so a track keeps them for
+every run that reads it: the end from array passes over boxes of slots (its
+ride table), the mean_speed, a sequential sum, only where swarm_step steps a
+drone on from its ride.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ from .impedance import link_step  # noqa: F401
 from .apf import leader_step  # noqa: F401
 
 MEAN_SPEED_ALPHA = 0.05  # exponential moving average weight for drone speed
+BOX_ROWS = 64  # slots a ride's stop search bounds with one box
+REACH_SLACK = 1e-9  # relative widening of an obstacle's reach against a box, for rounding
 LEADER = -1  # mode of a drone linked to the leader; otherwise an obstacle index
 # A follower's faults, ranked in the order a step meets them: its link's
 # direction, then the finiteness of its new state.
@@ -146,11 +150,12 @@ class LeaderTrack:
     IndexError past a moving path's.  Whoever builds a track chooses the runs
     that share it.
 
-    The runs that share a track also share its followers' ride tables
-    (ride_table(offset)): how far a follower at rest on its slot from frame
-    0 rides (ride) and its mean_speed there.  These follow from the rows,
-    the offset, the obstacles and dt, all fixed with the track, never from
-    m, d or k, which a sweep varies.
+    The runs that share a track also share its followers' rides: where a
+    follower at rest on its slot from frame 0 stops riding (ride_table(offset),
+    kept in ride_tables) and its mean_speed at a step of its ride
+    (ride_speed(offset, step), kept in ride_speeds).  These follow from the
+    rows, the offset, the obstacles and dt, all fixed with the track, never
+    from m, d or k, which a sweep varies.
     """
 
     def __init__(self, spec: ScenarioSpec, start: tuple[float, float] | None = None,
@@ -162,7 +167,9 @@ class LeaderTrack:
         self.rest: int | None = None
         self.stall_step: int | None = None
         self.fault: tuple[int, int, str] | None = None
-        self.ride_tables: dict[tuple[float, float], array] = {}
+        self.ride_tables: dict[tuple[float, float], int] = {}
+        self.ride_speeds: dict[tuple[tuple[float, float], int], float] = {}
+        self._boxes: tuple | None = None
         status, text = descend(xy, *self.goal, spec.max_steps, spec)
         if text is not None:
             self.fault = (len(xy) // 2, status, text)
@@ -182,64 +189,74 @@ class LeaderTrack:
             xy.extend(xy[-2:] * (step + 1 - len(xy) // 2))
         return xy[2 * step], xy[2 * step + 1]
 
-    def ride_table(self, offset: tuple[float, float]) -> array:
-        """The mean_speed after each step n of the follower on offset while it rides.
+    def ride_table(self, offset: tuple[float, float]) -> int:
+        """The first step that the follower on offset does not ride: its stop.
 
         A drone starts on its slot (leader row 0 + offset) with a zero link,
         and while nothing pushes on its link it stays on the slot: its
         position after step n is slot n = leader row n + offset, plus +0.0,
-        which neither a link cell key (-0.0 == 0.0) nor a hypot reads.
+        which no hypot reads.  Its ride hands over to swarm_step's loop at
+        the first step n whose slot n - 1 is within its own r_imp of an
+        obstacle, whose slot n is not finite, or whose mean_speed is not
+        finite; else the stop is the number of rows the track holds.
+        Searched once per offset, over the rows the track holds then, and
+        kept in ride_tables for every run that reads this track.
 
-        table[n] is the exact sequential EMA from 0.0 at step 0.  The table
-        ends where the ride must hand over to swarm_step's loop: its length
-        is the first step n whose slot n - 1 is within its own r_imp of an
-        obstacle listed in its link cell, whose slot n is not finite, or
-        whose mean_speed is not finite; or, if no step is one, the number of
-        rows the track holds.  Built on the first request for offset, over
-        the rows the track holds then, and kept: every run that reads this
-        track shares it.
-
-        The stop rule is wider than an acquire: with one r_imp in a scenario
-        the two fall on the same step, and with mixed r_imp a drone within
-        one obstacle's r_imp whose nearest obstacle is another stops riding
-        there although it acquires nothing.  Within each run of steps in one
-        link cell the cell is looked up once, and scanned only if it lists
-        obstacles.
+        The stop rule is wider than an acquire: with mixed r_imp a drone
+        within one obstacle's r_imp whose nearest obstacle is another stops
+        riding there although it acquires nothing.  Rounding is monotone,
+        so each side of the box of BOX_ROWS slots is one of its slots: an
+        obstacle that the box clears by its reach, widened by REACH_SLACK,
+        reaches none of them, and swarm_step's hypot decides only in the
+        other boxes.  A bound on the slots' magnitude over dt proves every
+        mean_speed finite; where it fails, their sequential sum decides.
         """
-        table = self.ride_tables.get(offset)
-        if table is not None:
-            return table
-        index = self.index
+        if offset in self.ride_tables:
+            return self.ride_tables[offset]
+        held = len(self.xy) // 2
+        if self._boxes is None or self._boxes[0] != held:
+            leader, starts = np.frombuffer(self.xy).reshape(-1, 2), np.arange(0, held, BOX_ROWS)
+            posts = np.array(self.index.rows).reshape(-1, 5)
+            self._boxes = (held, np.minimum.reduceat(leader, starts),
+                           np.maximum.reduceat(leader, starts), posts[:, 0], posts[:, 1],
+                           (posts[:, 2] + posts[:, 4]) * (1.0 + REACH_SLACK))
+        _, lo, hi, xs, ys, reach = self._boxes
         with np.errstate(over="ignore", invalid="ignore"):
-            slots = np.frombuffer(self.xy).reshape(-1, 2) + offset  # slots 0..last
-            finite = np.isfinite(slots[1:]).all(axis=1)
-            k = len(finite) if finite.all() else int(finite.argmin())
-            keys = np.floor_divide(slots[:k], index.link_cell)  # where each step looks
-        # Steps 1 .. k have finite slots, and step 1 + i looks from slots[i].
-        # Steps in one cell in a row share a lookup.
-        changes = (np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist()
-        bounds = [0, *changes, k] if k else []
-        for lo, hi, key in zip(bounds, bounds[1:], keys[bounds[:-1]].tolist()):
-            cell_rows = index.link_cells.get(tuple(key), NO_CANDIDATES)[1]
-            hit = next((i for i, (x, y) in enumerate(slots[lo:hi].tolist(), lo)
-                        if _in_reach(x, y, cell_rows)), None) if cell_rows else None
+            slots = np.frombuffer(self.xy).reshape(-1, 2) + offset
+            lo, hi = lo + offset, hi + offset  # each side is one of the box's slots
+            near = ~((np.maximum(lo[:, :1] - xs, xs - hi[:, :1]) > reach)
+                     | (np.maximum(lo[:, 1:] - ys, ys - hi[:, 1:]) > reach))
+        stop = held
+        for box in np.flatnonzero(near.any(axis=1)).tolist():  # step i + 1 looks from slot i
+            first = box * BOX_ROWS
+            rows = [self.index.rows[j] for j in np.flatnonzero(near[box]).tolist()]
+            hit = next((i for i, (x, y) in enumerate(slots[first:first + BOX_ROWS].tolist(), first)
+                        if any(math.hypot(x - cx, y - cy) - radius < r_imp
+                               for cx, cy, radius, _, r_imp in rows)), None)
             if hit is not None:
-                k = hit
+                stop = hit + 1
                 break
-        keep, alpha, dt = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA, self.dt
-        mean_speed, speeds = 0.0, []
-        put = speeds.append
-        for distance in map(math.hypot, *(slots[1:k + 1] - slots[:k]).T.tolist()):
-            mean_speed = keep * mean_speed + alpha * (distance / dt)
-            put(mean_speed)
-        if not math.isfinite(mean_speed):  # a term of inf stays inf from there on
-            del speeds[next(i for i, v in enumerate(speeds) if not math.isfinite(v)):]
-        table = self.ride_tables[offset] = array("d", [0.0, *speeds])
-        return table
+        # Every slot coordinate is at most magnitude, so every speed at most 3 * magnitude / dt;
+        # a slot that is not finite fails the bound and makes its step's mean_speed infinite.
+        magnitude = float(max(np.abs(lo).max(), np.abs(hi).max()))
+        if not 4.0 * magnitude / self.dt < 1e300:
+            speeds = enumerate(_mean_speeds(slots[:stop], self.dt))
+            stop = next((n for n, speed in speeds if not math.isfinite(speed)), stop)
+        self.ride_tables[offset] = stop
+        return stop
+
+    def ride_speed(self, offset: tuple[float, float], step: int) -> float:
+        """The mean_speed after step, before its stop, of the follower riding on
+        offset from frame 0: the sequential EMA from 0.0, summed once per
+        (offset, step) and kept in ride_speeds for every run on this track."""
+        if (offset, step) not in self.ride_speeds:
+            slots = np.frombuffer(self.xy, count=2 * step + 2).reshape(-1, 2) + offset
+            self.ride_speeds[offset, step] = list(_mean_speeds(slots, self.dt))[-1]
+        return self.ride_speeds[offset, step]
 
     def ride(self, offset: tuple[float, float], last: int, coefficients: Coefficients,
-             positions: array, modes: array) -> tuple[float, float, float]:
-        """Move the follower on offset from frame 0 through its ride table, or to last.
+             positions: array, modes: array) -> tuple[float, float, float | None]:
+        """Move the follower on offset from frame 0 up to its stop, or to last.
 
         Its buffers hold frame 0 alone, where the drone rests on its slot:
         dx = dy = vx = vy = +0.0.  Where the zero-force update keeps that,
@@ -248,33 +265,34 @@ class LeaderTrack:
         with numpy's elementwise IEEE operations in swarm_step's order.
         Infinite gains make them nan, and then the drone stays at frame 0 for
         swarm_step's loop.  Appends the ride's rows and returns the drone's
-        link (vx, vy, mean_speed) after its last row.
+        link after its last row: (0.0, 0.0, None), where None stands for
+        ride_speed(offset, step), which swarm_step sums only if it steps on.
         """
         p00, p01, p10, p11, g0, g1 = coefficients
         # +0.0 is the one double whose bytes are all zero.
         if struct.pack("2d", p00 * 0.0 + p01 * 0.0 + g0 * 0.0,
                        p10 * 0.0 + p11 * 0.0 + g1 * 0.0) != bytes(16):
             return 0.0, 0.0, 0.0
-        ema = self.ride_table(offset)
-        end = min(last, len(ema) - 1)
+        end = min(last, self.ride_table(offset) - 1)
         rode = (np.frombuffer(self.xy[2:2 * end + 2]).reshape(-1, 2) + offset) + 0.0
         positions.frombytes(rode.tobytes())
         modes.extend([LEADER] * end)
-        return 0.0, 0.0, ema[end]
+        return 0.0, 0.0, None
 
 
-def _in_reach(x: float, y: float, cell_rows: tuple[tuple, ...]) -> bool:
-    """Whether (x, y) is within its own r_imp of any of a link cell's rows.
+def _mean_speeds(slots: np.ndarray, dt: float):
+    """The mean_speed after each step 0, 1, ... of a drone moving along the (n, 2)
+    slots from rest at slot 0: the sequential EMA from 0.0, as swarm_step sums it."""
+    keep, alpha, mean_speed = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA, 0.0
+    yield mean_speed
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = (slots[1:] - slots[:-1]).T.tolist()
+    for distance in map(math.hypot, *steps):
+        mean_speed = keep * mean_speed + alpha * (distance / dt)
+        yield mean_speed
 
-    Wherever swarm_step acquires, its nearest row is one of these.
-    """
-    for cx, cy, radius, _, r_imp in cell_rows:
-        if math.hypot(x - cx, y - cy) - radius < r_imp:
-            return True
-    return False
 
-
-def swarm_step(link: tuple[float, float, float], last: int, track: LeaderTrack,
+def swarm_step(link: tuple[float, float, float | None], last: int, track: LeaderTrack,
                offset: tuple[float, float], spec: ScenarioSpec, coefficients: Coefficients,
                positions: array, modes: array) -> tuple[tuple | None, Fault | None]:
     """Advance one follower from the last row of its buffers through step last.
@@ -311,6 +329,8 @@ def swarm_step(link: tuple[float, float, float], last: int, track: LeaderTrack,
     vx, vy, mean_speed = link
     x, y, mode = positions[-2], positions[-1], modes[-1]
     step = len(modes) - 1
+    if mean_speed is None and step < last:  # a ride's link, read only as the drone steps on
+        mean_speed = track.ride_speed(offset, step)
     ox, oy = offset
     dt, index, params = track.dt, track.index, spec.topology
     rows, link_cells, link_cell = index.rows, index.link_cells, index.link_cell

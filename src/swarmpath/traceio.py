@@ -51,11 +51,11 @@ def _header(n_drones: int) -> str:
 def render_trace_csv(trace: SimulationTrace) -> str:
     """Serialize a recorded run to CSV text, CSV_BLOCK frames at a time.
 
-    Each block becomes one table of cells in file order, which orjson writes
-    as one JSON array of rows; dropping its brackets and quotes leaves the
-    CSV rows.  A float cell outside orjson's repr-equal range is its repr
-    text.  Each block is joined into one text before the next starts, so its
-    cells are freed as it ends.
+    Each block becomes one table of cells in file order; orjson writes each
+    row as a JSON array, and dropping the brackets and quotes of their
+    lines leaves the CSV rows.  A float cell outside orjson's repr-equal
+    range is its repr text.  Each block is joined into one text before the
+    next starts, so its cells are freed as it ends.
     """
     frames, n = trace.n_frames, trace.n_drones
     if trace.leader is not None:
@@ -78,8 +78,8 @@ def render_trace_csv(trace: SimulationTrace) -> str:
             cells[:, 0, 1:] = cells[:, 1:, 2] = ""
         else:
             cells[:, 1:, 2] = texts[trace.modes[block] + 1]
-        text = orjson.dumps(cells.reshape(len(values), -1).tolist()).decode()
-        parts.append(text[2:-2].replace('"', "").replace("],[", "\n"))
+        rows = map(orjson.dumps, cells.reshape(len(values), -1).tolist())
+        parts.append(b"\n".join(rows).translate(None, b'[]"').decode())
     parts.append("")
     return "\n".join(parts)
 

@@ -1,8 +1,10 @@
+import math
 from types import SimpleNamespace
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swarmpath.plotsvg import MAX_POLYLINE, _polyline, render_compare_svg, render_trace_svg
 from swarmpath.simulator import CONVENTIONAL_APF, SWARMPATH, run
@@ -56,6 +58,26 @@ LONG = np.column_stack((np.linspace(-3.0, 7.0, 2 * MAX_POLYLINE + 2),
 def test_polyline_formats_every_point_as_per_point_format(points, kept):
     text = _polyline(IDENTITY, np.array(points, dtype=float), 'stroke="#111"')
     coords = " ".join("{:.2f},{:.2f}".format(x, y) for x, y in kept)
+    assert text == f'<polyline points="{coords}" fill="none" stroke="#111"/>'
+
+
+# A pixel: any float, one on the table's range, or a multiple of 0.005, a
+# tie or next to one.
+PIXELS = st.one_of(st.floats(), st.floats(0.0, 1e4),
+                   st.integers(0, 2_000_000).map(lambda n: n / 200))
+SUBNORMAL = 5e-324
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(PIXELS, PIXELS), min_size=1, max_size=40))
+@example([(0.125, 0.375), (2.675, 0.0)])
+@example([(-0.0, -0.004), (0.004, 0.005)])
+@example([(9999.995, math.nextafter(1e4, 0.0)), (1e4, 1e6)])
+@example([(math.nan, math.inf), (-math.inf, 1.0)])
+@example([(SUBNORMAL, -SUBNORMAL)])
+def test_polyline_text_is_format_of_every_float(points):
+    text = _polyline(IDENTITY, np.array(points, dtype=float), 'stroke="#111"')
+    coords = " ".join("{:.2f},{:.2f}".format(x, y) for x, y in points)
     assert text == f'<polyline points="{coords}" fill="none" stroke="#111"/>'
 
 

@@ -19,6 +19,7 @@ its followers' ride tables, must each equal a run on a track of its own.
 
 import dataclasses
 import functools
+import json
 import math
 import re
 
@@ -31,13 +32,13 @@ from swarmpath.impedance import link_coefficients, link_step
 from swarmpath import simulator
 from swarmpath.simulator import (CHUNK, COMPLETED, CONTROLLERS, CONVENTIONAL_APF, MAX_STEPS,
                                  STALL_PATIENCE, STALLED, SWARMPATH, run)
-from swarmpath.topology import (DEFLECTION_FAULT, LEADER, MEAN_SPEED_ALPHA, OVERFLOW_FAULT,
-                                LeaderTrack, swarm_step, update_link_mode)
+from swarmpath.topology import (BOX_ROWS, DEFLECTION_FAULT, LEADER, MEAN_SPEED_ALPHA,
+                                OVERFLOW_FAULT, LeaderTrack, swarm_step, update_link_mode)
 from swarmpath.world import (ApfParams, ImpedanceParams, Obstacle, ScenarioSpec,
-                             ScenarioValidationError, TopologyParams, Vec2, read_scenario,
-                             validate_spec)
-from conftest import (SCENARIO_DIR, drone_state, follower_at, lagging_spec, one_pole_spec,
-                      rest_state, straight_spec)
+                             ScenarioValidationError, TopologyParams, Vec2, load_scenario,
+                             read_scenario, validate_spec)
+from conftest import (SCENARIO_DIR, drone_state, follower_at, grid16_forest_doc, lagging_spec,
+                      one_pole_spec, rest_state, straight_spec)
 from reference import deflection_offset
 
 
@@ -878,7 +879,130 @@ def test_a_ride_stops_within_a_wide_r_imp_that_it_does_not_acquire():
     assert trace.positions[:, 0].tolist() == slots
     reach = [math.hypot(x - 1.5, y - 1.2) - 0.1 < 0.8 for x, y in slots]
     assert sum(reach) > 100
-    assert len(track.ride_tables[(0.0, 0.4)]) == reach.index(True) + 1
+    assert track.ride_tables[(0.0, 0.4)] == reach.index(True) + 1
+
+
+@st.composite
+def ride_fields(draw):
+    """A spec with posts of mixed r_imp, some near the drone's start slot, the
+    offset of that drone, and a number of fixed-point rows to pad the track by."""
+    offset = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    goal = Vec2(draw(st.floats(0.5, 3.0)), draw(st.floats(-1.0, 1.0)))
+    posts = []
+    for _ in range(draw(st.integers(0, 6))):
+        radius = draw(st.floats(0.01, 0.2))
+        r_imp = draw(st.sampled_from([0.05, 0.2, 0.8])) * draw(st.floats(0.5, 1.5))
+        if draw(st.integers(0, 3)) == 0:  # near the start slot, mostly ahead of it
+            center = (offset[0] + draw(st.floats(-0.3, 1.5)),
+                      offset[1] + draw(st.floats(-1.0, 1.0)))
+        else:  # beside the slot's way to its goal
+            along = draw(st.floats(0.2, 1.0))
+            center = (offset[0] + along * goal.x,
+                      offset[1] + along * goal.y + draw(st.floats(-1.0, 1.0)))
+        posts.append(Obstacle(Vec2(*center), radius, r_imp + draw(st.floats(0.0, 0.3)), r_imp))
+    spec = straight_spec(goal=goal, obstacles=tuple(posts),
+                         dt=draw(st.sampled_from([0.01, 0.05])),
+                         formation_offsets=(Vec2(*offset),))
+    return spec, offset, draw(st.sampled_from([0, 1, 63, 64, 200]))
+
+
+def reference_stop(rows, offset, obstacles, dt):
+    """The first step whose slot before it is within its own r_imp of any
+    obstacle, by the hypot test over every obstacle, whose slot is not finite
+    or whose sequential mean_speed is not finite; else len(rows)."""
+    ox, oy = offset
+    mean_speed = 0.0
+    for n in range(1, len(rows)):
+        (x0, y0), (x1, y1) = ((x + ox, y + oy) for x, y in rows[n - 1:n + 1])
+        if any(math.hypot(x0 - cx, y0 - cy) - radius < r_imp
+               for cx, cy, radius, _, r_imp in obstacles):
+            return n
+        if not (math.isfinite(x1) and math.isfinite(y1)):
+            return n
+        speed = math.hypot(x1 - x0, y1 - y0) / dt
+        mean_speed = (1.0 - MEAN_SPEED_ALPHA) * mean_speed + MEAN_SPEED_ALPHA * speed
+        if not math.isfinite(mean_speed):
+            return n
+    return len(rows)
+
+
+def sequential_mean_speed(rows, offset, step, dt):
+    """The follower's mean_speed after riding its slots through step, summed in Python."""
+    ox, oy = offset
+    slots = [(x + ox, y + oy) for x, y in rows[:step + 1]]
+    mean_speed = 0.0
+    for (x0, y0), (x1, y1) in zip(slots, slots[1:]):
+        speed = math.hypot(x1 - x0, y1 - y0) / dt
+        mean_speed = (1.0 - MEAN_SPEED_ALPHA) * mean_speed + MEAN_SPEED_ALPHA * speed
+    return mean_speed
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ride_fields(), st.data())
+def test_a_ride_stops_where_a_scan_of_every_obstacle_stops_it(field, data):
+    # The box search stops each ride where a scan of every obstacle does,
+    # also for a second offset after the track grows; the handover speed is
+    # the sequential sum of the slots' speeds.
+    spec, offset, pad = field
+    track = LeaderTrack(spec)
+    obstacles = spec.obstacle_index.rows
+    for off in (offset, (offset[0] + 0.5, offset[1])):
+        rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
+        stop = track.ride_table(off)
+        assert stop == reference_stop(rows, off, obstacles, spec.dt)
+        step = data.draw(st.integers(0, stop - 1))
+        speed = sequential_mean_speed(rows, off, step, spec.dt)
+        assert track.ride_speed(off, step) == speed
+        assert track.ride_speeds[off, step] == speed
+        if track.rest is not None:
+            track.row(len(rows) - 1 + pad)
+
+
+@pytest.mark.parametrize("spec, offset, stop", [
+    # The slot overflows at step 5, and the ride takes steps 1 to 4.
+    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.25e308, 0.0),
+                  apf=ApfParams(leader_speed=3e307), dt=1.0,
+                  formation_offsets=(Vec2(5e307, 0.0),)), (5e307, 0.0), 5),
+    # Step 2's speed overflows.
+    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
+                  apf=ApfParams(leader_speed=1.7e308), dt=5e-324,
+                  formation_offsets=(Vec2(8.0, 0.0),), max_steps=50), (8.0, 0.0), 2),
+])
+def test_a_ride_stops_where_its_slot_or_its_mean_speed_is_not_finite(spec, offset, stop):
+    track = LeaderTrack(spec)
+    rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
+    assert track.ride_table(offset) == reference_stop(rows, offset, (), spec.dt) == stop
+
+
+def test_a_ride_stops_at_a_post_that_the_last_slot_of_a_box_grazes():
+    # The post's r_imp reaches 1e-12 m past slot BOX_ROWS - 1, the first
+    # box's largest x, so its box must not cull it; the leader, 0.4 m from
+    # its surface, is out of its field.
+    free = straight_spec(goal=Vec2(3.0, 0.0), formation_offsets=(Vec2(0.0, 0.5),))
+    x = LeaderTrack(free).row(BOX_ROWS - 1)[0]
+    post = Obstacle(Vec2(x + 0.3 - 1e-12, 0.5), 0.1, 0.2, 0.2)
+    spec = dataclasses.replace(free, obstacles=(post,))
+    track = LeaderTrack(spec)
+    assert track.xy == LeaderTrack(free).xy
+    rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
+    stop = reference_stop(rows, (0.0, 0.5), spec.obstacle_index.rows, spec.dt)
+    assert track.ride_table((0.0, 0.5)) == stop == BOX_ROWS
+
+
+def test_no_speed_is_summed_for_a_follower_that_rides_to_the_last_row():
+    # Half the 16-drone grid rides case2_forest to its end, and only the
+    # followers handed over to the loop have their mean_speed summed, once,
+    # at their handover step.
+    spec = load_scenario(json.dumps(grid16_forest_doc()))
+    track = LeaderTrack(spec)
+    trace = run(spec, SWARMPATH, track)
+    held = len(track.xy) // 2
+    handed = {offset: stop - 1 for offset, stop in track.ride_tables.items() if stop < held}
+    assert len(track.ride_tables) == 16 and len(handed) == 8
+    assert trace.outcome == COMPLETED
+    assert set(track.ride_speeds) == set(handed.items())
+    riding = [i for i, off in enumerate(spec.formation_offsets) if off.as_tuple() not in handed]
+    assert (trace.modes[:, riding] == LEADER).all()
 
 
 def test_a_zero_offset_on_a_leader_coordinate_of_zero():
@@ -1063,8 +1187,8 @@ def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_he
     link, _ = swarm_step(link, 60, track, (0.0, 0.4), spec,
                          link_coefficients(spec.impedance, spec.dt), positions, modes)
     assert (len(modes) - 1, drone_state(link, positions, modes)) == (60, state[0])
-    assert track.ride_tables == {}
-    assert link[2] != track.ride_table((0.0, 0.4))[60]
+    assert track.ride_tables == track.ride_speeds == {}
+    assert link[2] != track.ride_speed((0.0, 0.4), 60)
 
 
 @pytest.mark.parametrize("chunk", [1, 128])

@@ -195,10 +195,10 @@ def test_sweep_points_search_each_offsets_approach_once(name, monkeypatch):
 
     def counted_ride_table(track, offset):
         built = offset not in track.ride_tables
-        table = ride_table(track, offset)
+        stop = ride_table(track, offset)
         if built:
-            builds.append((point[0], offset, table, len(track.xy) // 2))
-        return table
+            builds.append((point[0], offset, stop, len(track.xy) // 2))
+        return stop
 
     def counted_run(*args, **kwargs):
         try:
@@ -214,14 +214,13 @@ def test_sweep_points_search_each_offsets_approach_once(name, monkeypatch):
     offsets = [o.as_tuple() for o in sweep.scenario.formation_offsets]
     assert [offset for _, offset, _, _ in builds] == offsets
     assert {p for p, _, _, _ in builds} == {0}
-    for i, (_, _, table, rows) in enumerate(builds):
-        # The table holds the mean_speed of every step from 0 up to where
-        # the ride stops, which comes before the track's last row.
-        assert len(table) < rows
+    for i, (_, _, stop, rows) in enumerate(builds):
+        # The ride stops before the track's last row.
+        assert stop < rows
         # The gate has one r_imp, so each ride stops on the drone's first
         # acquire, the same step at every point.
         for trace in traces:
-            assert int(np.argmax(trace.modes[:, i] != topology.LEADER)) == len(table)
+            assert int(np.argmax(trace.modes[:, i] != topology.LEADER)) == stop
 
 
 def test_sweep_json_and_csv_shapes():
