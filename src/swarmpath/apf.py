@@ -38,8 +38,6 @@ NON_FINITE = "the state overflowed to a non-finite value"
 # them (a repulsion with no direction, then a position that is not finite).
 DESCENDING, LATCHED, NO_FIELD, FIXED, SINGULAR, OVERFLOW = range(6)
 
-Agent = tuple[float, float, bool]  # x, y, reached_goal
-
 
 class SingularityError(ValueError):
     """A position on (or too close to) an obstacle center, direction undefined."""
@@ -87,13 +85,14 @@ def total_force(x: float, y: float, gx: float, gy: float, obstacles: tuple[tuple
     return fx, fy
 
 
-def leader_step(agent: Agent, gx: float, gy: float,
-                spec: ScenarioSpec) -> tuple[Agent, bool]:
+def leader_step(agent: tuple[float, float, bool], gx: float, gy: float,
+                spec: ScenarioSpec) -> tuple[tuple[float, float, bool], bool]:
     """One constant-speed descent step toward (gx, gy); returns (new agent, stalled flag).
 
-    The goal check runs before moving, so an agent already within
-    goal_threshold latches reached_goal and stays put.  A vanishing field
-    (norm < STALL_EPS) is reported as a stall, also without moving.
+    agent is (x, y, reached_goal).  The goal check runs before moving, so an
+    agent already within goal_threshold latches reached_goal and stays put.
+    A vanishing field (norm < STALL_EPS) is reported as a stall, also
+    without moving.
     """
     x, y, reached = agent
     if reached:

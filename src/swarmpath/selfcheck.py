@@ -45,7 +45,7 @@ def release(dt: float) -> array:
     track = LeaderTrack(spec)
     track.row(steps)
     positions, modes = array("d", (1.0, 0.0)), array("q", (LEADER,))
-    swarm_step((0.0, 0.0, 0.0), steps, track, (0.0, 0.0), spec,
+    swarm_step((0.0, 0.0), steps, track, (0.0, 0.0), spec,
                link_coefficients(LINK, dt), positions, modes)
     return positions
 

@@ -177,14 +177,14 @@ def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
     max_steps or to its fixed point or fault; the fault is appended with
     drone -1 (the track holds no row for its step).  Each follower's row
     buffers start with frame 0, on its slot at start + offset, and are the
-    only record of where it stands; only its link (vx, vy, mean_speed)
-    passes from one round to the next.  The first round is frame 0 alone;
-    the next rides each follower from frame 0 (the track's ride) and runs it
-    on through the leader's rows in swarm_step, on past another's fault,
-    which only a run that raises pays for.  Past a fixed point, while no
-    frame completes, each round appends at least CHUNK more rows of the rest
-    and every follower runs on through them.  The run ends on the earliest
-    of: _first_complete over the rows that every drone holds, the leader's
+    only record of where it stands; only its link (vx, vy) passes from one
+    round to the next.  The first round is frame 0 alone; the next rides
+    each follower from frame 0 (the track's ride) and runs it on through the
+    leader's rows in swarm_step, on past another's fault, which only a run
+    that raises pays for.  Past a fixed point, while no frame completes,
+    each round appends at least CHUNK more rows of the rest and every
+    follower runs on through them.  The run ends on the earliest of:
+    _first_complete over the rows that every drone holds, the leader's
     stall_step plus STALL_PATIENCE - 1, and max_steps.  A round ends short
     of that last step only while no held row completes, so each round's
     completion test finds what a test of its new rows alone would.
@@ -194,7 +194,7 @@ def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
     goals = [(spec.goal.x + ox, spec.goal.y + oy) for ox, oy in offsets]
     positions = [array("d", (spec.start.x + ox, spec.start.y + oy)) for ox, oy in offsets]
     modes = [array("q", (LEADER,)) for _ in offsets]
-    links = [(0.0, 0.0, 0.0)] * len(offsets)  # at rest; None once a follower has faulted
+    links = [(0.0, 0.0)] * len(offsets)  # at rest; None once a follower has faulted
     faults: list[tuple[int, int, int, str]] = []
     if track.fault is not None:
         faults.append((*track.fault[:2], -1, track.fault[2]))

@@ -11,9 +11,8 @@ A follower is its rows and its link.  Its rows, in two buffers, hold where
 it stands after each step: (x, y) in a flat array("d") and its link mode
 (LEADER or the index of the obstacle it is linked to, the trace's mode code)
 in an array("q"); the last row is its current position and mode.  Its link
-is (vx, vy, mean_speed): its link velocity and its smoothed ground speed,
-which no row records.  Obstacles are ObstacleIndex rows (cx, cy, radius,
-r_apf, r_imp).
+is (vx, vy), its link velocity, which no row records.  Obstacles are
+ObstacleIndex rows (cx, cy, radius, r_apf, r_imp).
 
 The virtual leader is not a drone.  It reads no drone, so its path is fixed
 by the leader inputs of a spec (start, goal, obstacles, gates, apf, dt,
@@ -39,11 +38,9 @@ Every follower starts at rest on its slot, and the zero-force update keeps
 its zero link state until it first comes within an obstacle's r_imp.
 LeaderTrack.ride moves it over that stretch from frame 0 at once, with
 numpy, and swarm_step's loop steps on from there.  Where the stretch ends
-and the drone's mean_speed along it read only the leader's rows, the
-offset, the obstacles and dt, never m, d or k, so a track keeps them for
-every run that reads it: the end from array passes over boxes of slots (its
-ride table), the mean_speed, a sequential sum, only where swarm_step steps a
-drone on from its ride.
+reads only the leader's rows, the offset and the obstacles, never m, d or k,
+so a track keeps it for every run that reads it: its ride table, from array
+passes over boxes of slots.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ from .world import effective_obstacles  # noqa: F401
 from .impedance import link_step  # noqa: F401
 from .apf import leader_step  # noqa: F401
 
-MEAN_SPEED_ALPHA = 0.05  # exponential moving average weight for drone speed
 BOX_ROWS = 64  # slots a ride's stop search bounds with one box
 REACH_SLACK = 1e-9  # relative widening of an obstacle's reach against a box, for rounding
 LEADER = -1  # mode of a drone linked to the leader; otherwise an obstacle index
@@ -135,8 +131,8 @@ class LeaderTrack:
     The virtual leader's path, from spec's start toward its goal, unless
     start and goal are given, as (x, y): a baseline drone's path runs from
     its start slot toward its goal slot.  inputs holds both, so a run can
-    tell the track it was built for; index and dt are spec's obstacle index
-    and step, which the followers that read the track read with it.
+    tell the track it was built for; index is spec's obstacle index, which
+    the followers that read the track read with it.
 
     xy holds the rows, flat: (x, y) after step n is xy[2n], xy[2n + 1], and
     row 0 is the start.  The constructor runs apf.descend once, through row
@@ -152,23 +148,21 @@ class LeaderTrack:
 
     The runs that share a track also share its followers' rides: where a
     follower at rest on its slot from frame 0 stops riding (ride_table(offset),
-    kept in ride_tables) and its mean_speed at a step of its ride
-    (ride_speed(offset, step), kept in ride_speeds).  These follow from the
-    rows, the offset, the obstacles and dt, all fixed with the track, never
-    from m, d or k, which a sweep varies.
+    kept in ride_tables).  That follows from the rows, the offset and the
+    obstacles, all fixed with the track, never from m, d or k, which a sweep
+    varies.
     """
 
     def __init__(self, spec: ScenarioSpec, start: tuple[float, float] | None = None,
                  goal: tuple[float, float] | None = None):
         self.inputs = leader_inputs(spec, start, goal)
         start, self.goal = self.inputs[:2]
-        self.index, self.dt = spec.obstacle_index, spec.dt
+        self.index = spec.obstacle_index
         self.xy = xy = array("d", start)
         self.rest: int | None = None
         self.stall_step: int | None = None
         self.fault: tuple[int, int, str] | None = None
         self.ride_tables: dict[tuple[float, float], int] = {}
-        self.ride_speeds: dict[tuple[tuple[float, float], int], float] = {}
         self._boxes: tuple | None = None
         status, text = descend(xy, *self.goal, spec.max_steps, spec)
         if text is not None:
@@ -197,8 +191,8 @@ class LeaderTrack:
         position after step n is slot n = leader row n + offset, plus +0.0,
         which no hypot reads.  Its ride hands over to swarm_step's loop at
         the first step n whose slot n - 1 is within its own r_imp of an
-        obstacle, whose slot n is not finite, or whose mean_speed is not
-        finite; else the stop is the number of rows the track holds.
+        obstacle or whose slot n is not finite; else the stop is the number
+        of rows the track holds.
         Searched once per offset, over the rows the track holds then, and
         kept in ride_tables for every run that reads this track.
 
@@ -208,8 +202,7 @@ class LeaderTrack:
         so each side of the box of BOX_ROWS slots is one of its slots: an
         obstacle that the box clears by its reach, widened by REACH_SLACK,
         reaches none of them, and swarm_step's hypot decides only in the
-        other boxes.  A bound on the slots' magnitude over dt proves every
-        mean_speed finite; where it fails, their sequential sum decides.
+        other boxes.
         """
         if offset in self.ride_tables:
             return self.ride_tables[offset]
@@ -236,26 +229,14 @@ class LeaderTrack:
             if hit is not None:
                 stop = hit + 1
                 break
-        # Every slot coordinate is at most magnitude, so every speed at most 3 * magnitude / dt;
-        # a slot that is not finite fails the bound and makes its step's mean_speed infinite.
-        magnitude = float(max(np.abs(lo).max(), np.abs(hi).max()))
-        if not 4.0 * magnitude / self.dt < 1e300:
-            speeds = enumerate(_mean_speeds(slots[:stop], self.dt))
-            stop = next((n for n, speed in speeds if not math.isfinite(speed)), stop)
+        finite = np.isfinite(slots[:stop]).all(axis=1)
+        if not finite.all():
+            stop = int(finite.argmin())
         self.ride_tables[offset] = stop
         return stop
 
-    def ride_speed(self, offset: tuple[float, float], step: int) -> float:
-        """The mean_speed after step, before its stop, of the follower riding on
-        offset from frame 0: the sequential EMA from 0.0, summed once per
-        (offset, step) and kept in ride_speeds for every run on this track."""
-        if (offset, step) not in self.ride_speeds:
-            slots = np.frombuffer(self.xy, count=2 * step + 2).reshape(-1, 2) + offset
-            self.ride_speeds[offset, step] = list(_mean_speeds(slots, self.dt))[-1]
-        return self.ride_speeds[offset, step]
-
     def ride(self, offset: tuple[float, float], last: int, coefficients: Coefficients,
-             positions: array, modes: array) -> tuple[float, float, float | None]:
+             positions: array, modes: array) -> tuple[float, float]:
         """Move the follower on offset from frame 0 up to its stop, or to last.
 
         Its buffers hold frame 0 alone, where the drone rests on its slot:
@@ -265,47 +246,33 @@ class LeaderTrack:
         with numpy's elementwise IEEE operations in swarm_step's order.
         Infinite gains make them nan, and then the drone stays at frame 0 for
         swarm_step's loop.  Appends the ride's rows and returns the drone's
-        link after its last row: (0.0, 0.0, None), where None stands for
-        ride_speed(offset, step), which swarm_step sums only if it steps on.
+        link after its last row, (0.0, 0.0).
         """
         p00, p01, p10, p11, g0, g1 = coefficients
         # +0.0 is the one double whose bytes are all zero.
         if struct.pack("2d", p00 * 0.0 + p01 * 0.0 + g0 * 0.0,
-                       p10 * 0.0 + p11 * 0.0 + g1 * 0.0) != bytes(16):
-            return 0.0, 0.0, 0.0
-        end = min(last, self.ride_table(offset) - 1)
-        rode = (np.frombuffer(self.xy[2:2 * end + 2]).reshape(-1, 2) + offset) + 0.0
-        positions.frombytes(rode.tobytes())
-        modes.extend([LEADER] * end)
-        return 0.0, 0.0, None
+                       p10 * 0.0 + p11 * 0.0 + g1 * 0.0) == bytes(16):
+            end = min(last, self.ride_table(offset) - 1)
+            rode = (np.frombuffer(self.xy[2:2 * end + 2]).reshape(-1, 2) + offset) + 0.0
+            positions.frombytes(rode.tobytes())
+            modes.extend([LEADER] * end)
+        return 0.0, 0.0
 
 
-def _mean_speeds(slots: np.ndarray, dt: float):
-    """The mean_speed after each step 0, 1, ... of a drone moving along the (n, 2)
-    slots from rest at slot 0: the sequential EMA from 0.0, as swarm_step sums it."""
-    keep, alpha, mean_speed = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA, 0.0
-    yield mean_speed
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = (slots[1:] - slots[:-1]).T.tolist()
-    for distance in map(math.hypot, *steps):
-        mean_speed = keep * mean_speed + alpha * (distance / dt)
-        yield mean_speed
-
-
-def swarm_step(link: tuple[float, float, float | None], last: int, track: LeaderTrack,
+def swarm_step(link: tuple[float, float], last: int, track: LeaderTrack,
                offset: tuple[float, float], spec: ScenarioSpec, coefficients: Coefficients,
                positions: array, modes: array) -> tuple[tuple | None, Fault | None]:
     """Advance one follower from the last row of its buffers through step last.
 
     positions and modes are the drone's own row buffers; their last row is
-    its (x, y) and mode after step len(modes) - 1, and link is its (vx, vy,
-    mean_speed) there.  track holds the leader's rows through last, the
-    obstacles and dt; spec the topology parameters; offset is the drone's
-    (x, y) formation offset and coefficients link_coefficients(spec.impedance,
-    spec.dt).  At each step n the drone refreshes its link mode, integrates
-    its link against the slot it was tracking (on the leader's row n - 1),
-    and re-anchors the integrated deviation onto the slot derived from row
-    n.  Anchoring this way makes pure transport exact: a drone sitting on its
+    its (x, y) and mode after step len(modes) - 1, and link is its (vx, vy)
+    there.  track holds the leader's rows through last and the obstacles;
+    spec the topology parameters; offset is the drone's (x, y) formation
+    offset and coefficients link_coefficients(spec.impedance, spec.dt).  At
+    each step n the drone refreshes its link mode, integrates its link
+    against the slot it was tracking (on the leader's row n - 1), and
+    re-anchors the integrated deviation onto the slot derived from row n.
+    Anchoring this way makes pure transport exact: a drone sitting on its
     slot with no deviation translates with the leader instead of lagging it.
     The slot's deflection depends on the drone alone, so both slots share it.
 
@@ -326,21 +293,18 @@ def swarm_step(link: tuple[float, float, float | None], last: int, track: Leader
     text), with nothing appended for the step that faulted, which is
     len(modes).
     """
-    vx, vy, mean_speed = link
+    vx, vy = link
     x, y, mode = positions[-2], positions[-1], modes[-1]
     step = len(modes) - 1
-    if mean_speed is None and step < last:  # a ride's link, read only as the drone steps on
-        mean_speed = track.ride_speed(offset, step)
     ox, oy = offset
-    dt, index, params = track.dt, track.index, spec.topology
+    index, params = track.index, spec.topology
     rows, link_cells, link_cell = index.rows, index.link_cells, index.link_cell
     release = 1.0 + params.hysteresis
-    k_impF, velocity_gain = params.k_impF, params.velocity_gain
+    k_impF = params.k_impF
     p00, p01, p10, p11, g0, g1 = coefficients
     # link_step's force terms g * f for f = 0.0 are signed zeros; adding a
     # +0.0 turns a -0.0 sum into +0.0, so the terms stay.
     hold0, hold1 = g0 * 0.0, g1 * 0.0
-    keep, alpha = 1.0 - MEAN_SPEED_ALPHA, MEAN_SPEED_ALPHA
     hypot, isfinite, nearest = math.hypot, math.isfinite, nearest_obstacle
     xy = track.xy
     # The slot the drone tracks at step n sits on the leader's row n - 1: the
@@ -372,8 +336,7 @@ def swarm_step(link: tuple[float, float, float | None], last: int, track: Leader
             dx, dy = x - slot_x, y - slot_y
             new_x, new_y = next_slot_x, next_slot_y
         else:  # the deflection
-            magnitude = k_impF * (1.0 + velocity_gain * mean_speed) * r_imp
-            scale = magnitude / dist if dist else math.inf
+            scale = k_impF * r_imp / dist if dist else math.inf
             if not isfinite(scale):
                 return None, (DEFLECTION_FAULT, NO_DIRECTION.format(dist, cx, cy))
             ex, ey = ex * scale, ey * scale
@@ -382,14 +345,12 @@ def swarm_step(link: tuple[float, float, float | None], last: int, track: Leader
         new_x += p00 * dx + p01 * vx + hold0
         new_y += p00 * dy + p01 * vy + hold0
         vx, vy = p10 * dx + p11 * vx + hold1, p10 * dy + p11 * vy + hold1
-        speed = hypot(new_x - x, new_y - y) / dt
-        mean_speed = keep * mean_speed + alpha * speed
         # A sum of finite numbers can overflow too: only then look at each.
-        if not (isfinite(new_x + new_y + vx + vy + mean_speed)
-                or all(map(isfinite, (new_x, new_y, vx, vy, mean_speed)))):
+        if not (isfinite(new_x + new_y + vx + vy)
+                or all(map(isfinite, (new_x, new_y, vx, vy)))):
             return None, (OVERFLOW_FAULT, NON_FINITE)
         x, y, slot_x, slot_y = new_x, new_y, next_slot_x, next_slot_y
         put(x)
         put(y)
         put_mode(mode)
-    return (vx, vy, mean_speed), None
+    return (vx, vy), None

@@ -221,7 +221,6 @@ class TopologyParams:
 
     k_impF: float = field(default=0.5, metadata=NON_NEGATIVE)  # deflection force coefficient
     hysteresis: float = field(default=0.1, metadata=NON_NEGATIVE)  # release at r_imp * (1 + h)
-    velocity_gain: float = field(default=0.0, metadata=NON_NEGATIVE)  # deflection speed scale, s/m
 
 
 @dataclass(frozen=True)

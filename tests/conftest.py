@@ -51,29 +51,29 @@ def straight_spec(**overrides) -> ScenarioSpec:
 
 def rest_state(spec: ScenarioSpec) -> list[tuple]:
     """Every follower at rest on its start slot, linked to the leader, as
-    (x, y, vx, vy, mode, mean_speed)."""
-    return [(spec.start.x + off.x, spec.start.y + off.y, 0.0, 0.0, LEADER, 0.0)
+    (x, y, vx, vy, mode)."""
+    return [(spec.start.x + off.x, spec.start.y + off.y, 0.0, 0.0, LEADER)
             for off in spec.formation_offsets]
 
 
 def follower_at(drone: tuple, step: int) -> tuple:
     """The (link, positions, modes) that swarm_step reads for a drone in state
-    (x, y, vx, vy, mode, mean_speed) after step.
+    (x, y, vx, vy, mode) after step.
 
     The buffers hold step + 1 rows, the drone's own last; swarm_step reads
     only that one, so the rows before it are zeros.
     """
-    x, y, vx, vy, mode, mean_speed = drone
+    x, y, vx, vy, mode = drone
     positions, modes = array("d", bytes(16 * step)), array("q", bytes(8 * step))
     positions.extend((x, y))
     modes.append(mode)
-    return (vx, vy, mean_speed), positions, modes
+    return (vx, vy), positions, modes
 
 
 def drone_state(link: tuple, positions: array, modes: array) -> tuple:
-    """A follower's (x, y, vx, vy, mode, mean_speed) after the last row of its buffers."""
-    vx, vy, mean_speed = link
-    return (positions[-2], positions[-1], vx, vy, modes[-1], mean_speed)
+    """A follower's (x, y, vx, vy, mode) after the last row of its buffers."""
+    vx, vy = link
+    return (positions[-2], positions[-1], vx, vy, modes[-1])
 
 
 def sweep_traces(sweep, monkeypatch) -> list:
@@ -100,7 +100,7 @@ def one_pole_spec(**overrides) -> ScenarioSpec:
         goal=Vec2(4.0, 0.0),
         obstacles=(Obstacle(Vec2(2.0, 0.45), 0.1, 0.4, 0.3),),
         apf=ApfParams(k_att=1.0, k_rep=0.3, leader_speed=0.5, goal_threshold=0.1),
-        topology=TopologyParams(k_impF=0.6, hysteresis=0.1, velocity_gain=0.0),
+        topology=TopologyParams(k_impF=0.6, hysteresis=0.1),
         max_steps=2500,
     )
     defaults.update(overrides)

@@ -20,18 +20,17 @@ def attraction_force(x: float, y: float, gx: float, gy: float,
     return (gx - x) * k_att, (gy - y) * k_att
 
 
-def deflection_offset(x: float, y: float, mean_speed: float, obs: tuple,
+def deflection_offset(x: float, y: float, obs: tuple,
                       params: TopologyParams) -> tuple[float, float]:
     """Radial push-out added to the formation slot of a drone linked to obs.
 
-    Magnitude k_impF * (1 + velocity_gain * mean_speed) * r_imp, directed from
-    the obstacle center through the drone at (x, y).
+    Magnitude k_impF * r_imp, directed from the obstacle center through the
+    drone at (x, y).
     """
     cx, cy, _, _, r_imp = obs
     ox, oy = x - cx, y - cy
     dist = math.hypot(ox, oy)
-    magnitude = params.k_impF * (1.0 + params.velocity_gain * mean_speed) * r_imp
-    scale = magnitude / dist if dist else math.inf
+    scale = params.k_impF * r_imp / dist if dist else math.inf
     if not math.isfinite(scale):
         raise SingularityError(NO_DIRECTION.format(dist, cx, cy))
     return ox * scale, oy * scale

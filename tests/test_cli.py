@@ -275,13 +275,12 @@ def test_a_flung_swarm_compares_as_strict_json(tmp_path, capsys):
 @st.composite
 def extreme_docs(draw):
     """Valid FLUNG-like documents with magnitudes from 1e-2 to 1e307 on
-    k_impF, velocity_gain, leader_speed, dt, the goal and one offset."""
+    k_impF, leader_speed, dt, the goal and one offset."""
     big = st.none() | st.floats(-2.0, 307.0).map(lambda e: 10.0 ** e)
     sign = st.sampled_from((1.0, -1.0))
     doc = {"start": [0, 0], "goal": [2, 0], "obstacles": [POST], "max_steps": 600,
            "topology": {}, "apf": {}}
-    for block, key in (("topology", "k_impF"), ("topology", "velocity_gain"),
-                       ("apf", "leader_speed")):
+    for block, key in (("topology", "k_impF"), ("apf", "leader_speed")):
         value = draw(big)
         if value is not None:
             doc[block][key] = value

@@ -116,8 +116,8 @@ def test_single_frame_edge_matches_golden_digests(argv, tmp_path, capsys):
 
 # The scenario encoder's bytes: key order, number formatting and indentation.
 GOLDEN_SERIALIZED = {
-    "case1_gate.json": "b90658d0c3b15eb73841ef6e1ef36ca053184eea8c3e6d06b192b85f22ce34ed",
-    "case2_forest.json": "72b0a4653204763c9aa4c98d6c1d3591f9d249c5b532659658bcbca3fc6de28f",
+    "case1_gate.json": "a85ce57434843a6321d1187cc27391877c6b46f35506a32ae218780ade3262d5",
+    "case2_forest.json": "ecfb42ebb43b5c9210cb6dbf697cffca6e4a15de3fe8231644cc5403e70f1ed0",
 }
 
 

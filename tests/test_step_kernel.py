@@ -32,8 +32,8 @@ from swarmpath.impedance import link_coefficients, link_step
 from swarmpath import simulator
 from swarmpath.simulator import (CHUNK, COMPLETED, CONTROLLERS, CONVENTIONAL_APF, MAX_STEPS,
                                  STALL_PATIENCE, STALLED, SWARMPATH, run)
-from swarmpath.topology import (BOX_ROWS, DEFLECTION_FAULT, LEADER, MEAN_SPEED_ALPHA,
-                                OVERFLOW_FAULT, LeaderTrack, swarm_step, update_link_mode)
+from swarmpath.topology import (BOX_ROWS, DEFLECTION_FAULT, LEADER, OVERFLOW_FAULT, LeaderTrack,
+                                swarm_step, update_link_mode)
 from swarmpath.world import (ApfParams, ImpedanceParams, Obstacle, ScenarioSpec,
                              ScenarioValidationError, TopologyParams, Vec2, load_scenario,
                              read_scenario, validate_spec)
@@ -110,8 +110,7 @@ def small_specs(draw):
         impedance=draw(impedances(dt)),
         topology=TopologyParams(k_impF=draw(st.floats(0.0, 1.0) if draw(st.booleans())
                                             else st.floats(1e307, 1.7e308)),
-                                hysteresis=draw(st.floats(0.0, 0.3)),
-                                velocity_gain=draw(st.floats(0.0, 2.0))),
+                                hysteresis=draw(st.floats(0.0, 0.3))),
         dt=dt,
         max_steps=draw(st.sampled_from([600, 250, 10, 1])),
     )
@@ -158,29 +157,26 @@ def swarm_reference(spec):
     track = ReferenceLeader(spec)
     coefficients = link_coefficients(spec.impedance, spec.dt)
     index, params = spec.obstacle_index, spec.topology
-    drones = [(spec.start.x + o.x, spec.start.y + o.y, 0.0, 0.0, LEADER, 0.0)
+    drones = [(spec.start.x + o.x, spec.start.y + o.y, 0.0, 0.0, LEADER)
               for o in spec.formation_offsets]
 
     def step(n):
         lx, ly = track.row(n - 1)
         nlx, nly = track.row(n)
         for i, o in enumerate(spec.formation_offsets):
-            x, y, vx, vy, mode, mean_speed = drones[i]
+            x, y, vx, vy, mode = drones[i]
             mode = update_link_mode(x, y, mode, index, params)
             slot_x, slot_y = lx + o.x, ly + o.y
             new_x, new_y = nlx + o.x, nly + o.y
             if mode != LEADER:
                 try:
-                    ex, ey = deflection_offset(x, y, mean_speed, index.rows[mode], params)
+                    ex, ey = deflection_offset(x, y, index.rows[mode], params)
                 except SingularityError as exc:
                     raise SingularityError(f"drone {i + 1}: {exc}") from None
                 slot_x, slot_y = slot_x + ex, slot_y + ey
                 new_x, new_y = new_x + ex, new_y + ey
             dx, dy, vx, vy = link_step(x - slot_x, y - slot_y, vx, vy, 0.0, 0.0, coefficients)
-            new_x, new_y = new_x + dx, new_y + dy
-            speed = math.hypot(new_x - x, new_y - y) / spec.dt
-            mean_speed = (1.0 - MEAN_SPEED_ALPHA) * mean_speed + MEAN_SPEED_ALPHA * speed
-            drones[i] = (new_x, new_y, vx, vy, mode, mean_speed)
+            drones[i] = (new_x + dx, new_y + dy, vx, vy, mode)
         return track.stall_step is not None and n >= track.stall_step
 
     return drones, step
@@ -800,7 +796,7 @@ def test_a_call_lists_every_within_step(vx, rides, to_within):
     # within-step, and a call that stops on one holds none after it.
     spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),))
     last = 400
-    drone = (*rest_state(spec)[0][:2], vx, 0.0, LEADER, 0.0)
+    drone = (*rest_state(spec)[0][:2], vx, 0.0, LEADER)
     rows = reference_rows(spec, last, [drone])
     goal_x, goal_y = spec.goal.x, spec.goal.y + 0.4
     expected = [n for n, (x, y) in enumerate(rows[:, 0].tolist())
@@ -840,7 +836,7 @@ def test_a_drone_goal_threshold_away_along_x_at_a_subnormal_threshold_is_within(
                          formation_offsets=(Vec2(0.0, 0.0),),
                          topology=TopologyParams(k_impF=0.0))
     validate_spec(spec)
-    drone = (0.0, 0.0, 0.0, 0.0, 0 if linked else LEADER, 0.0)
+    drone = (0.0, 0.0, 0.0, 0.0, 0 if linked else LEADER)
     rows = reference_rows(spec, 1, [drone])
     assert math.hypot(rows[1, 0, 0] - 5e-324, rows[1, 0, 1]) == spec.apf.goal_threshold
     track = LeaderTrack(spec)
@@ -906,12 +902,11 @@ def ride_fields(draw):
     return spec, offset, draw(st.sampled_from([0, 1, 63, 64, 200]))
 
 
-def reference_stop(rows, offset, obstacles, dt):
+def reference_stop(rows, offset, obstacles):
     """The first step whose slot before it is within its own r_imp of any
-    obstacle, by the hypot test over every obstacle, whose slot is not finite
-    or whose sequential mean_speed is not finite; else len(rows)."""
+    obstacle, by the hypot test over every obstacle, or whose slot is not
+    finite; else len(rows)."""
     ox, oy = offset
-    mean_speed = 0.0
     for n in range(1, len(rows)):
         (x0, y0), (x1, y1) = ((x + ox, y + oy) for x, y in rows[n - 1:n + 1])
         if any(math.hypot(x0 - cx, y0 - cy) - radius < r_imp
@@ -919,41 +914,20 @@ def reference_stop(rows, offset, obstacles, dt):
             return n
         if not (math.isfinite(x1) and math.isfinite(y1)):
             return n
-        speed = math.hypot(x1 - x0, y1 - y0) / dt
-        mean_speed = (1.0 - MEAN_SPEED_ALPHA) * mean_speed + MEAN_SPEED_ALPHA * speed
-        if not math.isfinite(mean_speed):
-            return n
     return len(rows)
 
 
-def sequential_mean_speed(rows, offset, step, dt):
-    """The follower's mean_speed after riding its slots through step, summed in Python."""
-    ox, oy = offset
-    slots = [(x + ox, y + oy) for x, y in rows[:step + 1]]
-    mean_speed = 0.0
-    for (x0, y0), (x1, y1) in zip(slots, slots[1:]):
-        speed = math.hypot(x1 - x0, y1 - y0) / dt
-        mean_speed = (1.0 - MEAN_SPEED_ALPHA) * mean_speed + MEAN_SPEED_ALPHA * speed
-    return mean_speed
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(ride_fields(), st.data())
-def test_a_ride_stops_where_a_scan_of_every_obstacle_stops_it(field, data):
+@given(ride_fields())
+def test_a_ride_stops_where_a_scan_of_every_obstacle_stops_it(field):
     # The box search stops each ride where a scan of every obstacle does,
-    # also for a second offset after the track grows; the handover speed is
-    # the sequential sum of the slots' speeds.
+    # also for a second offset after the track grows.
     spec, offset, pad = field
     track = LeaderTrack(spec)
     obstacles = spec.obstacle_index.rows
     for off in (offset, (offset[0] + 0.5, offset[1])):
         rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
-        stop = track.ride_table(off)
-        assert stop == reference_stop(rows, off, obstacles, spec.dt)
-        step = data.draw(st.integers(0, stop - 1))
-        speed = sequential_mean_speed(rows, off, step, spec.dt)
-        assert track.ride_speed(off, step) == speed
-        assert track.ride_speeds[off, step] == speed
+        assert track.ride_table(off) == reference_stop(rows, off, obstacles)
         if track.rest is not None:
             track.row(len(rows) - 1 + pad)
 
@@ -963,15 +937,17 @@ def test_a_ride_stops_where_a_scan_of_every_obstacle_stops_it(field, data):
     (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.25e308, 0.0),
                   apf=ApfParams(leader_speed=3e307), dt=1.0,
                   formation_offsets=(Vec2(5e307, 0.0),)), (5e307, 0.0), 5),
-    # Step 2's speed overflows.
-    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
-                  apf=ApfParams(leader_speed=1.7e308), dt=5e-324,
-                  formation_offsets=(Vec2(8.0, 0.0),), max_steps=50), (8.0, 0.0), 2),
+    # The leader overshoots its goal at step 2, where the slot overflows.
+    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1e308, 0.0),
+                  apf=ApfParams(leader_speed=7e307), dt=1.0,
+                  formation_offsets=(Vec2(7e307, 0.0),)), (7e307, 0.0), 2),
 ])
 def test_a_ride_stops_where_its_slot_or_its_mean_speed_is_not_finite(spec, offset, stop):
+    # A ride keeps no mean speed, so the first slot that is not finite is
+    # the one stop that both cases reach.
     track = LeaderTrack(spec)
     rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
-    assert track.ride_table(offset) == reference_stop(rows, offset, (), spec.dt) == stop
+    assert track.ride_table(offset) == reference_stop(rows, offset, ()) == stop
 
 
 def test_a_ride_stops_at_a_post_that_the_last_slot_of_a_box_grazes():
@@ -985,24 +961,22 @@ def test_a_ride_stops_at_a_post_that_the_last_slot_of_a_box_grazes():
     track = LeaderTrack(spec)
     assert track.xy == LeaderTrack(free).xy
     rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
-    stop = reference_stop(rows, (0.0, 0.5), spec.obstacle_index.rows, spec.dt)
+    stop = reference_stop(rows, (0.0, 0.5), spec.obstacle_index.rows)
     assert track.ride_table((0.0, 0.5)) == stop == BOX_ROWS
 
 
-def test_no_speed_is_summed_for_a_follower_that_rides_to_the_last_row():
+def test_half_the_grid_rides_case2_forest_to_the_last_row():
     # Half the 16-drone grid rides case2_forest to its end, and only the
-    # followers handed over to the loop have their mean_speed summed, once,
-    # at their handover step.
+    # followers handed over to the loop ever link to a post.
     spec = load_scenario(json.dumps(grid16_forest_doc()))
     track = LeaderTrack(spec)
     trace = run(spec, SWARMPATH, track)
     held = len(track.xy) // 2
-    handed = {offset: stop - 1 for offset, stop in track.ride_tables.items() if stop < held}
+    handed = {offset for offset, stop in track.ride_tables.items() if stop < held}
     assert len(track.ride_tables) == 16 and len(handed) == 8
     assert trace.outcome == COMPLETED
-    assert set(track.ride_speeds) == set(handed.items())
-    riding = [i for i, off in enumerate(spec.formation_offsets) if off.as_tuple() not in handed]
-    assert (trace.modes[:, riding] == LEADER).all()
+    linked = (trace.modes != LEADER).any(axis=0).tolist()
+    assert linked == [off.as_tuple() in handed for off in spec.formation_offsets]
 
 
 def test_a_zero_offset_on_a_leader_coordinate_of_zero():
@@ -1042,10 +1016,11 @@ def test_a_start_at_negative_zero():
     (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.25e308, 0.0),
                   apf=ApfParams(leader_speed=3e307), dt=1.0,
                   formation_offsets=(Vec2(5e307, 0.0), Vec2(0.0, 0.4))), 5),
-    # A dt of 5e-324 s: one rounding step of drone 1's x near 8.0 is an infinite speed.
-    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
-                  apf=ApfParams(leader_speed=1.7e308), dt=5e-324,
-                  formation_offsets=(Vec2(8.0, 0.0), Vec2(0.0, 0.4)), max_steps=50), 2),
+    # 7e307 m per step: drone 1's slot, 7e307 m ahead of the leader, overflows
+    # at step 2, where the leader overshoots its goal by 4e307 m.
+    (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1e308, 0.0),
+                  apf=ApfParams(leader_speed=7e307), dt=1.0,
+                  formation_offsets=(Vec2(7e307, 0.0), Vec2(0.0, 0.4))), 2),
 ])
 def test_a_ride_leaves_an_overflow_to_the_loop(spec, step):
     validate_spec(spec)
@@ -1053,6 +1028,19 @@ def test_a_ride_leaves_an_overflow_to_the_loop(spec, step):
         run(spec, SWARMPATH)
     assert str(err.value) == reference_run(spec, SWARMPATH)
     assert str(err.value) == f"step {step}: the state overflowed to a non-finite value"
+
+
+def test_a_drone_whose_steps_over_dt_overflow_runs_to_max_steps():
+    # A dt of 5e-324 s: one rounding step of drone 1's x near 8.0 over dt is
+    # infinite, but nothing reads a speed, so every row stays finite.
+    spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.0, 0.0),
+                        apf=ApfParams(leader_speed=1.7e308), dt=5e-324,
+                        formation_offsets=(Vec2(8.0, 0.0), Vec2(0.0, 0.4)), max_steps=50)
+    validate_spec(spec)
+    trace = assert_matches_reference(spec)
+    assert trace.outcome == MAX_STEPS and trace.n_frames == 51
+    assert np.isfinite(trace.positions).all()
+    assert trace.positions[2, 0, 0] != trace.positions[1, 0, 0]
 
 
 def reference_rows_to_fault(spec, drone, last):
@@ -1074,11 +1062,11 @@ def reference_rows_to_fault(spec, drone, last):
 
 
 @pytest.mark.parametrize("spec, kind", [
-    # k_impF * (1 + velocity_gain * mean_speed) overflows once the drone
-    # moves, so the link it acquires has no direction.
-    (straight_spec(obstacles=(Obstacle(Vec2(0.6, 0.75), 0.1, 0.3, 0.3),),
+    # k_impF * r_imp overflows, so the link the drone acquires at step 71,
+    # within 1.2 m of the post's surface, has no direction.
+    (straight_spec(obstacles=(Obstacle(Vec2(1.6, 0.75), 0.1, 1.2, 1.2),),
                    formation_offsets=(Vec2(0.0, 0.4),),
-                   topology=TopologyParams(k_impF=1.7e308, velocity_gain=1.0)),
+                   topology=TopologyParams(k_impF=1.7e308)),
      DEFLECTION_FAULT),
     # 3e307 m per step: the slot, 5e307 m ahead of the leader, overflows.
     (ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.25e308, 0.0),
@@ -1094,7 +1082,7 @@ def test_a_fault_after_steps_of_one_call_keeps_only_the_earlier_rows(spec, kind)
     track.row(last)
     offset = spec.formation_offsets[0].as_tuple()
     x, y = track.row(0)
-    drone = (x + offset[0], y + offset[1], 0.01, 0.0, LEADER, 0.0)
+    drone = (x + offset[0], y + offset[1], 0.01, 0.0, LEADER)
     rows, modes, (step, text) = reference_rows_to_fault(spec, drone, last)
     assert step > 1
     link, positions, mode_rows = follower_at(drone, 0)
@@ -1160,7 +1148,7 @@ def test_a_negative_zero_rate_is_stepped_like_the_helpers():
     track = LeaderTrack(spec)
     track.row(60)
     x, y = track.row(20)
-    drone = (x + 0.0, y + 0.4, -0.0, 0.0, LEADER, 0.25)
+    drone = (x + 0.0, y + 0.4, -0.0, 0.0, LEADER)
     rows = reference_rows(spec, 60, [drone], start=20)
     link, positions, modes = follower_at(drone, 20)
     link, _ = swarm_step(link, 60, track, (0.0, 0.4), spec,
@@ -1170,15 +1158,14 @@ def test_a_negative_zero_rate_is_stepped_like_the_helpers():
     assert math.copysign(1.0, link[0]) == 1.0
 
 
-def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_helpers():
-    # A drone at rest on its slot at step 20, as after a link episode, with a
-    # mean_speed that is not the one its ride table ran up from rest at frame
-    # 0: swarm_step never rides, and its EMA goes on from its own.
+def test_a_drone_back_on_its_slot_is_stepped_like_the_helpers():
+    # A drone at rest on its slot at step 20, as after a link episode:
+    # swarm_step never rides, and steps it as the helpers do.
     spec = straight_spec(formation_offsets=(Vec2(0.0, 0.4),), max_steps=400)
     track = LeaderTrack(spec)
     track.row(60)
     x, y = track.row(20)
-    drone = (x + 0.0, y + 0.4, 0.0, 0.0, LEADER, 0.25)
+    drone = (x + 0.0, y + 0.4, 0.0, 0.0, LEADER)
     state, step = swarm_reference(spec)
     state[:] = [drone]
     for n in range(21, 61):
@@ -1187,8 +1174,7 @@ def test_a_drone_back_on_its_slot_with_its_own_mean_speed_is_stepped_like_the_he
     link, _ = swarm_step(link, 60, track, (0.0, 0.4), spec,
                          link_coefficients(spec.impedance, spec.dt), positions, modes)
     assert (len(modes) - 1, drone_state(link, positions, modes)) == (60, state[0])
-    assert track.ride_tables == track.ride_speeds == {}
-    assert link[2] != track.ride_speed((0.0, 0.4), 60)
+    assert track.ride_tables == {}
 
 
 @pytest.mark.parametrize("chunk", [1, 128])

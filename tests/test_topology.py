@@ -25,7 +25,7 @@ OB = (
 )
 ROWS = tuple(ob.as_tuple() for ob in OB)
 OB_INDEX = ObstacleIndex(OB)
-TOPO = TopologyParams(k_impF=0.5, hysteresis=0.1, velocity_gain=0.0)
+TOPO = TopologyParams(k_impF=0.5, hysteresis=0.1)
 
 
 def stepper(spec):
@@ -93,7 +93,7 @@ def test_link_rule_at_exactly_each_threshold():
     # One ulp further out releases, one ulp further in acquires.
     post = Obstacle(Vec2(0.0, 0.0), 0.5, 1.0, 0.25)
     spec = straight_spec(start=Vec2(0.0, -3.0), goal=Vec2(0.0, -4.0), obstacles=(post,),
-                         topology=TopologyParams(k_impF=0.5, hysteresis=1.0, velocity_gain=0.0))
+                         topology=TopologyParams(k_impF=0.5, hysteresis=1.0))
     index, params = spec.obstacle_index, spec.topology
     release_x, acquire_x = 1.0, 0.75  # surface 0.5 == 0.25 * 2.0 and 0.25 == r_imp
     track, _ = stepper(spec)
@@ -101,7 +101,7 @@ def test_link_rule_at_exactly_each_threshold():
     coefficients = link_coefficients(spec.impedance, spec.dt)
 
     def kernel_mode(x, mode):
-        link, positions, modes = follower_at((x, 0.0, 0.0, 0.0, mode, 0.0), 0)
+        link, positions, modes = follower_at((x, 0.0, 0.0, 0.0, mode), 0)
         swarm_step(link, 1, track, (0.0, 0.0), spec, coefficients, positions, modes)
         return modes[-1]
 
@@ -123,26 +123,31 @@ def test_mode_no_direct_handoff_between_obstacles():
 
 
 def test_deflection_offset_is_radial():
-    off_x, off_y = deflection_offset(0.0, 0.25, 0.0, ROWS[0], TOPO)
+    off_x, off_y = deflection_offset(0.0, 0.25, ROWS[0], TOPO)
     assert off_x == pytest.approx(0.0, abs=1e-15)
     assert off_y == pytest.approx(0.5 * 0.3)  # k_impF * r_imp, outward
 
 
-def test_deflection_offset_scales_with_mean_speed():
-    topo = TopologyParams(k_impF=0.5, hysteresis=0.1, velocity_gain=2.0)
-    _, off_y = deflection_offset(0.0, 0.25, 0.5, ROWS[0], topo)
-    assert off_y == pytest.approx(0.5 * (1.0 + 2.0 * 0.5) * 0.3)
+def test_deflection_offset_is_k_impF_times_r_imp_at_any_distance():
+    # Off the axes too: k_impF * r_imp along the ray from the center through
+    # the drone, whatever the drone's distance.
+    topo = TopologyParams(k_impF=1.5, hysteresis=0.1)
+    for x, y in ((0.3, 0.4), (-0.06, 0.08), (-3.0, -4.0)):
+        off_x, off_y = deflection_offset(x, y, ROWS[0], topo)
+        assert math.hypot(off_x, off_y) == pytest.approx(1.5 * 0.3)
+        assert off_x * y == pytest.approx(off_y * x)  # parallel to (x, y)
+        assert off_x * x + off_y * y > 0.0  # and outward
 
 
 def test_deflection_offset_at_center_raises():
     with pytest.raises(SingularityError):
-        deflection_offset(0.0, 0.0, 0.0, ROWS[0], TOPO)
+        deflection_offset(0.0, 0.0, ROWS[0], TOPO)
 
 
 def test_deflection_offset_overflowing_near_center_raises():
     # 1e-310 m off the center the radial scale magnitude / dist overflows.
     with pytest.raises(SingularityError):
-        deflection_offset(0.0, 1e-310, 0.0, ROWS[0], TOPO)
+        deflection_offset(0.0, 1e-310, ROWS[0], TOPO)
 
 
 def test_desired_position_leader_linked_is_formation_slot():
@@ -152,7 +157,7 @@ def test_desired_position_leader_linked_is_formation_slot():
     track, step = stepper(spec)
     drones = step(rest_state(spec), 1)
     lx, ly = track.row(1)
-    x, y, _, _, mode, _ = drones[2]
+    x, y, _, _, mode = drones[2]
     assert mode == LEADER
     offset = spec.formation_offsets[2]
     assert (x, y) == (lx + offset.x, ly + offset.y)
@@ -167,7 +172,7 @@ def test_pure_transport_keeps_deviations_exactly_zero():
     for n in range(1, 301):
         drones = step(drones, n)
     lx, ly = track.row(300)
-    for (x, y, vx, vy, _, _), offset in zip(drones, spec.formation_offsets, strict=True):
+    for (x, y, vx, vy, _), offset in zip(drones, spec.formation_offsets, strict=True):
         assert (x, y) == (lx + offset.x, ly + offset.y)
         assert (vx, vy) == (0.0, 0.0)
 
@@ -189,8 +194,8 @@ def test_formation_recovery_decays_monotonically():
     spec = straight_spec(start=Vec2(0.0, 0.0), goal=Vec2(0.0, 0.0))
     _, step = stepper(spec)
     drones = rest_state(spec)
-    x, y, vx, vy, mode, mean_speed = drones[0]
-    drones = [(x + 0.5, y - 0.2, vx, vy, mode, mean_speed)] + drones[1:]
+    x, y, vx, vy, mode = drones[0]
+    drones = [(x + 0.5, y - 0.2, vx, vy, mode)] + drones[1:]
     slot = spec.formation_offsets[0]  # the goal is the origin
 
     def deviation(drones):

@@ -72,8 +72,6 @@ def test_effective_obstacles_orders_gate_poles_after_obstacles():
         (lambda s: dataclasses.replace(s, apf=ApfParams(goal_threshold=0.0)), "goal_threshold"),
         (lambda s: dataclasses.replace(s, topology=TopologyParams(k_impF=-0.5)), "k_impF"),
         (lambda s: dataclasses.replace(s, topology=TopologyParams(hysteresis=-0.1)), "hysteresis"),
-        (lambda s: dataclasses.replace(s, topology=TopologyParams(velocity_gain=-1.0)),
-         "velocity_gain"),
         (lambda s: dataclasses.replace(s, dt=0.0), "dt"),
         (lambda s: dataclasses.replace(s, max_steps=0), "max_steps"),
     ],
@@ -133,7 +131,7 @@ def test_serialize_round_trip_bespoke_scenario():
         gates=(Gate(Obstacle(Vec2(3, 0.7), 0.1, 0.4, 0.3), Obstacle(Vec2(3, -0.7), 0.1, 0.4, 0.3)),),
         impedance=ImpedanceParams(m=2.5, d=10.0, k=16.0),
         apf=ApfParams(k_att=1.5, k_rep=0.7, leader_speed=0.25, goal_threshold=0.05),
-        topology=TopologyParams(k_impF=0.8, hysteresis=0.2, velocity_gain=0.1),
+        topology=TopologyParams(k_impF=0.8, hysteresis=0.2),
         dt=0.02,
         max_steps=123,
     )
@@ -150,8 +148,7 @@ non_negative = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
     impedance=st.builds(ImpedanceParams, m=positive, d=positive, k=positive),
     apf=st.builds(ApfParams, k_att=positive, k_rep=positive,
                   leader_speed=positive, goal_threshold=positive),
-    topology=st.builds(TopologyParams, k_impF=non_negative, hysteresis=non_negative,
-                       velocity_gain=non_negative),
+    topology=st.builds(TopologyParams, k_impF=non_negative, hysteresis=non_negative),
     dt=st.floats(min_value=1e-4, max_value=0.5),
     max_steps=st.integers(min_value=1, max_value=10_000),
 )
@@ -237,11 +234,14 @@ def test_load_errors_quote_a_bounded_value(start, key):
          r"formation_offsets\[1\] must be a \[x, y\] pair"),
         (MINIMAL % ', "impedance": [1]', "impedance must be an object"),
         (MINIMAL % ', "topology": {"k_impF": "0.5"}', "topology.k_impF must be a number"),
+        (MINIMAL % ', "topology": {"k_impF": 0.5, "velocity_gain": 0.0}',
+         r"^unknown topology keys: \['velocity_gain'\]$"),
         (MINIMAL % ', "max_steps": 10.0', "max_steps must be an integer"),
     ],
     ids=["missing_top", "top_not_object", "missing_obstacle_key", "unknown_obstacle_key",
          "obstacle_center", "obstacles_not_array", "missing_pole", "pole_not_object",
-         "offset_not_pair", "block_not_object", "block_not_number", "max_steps_not_int"],
+         "offset_not_pair", "block_not_object", "block_not_number", "unknown_topology_key",
+         "max_steps_not_int"],
 )
 def test_load_errors_name_the_offending_key(text, message):
     with pytest.raises(ScenarioParseError, match=message):
