@@ -15,7 +15,7 @@ from swarmpath import (
     SWARMPATH,
     ScenarioSpec,
     Vec2,
-    drone_path_length,
+    drone_path_lengths,
     run,
 )
 from swarmpath.plotsvg import render_trace_svg
@@ -32,9 +32,8 @@ def main() -> None:
 
     print(f"outcome: swarm={sp.outcome}  independent={base.outcome}")
     print(f"frames:  swarm={sp.n_frames}  independent={base.n_frames}")
-    for i in range(sp.n_drones):
+    for i, length in enumerate(drone_path_lengths(sp)):
         gap = np.linalg.norm(sp.drone_positions(i) - base.drone_positions(i), axis=1).max()
-        length = drone_path_length(sp, i)
         print(f"drone {i + 1}: path {length:.3f} m, "
               f"max gap to independent planner {gap:.2e} m")
 

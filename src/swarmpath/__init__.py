@@ -51,7 +51,6 @@ from .metrics import (
     ape,
     compare,
     completion_time,
-    drone_path_length,
     drone_path_lengths,
     gate_crossings,
     max_pairwise_distance,

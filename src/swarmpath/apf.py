@@ -13,9 +13,9 @@ Everything here works on plain floats: a point is x, y, an obstacle is its
 Obstacle.as_tuple() row (cx, cy, radius, r_apf, r_imp), a force is an
 (fx, fy) pair, and a descending agent is (x, y, reached_goal).
 repulsion_force is the one repulsion term and total_force sums the field
-from it; leader_step takes one step with total_force.  These are the
-references: descend writes leader_step and the field's sum out inline, and
-the tests check it against them bit for bit.
+from it; leader_step takes one step with total_force over its force_cells
+rows.  These are the references: descend writes leader_step and the field's
+sum out inline, and the tests check it against them bit for bit.
 """
 
 from __future__ import annotations
@@ -102,7 +102,9 @@ def leader_step(agent: tuple[float, float, bool], gx: float, gy: float,
         return (x, y, True), False
     # Only the obstacles listed in this point's force cell: every one that acts
     # is among them, and total_force skips the rest without adding a term.
-    fx, fy = total_force(x, y, gx, gy, spec.obstacle_index.force_rows(x, y), spec.apf)
+    index = spec.obstacle_index
+    cell_rows = index.force_cells.get((x // index.cell, y // index.cell), ())
+    fx, fy = total_force(x, y, gx, gy, cell_rows, spec.apf)
     norm = math.hypot(fx, fy)
     if norm < STALL_EPS:
         return agent, True

@@ -43,12 +43,8 @@ def path_length(points: np.ndarray) -> float:
         return float(np.sum(_lengths(*np.diff(pts, axis=0).T)))
 
 
-def drone_path_length(trace: SimulationTrace, drone: int) -> float:
-    return path_length(trace.drone_positions(drone))
-
-
 def drone_path_lengths(trace: SimulationTrace) -> list[float]:
-    """Every drone's path length in one pass, bit for bit each drone_path_length.
+    """Every drone's path length in one pass, bit for bit path_length of its positions.
 
     Each drone's segment lengths are summed as one C-contiguous row, which
     np.sum adds in the same pairwise order as path_length's 1-D sum.

@@ -57,10 +57,6 @@ _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), "u2")
 _CENTS = np.frombuffer(b"".join(b".%02d%c" % (i, sep) for sep in b", " for i in range(100)), "u4")
 
 
-def _polyline(frame: _Frame, points: np.ndarray, style: str) -> str:
-    return _polylines(frame, [(points, style)])[0]
-
-
 def _polylines(frame: _Frame, lines: list[tuple[np.ndarray, str]]) -> list[str]:
     """Each (points, style) as a polyline element, every pixel as "%.2f" gives it.
 

@@ -100,9 +100,10 @@ def update_link_mode(x: float, y: float, mode: int, index: ObstacleIndex,
         # the nearest listed one is the global nearest or at least R away,
         # which is >= its own r_imp, so nothing is acquired either way.  The
         # list is in index order, so ties go to the lowest index here too.
-        ids, candidates = index.candidates(x, y)
-        near = nearest_obstacle(x, y, candidates)
-        if near is not None and near[1] < candidates[near[0]][4]:
+        cell = index.link_cell
+        ids, cell_rows = index.link_cells.get((x // cell, y // cell), NO_CANDIDATES)
+        near = nearest_obstacle(x, y, cell_rows)
+        if near is not None and near[1] < cell_rows[near[0]][4]:
             return ids[near[0]]
         return LEADER
     cx, cy, radius, _, r_imp = index.rows[mode]

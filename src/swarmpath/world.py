@@ -103,15 +103,16 @@ class ObstacleIndex:
     reach disk touches.  The disk is widened by GRID_MARGIN times
     |cx| + |cy| + reach, far above the rounding of the distance and cell
     arithmetic on either side, so rounding can never drop an obstacle that
-    acts.  A query is one dict lookup.  Rows and cells hold each obstacle as
-    its as_tuple().
+    acts.  Rows and cells hold each obstacle as its as_tuple().
 
-    The grids are public so a hot loop can make the same lookup without the
-    call.  force_cells is the force grid that force_rows() reads: it maps
-    (x // cell, y // cell) to the cell's rows.  link_cells is the link grid
-    that candidates() reads: it maps (x // link_cell, y // link_cell) to the
-    cell's (indices, rows).  A cell a grid does not list is empty.  Treat
-    both as read-only.
+    The two grids are the index's interface; a query is one dict lookup.
+    force_cells maps (x // cell, y // cell) to the cell's rows in index order,
+    among them every obstacle whose repulsion at (x, y) is not zero or whose
+    center is (x, y).  link_cells maps (x // link_cell, y // link_cell) to the
+    cell's (indices, rows) in index order, among them every obstacle whose
+    surface is closer to (x, y) than the largest r_imp.  A cell a grid does
+    not list is empty (NO_CANDIDATES for the link grid).  Treat both as
+    read-only.
     """
 
     def __init__(self, obstacles: tuple[Obstacle, ...]):
@@ -122,24 +123,6 @@ class ObstacleIndex:
                             for key, ids in _grid(rows, self.cell, force_reach).items()}
         self.link_cells = {key: (tuple(ids), tuple(map(rows.__getitem__, ids)))
                            for key, ids in _grid(rows, self.link_cell, link_reach).items()}
-
-    def candidates(self, x: float, y: float) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-        """(indices, rows) of the link grid's cell of (x, y), ascending by index.
-
-        They include every obstacle whose surface is closer than the largest
-        r_imp.
-        """
-        cell = self.link_cell
-        return self.link_cells.get((x // cell, y // cell), NO_CANDIDATES)
-
-    def force_rows(self, x: float, y: float) -> tuple[tuple, ...]:
-        """Rows of the force grid's cell of (x, y), ascending by index.
-
-        They include every obstacle whose repulsion at (x, y) is not zero, and
-        every obstacle whose center is (x, y).
-        """
-        cell = self.cell
-        return self.force_cells.get((x // cell, y // cell), ())
 
 
 def _grid_reaches(obstacles) -> list[tuple[float, list[float]]]:

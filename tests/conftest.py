@@ -107,6 +107,11 @@ def one_pole_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**defaults)
 
 
+def force_cell(index, x, y):
+    """The rows of index's force cell of (x, y), looked up as the descent does."""
+    return index.force_cells.get((x // index.cell, y // index.cell), ())
+
+
 def lagging_spec() -> ScenarioSpec:
     """A swarm that completes 225 steps after its leader comes to rest.
 

@@ -17,10 +17,10 @@ from swarmpath.cli import main
 from swarmpath.impedance import critical_damping
 from swarmpath.metrics import (
     completion_time,
-    drone_path_length,
     gate_crossings,
     min_obstacle_clearance,
     pair_max_distances,
+    path_length,
 )
 from swarmpath.selfcheck import check_integrator, check_no_overshoot
 from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, run
@@ -168,7 +168,8 @@ def test_c09_free_space_matches_baseline():
         worst_gap = max(worst_gap, p_sp.dist(p_base))
         straight = spec.start.dist(spec.goal)
         for trace in (sp, base):
-            worst_len = max(worst_len, abs(drone_path_length(trace, i) - straight) / straight)
+            length = path_length(trace.drone_positions(i))
+            worst_len = max(worst_len, abs(length - straight) / straight)
     ok = (sp.outcome == base.outcome == COMPLETED
           and worst_gap <= 1e-3 and worst_len <= 0.05)
     report(9, ok,

@@ -5,7 +5,9 @@ callers look them up, and its observers read what the wrapped calls take and
 return.  A refactor that drops or moves one of those names, or changes what an
 observer reads, breaks the traced run, not this suite, so these tests run the
 harness's `instrument()` against a recorder that checks each name, and with
-the real tracer through one run, one compare, one sweep and `validate`.
+the real tracer through one run, one compare, one sweep and `validate`.  The
+names bound only for the harness must be their definitions, so they carry no
+logic and can be deleted with nothing to move.
 """
 
 import importlib
@@ -58,6 +60,18 @@ def test_every_rebound_name_resolves(bench):
     assert ("Vec2", "__post_init__") in names
     missing = [(owner, attr) for owner, attr in tracer.targets if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_the_harness_only_bindings_are_their_definitions():
+    # No module calls these names; each is imported only so that instrument()
+    # can rebind it where the harness looks for it.
+    from swarmpath import apf, baseline, impedance, sweep, topology, world
+    assert topology.link_step is impedance.link_step
+    assert topology.leader_step is apf.leader_step
+    assert baseline.total_force is apf.total_force
+    assert sweep.load_scenario is world.load_scenario
+    for module in (apf, topology, baseline):
+        assert module.effective_obstacles is world.effective_obstacles
 
 
 def trace_rows(path):

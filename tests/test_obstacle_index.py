@@ -43,7 +43,7 @@ from swarmpath.world import (
     effective_obstacles,
     read_scenario,
 )
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, force_cell
 
 coord = st.one_of(
     st.floats(min_value=-5.0, max_value=5.0),
@@ -166,7 +166,7 @@ def test_cull_matches_brute_force(scene):
     assert rows == tuple(obs.as_tuple() for obs in effective_obstacles(spec))
     # Cells hold the index's own row objects, so identity gives each one's index.
     position = {id(row): i for i, row in enumerate(rows)}
-    listed = index.force_rows(p.x, p.y)
+    listed = force_cell(index, p.x, p.y)
     ids = [position[id(row)] for row in listed]
     assert ids == sorted(set(ids))
     assert {id(row) for row in brute_force_acting(p, rows)} <= {id(row) for row in listed}
@@ -260,7 +260,7 @@ def test_far_decoys_change_no_byte_and_no_force_evaluation(monkeypatch):
 def test_singularity_still_raised_at_obstacle_center():
     obs = Obstacle(Vec2(2.0, 0.0), 0.1, 0.6, 0.3)
     spec = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(4.0, 0.0), obstacles=(obs,))
-    assert spec.obstacle_index.force_rows(obs.center.x, obs.center.y) == (obs.as_tuple(),)
+    assert force_cell(spec.obstacle_index, obs.center.x, obs.center.y) == (obs.as_tuple(),)
     with pytest.raises(SingularityError):
         leader_step((obs.center.x, obs.center.y, False), spec.goal.x, spec.goal.y, spec)
 
@@ -284,7 +284,7 @@ def test_baseline_forest_force_query_lists_few_rows(monkeypatch):
     # The padded reach box listed 9.22 rows per query here; the disk rule ~2.8.
     spec = read_scenario(SCENARIO_DIR / "case2_forest.json")
     index = spec.obstacle_index
-    sizes = [len(index.force_rows(x, y)) for x, y in descent_step_points(spec)]
+    sizes = [len(force_cell(index, x, y)) for x, y in descent_step_points(spec)]
     assert len(sizes) > 1000
     assert sum(sizes) / len(sizes) < 4.0
     # The run's descents evaluate exactly those rows, one pass per step.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmpath.plotsvg import MAX_POLYLINE, _polyline, render_compare_svg, render_trace_svg
+from swarmpath.plotsvg import MAX_POLYLINE, _polylines, render_compare_svg, render_trace_svg
 from swarmpath.simulator import CONVENTIONAL_APF, SWARMPATH, run
 from conftest import one_pole_spec
 
@@ -56,7 +56,7 @@ LONG = np.column_stack((np.linspace(-3.0, 7.0, 2 * MAX_POLYLINE + 2),
     (LONG, [*LONG[::2], LONG[-1]]),
 ])
 def test_polyline_formats_every_point_as_per_point_format(points, kept):
-    text = _polyline(IDENTITY, np.array(points, dtype=float), 'stroke="#111"')
+    text = _polylines(IDENTITY, [(np.array(points, dtype=float), 'stroke="#111"')])[0]
     coords = " ".join("{:.2f},{:.2f}".format(x, y) for x, y in kept)
     assert text == f'<polyline points="{coords}" fill="none" stroke="#111"/>'
 
@@ -76,12 +76,12 @@ SUBNORMAL = 5e-324
 @example([(math.nan, math.inf), (-math.inf, 1.0)])
 @example([(SUBNORMAL, -SUBNORMAL)])
 def test_polyline_text_is_format_of_every_float(points):
-    text = _polyline(IDENTITY, np.array(points, dtype=float), 'stroke="#111"')
+    text = _polylines(IDENTITY, [(np.array(points, dtype=float), 'stroke="#111"')])[0]
     coords = " ".join("{:.2f},{:.2f}".format(x, y) for x, y in points)
     assert text == f'<polyline points="{coords}" fill="none" stroke="#111"/>'
 
 
 def test_polyline_edge_pixels_keep_their_text():
-    text = _polyline(IDENTITY, np.array(EDGES), "")
+    text = _polylines(IDENTITY, [(np.array(EDGES), "")])[0]
     assert text.split('"')[1] == ("-0.00,2.67 -0.00,0.12 0.38,1.00 "
                                   "1000000.00,-1000000.00 -0.01,1.11")

@@ -37,8 +37,8 @@ from swarmpath.topology import (BOX_ROWS, DEFLECTION_FAULT, LEADER, OVERFLOW_FAU
 from swarmpath.world import (ApfParams, ImpedanceParams, Obstacle, ScenarioSpec,
                              ScenarioValidationError, TopologyParams, Vec2, load_scenario,
                              read_scenario, validate_spec)
-from conftest import (SCENARIO_DIR, drone_state, follower_at, grid16_forest_doc, lagging_spec,
-                      one_pole_spec, rest_state, straight_spec)
+from conftest import (SCENARIO_DIR, drone_state, follower_at, force_cell, grid16_forest_doc,
+                      lagging_spec, one_pole_spec, rest_state, straight_spec)
 from reference import deflection_offset
 
 
@@ -407,7 +407,7 @@ def test_a_descent_entering_a_force_cell_along_y_alone_gets_its_force():
     spec = straight_spec(goal=Vec2(0.0, 2.0), obstacles=(post,), max_steps=800)
     index = spec.obstacle_index
     assert index.cell == 0.3
-    assert index.force_rows(0.0, 0.0) == () and index.force_rows(0.0, 0.3) == (post.as_tuple(),)
+    assert force_cell(index, 0.0, 0.0) == () and force_cell(index, 0.0, 0.3) == (post.as_tuple(),)
     track = assert_descent_matches_reference(spec)
     rows = np.frombuffer(track.xy).reshape(-1, 2)
     first = int(np.argmax(rows[:, 0] != 0.0))
