@@ -12,7 +12,6 @@ from .world import (
     Gate,
     ImpedanceParams,
     Obstacle,
-    ObstacleIndex,
     ScenarioError,
     ScenarioParseError,
     ScenarioSpec,
@@ -31,13 +30,6 @@ from .impedance import (
     critical_damping,
     link_coefficients,
 )
-from .topology import (
-    LEADER,
-    LeaderTrack,
-    nearest_obstacle,
-    swarm_step,
-)
-from .baseline import baseline_step
 from .simulator import (
     COMPLETED,
     CONVENTIONAL_APF,

@@ -32,31 +32,25 @@ def _lengths(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return lengths
 
 
+def _path_lengths(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Path length of each polyline in the (D, F) rows xs, ys: its segment lengths
+    summed as one C-contiguous row, in np.sum's pairwise order (inf past float range)."""
+    with np.errstate(over="ignore"):
+        dx, dy = (np.subtract(v[:, 1:], v[:, :-1], order="C") for v in (xs, ys))
+        return _lengths(dx, dy).sum(axis=1)
+
+
 def path_length(points: np.ndarray) -> float:
     """Sum of segment lengths of an (N, 2) polyline."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (N, 2) points, got shape {pts.shape}")
-    if len(pts) < 2:
-        return 0.0
-    with np.errstate(over="ignore"):  # a sum past float range is inf
-        return float(np.sum(_lengths(*np.diff(pts, axis=0).T)))
+    return float(_path_lengths(*pts.T[:, np.newaxis])[0])
 
 
 def drone_path_lengths(trace: SimulationTrace) -> list[float]:
-    """Every drone's path length in one pass, bit for bit path_length of its positions.
-
-    Each drone's segment lengths are summed as one C-contiguous row, which
-    np.sum adds in the same pairwise order as path_length's 1-D sum.
-    """
-    xs, ys = trace.positions.T  # (D, F) each
-    dx, dy = (np.subtract(v[:, 1:], v[:, :-1], order="C") for v in (xs, ys))
-    with np.errstate(over="ignore"):
-        return _lengths(dx, dy).sum(axis=1).tolist()
-
-
-def leader_path_length(trace: SimulationTrace) -> float | None:
-    return None if trace.leader is None else path_length(trace.leader)
+    """Every drone's path length in one pass, bit for bit path_length of its positions."""
+    return _path_lengths(*trace.positions.T).tolist()
 
 
 def pair_max_distances(trace: SimulationTrace) -> np.ndarray:
@@ -71,8 +65,8 @@ def pair_max_distances(trace: SimulationTrace) -> np.ndarray:
     out = np.zeros((trace.n_drones, trace.n_drones))
     for a in range(trace.n_drones - 1):
         # Drone a against every later drone at once.
-        dx, dy = xs[a + 1:] - xs[a], ys[a + 1:] - ys[a]
         with np.errstate(over="ignore", under="ignore"):
+            dx, dy = xs[a + 1:] - xs[a], ys[a + 1:] - ys[a]
             largest = (dx * dx + dy * dy).max(axis=1)
         lengths = np.sqrt(largest)
         for b in np.flatnonzero(~((largest >= 2 * _TINY) & (largest < math.inf))):
@@ -108,7 +102,8 @@ def ape(trace_a: SimulationTrace, trace_b: SimulationTrace, drone: int) -> float
 
     100 * mean frame-wise separation / reference path length, where trace_b
     is the reference.  Tracks of different duration are compared by holding
-    the final position of the shorter one.
+    the final position of the shorter one.  Infinite where a frame's
+    separation passes float range.
     """
     if trace_a.spec.dt != trace_b.spec.dt:
         raise ValueError(
@@ -118,13 +113,32 @@ def ape(trace_a: SimulationTrace, trace_b: SimulationTrace, drone: int) -> float
     ref_length = path_length(pb)
     if ref_length == 0.0:
         raise ValueError(f"drone {drone}: reference path has zero length")
-    errors = _lengths(*(pa - pb).T)
-    # Where np.mean's sum could overflow, average the errors over the largest.
+    with np.errstate(over="ignore"):  # a separation past float range is inf
+        errors = _lengths(*(pa - pb).T)
     peak = float(errors.max())
+    if peak == math.inf:
+        return math.inf
+    # Where np.mean's sum could overflow, average the errors over the largest.
     scale = peak if 2.0 * peak * len(errors) == math.inf else 1.0
     mean_err = float(np.mean(errors / scale)) * scale
     percent = 100.0 * mean_err / ref_length
     return percent if percent < math.inf else mean_err / ref_length * 100.0
+
+
+def report(trace: SimulationTrace) -> dict:
+    """The single-run report: metrics.json's document, in its key order, at full precision."""
+    return {
+        "controller": trace.controller,
+        "outcome": trace.outcome,
+        "frames": trace.n_frames,
+        "duration_s": float(trace.t[-1]),
+        "completion_time_s": completion_time(trace),
+        "leader_path_length_m": None if trace.leader is None else path_length(trace.leader),
+        "drone_path_lengths_m": {f"drone{i + 1}": length
+                                 for i, length in enumerate(drone_path_lengths(trace))},
+        "max_pairwise_distance_m": max_pairwise_distance(trace),
+        "min_obstacle_clearance_m": min_obstacle_clearance(trace),
+    }
 
 
 def compare(sp: SimulationTrace, base: SimulationTrace) -> dict:

@@ -28,7 +28,9 @@ LINKED_COLOR = "#2ca02c"
 
 
 class _Frame:
-    """World-to-pixel transform for one panel."""
+    """World-to-pixel transform for one panel, in 2 m units so that no span of finite
+    coordinates overflows; halving is exact and the scale doubles, so a pixel that
+    does not overflow in metres keeps its bits."""
 
     def __init__(self, spec: ScenarioSpec, traces: list[SimulationTrace]):
         xs = [spec.start.x, spec.goal.x]
@@ -39,17 +41,17 @@ class _Frame:
         for trace in traces:
             xs += [float(trace.positions[..., 0].min()), float(trace.positions[..., 0].max())]
             ys += [float(trace.positions[..., 1].min()), float(trace.positions[..., 1].max())]
-        x0, x1 = min(xs) - WORLD_PAD, max(xs) + WORLD_PAD
-        y0, y1 = min(ys) - WORLD_PAD, max(ys) + WORLD_PAD
-        self.scale = (WIDTH - 2 * MARGIN) / (x1 - x0)
+        x0, x1 = (min(xs) - WORLD_PAD) * 0.5, (max(xs) + WORLD_PAD) * 0.5
+        y0, y1 = (min(ys) - WORLD_PAD) * 0.5, (max(ys) + WORLD_PAD) * 0.5
+        self.scale = (WIDTH - 2 * MARGIN) / (x1 - x0)  # px per 2 m
         self.x0, self.y1 = x0, y1
         self.height = (y1 - y0) * self.scale + 2 * MARGIN
 
     def px(self, x, y):
         """Pixel coordinates of world x, y: floats or equal-length arrays."""
         # SVG y grows downward
-        return (MARGIN + (x - self.x0) * self.scale,
-                MARGIN + (self.y1 - y) * self.scale)
+        return (MARGIN + (x * 0.5 - self.x0) * self.scale,
+                MARGIN + (self.y1 - y * 0.5) * self.scale)
 
 
 # Digit pairs b"00" .. b"99"; a pixel's cents and separator b".00," .. b".99 ".
@@ -103,7 +105,7 @@ def _polylines(frame: _Frame, lines: list[tuple[np.ndarray, str]]) -> list[str]:
 
 def _circle(frame: _Frame, cx: float, cy: float, r: float, style: str) -> str:
     px, py = frame.px(cx, cy)
-    return f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r * frame.scale:.2f}" {style}/>'
+    return f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r * 0.5 * frame.scale:.2f}" {style}/>'
 
 
 def _panel(frame: _Frame, spec: ScenarioSpec, trace: SimulationTrace, title: str) -> list[str]:

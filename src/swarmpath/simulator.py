@@ -216,7 +216,7 @@ def _swarm_run(spec: ScenarioSpec, track: LeaderTrack) -> SimulationTrace:
         for i, link in enumerate(links):
             if link is not None:
                 if not frontier:  # each follower starts at rest on its slot
-                    link = track.ride(offsets[i], target, coefficients, positions[i], modes[i])
+                    track.ride(offsets[i], target, coefficients, positions[i], modes[i])
                 links[i], fault = swarm_step(link, target, track, offsets[i], spec,
                                              coefficients, positions[i], modes[i])
                 if fault is not None:

@@ -237,7 +237,7 @@ class LeaderTrack:
         return stop
 
     def ride(self, offset: tuple[float, float], last: int, coefficients: Coefficients,
-             positions: array, modes: array) -> tuple[float, float]:
+             positions: array, modes: array) -> None:
         """Move the follower on offset from frame 0 up to its stop, or to last.
 
         Its buffers hold frame 0 alone, where the drone rests on its slot:
@@ -246,8 +246,8 @@ class LeaderTrack:
         0.0 both +0.0, its rows are (leader row + offset) + 0.0, computed
         with numpy's elementwise IEEE operations in swarm_step's order.
         Infinite gains make them nan, and then the drone stays at frame 0 for
-        swarm_step's loop.  Appends the ride's rows and returns the drone's
-        link after its last row, (0.0, 0.0).
+        swarm_step's loop.  Appends the ride's rows; the drone's link after
+        its last row is still the rest link (0.0, 0.0).
         """
         p00, p01, p10, p11, g0, g1 = coefficients
         # +0.0 is the one double whose bytes are all zero.
@@ -257,7 +257,6 @@ class LeaderTrack:
             rode = (np.frombuffer(self.xy[2:2 * end + 2]).reshape(-1, 2) + offset) + 0.0
             positions.frombytes(rode.tobytes())
             modes.extend([LEADER] * end)
-        return 0.0, 0.0
 
 
 def swarm_step(link: tuple[float, float], last: int, track: LeaderTrack,

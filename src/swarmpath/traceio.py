@@ -98,21 +98,8 @@ def _render_report(doc: dict) -> str:
 
 
 def render_metrics_json(trace: SimulationTrace) -> str:
-    """Single-run metrics report."""
-    return _render_report({
-        "controller": trace.controller,
-        "outcome": trace.outcome,
-        "frames": trace.n_frames,
-        "duration_s": float(trace.t[-1]),
-        "completion_time_s": metrics.completion_time(trace),
-        "leader_path_length_m": metrics.leader_path_length(trace),
-        "drone_path_lengths_m": {
-            f"drone{i + 1}": length
-            for i, length in enumerate(metrics.drone_path_lengths(trace))
-        },
-        "max_pairwise_distance_m": metrics.max_pairwise_distance(trace),
-        "min_obstacle_clearance_m": metrics.min_obstacle_clearance(trace),
-    })
+    """Single-run metrics report: metrics.report's document."""
+    return _render_report(metrics.report(trace))
 
 
 def render_comparison_json(doc: dict) -> str:

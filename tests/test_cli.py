@@ -257,6 +257,14 @@ FLUNG = {"start": [0, 0], "goal": [2, 0], "obstacles": [POST],
 # sums past float range.
 OSCILLATING = {"start": [0, 0], "goal": [3e306, 0], "apf": {"leader_speed": 2e306},
                "dt": 1.0, "max_steps": 200, "formation_offsets": [[0, 0.4], [0, -0.4]]}
+# The two drones straddle float range: a pair's separation, a frame's APE
+# error and the plot's spans all pass 1.8e308 m.
+STRADDLING = {"start": [0, 0], "goal": [-1.0, 1.0],
+              "obstacles": [{"center": [-0.46105093147490095, -0.38071145237058546],
+                             "radius": 0.1, "r_apf": 0.6, "r_imp": 0.3}],
+              "formation_offsets": [[0.0, 0.0], [-0.14594838682994582, 0.1708410798839004]],
+              "impedance": {"k": 1e4}, "apf": {"leader_speed": 1.7e308},
+              "topology": {"k_impF": 1e306}, "dt": 1.0, "max_steps": 3}
 
 
 def test_a_flung_swarm_compares_as_strict_json(tmp_path, capsys):
@@ -302,6 +310,7 @@ def extreme_docs(draw):
 @given(doc=extreme_docs())
 @example(doc=FLUNG)
 @example(doc=OSCILLATING)
+@example(doc=STRADDLING)
 def test_outputs_are_strict_at_any_magnitude(doc):
     # Every JSON parses without Infinity or NaN, no SVG prints nan or inf,
     # nothing warns, and a run that fails says at which step.

@@ -13,7 +13,6 @@ from swarmpath.metrics import (
     completion_time,
     drone_path_lengths,
     gate_crossings,
-    leader_path_length,
     max_pairwise_distance,
     min_obstacle_clearance,
     pair_max_distances,
@@ -38,7 +37,7 @@ def test_straight_run_lengths_match_travel():
     spec = straight_spec(goal=Vec2(1.0, 0.0))
     trace = run(spec, SWARMPATH)
     expected = 1.0 - spec.apf.goal_threshold
-    assert leader_path_length(trace) == pytest.approx(expected, abs=0.01)
+    assert path_length(trace.leader) == pytest.approx(expected, abs=0.01)
     for i in range(trace.n_drones):
         assert path_length(trace.drone_positions(i)) == pytest.approx(expected, abs=0.01)
 

@@ -16,7 +16,7 @@ from swarmpath.simulator import (
     SWARMPATH,
     run,
 )
-from swarmpath.metrics import leader_path_length
+from swarmpath.metrics import path_length
 from swarmpath.sweep import SweepSpec
 from swarmpath.topology import DEFLECTION_FAULT, OVERFLOW_FAULT, LeaderTrack, swarm_step
 from swarmpath.world import ImpedanceParams, Obstacle, TopologyParams, Vec2, read_scenario
@@ -270,7 +270,7 @@ def test_leader_track_straight_line():
     assert tuple(track[0]) == spec.start.as_tuple()
     final = Vec2(*track[-1])
     assert final.dist(spec.goal) <= spec.apf.goal_threshold + spec.apf.leader_speed * spec.dt
-    assert leader_path_length(trace) == pytest.approx(
+    assert path_length(trace.leader) == pytest.approx(
         0.9, abs=2 * spec.apf.leader_speed * spec.dt)
 
 
@@ -291,7 +291,7 @@ def test_leader_track_detours_around_obstacle():
     )
     trace = run(spec, SWARMPATH)
     assert trace.outcome == COMPLETED
-    assert leader_path_length(trace) > 3.9
+    assert path_length(trace.leader) > 3.9
     obs = spec.obstacles[0]
     clearances = [Vec2(*p).dist(obs.center) - obs.radius for p in trace.leader]
     assert min(clearances) > 0.0

@@ -808,7 +808,7 @@ def test_a_call_lists_every_within_step(vx, rides, to_within):
     link, positions, modes = follower_at(drone, 0)
     coefficients = link_coefficients(spec.impedance, spec.dt)
     if rides:
-        link = track.ride((0.0, 0.4), stop, coefficients, positions, modes)
+        assert track.ride((0.0, 0.4), stop, coefficients, positions, modes) is None
         assert len(modes) - 1 == stop
     link, fault = swarm_step(link, stop, track, (0.0, 0.4), spec, coefficients,
                              positions, modes)
@@ -844,7 +844,7 @@ def test_a_drone_goal_threshold_away_along_x_at_a_subnormal_threshold_is_within(
     link, positions, modes = follower_at(drone, 0)
     coefficients = link_coefficients(spec.impedance, spec.dt)
     if not linked:
-        link = track.ride((0.0, 0.0), 1, coefficients, positions, modes)
+        assert track.ride((0.0, 0.0), 1, coefficients, positions, modes) is None
         assert len(modes) - 1 == 1
     link, fault = swarm_step(link, 1, track, (0.0, 0.0), spec, coefficients, positions, modes)
     within = within_steps(np.frombuffer(positions).reshape(-1, 2)[1:], 1, (5e-324, 0.0),
@@ -1222,8 +1222,9 @@ def test_infinite_link_gains_are_stepped_to_their_overflow():
 
 
 def test_numpy_floor_division_is_pythons():
-    # The ride looks its link cells up with keys from np.floor_divide; the
-    # loop's keys come from float //.
+    # The kernels key their force and link cells with float //; numpy's
+    # floor division gives the same keys bit for bit, signed zeros and
+    # subnormals included, so an array pass may key the same cells.
     values = [0.0, -0.0, 5e-324, -5e-324, 0.35, -0.35, 0.7, -0.7, 1.05, 2.1, -2.1, 1e300,
               *np.random.default_rng(5).uniform(-20.0, 20.0, 2000).tolist()]
     for cell in (0.35, 0.1, 0.3 + 0.05, 1.0, 1.15 + 0.3, 3.0):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from swarmpath.metrics import compare
+from swarmpath.metrics import compare, drone_path_lengths, path_length, report
 from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, SWARMPATH, SimulationTrace, run
 from swarmpath.traceio import (
     CSV_BLOCK,
+    _render_report,
     mode_cell,
     render_comparison_json,
     render_metrics_json,
@@ -156,6 +157,17 @@ def test_metrics_json_key_order_is_stable():
         "max_pairwise_distance_m",
         "min_obstacle_clearance_m",
     ]
+
+
+@pytest.mark.parametrize("controller", [SWARMPATH, CONVENTIONAL_APF])
+def test_metrics_json_renders_the_metrics_report(controller):
+    # metrics.report builds the document at full precision; the writer rounds it.
+    trace = run(one_pole_spec(), controller)
+    doc = report(trace)
+    assert render_metrics_json(trace) == _render_report(doc)
+    leader = None if trace.leader is None else path_length(trace.leader)
+    assert doc["leader_path_length_m"] == leader
+    assert list(doc["drone_path_lengths_m"].values()) == drone_path_lengths(trace)
 
 
 def test_comparison_json_structure():
