@@ -33,7 +33,7 @@ def main() -> None:
     print(f"outcome: swarm={sp.outcome}  independent={base.outcome}")
     print(f"frames:  swarm={sp.n_frames}  independent={base.n_frames}")
     for i, length in enumerate(drone_path_lengths(sp)):
-        gap = np.linalg.norm(sp.drone_positions(i) - base.drone_positions(i), axis=1).max()
+        gap = np.linalg.norm(sp.positions[:, i] - base.positions[:, i], axis=1).max()
         print(f"drone {i + 1}: path {length:.3f} m, "
               f"max gap to independent planner {gap:.2e} m")
 
@@ -43,7 +43,7 @@ def main() -> None:
 
     args.out.mkdir(parents=True, exist_ok=True)
     svg = args.out / "formation_transport.svg"
-    svg.write_text(render_trace_svg(sp, title="formation transport, free space"))
+    svg.write_text(render_trace_svg(sp))
     print(f"wrote {svg}")
 
 

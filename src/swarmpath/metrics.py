@@ -56,21 +56,14 @@ def drone_path_lengths(trace: SimulationTrace) -> list[float]:
 def pair_max_distances(trace: SimulationTrace) -> np.ndarray:
     """Largest separation of each drone pair over the whole run, (D, D) metres.
 
-    Symmetric, with a zero diagonal.  sqrt is monotone and correctly rounded,
-    so a pair's largest length is the sqrt of its largest square.  A pair
-    whose largest square is below 2 * _TINY (where a patched length could
-    top it), infinite or nan takes the largest of its _lengths instead.
+    Symmetric, with a zero diagonal.
     """
     xs, ys = np.ascontiguousarray(trace.positions.T)  # (D, F) rows, copied once
     out = np.zeros((trace.n_drones, trace.n_drones))
     for a in range(trace.n_drones - 1):
         # Drone a against every later drone at once.
-        with np.errstate(over="ignore", under="ignore"):
-            dx, dy = xs[a + 1:] - xs[a], ys[a + 1:] - ys[a]
-            largest = (dx * dx + dy * dy).max(axis=1)
-        lengths = np.sqrt(largest)
-        for b in np.flatnonzero(~((largest >= 2 * _TINY) & (largest < math.inf))):
-            lengths[b] = _lengths(dx[b], dy[b]).max()
+        with np.errstate(over="ignore"):
+            lengths = _lengths(xs[a + 1:] - xs[a], ys[a + 1:] - ys[a]).max(axis=1)
         out[a, a + 1:] = out[a + 1:, a] = lengths
     return out
 
@@ -109,7 +102,7 @@ def ape(trace_a: SimulationTrace, trace_b: SimulationTrace, drone: int) -> float
         raise ValueError(
             f"mismatched dt: {trace_a.spec.dt} vs {trace_b.spec.dt}")
     frames = max(trace_a.n_frames, trace_b.n_frames)
-    pa, pb = (_held(t.drone_positions(drone), frames) for t in (trace_a, trace_b))
+    pa, pb = (_held(t.positions[:, drone], frames) for t in (trace_a, trace_b))
     ref_length = path_length(pb)
     if ref_length == 0.0:
         raise ValueError(f"drone {drone}: reference path has zero length")
@@ -239,7 +232,7 @@ def gate_crossings(trace: SimulationTrace, drone: int, gate: Gate) -> tuple[floa
     if length2 == 0.0:
         raise ValueError("gate poles share a center")
     normal = np.array([-axis[1], axis[0]])
-    pts = trace.drone_positions(drone)
+    pts = trace.positions[:, drone]
     side = (pts - ca) @ normal
     fractions = []
     for n in range(len(pts) - 1):

@@ -30,7 +30,8 @@ LINKED_COLOR = "#2ca02c"
 class _Frame:
     """World-to-pixel transform for one panel, in 2 m units so that no span of finite
     coordinates overflows; halving is exact and the scale doubles, so a pixel that
-    does not overflow in metres keeps its bits."""
+    does not overflow in metres keeps its bits.  The panel fits the width, or a
+    height of 1e300 px where that is smaller, so a tall panel's height is finite."""
 
     def __init__(self, spec: ScenarioSpec, traces: list[SimulationTrace]):
         xs = [spec.start.x, spec.goal.x]
@@ -43,7 +44,8 @@ class _Frame:
             ys += [float(trace.positions[..., 1].min()), float(trace.positions[..., 1].max())]
         x0, x1 = (min(xs) - WORLD_PAD) * 0.5, (max(xs) + WORLD_PAD) * 0.5
         y0, y1 = (min(ys) - WORLD_PAD) * 0.5, (max(ys) + WORLD_PAD) * 0.5
-        self.scale = (WIDTH - 2 * MARGIN) / (x1 - x0)  # px per 2 m
+        width = WIDTH - 2 * MARGIN  # px
+        self.scale = width / max(x1 - x0, (y1 - y0) * (width * 1e-300))  # px per 2 m
         self.x0, self.y1 = x0, y1
         self.height = (y1 - y0) * self.scale + 2 * MARGIN
 
@@ -128,7 +130,7 @@ def _panel(frame: _Frame, spec: ScenarioSpec, trace: SimulationTrace, title: str
         lines.append((trace.leader, f'stroke="{LEADER_COLOR}" stroke-dasharray="7 4"'))
     for i in range(trace.n_drones):
         color = DRONE_COLORS[i % len(DRONE_COLORS)]
-        pts = trace.drone_positions(i)
+        pts = trace.positions[:, i]
         lines.append((pts, f'stroke="{color}" stroke-width="1.4"'))
         lines += [(pts[lo:hi + 1], f'stroke="{LINKED_COLOR}" stroke-width="3" opacity="0.75"')
                   for lo, hi in _linked_spans(trace, i)]
@@ -164,14 +166,12 @@ def _linked_spans(trace: SimulationTrace, drone: int) -> list[tuple[int, int]]:
     return [(max(int(s) - 1, 0), min(int(e), last)) for s, e in zip(starts, ends)]
 
 
-def render_trace_svg(trace: SimulationTrace, title: str | None = None) -> str:
+def render_trace_svg(trace: SimulationTrace) -> str:
     """One panel showing a single run over the scenario geometry."""
     spec = trace.spec
     frame = _Frame(spec, [trace])
-    if title is None:
-        kind = "adaptive links" if trace.controller == SWARMPATH else "independent drones"
-        title = f"{trace.controller} ({kind}), outcome: {trace.outcome}"
-    body = _panel(frame, spec, trace, title)
+    kind = "adaptive links" if trace.controller == SWARMPATH else "independent drones"
+    body = _panel(frame, spec, trace, f"{trace.controller} ({kind}), outcome: {trace.outcome}")
     return _document(frame.height, body)
 
 

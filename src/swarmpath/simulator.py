@@ -76,10 +76,6 @@ class SimulationTrace:
     def n_drones(self) -> int:
         return self.positions.shape[1]
 
-    def drone_positions(self, drone: int) -> np.ndarray:
-        """(n_frames, 2) read-only track of one drone, a view of positions."""
-        return self.positions[:, drone]
-
 
 def _trace(spec: ScenarioSpec, controller: str, outcome: str, positions: np.ndarray,
            leader: np.ndarray | None = None, modes: np.ndarray | None = None) -> SimulationTrace:

@@ -19,8 +19,6 @@ of the critical damping of the resulting (m, d, k) triple are flagged
 critical, since behavior changes character on either side of that point.
 """
 
-from __future__ import annotations
-
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path

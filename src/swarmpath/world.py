@@ -15,8 +15,6 @@ ScenarioSpec built here, so all structural and numeric validation lives in
 the loader rather than being scattered across the dynamics code.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import operator
@@ -351,9 +349,9 @@ def _read(path, what: str) -> str:
 @cache
 def _schema(cls) -> dict[str, tuple[type, bool, tuple | None, bool]]:
     """{name: (type, required, bound, nested)} over the fields of a dataclass, in field order."""
-    hints, schema = typing.get_type_hints(cls), {}
+    schema = {}
     for f in fields(cls):
-        tp = hints[f.name]
+        tp = f.type
         item = typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else tp
         schema[f.name] = (tp, f.default is MISSING and f.default_factory is MISSING,
                           f.metadata.get("bound"), is_dataclass(item) and item is not Vec2)

@@ -168,7 +168,7 @@ def test_c09_free_space_matches_baseline():
         worst_gap = max(worst_gap, p_sp.dist(p_base))
         straight = spec.start.dist(spec.goal)
         for trace in (sp, base):
-            length = path_length(trace.drone_positions(i))
+            length = path_length(trace.positions[:, i])
             worst_len = max(worst_len, abs(length - straight) / straight)
     ok = (sp.outcome == base.outcome == COMPLETED
           and worst_gap <= 1e-3 and worst_len <= 0.05)

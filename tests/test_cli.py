@@ -265,6 +265,9 @@ STRADDLING = {"start": [0, 0], "goal": [-1.0, 1.0],
               "formation_offsets": [[0.0, 0.0], [-0.14594838682994582, 0.1708410798839004]],
               "impedance": {"k": 1e4}, "apf": {"leader_speed": 1.7e308},
               "topology": {"k_impF": 1e306}, "dt": 1.0, "max_steps": 3}
+# The goal is 1e306 m up and 0 m across: the plot is far taller than wide.
+TALL = {"start": [0, 0], "goal": [0, 1e306], "apf": {"leader_speed": 1e305}, "dt": 1.0,
+        "max_steps": 20}
 
 
 def test_a_flung_swarm_compares_as_strict_json(tmp_path, capsys):
@@ -283,7 +286,7 @@ def test_a_flung_swarm_compares_as_strict_json(tmp_path, capsys):
 @st.composite
 def extreme_docs(draw):
     """Valid FLUNG-like documents with magnitudes from 1e-2 to 1e307 on
-    k_impF, leader_speed, dt, the goal and one offset."""
+    k_impF, leader_speed, dt, the goal (far along x or along y) and one offset."""
     big = st.none() | st.floats(-2.0, 307.0).map(lambda e: 10.0 ** e)
     sign = st.sampled_from((1.0, -1.0))
     doc = {"start": [0, 0], "goal": [2, 0], "obstacles": [POST], "max_steps": 600,
@@ -298,6 +301,8 @@ def extreme_docs(draw):
     goal = draw(big)
     if goal is not None:
         doc["goal"] = [draw(sign) * goal, draw(st.floats(-1.0, 1.0))]
+        if draw(st.booleans()):
+            doc["goal"].reverse()
     offset = draw(big)
     if offset is not None:
         offsets = [[0.4, 0.4], [0.4, -0.4], [-0.4, 0.4], [-0.4, -0.4]]
@@ -311,6 +316,7 @@ def extreme_docs(draw):
 @example(doc=FLUNG)
 @example(doc=OSCILLATING)
 @example(doc=STRADDLING)
+@example(doc=TALL)
 def test_outputs_are_strict_at_any_magnitude(doc):
     # Every JSON parses without Infinity or NaN, no SVG prints nan or inf,
     # nothing warns, and a run that fails says at which step.

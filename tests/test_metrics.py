@@ -39,7 +39,7 @@ def test_straight_run_lengths_match_travel():
     expected = 1.0 - spec.apf.goal_threshold
     assert path_length(trace.leader) == pytest.approx(expected, abs=0.01)
     for i in range(trace.n_drones):
-        assert path_length(trace.drone_positions(i)) == pytest.approx(expected, abs=0.01)
+        assert path_length(trace.positions[:, i]) == pytest.approx(expected, abs=0.01)
 
 
 def test_completion_time_straight_run():
@@ -79,7 +79,7 @@ def test_ape_hand_value():
     shifted = straight_spec(start=Vec2(0.0, 0.1), goal=Vec2(1.0, 0.1))
     b = run(shifted, SWARMPATH)
     value = ape(b, a, 0)
-    ref = path_length(a.drone_positions(0))
+    ref = path_length(a.positions[:, 0])
     assert value == pytest.approx(100.0 * 0.1 / ref, rel=1e-6)
 
 
@@ -212,7 +212,7 @@ def test_metrics_equal_references_to_the_last_bit(recorded):
     assert all(pairs[i, i] == 0.0 for i in range(trace.n_drones))
     assert min_obstacle_clearance(trace) == reference_min_obstacle_clearance(trace)
     for i in range(trace.n_drones):
-        track = trace.drone_positions(i)
+        track = trace.positions[:, i]
         assert path_length(track) == reference_path_length(track)
 
 
@@ -224,7 +224,7 @@ def test_drone_path_lengths_are_each_drone_path_length_to_the_last_bit(frames):
     positions = np.cumsum(rng.normal(scale=0.05, size=(frames, 5, 2)), axis=0) + (3.0, -1.0)
     trace = SimulationTrace(straight_spec(), CONVENTIONAL_APF, np.arange(frames) * 0.05,
                             positions, None, None, COMPLETED)
-    assert drone_path_lengths(trace) == [path_length(trace.drone_positions(i)) for i in range(5)]
+    assert drone_path_lengths(trace) == [path_length(trace.positions[:, i]) for i in range(5)]
 
 
 def test_path_lengths_whose_squares_overflow_are_finite():
@@ -243,7 +243,7 @@ def test_path_lengths_whose_squares_overflow_are_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lengths = drone_path_lengths(trace)
-        assert lengths == [path_length(trace.drone_positions(i)) for i in range(3)]
+        assert lengths == [path_length(trace.positions[:, i]) for i in range(3)]
         pairs = pair_max_distances(trace)
         widest = max_pairwise_distance(trace)
         clearance = min_obstacle_clearance(trace)
@@ -305,7 +305,7 @@ def test_lengths_whose_squares_underflow_keep_their_digits():
 def test_drone_path_lengths_of_the_shipped_runs(name, controller):
     trace = run(read_scenario(SCENARIO_DIR / name), controller)
     lengths = drone_path_lengths(trace)
-    assert lengths == [path_length(trace.drone_positions(i)) for i in range(trace.n_drones)]
+    assert lengths == [path_length(trace.positions[:, i]) for i in range(trace.n_drones)]
     assert all(type(v) is float for v in lengths)
 
 
@@ -336,7 +336,7 @@ def test_a_finite_ape_keeps_its_bits():
     sp, base = run(spec, SWARMPATH), run(spec, CONVENTIONAL_APF)
     for i in range(sp.n_drones):
         frames = max(sp.n_frames, base.n_frames)
-        pa, pb = (np.pad(t.drone_positions(i), ((0, frames - t.n_frames), (0, 0)), mode="edge")
+        pa, pb = (np.pad(t.positions[:, i], ((0, frames - t.n_frames), (0, 0)), mode="edge")
                   for t in (sp, base))
         mean_err = float(np.mean(np.linalg.norm(pa - pb, axis=1)))
         assert ape(sp, base, i) == 100.0 * mean_err / path_length(pb)

@@ -13,10 +13,10 @@ from conftest import one_pole_spec
 
 def test_trace_svg_is_well_formed_xml():
     trace = run(one_pole_spec(), SWARMPATH)
-    svg = render_trace_svg(trace, title="one pole")
+    svg = render_trace_svg(trace)
     root = ElementTree.fromstring(svg)
     assert root.tag.endswith("svg")
-    assert "one pole" in svg
+    assert "swarmpath (adaptive links), outcome: completed" in svg
     assert "polyline" in svg
 
 

@@ -400,7 +400,7 @@ def test_swarmpath_equals_baseline_without_obstacles():
     assert sp.outcome == base.outcome == COMPLETED
     assert sp.n_frames == base.n_frames
     for i in range(sp.n_drones):
-        gap = np.linalg.norm(sp.drone_positions(i) - base.drone_positions(i), axis=1)
+        gap = np.linalg.norm(sp.positions[:, i] - base.positions[:, i], axis=1)
         assert gap.max() < 1e-12
 
 
