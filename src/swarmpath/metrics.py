@@ -190,29 +190,29 @@ def min_obstacle_clearance(trace: SimulationTrace) -> float:
 
     Positive means the run was collision free.  Infinity when the scenario
     has no obstacles.
+
+    Each (obstacle, drone) pair is bounded below by the distance from the
+    obstacle's center to the box of that drone's rows, minus its radius, less
+    a relative slack far above the rounding error of either side.  Pairs are
+    measured against the drone's rows by ascending bound, and skipped once the
+    bound reaches the running minimum, which a minimum of floats makes exact;
+    a bound whose gap passes float range is NaN, sorts last and is measured.
     """
-    obstacles = effective_obstacles(trace.spec)
-    tracks = trace.positions  # (F, D, 2)
-    lo = tracks.min(axis=(0, 1))
-    hi = tracks.max(axis=(0, 1))
-    # Lower bound per obstacle: distance from its center to the bounding box
-    # of all tracks, minus its radius, less a relative slack far above the
-    # rounding error of either side.  Obstacles are visited by ascending bound
-    # and skipped once the bound reaches the running minimum, which a minimum
-    # of floats makes exact.
-    bounds = []
-    for obs in obstacles:
-        cx, cy = obs.center.x, obs.center.y
-        gap = math.hypot(max(lo[0] - cx, 0.0, cx - hi[0]), max(lo[1] - cy, 0.0, cy - hi[1]))
-        bounds.append((gap - obs.radius - 1e-12 * (gap + obs.radius), obs))
-    bounds.sort(key=lambda pair: pair[0])
-    xs, ys = tracks[..., 0], tracks[..., 1]
+    posts = [(obs.center.x, obs.center.y, obs.radius) for obs in effective_obstacles(trace.spec)]
+    cx, cy, radius = np.array(posts).reshape(-1, 3, 1).transpose(1, 0, 2)  # (O, 1) each
+    xs, ys = np.ascontiguousarray(trace.positions.T)  # (D, F) rows, copied once
     best = math.inf
-    for bound, obs in bounds:
-        if bound >= best:
-            break
-        dist = float(np.min(_lengths(xs - obs.center.x, ys - obs.center.y)))
-        best = min(best, dist - obs.radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.hypot(np.maximum(np.maximum(xs.min(axis=1) - cx, 0.0), cx - xs.max(axis=1)),
+                       np.maximum(np.maximum(ys.min(axis=1) - cy, 0.0), cy - ys.max(axis=1)))
+        bounds = (gap - radius - 1e-12 * (gap + radius)).ravel()  # (O, D), flat
+        order = np.argsort(bounds)
+        for pair, bound in zip(order.tolist(), bounds[order].tolist()):
+            if bound >= best:
+                break
+            post, drone = divmod(pair, len(xs))
+            px, py, r = posts[post]
+            best = min(best, float(np.min(_lengths(xs[drone] - px, ys[drone] - py))) - r)
     return best
 
 

@@ -31,7 +31,8 @@ class _Frame:
     """World-to-pixel transform for one panel, in 2 m units so that no span of finite
     coordinates overflows; halving is exact and the scale doubles, so a pixel that
     does not overflow in metres keeps its bits.  The panel fits the width, or a
-    height of 1e300 px where that is smaller, so a tall panel's height is finite."""
+    height of 1e300 px where that is smaller, so a tall panel's height is finite; a
+    panel with no extent takes its coordinates' magnitude as its span."""
 
     def __init__(self, spec: ScenarioSpec, traces: list[SimulationTrace]):
         xs = [spec.start.x, spec.goal.x]
@@ -45,7 +46,7 @@ class _Frame:
         x0, x1 = (min(xs) - WORLD_PAD) * 0.5, (max(xs) + WORLD_PAD) * 0.5
         y0, y1 = (min(ys) - WORLD_PAD) * 0.5, (max(ys) + WORLD_PAD) * 0.5
         width = WIDTH - 2 * MARGIN  # px
-        self.scale = width / max(x1 - x0, (y1 - y0) * (width * 1e-300))  # px per 2 m
+        self.scale = width / (max(x1 - x0, (y1 - y0) * (width * 1e-300)) or abs(x0))  # px per 2 m
         self.x0, self.y1 = x0, y1
         self.height = (y1 - y0) * self.scale + 2 * MARGIN
 

@@ -195,7 +195,9 @@ class LeaderTrack:
         obstacle or whose slot n is not finite; else the stop is the number
         of rows the track holds.
         Searched once per offset, over the rows the track holds then, and
-        kept in ride_tables for every run that reads this track.
+        kept in ride_tables for every run that reads this track: the boxes
+        bound the hypot tests, and one isfinite pass over the slots before
+        the hit bounds the stop by the first slot that is not finite.
 
         The stop rule is wider than an acquire: with mixed r_imp a drone
         within one obstacle's r_imp whose nearest obstacle is another stops
@@ -230,9 +232,9 @@ class LeaderTrack:
             if hit is not None:
                 stop = hit + 1
                 break
-        finite = np.isfinite(slots[:stop]).all(axis=1)
-        if not finite.all():
-            stop = int(finite.argmin())
+        bad = ~np.isfinite(slots[:stop])
+        if bad.any():
+            stop = int(bad.any(axis=1).argmax())
         self.ride_tables[offset] = stop
         return stop
 
@@ -247,16 +249,18 @@ class LeaderTrack:
         with numpy's elementwise IEEE operations in swarm_step's order.
         Infinite gains make them nan, and then the drone stays at frame 0 for
         swarm_step's loop.  Appends the ride's rows; the drone's link after
-        its last row is still the rest link (0.0, 0.0).
+        its last row is still the rest link (0.0, 0.0).  It reads leader rows
+        1 to end through a view of xy that dies with its expression, since
+        row() later extends xy and an array exporting its buffer cannot resize.
         """
         p00, p01, p10, p11, g0, g1 = coefficients
         # +0.0 is the one double whose bytes are all zero.
         if struct.pack("2d", p00 * 0.0 + p01 * 0.0 + g0 * 0.0,
                        p10 * 0.0 + p11 * 0.0 + g1 * 0.0) == bytes(16):
             end = min(last, self.ride_table(offset) - 1)
-            rode = (np.frombuffer(self.xy[2:2 * end + 2]).reshape(-1, 2) + offset) + 0.0
+            rode = (np.frombuffer(self.xy, count=2 * end + 2)[2:].reshape(-1, 2) + offset) + 0.0
             positions.frombytes(rode.tobytes())
-            modes.extend([LEADER] * end)
+            modes.frombytes(struct.pack("q", LEADER) * end)
 
 
 def swarm_step(link: tuple[float, float], last: int, track: LeaderTrack,

@@ -268,6 +268,9 @@ STRADDLING = {"start": [0, 0], "goal": [-1.0, 1.0],
 # The goal is 1e306 m up and 0 m across: the plot is far taller than wide.
 TALL = {"start": [0, 0], "goal": [0, 1e306], "apf": {"leader_speed": 1e305}, "dt": 1.0,
         "max_steps": 20}
+# Start and goal coincide 1e300 m out, where WORLD_PAD is absorbed: the plot
+# has neither width nor height.
+ZERO_AREA = {"start": [1e300, 1e300], "goal": [1e300, 1e300], "max_steps": 50}
 
 
 def test_a_flung_swarm_compares_as_strict_json(tmp_path, capsys):
@@ -286,7 +289,8 @@ def test_a_flung_swarm_compares_as_strict_json(tmp_path, capsys):
 @st.composite
 def extreme_docs(draw):
     """Valid FLUNG-like documents with magnitudes from 1e-2 to 1e307 on
-    k_impF, leader_speed, dt, the goal (far along x or along y) and one offset."""
+    k_impF, leader_speed, dt, the goal (far along x or along y, and sometimes
+    the start too) and one offset."""
     big = st.none() | st.floats(-2.0, 307.0).map(lambda e: 10.0 ** e)
     sign = st.sampled_from((1.0, -1.0))
     doc = {"start": [0, 0], "goal": [2, 0], "obstacles": [POST], "max_steps": 600,
@@ -303,6 +307,8 @@ def extreme_docs(draw):
         doc["goal"] = [draw(sign) * goal, draw(st.floats(-1.0, 1.0))]
         if draw(st.booleans()):
             doc["goal"].reverse()
+    if draw(st.booleans()):
+        doc["start"] = list(doc["goal"])
     offset = draw(big)
     if offset is not None:
         offsets = [[0.4, 0.4], [0.4, -0.4], [-0.4, 0.4], [-0.4, -0.4]]
@@ -317,6 +323,7 @@ def extreme_docs(draw):
 @example(doc=OSCILLATING)
 @example(doc=STRADDLING)
 @example(doc=TALL)
+@example(doc=ZERO_AREA)
 def test_outputs_are_strict_at_any_magnitude(doc):
     # Every JSON parses without Infinity or NaN, no SVG prints nan or inf,
     # nothing warns, and a run that fails says at which step.

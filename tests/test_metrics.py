@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swarmpath.metrics import (
+    _lengths,
     ape,
     compare,
     completion_time,
@@ -181,6 +183,60 @@ def reference_min_obstacle_clearance(trace):
         dist = np.linalg.norm(trace.positions - center, axis=2) - obs.radius
         best = min(best, float(np.min(dist)))
     return best
+
+
+def brute_min_obstacle_clearance(positions, posts):
+    """The least surface distance over every (x, y, radius) post and every
+    drone's full rows, each pair's distances through metrics._lengths."""
+    best = math.inf
+    with np.errstate(over="ignore"):
+        for cx, cy, radius in posts:
+            for drone in range(positions.shape[1]):
+                rows = positions[:, drone]
+                best = min(best, float(np.min(_lengths(rows[:, 0] - cx, rows[:, 1] - cy))) - radius)
+    return best
+
+
+@st.composite
+def clearance_cases(draw):
+    """(positions (F, D, 2), posts as (x, y, radius)): one to four drones
+    wandering at a magnitude from 1e-300 to 1e300 m, up to five posts among
+    them, and sometimes one drone moved 1.2e308 m along x with a post 1.2e308 m
+    the other way, so that its box gap to that drone overflows."""
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    frames, drones = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    positions = np.cumsum(rng.normal(size=(frames, drones, 2)), axis=0) * scale
+    posts = [(*(rng.normal(size=2) * 3.0 * scale).tolist(), float(rng.uniform(0.01, 0.5)) * scale)
+             for _ in range(draw(st.integers(0, 5)))]
+    if draw(st.booleans()):
+        positions[:, draw(st.integers(0, drones - 1)), 0] += 1.2e308
+        posts.append((-1.2e308, 0.0, 1e300))
+    return positions, posts
+
+
+FAR_APART = (np.array([[[1.2e308, 0.0]], [[1.2e308, 1.0]]]), [(-1.2e308, 0.0, 1e300)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=clearance_cases())
+@example(case=(np.zeros((1, 1, 2)), []))  # no obstacles: inf
+@example(case=FAR_APART)  # one drone, whose one bound is nan
+@example(case=(np.concatenate([FAR_APART[0], [[[0.0, 0.0]]]]), FAR_APART[1] + [(3.0, 0.0, 0.5)]))
+def test_min_obstacle_clearance_is_the_least_over_every_post_and_drone(case):
+    # The per-drone bounds only order and cut the pairs: the result equals a
+    # brute-force minimum over every pair, bit for bit, and nothing warns.
+    positions, posts = case
+    spec = straight_spec(obstacles=tuple(Obstacle(Vec2(x, y), r, 3.0 * r, 2.0 * r)
+                                         for x, y, r in posts))
+    trace = SimulationTrace(spec, CONVENTIONAL_APF, np.arange(len(positions)) * 0.05,
+                            positions, None, None, COMPLETED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clearance = min_obstacle_clearance(trace)
+    expected = brute_min_obstacle_clearance(positions, posts)
+    assert clearance.hex() == expected.hex()
+    assert clearance == math.inf if not posts else not math.isnan(clearance)
 
 
 def reference_path_length(track):

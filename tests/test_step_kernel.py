@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -963,6 +964,55 @@ def test_a_ride_stops_at_a_post_that_the_last_slot_of_a_box_grazes():
     rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
     stop = reference_stop(rows, (0.0, 0.5), spec.obstacle_index.rows)
     assert track.ride_table((0.0, 0.5)) == stop == BOX_ROWS
+
+
+# 3e307 m per step: the leader's rows run 0, 3e307, 6e307, 9e307, 1.2e308, then
+# 1.5e308 and 1.2e308 in turn; the post sits 6e307 m off its path.
+OVERFLOWING = ScenarioSpec(start=Vec2(0.0, 0.0), goal=Vec2(1.25e308, 0.0),
+                           apf=ApfParams(leader_speed=3e307), dt=1.0,
+                           obstacles=(Obstacle(Vec2(6e307, 6e307), 1e306, 1e307, 1e307),))
+
+
+@pytest.mark.parametrize("offset, stop", [
+    ((5e307, 0.0), 5),  # slot 5 overflows and no slot comes near the post
+    ((4e307, 6e307), 2),  # slot 1 is within the post's r_imp; slot 5 would overflow
+    ((5e307, 6e307), 1), ((0.0, 6e307), 3), ((-2e307, 6e307), 4),
+    ((0.0, -0.4), 5001),  # every row the track holds
+])
+def test_a_ride_table_is_a_scan_of_every_slot_of_a_track_that_overflows(offset, stop):
+    # The stop is the first hit of the box search or the first slot that is
+    # not finite, whichever comes first: a brute scan of every slot.
+    track = LeaderTrack(OVERFLOWING)
+    rows = np.frombuffer(track.xy).reshape(-1, 2).tolist()
+    assert not all(map(math.isfinite, (rows[5][0] + 5e307, rows[5][1])))
+    assert track.ride_table(offset) == reference_stop(
+        rows, offset, OVERFLOWING.obstacle_index.rows) == stop
+
+
+@pytest.mark.parametrize("last", [0, 1, 63, 700, 10 ** 5])
+def test_a_ride_appends_what_a_copy_of_the_rows_and_a_list_of_modes_would(last):
+    # The ride reads the leader's rows through a view of the track's buffer
+    # and appends its modes as bytes: its buffers equal, byte for byte, those
+    # built from a copied slice of the rows and a list of LEADER, and no view
+    # outlives it, so the track still grows.
+    spec = load_scenario(json.dumps(grid16_forest_doc()))
+    track = LeaderTrack(spec)
+    coefficients = link_coefficients(spec.impedance, spec.dt)
+    for off in spec.formation_offsets:
+        offset = off.as_tuple()
+        positions = array("d", (spec.start.x + off.x, spec.start.y + off.y))
+        modes = array("q", (LEADER,))
+        copied, listed = array("d", positions), array("q", modes)
+        track.ride(offset, last, coefficients, positions, modes)
+        end = min(last, track.ride_table(offset) - 1)
+        copied.frombytes(((np.frombuffer(track.xy[2:2 * end + 2]).reshape(-1, 2) + offset)
+                          + 0.0).tobytes())
+        listed.extend([LEADER] * end)
+        assert (bytes(positions), bytes(modes)) == (bytes(copied), bytes(listed))
+        assert len(modes) == end + 1
+    held = len(track.xy) // 2
+    track.row(held + 10)
+    assert len(track.xy) == 2 * (held + 11)
 
 
 def test_half_the_grid_rides_case2_forest_to_the_last_row():
