@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("-o", "--output-dir", default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_sweep = sub.add_parser("sweep", help="rerun a scenario over impedance values")
+    p_sweep = sub.add_parser("sweep", help="rerun a scenario over the values of one float field")
     p_sweep.add_argument("sweep", help="sweep spec JSON file")
     p_sweep.add_argument("-o", "--output-dir", default=None)
     p_sweep.set_defaults(func=cmd_sweep)

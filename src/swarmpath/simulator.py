@@ -13,8 +13,8 @@ end: one track per drone, then the end and the first fault at or before it
 topology.LeaderTrack, built whole, through max_steps or to its fixed point
 or first fault.  Each baseline drone's runs from its start slot toward its
 goal slot, built alone by baseline_step.  The swarm's leader reads no
-drone, so it is not stepped here: its rows come from its track, which a
-sweep builds once and hands to every point, and its fault is the track's.
+drone, so it is not stepped here: its rows come from its track, which runs
+with the same leader inputs can share, and its fault is the track's.
 Each swarm follower reads only its own rows and link, the leader's rows and
 the obstacles, so it rides from frame 0 at rest on its slot
 (LeaderTrack.ride), and topology.swarm_step runs it on through the leader's

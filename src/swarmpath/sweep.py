@@ -1,4 +1,4 @@
-"""Impedance parameter sweeps: rerun one scenario across m, d, or k values.
+"""Parameter sweeps: rerun one scenario across the values of one float field.
 
 A sweep spec is a small JSON document:
 
@@ -8,34 +8,32 @@ A sweep spec is a small JSON document:
       "scenario": "case1_gate.json"
     }
 
-Its keys are the SweepSpec fields, all required: parameter is m, d or k,
-values a non-empty array of numbers, and scenario a path (relative to the
-sweep file) or an inline scenario object.  Every point is validated before any
-run, and an error names its key, such as scenario.start or values[1].
+Its keys are the SweepSpec fields, all required: parameter a key path (see
+sweep_point), values a non-empty array of numbers, and scenario a path
+(relative to the sweep file) or an inline scenario object.  Every point is
+validated before any run, and an error names its key, such as values[1].
 
 Each point is the dict that sweep.json holds under "runs", at full precision:
 value, outcome, critical, note and drone_path_lengths_m.  Values within 0.5%
-of the critical damping of the resulting (m, d, k) triple are flagged
+of the critical damping of the point's own (m, d, k) triple are flagged
 critical, since behavior changes character on either side of that point.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
-from typing import Literal, get_args
 
 from .world import (ScenarioSpec, ScenarioValidationError, _decode, _parse_json, _read,
-                    validate_spec)
+                    _schema, _show, validate_spec)
 # Unused here, but bench/bench.py's traced mode rebinds this module name.
 from .world import load_scenario  # noqa: F401
 from .impedance import critical_damping
 from .simulator import SWARMPATH, run
-from .topology import LeaderTrack
+from .topology import LeaderTrack, leader_inputs
 from .metrics import drone_path_lengths
 from .traceio import sig6
 
-Parameter = Literal["m", "d", "k"]
-SWEEPABLE = get_args(Parameter)
+ALIASES = {name: f"impedance.{name}" for name in ("m", "d", "k")}
 CRITICAL_REL_TOL = 0.005  # |d - 2*sqrt(m*k)| within 0.5% of critical counts as critical
 
 
@@ -43,18 +41,15 @@ CRITICAL_REL_TOL = 0.005  # |d - 2*sqrt(m*k)| within 0.5% of critical counts as 
 class SweepSpec:
     """One parameter, the values to try, and the scenario to rerun.
 
-    Every point is validated on construction, before any run, so a bad value
-    fails the whole sweep with ScenarioValidationError however it was built.
+    Every point is validated on construction, before any run: a bad parameter
+    or value fails the whole sweep with ScenarioValidationError, however built.
     """
 
-    parameter: Parameter
+    parameter: str  # a key path; see sweep_point
     values: tuple[float, ...]
     scenario: ScenarioSpec
 
     def __post_init__(self):
-        if self.parameter not in SWEEPABLE:
-            raise ScenarioValidationError(
-                f"parameter must be one of {SWEEPABLE}, got {self.parameter!r}")
         if not self.values:
             raise ScenarioValidationError("values: at least one value is required")
         validate_spec(self.scenario, "scenario")
@@ -82,26 +77,34 @@ def read_sweep(path) -> SweepSpec:
     return load_sweep(_read(path, "sweep"), base_dir=path.parent)
 
 
-def sweep_point(spec: ScenarioSpec, parameter: Parameter, value: float) -> ScenarioSpec:
-    """Scenario with one impedance coefficient replaced."""
-    impedance = replace(spec.impedance, **{parameter: value})
-    return replace(spec, impedance=impedance)
+def sweep_point(spec: ScenarioSpec, parameter: str, value: float) -> ScenarioSpec:
+    """Scenario with the float field at the key path parameter, such as dt or
+    apf.k_rep, set to value; m, d and k stand for impedance.m, .d and .k.  The
+    schema resolves each key, and all but the last name a parameter object."""
+    return _replaced(spec, ALIASES.get(parameter, parameter).split("."), value, parameter)
+
+
+def _replaced(block, keys: list[str], value: float, parameter: str):
+    key, *rest = keys
+    tp, _, _, nested = _schema(type(block)).get(key, (None, False, None, False))
+    if rest and nested and is_dataclass(tp):  # a parameter object, not a tuple of them
+        value = _replaced(getattr(block, key), rest, value, parameter)
+    elif rest or tp is not float:
+        raise ScenarioValidationError(f"parameter: {_show(parameter)} names no float field")
+    return replace(block, **{key: value})
 
 
 def run_sweep(sweep: SweepSpec) -> SweepResult:
-    """Run the adaptive-link controller once per value.
-
-    m, d and k reach neither the leader nor the obstacles, so every point
-    reads one LeaderTrack, with the obstacle index it carries.  Nor do they
-    reach where a follower at rest on its slot rides, or its speed there, so
-    the points also share the track's ride tables: the first point builds
-    each one, searched once over the track's rows, and the later ones only
-    test their goals along it.
-    """
-    track = LeaderTrack(sweep.scenario)
+    """Run the adaptive-link controller once per value, building a track only
+    where a point's leader inputs differ from its last track's (simulator.run
+    checks them); each point's critical flag reads its own (m, d, k)."""
+    track = None
     runs = []
     for value in sweep.values:
         spec = sweep_point(sweep.scenario, sweep.parameter, value)
+        if track is None or track.inputs != leader_inputs(spec):
+            base = leader_inputs(spec) == leader_inputs(sweep.scenario)  # reuse the base's index
+            track = LeaderTrack(sweep.scenario if base else spec)
         imp = spec.impedance
         crit = critical_damping(imp.m, imp.k)
         is_critical = abs(imp.d - crit) <= CRITICAL_REL_TOL * crit

@@ -38,9 +38,9 @@ Every follower starts at rest on its slot, and the zero-force update keeps
 its zero link state until it first comes within an obstacle's r_imp.
 LeaderTrack.ride moves it over that stretch from frame 0 at once, with
 numpy, and swarm_step's loop steps on from there.  Where the stretch ends
-reads only the leader's rows, the offset and the obstacles, never m, d or k,
-so a track keeps it for every run that reads it: its ride table, from array
-passes over boxes of slots.
+reads only the leader's rows, the offset and the obstacles, all fixed with
+the track, so it keeps it for every run that reads it: its ride table, from
+array passes over boxes of slots.
 """
 
 from __future__ import annotations
@@ -149,9 +149,8 @@ class LeaderTrack:
 
     The runs that share a track also share its followers' rides: where a
     follower at rest on its slot from frame 0 stops riding (ride_table(offset),
-    kept in ride_tables).  That follows from the rows, the offset and the
-    obstacles, all fixed with the track, never from m, d or k, which a sweep
-    varies.
+    kept in ride_tables), which follows from the rows, the offset and the
+    obstacles alone, all fixed with the track.
     """
 
     def __init__(self, spec: ScenarioSpec, start: tuple[float, float] | None = None,

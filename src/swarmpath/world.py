@@ -361,10 +361,9 @@ def _schema(cls) -> dict[str, tuple[type, bool, tuple | None, bool]]:
 def _decode(tp, value, label: str | None):
     """The tp that a JSON value stands for; label names it in errors (None: the top level).
 
-    Vec2 is [x, y], tuple[X, ...] an array, float and int a number and an
-    integer, Literal[...] one of its arguments, and any other dataclass an
-    object.  An object needs a key for each field without a default, may have
-    one for each field with one, and no other.
+    Vec2 is [x, y], tuple[X, ...] an array, float, int and str a number, an
+    integer and a string, and any other dataclass an object: a key for each
+    field without a default, optional keys for those with one, and no other.
     """
     if tp is float:
         return _number(value, label)
@@ -379,10 +378,9 @@ def _decode(tp, value, label: str | None):
             raise ScenarioParseError(f"{label} must be an array, got {_show(value)}")
         item = typing.get_args(tp)[0]
         return tuple(_decode(item, v, f"{label}[{i}]") for i, v in enumerate(value))
-    if typing.get_origin(tp) is typing.Literal:
-        choices = typing.get_args(tp)
-        if value not in choices:
-            raise ScenarioParseError(f"{label} must be one of {choices}, got {_show(value)}")
+    if tp is str:
+        if not isinstance(value, str):
+            raise ScenarioParseError(f"{label} must be a string, got {_show(value)}")
         return value
     if not isinstance(value, dict):
         raise ScenarioParseError(f"{label or 'top level'} must be an object, got {_show(value)}")

@@ -469,6 +469,18 @@ def test_sweep_bad_value_exits_1_before_any_run(value, message, tmp_path, capsys
     assert not out.exists()
 
 
+def test_sweep_over_an_int_field_exits_1(tmp_path, capsys):
+    sweep = tmp_path / "sw.json"
+    sweep.write_text(json.dumps({"parameter": "max_steps", "values": [10.0],
+                                 "scenario": str(SCENARIO_DIR / "case1_gate.json")}))
+    out = tmp_path / "out"
+    assert main(["sweep", str(sweep), "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: parameter: 'max_steps' names no float field\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_validate_reports_each_check(capsys):
     code = main(["validate"])
     lines = capsys.readouterr().out.strip().split("\n")

@@ -1,8 +1,11 @@
+import dataclasses
+import functools
 import json
 import math
+import typing
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
@@ -57,8 +60,18 @@ def test_load_sweep_parses_an_inline_scenario_once(monkeypatch):
 
 
 def test_load_sweep_rejects_unknown_parameter():
-    with pytest.raises(ScenarioParseError, match=r"one of \('m', 'd', 'k'\), got 'mass'"):
-        load_sweep(inline_sweep(parameter="mass"))
+    # An unknown key, an int field, an array and an [x, y] pair are each one
+    # validation error that names the parameter.
+    for parameter in ("mass", "max_steps", "start", "obstacles", "apf.nope"):
+        with pytest.raises(ScenarioValidationError) as caught:
+            load_sweep(inline_sweep(parameter=parameter))
+        assert caught.type is ScenarioValidationError
+        assert str(caught.value) == f"parameter: {parameter!r} names no float field"
+
+
+def test_load_sweep_rejects_a_parameter_that_is_not_a_string():
+    with pytest.raises(ScenarioParseError, match=r"^parameter must be a string, got \['d'\]$"):
+        load_sweep(inline_sweep(parameter=["d"]))
 
 
 def test_load_sweep_rejects_extra_keys():
@@ -118,6 +131,83 @@ def test_sweep_point_replaces_one_impedance_field():
     assert out.impedance.d == spec.impedance.d
     assert out.impedance.k == spec.impedance.k
     assert sweep_point(spec, "d", 9.0).impedance.d == 9.0
+
+
+# Every key path that sweep_point accepts: dt, each float field of the
+# parameter objects, and the impedance aliases.
+SWEEPABLE_PATHS = {"dt", "m", "d", "k", "impedance.m", "impedance.d", "impedance.k",
+                   "apf.k_att", "apf.k_rep", "apf.leader_speed", "apf.goal_threshold",
+                   "topology.k_impF", "topology.hysteresis"}
+
+
+def key_paths(cls, prefix=""):
+    """Every key path through cls's fields, into Vec2s, tuple items and objects alike."""
+    for f in dataclasses.fields(cls):
+        item = typing.get_args(f.type)[0] if typing.get_origin(f.type) is tuple else f.type
+        yield prefix + f.name
+        if dataclasses.is_dataclass(item):
+            yield from key_paths(item, f"{prefix}{f.name}.")
+
+
+def test_sweep_point_accepts_exactly_the_float_parameter_paths():
+    spec = world.read_scenario(SCENARIO_DIR / "case1_gate.json")
+    candidates = {*key_paths(ScenarioSpec), *SWEEPABLE_PATHS, "mass", "impedance.m.x",
+                  "apf.k_rep.", "dt.", "topology..k_impF", "impedance.obstacle_index"}
+    assert {"start.x", "obstacles.center.y", "gates.pole_a.radius", "max_steps"} <= candidates
+    accepted = set()
+    for path in sorted(candidates):
+        try:
+            out = sweep_point(spec, path, 0.75)
+        except ScenarioValidationError as exc:
+            assert str(exc) == f"parameter: {path!r} names no float field"
+            continue
+        accepted.add(path)
+        keys = sweep_module.ALIASES.get(path, path).split(".")
+        assert functools.reduce(getattr, keys, out) == 0.75
+        # Only that field changed.
+        assert sweep_point(out, path, functools.reduce(getattr, keys, spec)) == spec
+    assert accepted == SWEEPABLE_PATHS
+
+
+def bits(column):
+    return None if column is None else (column.dtype, column.shape, column.tobytes())
+
+
+@pytest.mark.parametrize("parameter, values, tracks", [
+    ("topology.k_impF", (0.3, 0.5, 0.8), 1),
+    ("apf.k_rep", (0.2, 0.3, 0.45), 3),
+    ("dt", (0.008, 0.01, 0.0125), 3),
+])
+def test_sweep_axes_match_their_standalone_runs(parameter, values, tracks, monkeypatch):
+    # No leader input reads topology, so its points share the base's track;
+    # apf and dt are leader inputs, so each of their points builds its own,
+    # and a point with the base's inputs reads the base's obstacle index.
+    base = world.read_scenario(SCENARIO_DIR / "case1_gate.json")
+    built, read = [], []
+    init = topology.LeaderTrack.__init__
+
+    def counted(track, *args):
+        built.append(track)
+        init(track, *args)
+
+    def recorded(spec, controller, track):
+        read.append(track)
+        return run(spec, controller, track)
+
+    monkeypatch.setattr(topology.LeaderTrack, "__init__", counted)
+    monkeypatch.setattr(sweep_module, "run", recorded)
+    result, traces = sweep_traces(SweepSpec(parameter, values, base), monkeypatch)
+    assert len(built) == tracks
+    assert {id(t) for t in read} == {id(t) for t in built}
+    assert len(traces) == len(read) == len(result.runs) == len(values)
+    base_inputs = topology.leader_inputs(base)
+    for value, point, trace, track in zip(values, result.runs, traces, read):
+        spec = sweep_point(base, parameter, value)
+        assert (track.index is base.obstacle_index) == (topology.leader_inputs(spec) == base_inputs)
+        alone = run(spec)
+        for column in ("t", "positions", "leader", "modes"):
+            assert bits(getattr(trace, column)) == bits(getattr(alone, column))
+        assert point["outcome"] == trace.outcome == alone.outcome
 
 
 def test_run_sweep_flags_critical_damping():
@@ -249,15 +339,36 @@ def test_a_sweep_point_is_its_sweep_json_entry(monkeypatch):
         assert lengths == metrics.drone_path_lengths(trace)
 
 
+@example(data=None, parameter="__class__")
+@example(data=None, parameter="obstacle_index")
+@example(data=None, parameter="impedance.__dict__")
+@example(data=None, parameter="start.x")
+@example(data=None, parameter="")
+@example(data=None, parameter="apf.")
+@example(data=None, parameter=".dt")
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_load_sweep_raises_only_scenario_error(data):
-    # Any JSON at any key of a valid sweep document, its inline scenario included.
-    doc = {"parameter": "d", "values": [12.6, 14.0], "scenario": full_scenario_doc()}
-    try:
-        load_sweep(json.dumps(plant_json(data, doc)), base_dir=SCENARIO_DIR)
-    except ScenarioError:
-        pass
+@given(data=st.data(), parameter=st.just("d"))
+def test_load_sweep_raises_only_scenario_error(data, parameter):
+    # Any JSON at any key of a valid sweep document, its inline scenario
+    # included.  Each example plants nothing and names a parameter outside
+    # the schema, which must fail.  No load builds an index or a track.
+    doc = {"parameter": parameter, "values": [12.6, 14.0], "scenario": full_scenario_doc()}
+    text = json.dumps(doc if data is None else plant_json(data, doc))
+    built, raised = [], False
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (world.ObstacleIndex, topology.LeaderTrack):
+            def counted(self, *args, init=cls.__init__):
+                built.append(type(self))
+                init(self, *args)
+
+            patch.setattr(cls, "__init__", counted)
+        try:
+            load_sweep(text, base_dir=SCENARIO_DIR)
+        except ScenarioError:
+            raised = True
+    assert built == []
+    if data is None:
+        assert raised
 
 
 
