@@ -33,10 +33,11 @@ AT_CENTER = "position coincides with obstacle center ({}, {})"
 NEAR_CENTER = "position {:g} m from obstacle center ({}, {}), direction undefined"
 NON_FINITE = "the state overflowed to a non-finite value"
 # How descend stops: on the row asked for; at the path's fixed point, whose
-# last row every later step repeats (goal latched, no field, or a step that
-# left x and y bit for bit); or on a fault, ranked in the order a step meets
-# them (a repulsion with no direction, then a position that is not finite).
-DESCENDING, LATCHED, NO_FIELD, FIXED, SINGULAR, OVERFLOW = range(6)
+# last row every later step repeats, LATCHED at the goal or STUCK short of it
+# (no field, or a step that left x and y bit for bit); or on a fault, ranked
+# in the order a step meets them (a repulsion with no direction, then a
+# position that is not finite).
+DESCENDING, LATCHED, STUCK, SINGULAR, OVERFLOW = range(5)
 
 
 class SingularityError(ValueError):
@@ -129,9 +130,9 @@ def descend(xy: array, gx: float, gy: float, last: int,
     leaves x and y == but not bit for bit (a signed zero) is no fixed point:
     the path goes on from the new bits.
 
-    Returns (status, text): DESCENDING on row last; LATCHED, NO_FIELD or
-    FIXED at the fixed point, whose row is the last appended; or SINGULAR
-    or OVERFLOW and the fault's text, with nothing appended for its step.
+    Returns (status, text): DESCENDING on row last; LATCHED or STUCK at the
+    fixed point, whose row is the last appended; or SINGULAR or OVERFLOW
+    and the fault's text, with nothing appended for its step.
     """
     apf = spec.apf
     k_att, k_rep, threshold = apf.k_att, apf.k_rep, apf.goal_threshold
@@ -174,7 +175,7 @@ def descend(xy: array, gx: float, gy: float, last: int,
         if norm < STALL_EPS:
             append(x)
             append(y)
-            return NO_FIELD, None
+            return STUCK, None
         scale = distance / norm
         new_x, new_y = x + fx * scale, y + fy * scale
         if not (isfinite(new_x) and isfinite(new_y)):
@@ -184,6 +185,6 @@ def descend(xy: array, gx: float, gy: float, last: int,
         if (new_x == x and new_y == y  # == and the same sign: the same bits
                 and copysign(1.0, new_x) == copysign(1.0, x)
                 and copysign(1.0, new_y) == copysign(1.0, y)):
-            return FIXED, None
+            return STUCK, None
         x, y = new_x, new_y
     return DESCENDING, None

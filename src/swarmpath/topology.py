@@ -52,7 +52,7 @@ from array import array
 import numpy as np
 
 from .world import NO_CANDIDATES, ObstacleIndex, TopologyParams, ScenarioSpec
-from .apf import DESCENDING, NO_FIELD, NON_FINITE, SingularityError, descend
+from .apf import DESCENDING, LATCHED, NON_FINITE, SingularityError, descend
 from .impedance import Coefficients
 # Unused here, but bench/bench.py's traced mode rebinds these module names.
 from .world import effective_obstacles  # noqa: F401
@@ -137,11 +137,12 @@ class LeaderTrack:
 
     xy holds the rows, flat: (x, y) after step n is xy[2n], xy[2n + 1], and
     row 0 is the start.  The constructor runs apf.descend once, through row
-    spec.max_steps, or to the path's fixed point: from step rest on, every
-    row repeats the one before, because the path latched its goal, the field
-    vanished (stall_step, the step it did, is rest) or a step left x and y
-    bit for bit.  A step that faults is not stored: fault is its
-    (step, kind, text).
+    spec.max_steps, or to the path's fixed point, where it latched its goal,
+    the field vanished or a step left x and y bit for bit; the path is at rest
+    from step rest on, where every row is == to the one before, so a step
+    that flipped only a signed zero moved nothing.  stall_step is rest unless
+    the path latched its goal.  A step that faults is not stored: fault is
+    its (step, kind, text).
     row(n) reads row n, appending copies of the fixed point through n first;
     it raises the fault's SingularityError past a faulted path's rows, and
     IndexError past a moving path's.  Whoever builds a track chooses the runs
@@ -167,10 +168,12 @@ class LeaderTrack:
         status, text = descend(xy, *self.goal, spec.max_steps, spec)
         if text is not None:
             self.fault = (len(xy) // 2, status, text)
-        elif status != DESCENDING:
-            self.rest = len(xy) // 2 - 1
-            if status == NO_FIELD:
-                self.stall_step = self.rest
+        elif status != DESCENDING:  # the last row repeats the one before
+            x, y, rest = xy[-2], xy[-1], len(xy) // 2 - 1
+            while rest > 1 and xy[2 * rest - 4] == x and xy[2 * rest - 3] == y:
+                rest -= 1
+            self.rest = rest
+            self.stall_step = None if status == LATCHED else rest
 
     def row(self, step: int) -> tuple[float, float]:
         """The (x, y) after step, padding the fixed point through it first."""

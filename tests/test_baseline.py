@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from swarmpath import simulator
 from swarmpath.apf import leader_step
 from swarmpath.baseline import baseline_step
 from swarmpath.simulator import COMPLETED, CONVENTIONAL_APF, run
-from swarmpath.world import Obstacle, Vec2
-from conftest import straight_spec
+from swarmpath.world import Obstacle, Vec2, read_scenario
+from conftest import SCENARIO_DIR, straight_spec
 
 
 def test_initial_state_puts_drones_on_slots():
@@ -88,3 +89,21 @@ def test_baseline_clock_advances():
     trace = run(spec, CONVENTIONAL_APF)
     assert trace.n_frames == 2
     assert trace.t[1] == pytest.approx(spec.dt)
+
+
+def test_a_baseline_run_tests_completion_past_frame_0_in_one_pass(monkeypatch):
+    # The tracks are descended whole before the run, so its first round pads
+    # every resting one to the longest, not CHUNK rows at a time.
+    spec = read_scenario(SCENARIO_DIR / "case2_forest.json")
+    held = []  # the rows of each completion test
+    first_complete = simulator._first_complete
+
+    def counted(columns, *args):
+        held.append(len(columns))
+        return first_complete(columns, *args)
+
+    monkeypatch.setattr(simulator, "_first_complete", counted)
+    trace = run(spec, CONVENTIONAL_APF)
+    longest = max(len(baseline_step(spec, offset).xy) for offset in spec.formation_offsets) // 2
+    assert trace.outcome == COMPLETED and trace.n_frames > simulator.CHUNK
+    assert held[1:] == [longest]

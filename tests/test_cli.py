@@ -502,8 +502,9 @@ def test_shipped_scenarios_load_and_run(tmp_path):
 
 
 def test_unknown_subcommand_exits_2_via_argparse():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_info:
         main(["frobnicate"])
+    assert exit_info.value.code == 2
 
 
 LOADER_ESCAPES = {

@@ -19,7 +19,8 @@ from swarmpath.simulator import (
 from swarmpath.metrics import path_length
 from swarmpath.sweep import SweepSpec
 from swarmpath.topology import DEFLECTION_FAULT, OVERFLOW_FAULT, LeaderTrack, swarm_step
-from swarmpath.world import ImpedanceParams, Obstacle, TopologyParams, Vec2, read_scenario
+from swarmpath.world import (ApfParams, ImpedanceParams, Obstacle, ScenarioSpec, TopologyParams,
+                             Vec2, read_scenario)
 from conftest import SCENARIO_DIR, lagging_spec, one_pole_spec, straight_spec, sweep_traces
 
 
@@ -328,35 +329,59 @@ def columns(*drones):
     return np.array(drones, dtype=float).transpose(1, 0, 2)
 
 
-STILL = [(0.0, 0.0)]
+def stuck_track(start=Vec2(1e6, 0.0), goal=Vec2(1e6 + 1.0, 0.0)):
+    """A LeaderTrack at rest from step 1 short of its goal: at a coordinate of
+    1e6 its steps of 1e-11 m are below half an ulp."""
+    spec = ScenarioSpec(start=start, goal=goal, apf=ApfParams(leader_speed=1e-9))
+    return LeaderTrack(spec)
+
+
+def latched_track(rest):
+    """A LeaderTrack that moves through step rest - 1, where it is goal_threshold
+    from its goal along its line, and latches it at step rest."""
+    x = LeaderTrack(straight_spec()).row(rest - 1)[0]
+    track = LeaderTrack(straight_spec(apf=ApfParams(goal_threshold=1.0 - x)))
+    assert track.rest == rest and track.stall_step is None
+    return track
 
 
 @pytest.mark.parametrize("moved_at, stall", [(1, 1 + STALL_PATIENCE),
                                              (40, 40 + STALL_PATIENCE),
                                              (STALL_PATIENCE, math.inf)])
 def test_a_stall_starts_after_the_last_move(moved_at, stall):
-    # Of 2 * STALL_PATIENCE rows, drone 2 moves only at step moved_at: the
-    # first STALL_PATIENCE still steps in a row follow it, if the rows hold them.
-    rows = 2 * STALL_PATIENCE
-    moving = [(0.0, 0.0)] * moved_at + [(1.0, 0.0)] * (rows - moved_at)
-    assert simulator._first_stall(columns(STILL * rows, moving)) == stall
+    # Over steps through 2 * STALL_PATIENCE - 1, track 1 rests short of its
+    # goal from step 1 and track 2 moves through step moved_at: the stall is
+    # STALL_PATIENCE - 1 steps after track 2's rest, if the steps reach it.
+    # Track 2 latched its goal, so alone it never stalls.
+    last = 2 * STALL_PATIENCE - 1
+    tracks = [stuck_track(), latched_track(moved_at + 1)]
+    expected = (last, MAX_STEPS) if stall == math.inf else (stall, STALLED)
+    assert simulator._last_step(tracks, last) == expected
+    assert simulator._last_step(tracks[1:], last) == (last, MAX_STEPS)
 
 
 def test_a_signed_zero_flip_is_a_still_step():
-    flip = [(-0.0, 1.0)] + [(0.0, 1.0)] * STALL_PATIENCE
-    assert simulator._first_stall(columns(flip)) == STALL_PATIENCE
-    assert simulator._first_stall(columns(flip, STILL * (STALL_PATIENCE + 1))) == STALL_PATIENCE
+    # The track's first step turns x = -0.0 into 0.0, a row == to the one
+    # before though not bit for bit, and its second leaves it bit for bit.
+    flip = stuck_track(Vec2(-0.0, 1e6), Vec2(-0.0, 1e6 + 1.0))
+    rows = np.frombuffer(flip.xy).reshape(-1, 2)
+    assert len(rows) == 3 and np.signbit(rows[:, 0]).tolist() == [True, False, False]
+    assert flip.rest == flip.stall_step == 1
+    assert simulator._last_step([flip], STALL_PATIENCE) == (STALL_PATIENCE, STALLED)
+    assert simulator._last_step([flip, stuck_track()], STALL_PATIENCE) == \
+        (STALL_PATIENCE, STALLED)
 
 
 @pytest.mark.parametrize("still, stall", [(STALL_PATIENCE, STALL_PATIENCE),
                                           (STALL_PATIENCE - 1, math.inf)])
 def test_a_stall_needs_stall_patience_still_steps_in_a_row(still, stall):
-    # Steps 1..still leave the drone where it was; every other step moves it,
-    # and a still run that ends on the last row counts like any other.
-    head = [(-float(n), 0.0) for n in range(5, 0, -1)]
-    hold = [(0.0, 0.0)] * (still + 1)
-    for tail in ([], [(1.0, 0.0), (2.0, 0.0)]):
-        assert simulator._first_stall(columns(head + hold + tail)) == len(head) + stall
+    # The last track comes to rest on step rest, so steps rest to last are
+    # still steps: the run stalls on the last of them once they number
+    # STALL_PATIENCE, and never on fewer.
+    for rest in (1, 6):
+        last = rest + still - 1
+        expected = (last, MAX_STEPS) if stall == math.inf else (rest - 1 + stall, STALLED)
+        assert simulator._last_step([stuck_track(), latched_track(rest)], last) == expected
 
 
 def test_completion_waits_for_a_drone_that_left_its_zone_to_come_back():

@@ -154,7 +154,8 @@ class ReferenceLeader:
 
 
 def swarm_reference(spec):
-    """The swarm's drones and step(n), one drone at a time; step returns the leader's stall."""
+    """The swarm's drones and step(n), one drone at a time; step returns whether
+    it was still: the leader did not move under == and is short of its goal."""
     track = ReferenceLeader(spec)
     coefficients = link_coefficients(spec.impedance, spec.dt)
     index, params = spec.obstacle_index, spec.topology
@@ -178,21 +179,22 @@ def swarm_reference(spec):
                 new_x, new_y = new_x + ex, new_y + ey
             dx, dy, vx, vy = link_step(x - slot_x, y - slot_y, vx, vy, 0.0, 0.0, coefficients)
             drones[i] = (new_x + dx, new_y + dy, vx, vy, mode)
-        return track.stall_step is not None and n >= track.stall_step
+        return (nlx, nly) == (lx, ly) and not track.agent[2]  # the leader after step n
 
     return drones, step
 
 
 def baseline_reference(spec):
-    """The baseline's drones and step(n), one drone at a time; step returns the stall."""
+    """The baseline's drones and step(n), one drone at a time; step returns whether
+    it was still: no drone moved under == and one is short of its goal."""
     drones = [(spec.start.x + o.x, spec.start.y + o.y, False) for o in spec.formation_offsets]
 
     def step(n):
         moved = unfinished = False
         for i, o in enumerate(spec.formation_offsets):
-            new, stalled = leader_step(drones[i], spec.goal.x + o.x, spec.goal.y + o.y, spec)
+            new, _ = leader_step(drones[i], spec.goal.x + o.x, spec.goal.y + o.y, spec)
             unfinished = unfinished or not new[2]
-            moved = moved or (not stalled and new[:2] != drones[i][:2])
+            moved = moved or new[:2] != drones[i][:2]
             drones[i] = new
         return unfinished and not moved
 
@@ -200,7 +202,9 @@ def baseline_reference(spec):
 
 
 def reference_run(spec, controller):
-    """(outcome, positions, modes) of the run, or the message of its SingularityError."""
+    """(outcome, positions, modes) of the run, or the message of its SingularityError.
+
+    The run stalls once STALL_PATIENCE steps in a row were still."""
     drones, step = (swarm_reference if controller == SWARMPATH else baseline_reference)(spec)
     slots = [(spec.goal.x + o.x, spec.goal.y + o.y) for o in spec.formation_offsets]
     positions, modes = [], []
@@ -210,24 +214,24 @@ def reference_run(spec, controller):
         modes.append([d[4] for d in drones] if controller == SWARMPATH else None)
 
     record()
-    stall_run, n = 0, 0
+    still_run, n = 0, 0
     while True:
         if all(math.hypot(d[0] - gx, d[1] - gy) <= spec.apf.goal_threshold
                for d, (gx, gy) in zip(drones, slots)):
             outcome = COMPLETED
-        elif stall_run >= STALL_PATIENCE:
+        elif still_run >= STALL_PATIENCE:
             outcome = STALLED
         elif n == spec.max_steps:
             outcome = MAX_STEPS
         else:
             n += 1
             try:
-                stalled = step(n)
+                still = step(n)
                 if not all(math.isfinite(v) for d in drones for v in d):
                     raise SingularityError("the state overflowed to a non-finite value")
             except SingularityError as exc:
                 return f"step {n}: {exc}"
-            stall_run = stall_run + 1 if stalled else 0
+            still_run = still_run + 1 if still else 0
             record()
             continue
         return outcome, np.array(positions), modes
@@ -589,16 +593,15 @@ def assert_both_match_reference(spec, expected):
 def test_a_step_below_half_an_ulp_leaves_the_drone_without_a_stall_flag():
     # At x = 1e6 a step of dt * leader_speed = 1e-11 m is below half an ulp
     # (5.8e-11 m), so every drone and the leader stay put bit for bit with no
-    # stall flag.  To the baseline that is a stall; the swarm's leader has
-    # not stalled, so the swarm runs to max_steps.
+    # stall flag.  Each track rests from step 1 short of its goal, so both
+    # controllers stall STALL_PATIENCE - 1 steps later.
     spec = ScenarioSpec(start=Vec2(1e6, 0.0), goal=Vec2(1e6 + 1.0, 0.0),
                         apf=ApfParams(leader_speed=1e-9), max_steps=150)
     validate_spec(spec)
-    assert_both_match_reference(spec, [(STALLED, STALL_PATIENCE + 1),
-                                       (MAX_STEPS, spec.max_steps + 1)])
+    assert_both_match_reference(spec, [(STALLED, STALL_PATIENCE + 1)] * 2)
     for start, goal in descent_slots(spec):
         track = LeaderTrack(spec, start, goal)
-        assert (track.rest, track.stall_step) == (1, None)
+        assert (track.rest, track.stall_step) == (1, 1)
         x, y = track.row(1)
         assert math.hypot(x - track.goal[0], y - track.goal[1]) > spec.apf.goal_threshold
 
@@ -607,23 +610,22 @@ def test_a_signed_zero_step_did_not_move_but_is_no_fixed_point():
     # Drone 1 starts at x = -0.0 below its goal slot: its first step adds
     # +0.0 to x, which turns it into 0.0, and 1e-11 m to y = 1e6, below half
     # an ulp, so its row is == the one before but not bit for bit; its
-    # second step leaves it bit for bit.  Drone 2 stays put bit for bit from
-    # step 1.  Nobody moves from step 1 on, so the stall ends at step
-    # STALL_PATIENCE, not a step after it.
+    # second step leaves it bit for bit.  The leader does the same, and drone
+    # 2 stays put bit for bit from step 1.  Every track rests from step 1,
+    # so both runs stall at step STALL_PATIENCE, not a step after it.
     spec = ScenarioSpec(start=Vec2(-0.0, 1e6), goal=Vec2(-0.0, 1e6 + 1.0),
                         formation_offsets=(Vec2(-0.0, 0.0), Vec2(0.4, 0.0)),
                         apf=ApfParams(leader_speed=1e-9), max_steps=150)
     validate_spec(spec)
-    assert_both_match_reference(spec, [(STALLED, STALL_PATIENCE + 1),
-                                       (MAX_STEPS, spec.max_steps + 1)])
+    assert_both_match_reference(spec, [(STALLED, STALL_PATIENCE + 1)] * 2)
     tracks = [LeaderTrack(spec, start, goal) for start, goal in descent_slots(spec)]
-    assert [t.rest for t in tracks] == [2, 2, 1]
-    # The rows of the tracks that flip: step 1 is == step 0 though not bit for bit.
+    assert [t.rest for t in tracks] == [1, 1, 1]
+    # The rows of the tracks that flip: step 1 is == step 0 though not bit
+    # for bit, and step 2, their fixed point, leaves it bit for bit.
     for track in tracks[:2]:
-        rows = np.frombuffer(track.xy).reshape(-1, 1, 2)
-        assert (rows[1] == rows[0]).all() and rows[1].tobytes() != rows[0].tobytes()
-        assert simulator._first_stall(np.repeat(rows[:2], [1, STALL_PATIENCE], axis=0)) == \
-            STALL_PATIENCE
+        rows = np.frombuffer(track.xy).reshape(-1, 2)
+        assert len(rows) == 3 and (rows[1] == rows[0]).all()
+        assert rows[0].tobytes() != rows[1].tobytes() == rows[2].tobytes()
     assert np.signbit(run(spec, CONVENTIONAL_APF).positions[:3, 0, 0]).tolist() == \
         [True, False, False]
 
